@@ -5,7 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 
+from scipy.sparse.linalg import ArpackNoConvergence
+
 from . import experiments
+from .spectral import EnumerationLimitError, PrecisionError
+
+# A numerical or size limit stopped the run before it could finish.
+EXIT_LIMIT = 3
 
 RUNNERS = {
     "claims": experiments.run_claims,
@@ -47,6 +53,9 @@ def main(argv=None) -> int:
     except experiments.ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
+    except (PrecisionError, EnumerationLimitError, ArpackNoConvergence) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
     out = config.out or args.command.replace("-", "_") + ".csv"
     experiments.write_result(result, out)
     print(result.report)

@@ -43,12 +43,17 @@ def truncated_density(basis: OrderedBasis, k: int, m: int) -> DensityParams:
     return DensityParams(basis=basis, k=k, m=m, tail_weights=a_sq / np.sum(a_sq))
 
 
-def density_values(params: DensityParams, points) -> np.ndarray:
-    """Density at each row of an (n, d) array of points in [0, 1)^d."""
-    bsq = basis_matrix(params.basis, points, params.m) ** 2
+def _mixture(params: DensityParams, values: np.ndarray) -> np.ndarray:
+    """Density from the (n, m) unweighted basis matrix at the points."""
+    bsq = values ** 2
     head = bsq[:, : params.k].sum(axis=1) / params.k
     tail = bsq[:, params.k :] @ params.tail_weights
     return 0.5 * (head + tail)
+
+
+def density_values(params: DensityParams, points) -> np.ndarray:
+    """Density at each row of an (n, d) array of points in [0, 1)^d."""
+    return _mixture(params, basis_matrix(params.basis, points, params.m))
 
 
 def density_eval(params: DensityParams, x) -> float:
@@ -114,15 +119,25 @@ def inverse_cdf_1d(kind: str, u, freq: int = 0):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Sample points with their density values and the seed that made them."""
+    """Sample points with their density values and the seed that made them.
+
+    sample_points also stores the weighted basis matrix
+    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over the density's m functions,
+    made from the one basis evaluation that gave the densities; it is
+    read-only, and build_matrices takes B from here.  A point set built by
+    hand carries none (B is None).
+    """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
     densities: np.ndarray  # (n,), strictly positive
     seed: int
     n: int
+    B: np.ndarray | None = None  # (n, m) weighted basis matrix
 
     def __post_init__(self) -> None:
         if self.points.shape[0] != self.n or self.densities.shape != (self.n,):
+            raise ValueError("inconsistent point-set shapes")
+        if self.B is not None and (self.B.ndim != 2 or self.B.shape[0] != self.n):
             raise ValueError("inconsistent point-set shapes")
         if np.any(self.densities <= 0.0):
             raise ValueError("density values must be strictly positive")
@@ -134,6 +149,10 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     Row i of a (n, d + 2) counter-based uniform block is the substream of
     point i: a head/tail coin, a mixture-component uniform, then one uniform
     per coordinate fed to the factor-CDF inverse of the chosen component.
+
+    The n x m basis matrix is evaluated once: its squares give the
+    densities, then it is divided by sqrt(rho) in place and kept as the
+    point set's weighted matrix B.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
@@ -151,7 +170,11 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     freq = (flat + 1) // 2
     sign = np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0))
     x = _invert_factor_cdf(sign, freq, u[:, 2:])
-    return PointSet(points=x, densities=density_values(params, x), seed=int(seed), n=int(n))
+    b = basis_matrix(basis, x, m)
+    rho = _mixture(params, b)
+    b /= np.sqrt(rho)[:, None]
+    b.flags.writeable = False
+    return PointSet(points=x, densities=rho, seed=int(seed), n=int(n), B=b)
 
 
 def density_selfcheck(params: DensityParams, resolution: int) -> float:

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .density import PointSet
-from .spectral import OrderedBasis, basis_matrix
+from .spectral import OrderedBasis
 
 # Relative singular-value cutoff below which a draw counts as degenerate.
 RANK_RTOL = 1e-10
@@ -23,8 +23,9 @@ MAX_TRUNCATION = 1 << 13
 class InfoMatrices:
     """Density-weighted evaluation matrices of one sampling instance.
 
-    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)); G is its head block (first k
-    columns) and Gamma the tail block with column j scaled by sigma_{k+j}.
+    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) is the point set's matrix, made
+    at sampling time; G is a view of its head block (first k columns), not
+    a copy, and Gamma the tail block with column j scaled by sigma_{k+j}.
     """
 
     G: np.ndarray  # (n, k)
@@ -35,7 +36,11 @@ class InfoMatrices:
 
 
 def build_matrices(pts: PointSet, basis: OrderedBasis, k: int, m: int) -> InfoMatrices:
-    """Assemble B, its head block G and the scaled tail block Gamma."""
+    """Head block G and scaled tail block Gamma of the point set's matrix B.
+
+    pts must come from sample_points with the same basis and m, so that it
+    carries B with m columns; ValueError otherwise.
+    """
     if not 1 <= k < m <= len(basis):
         raise ValueError(f"need 1 <= k < m <= {len(basis)}, got k={k}, m={m}")
     if pts.n < k:
@@ -44,10 +49,11 @@ def build_matrices(pts: PointSet, basis: OrderedBasis, k: int, m: int) -> InfoMa
         raise ValueError(
             f"instance exceeds dense caps n <= {MAX_POINTS}, m <= {MAX_TRUNCATION}"
         )
-    b = basis_matrix(basis, pts.points, m) / np.sqrt(pts.densities)[:, None]
-    return InfoMatrices(
-        G=b[:, :k].copy(), B=b, Gamma=b[:, k:] * basis.sigma[k:m], k=k, m=m
-    )
+    b = pts.B
+    if b is None or b.shape[1] != m:
+        width = None if b is None else b.shape[1]
+        raise ValueError(f"point set carries a weighted basis matrix of width {width}, need m={m}")
+    return InfoMatrices(G=b[:, :k], B=b, Gamma=b[:, k:] * basis.sigma[k:m], k=k, m=m)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,16 @@ Sorting basis functions by weight (ties broken lexicographically on the
 index tuple) makes sigma[n] = weight[n] ** -0.5 the n-th decay value of the
 embedding into L2, and head/tail sums of sigma^2 are available with a
 certified enclosure through a closed-form evaluation of the full series.
+
+basis_matrix evaluates each coordinate's sin/cos once per distinct flat
+index into a factor table and gathers it out to the columns, so a d-variate
+matrix costs d small tables plus products.  The series enclosure depends on
+the space alone and is computed once per space.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,8 +188,44 @@ def ordered_basis(params: SpaceParams, m: int, max_indices: int = DEFAULT_INDEX_
     return OrderedBasis(params=params, indices=idx_arr, weights=w, sigma=w ** -0.5)
 
 
+def _factor_table(k: np.ndarray, xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-coordinate factors of the distinct flat indices k at n points.
+
+    Returns an (n, len(k)) table and the table column of each entry of k.
+    The columns hold the constant, then every sine, then every cosine, so
+    each block is computed in place as one contiguous ufunc call.
+    """
+    is_const = k == 0
+    is_sin = k % 2 == 1
+    is_cos = ~(is_const | is_sin)
+    order = np.concatenate([np.flatnonzero(is_const), np.flatnonzero(is_sin), np.flatnonzero(is_cos)])
+    column = np.empty(len(k), dtype=np.intp)
+    column[order] = np.arange(len(k))
+    table = np.empty((xc.shape[0], len(k)))
+    lo = int(is_const.sum())
+    table[:, :lo] = 1.0
+    for cols, fn in ((is_sin, np.sin), (is_cos, np.cos)):
+        block = table[:, lo : lo + int(cols.sum())]
+        # (2 pi f) * x, in this association, so entries agree bitwise with
+        # the scalar basis_eval path
+        np.multiply((2.0 * np.pi) * ((k[cols] + 1) // 2), xc, out=block)
+        fn(block, out=block)
+        block *= SQRT2
+        lo += block.shape[1]
+    return table, column
+
+
 def basis_matrix(basis: OrderedBasis, points, m: int | None = None) -> np.ndarray:
-    """Evaluate the first m basis functions at an (n, d) array of points."""
+    """Evaluate the first m basis functions at an (n, d) array of points.
+
+    Per coordinate, sin/cos is evaluated once per distinct flat index into an
+    (n, #distinct) factor table, which is gathered out to the m columns and
+    multiplied into the product of the earlier coordinates.  The gather uses
+    take(), whose result is C-ordered; a fancy-index gather table[:, idx]
+    holds the same values in Fortran order, and row sums and BLAS products
+    over such an array add in a different order, which changes low bits of
+    everything downstream.
+    """
     x = np.asarray(points, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -196,18 +238,15 @@ def basis_matrix(basis: OrderedBasis, points, m: int | None = None) -> np.ndarra
     if not 1 <= m <= len(basis):
         raise ValueError(f"m must be in [1, {len(basis)}], got {m}")
     flat = basis.indices[:m]
-    out = np.ones((x.shape[0], m))
+    out = None
     for c in range(basis.params.d):
-        k = flat[:, c]
-        sin_cols = k % 2 == 1
-        cos_cols = (k % 2 == 0) & (k > 0)
-        # (2 pi f) * x, in this association, so entries agree bitwise with
-        # the scalar basis_eval path
-        omega = (2.0 * np.pi) * ((k + 1) // 2)
-        if sin_cols.any():
-            out[:, sin_cols] *= SQRT2 * np.sin(omega[sin_cols] * x[:, c : c + 1])
-        if cos_cols.any():
-            out[:, cos_cols] *= SQRT2 * np.cos(omega[cos_cols] * x[:, c : c + 1])
+        distinct, inv = np.unique(flat[:, c], return_inverse=True)
+        table, column = _factor_table(distinct, x[:, c : c + 1])
+        factor = table.take(column[inv], axis=1)
+        if out is None:
+            out = factor
+        else:
+            out *= factor
     return out
 
 
@@ -292,13 +331,9 @@ class SpectrumSummary:
 _SERIES_CHUNK = 1 << 22
 
 
-def spectral_sums(
-    params: SpaceParams,
-    basis: OrderedBasis,
-    tol: float = 1e-10,
-    max_terms: int = 1 << 26,
-) -> SpectrumSummary:
-    """Head sums over the basis and a certified enclosure of the full series.
+@functools.lru_cache(maxsize=64)
+def _series_enclosure(s: float, d: int, tol: float, max_terms: int) -> tuple[float, float]:
+    """Certified (total_lo, total_hi) of the full series sum_j sigma_j^2.
 
     The one-coordinate series S = sum_{f>=1} 1/(1 + f^(2s)) is bracketed by a
     partial sum to M terms plus integral-test remainder bounds,
@@ -306,15 +341,11 @@ def spectral_sums(
         int_{M+1}^inf (x^(-2s) - x^(-4s)) dx  <=  remainder  <=  int_M^inf x^(-2s) dx,
 
     and the total over d coordinates is (1 + 2 S)^d.  M grows until the
-    enclosure of the total is narrower than tol; PrecisionError if max_terms
-    cannot get it there, or if the certified total fails to dominate the
-    enumerated head (basis too long for the requested tolerance).
+    enclosure is narrower than tol; PrecisionError if max_terms cannot get it
+    there.  A pure function of its arguments, so it is memoised: every basis
+    of one space shares one enclosure.  A raised PrecisionError is not
+    cached, so a failing space fails on every call.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    s, d = params.s, params.d
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be positive, got {max_terms}")
     partial = 0.0
     f_done = 0
     target = min(1 << 16, max_terms)
@@ -333,13 +364,35 @@ def spectral_sums(
         total_lo = (1.0 + 2.0 * (partial + rem_lo)) ** d
         total_hi = (1.0 + 2.0 * (partial + rem_hi)) ** d
         if total_hi - total_lo <= tol:
-            break
+            return total_lo, total_hi
         if f_done >= max_terms:
             raise PrecisionError(
                 f"enclosure width {total_hi - total_lo:.3e} still above {tol:.1e} "
                 f"after {f_done} series terms"
             )
         target = min(f_done * 4, max_terms)
+
+
+def spectral_sums(
+    params: SpaceParams,
+    basis: OrderedBasis,
+    tol: float = 1e-10,
+    max_terms: int = 1 << 26,
+) -> SpectrumSummary:
+    """Head sums over the basis and a certified enclosure of the full series.
+
+    The enclosure comes from _series_enclosure, computed once per (space,
+    tol, max_terms).  PrecisionError if max_terms cannot narrow it below tol,
+    or if the certified total fails to dominate the enumerated head (basis
+    too long for the requested tolerance).
+    """
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be positive, got {max_terms}")
+    total_lo, total_hi = _series_enclosure(
+        float(params.s), int(params.d), float(tol), int(max_terms)
+    )
     head = np.concatenate(([0.0], np.cumsum(basis.sigma ** 2)))
     if total_lo <= head[-1]:
         raise PrecisionError("certified total does not dominate the enumerated head sum")

@@ -1,9 +1,16 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from samplerec import cli, experiments
+import samplerec
+from samplerec import cli, experiments, lsq, spectral
 from samplerec.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -221,6 +228,70 @@ def test_cli_validation_failures_exit_1(monkeypatch, capsys):
     monkeypatch.setitem(cli.RUNNERS, "rates", broken)
     assert cli.main(["rates"]) == 1
     assert "synthetic invariant breach" in capsys.readouterr().err
+
+
+def _raise_precision(*args, **kwargs):
+    raise spectral.PrecisionError("synthetic enclosure still too wide")
+
+
+def _raise_enumeration(*args, **kwargs):
+    raise spectral.EnumerationLimitError("synthetic sublevel set over the cap")
+
+
+def _raise_arpack(*args, **kwargs):
+    raise ArpackNoConvergence("synthetic ARPACK stall", np.empty(0), np.empty((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "module, attr, raiser",
+    [
+        (spectral, "spectral_sums", _raise_precision),
+        (spectral, "ordered_basis", _raise_enumeration),
+        (lsq, "spectral_norm", _raise_arpack),
+    ],
+)
+def test_cli_limit_errors_exit_3(tmp_path, monkeypatch, capsys, module, attr, raiser):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(module, attr, raiser)
+    path = write_config(tmp_path, "n_grid = 16\nc_head = 0.5\ntrials = 1\n")
+    assert cli.main(["rates", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "synthetic" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "rates.csv").exists()
+
+
+# sha256 of the CSVs of two small configs, recorded before the factor-table
+# basis evaluation replaced the column-masked one, with one BLAS thread
+# (numpy 2.4.6, OpenBLAS 0.3.31); other thread counts change low digits.
+_GOLDEN = {
+    "claims": (
+        "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
+        "trials = 2\nseed = 20250814\n",
+        "98f699293e95c1dd108d5229c517252cae8bcce6054fafc41615e2bc335f96d4",
+    ),
+    "rates": (
+        "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
+        "trials = 2\nseed = 20250814\n",
+        "d9c1fc11df5ece6e57b39add8eb23a6189aa14ca7b8a114dba2593f89e5f5182",
+    ),
+}
+
+
+def test_cli_csv_bytes_match_recorded_digests(tmp_path):
+    src = str(Path(samplerec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    for command, (config, digest) in _GOLDEN.items():
+        cfg = write_config(tmp_path, config, f"{command}.cfg")
+        out = tmp_path / f"{command}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "samplerec", command, "--config", cfg, "--out", str(out)],
+            env=env, cwd=tmp_path, check=True, capture_output=True, timeout=120,
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
 
 
 def test_cli_rejects_unknown_command():

@@ -143,6 +143,8 @@ def test_sampled_densities_match_recomputation():
     pts = sample_points(dens, 300, 9)
     assert np.array_equal(pts.densities, density_values(dens, pts.points))
     assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
+    # the kept weighted matrix is read-only, since instances share it
+    assert pts.B.shape == (300, 16) and not pts.B.flags.writeable
 
 
 def test_point_set_validation():
@@ -150,6 +152,8 @@ def test_point_set_validation():
         PointSet(points=np.zeros((3, 1)), densities=np.array([1.0, 0.0, 1.0]), seed=0, n=3)
     with pytest.raises(ValueError):
         PointSet(points=np.zeros((3, 1)), densities=np.ones(2), seed=0, n=3)
+    with pytest.raises(ValueError):
+        PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, n=3, B=np.ones((2, 4)))
 
 
 def test_uniform_case_sampling_is_uniform():

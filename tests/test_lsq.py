@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from samplerec.density import sample_points, truncated_density
+from samplerec.density import PointSet, sample_points, truncated_density
 from samplerec.lsq import (
     InfoMatrices,
     RANK_RTOL,
@@ -17,6 +17,7 @@ from samplerec.spectral import (
     CoefVector,
     SpaceParams,
     basis_eval,
+    basis_matrix,
     ordered_basis,
     random_unit_function,
 )
@@ -59,6 +60,28 @@ def test_build_matrices_argument_errors():
     small = sample_points(truncated_density(basis, 8, 32), 4, 1)
     with pytest.raises(ValueError):
         build_matrices(small, basis, 8, 32)
+
+
+def test_build_matrices_reuses_sampling_matrix():
+    for params, k, m, n in ((SP1, 8, 32, 64), (SpaceParams(2, 0.75), 6, 48, 96)):
+        basis, _, pts, info = make_instance(params, k, m, n, 19)
+        expected = basis_matrix(basis, pts.points, m) / np.sqrt(pts.densities)[:, None]
+        assert np.array_equal(info.B, expected)
+        assert info.B is pts.B
+        assert np.shares_memory(info.G, info.B)
+        assert np.array_equal(info.Gamma, info.B[:, k:] * basis.sigma[k:m])
+
+
+def test_build_matrices_needs_matching_matrix():
+    basis, _, pts, _ = make_instance(SP1, 8, 32, 64, 42)
+    with pytest.raises(ValueError):
+        build_matrices(pts, basis, 8, 24)  # sampled with m=32
+    shorter = sample_points(truncated_density(basis, 8, 24), 64, 42)
+    with pytest.raises(ValueError):
+        build_matrices(shorter, basis, 8, 32)
+    bare = PointSet(points=pts.points, densities=pts.densities, seed=pts.seed, n=pts.n)
+    with pytest.raises(ValueError):
+        build_matrices(bare, basis, 8, 32)
 
 
 def test_uniform_case_head_column_is_constant():

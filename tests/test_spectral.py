@@ -8,6 +8,7 @@ from samplerec import spectral
 from samplerec.spectral import (
     CoefVector,
     EnumerationLimitError,
+    OrderedBasis,
     PrecisionError,
     SpaceParams,
     SpectrumSummary,
@@ -34,6 +35,24 @@ def brute_sorted_indices(params, m, flat_cutoff):
     tuples = list(itertools.product(range(flat_cutoff), repeat=params.d))
     tuples.sort(key=lambda t: (hnorm_weight(t, params), t))
     return tuples[:m]
+
+
+def masked_basis_matrix(basis, points, m):
+    """Oracle: the column-masked evaluation that basis_matrix replaced, one
+    sin/cos evaluation per (point, column, coordinate)."""
+    x = np.asarray(points, dtype=float).reshape(-1, basis.params.d)
+    flat = basis.indices[:m]
+    out = np.ones((x.shape[0], m))
+    for c in range(basis.params.d):
+        k = flat[:, c]
+        sin_cols = k % 2 == 1
+        cos_cols = (k % 2 == 0) & (k > 0)
+        omega = (2.0 * np.pi) * ((k + 1) // 2)
+        if sin_cols.any():
+            out[:, sin_cols] *= math.sqrt(2.0) * np.sin(omega[sin_cols] * x[:, c : c + 1])
+        if cos_cols.any():
+            out[:, cos_cols] *= math.sqrt(2.0) * np.cos(omega[cos_cols] * x[:, c : c + 1])
+    return out
 
 
 def test_space_params_validation():
@@ -119,6 +138,39 @@ def test_basis_matrix_matches_pointwise_eval():
             assert mat[i, j] == pytest.approx(basis_eval(basis.indices[j], pts[i]), abs=1e-14)
 
 
+def test_basis_matrix_equals_masked_oracle():
+    rng = np.random.Generator(np.random.Philox(key=11))
+    sp3 = SpaceParams(3, 1.3)
+    # a hand-made d=3 basis, out of weight order, with k = 0 mixed into
+    # every coordinate and unsorted coordinate columns
+    mixed = OrderedBasis(
+        params=sp3,
+        indices=np.array(
+            [[0, 3, 0], [2, 0, 1], [0, 0, 0], [5, 0, 4], [1, 1, 0], [0, 6, 2], [3, 0, 0]],
+            dtype=np.int64,
+        ),
+        weights=np.ones(7),
+        sigma=np.ones(7),
+    )
+    cases = [
+        (ordered_basis(SP1, 300), 300),
+        (ordered_basis(SP1, 300), 157),
+        (ordered_basis(SpaceParams(2, 0.75), 500), 500),
+        (ordered_basis(sp3, 400), 400),
+        (mixed, 7),
+        # distinct but unsorted indices in the second coordinate
+        (OrderedBasis(SP2, np.array([[0, 1], [1, 0], [2, 2]]), np.ones(3), np.ones(3)), 3),
+    ]
+    for basis, m in cases:
+        pts = rng.random((97, basis.params.d))
+        mat = basis_matrix(basis, pts, m)
+        assert mat.flags.c_contiguous
+        assert np.array_equal(mat, masked_basis_matrix(basis, pts, m))
+    # the generated d=3 basis mixes k = 0 into several coordinates too
+    zero_cols = ordered_basis(sp3, 400).indices == 0
+    assert np.all(zero_cols.any(axis=0)) and not np.all(zero_cols.all(axis=0))
+
+
 def test_basis_matrix_orthonormal_under_grid_quadrature():
     # products of two basis functions have per-coordinate frequency at most
     # 2 * fmax, so a uniform grid of 4 * fmax points integrates them exactly
@@ -188,6 +240,23 @@ def test_spectral_sums_precision_errors():
     with pytest.raises(PrecisionError):
         # certified total too sloppy to dominate a long head
         spectral_sums(SP1, long_basis, tol=0.01, max_terms=16)
+
+
+def test_spectral_sums_enclosure_computed_once_per_space():
+    sp = SpaceParams(2, 1.7)
+    first = spectral_sums(sp, ordered_basis(sp, 10))
+    hits = spectral._series_enclosure.cache_info().hits
+    second = spectral_sums(sp, ordered_basis(sp, 40))
+    assert spectral._series_enclosure.cache_info().hits == hits + 1
+    assert (second.total_lo, second.total_hi) == (first.total_lo, first.total_hi)
+    assert len(second.head) == 41
+    # a failure is not cached: the repeated call fails again, with no hit
+    basis = ordered_basis(SP1, 8)
+    for _ in range(2):
+        hits = spectral._series_enclosure.cache_info().hits
+        with pytest.raises(PrecisionError):
+            spectral_sums(SP1, basis, tol=1e-6, max_terms=20)
+        assert spectral._series_enclosure.cache_info().hits == hits
 
 
 def test_beta_gamma_small_values():
