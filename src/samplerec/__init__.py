@@ -28,7 +28,7 @@ from .experiments import (
     run_density_check,
     run_rates,
 )
-from .lsq import Fit, InfoMatrices, build_matrices, fit, pseudoinverse, singular_extrema, spectral_norm
+from .lsq import Fit, HeadSVD, InfoMatrices, build_matrices, fit, head_svd, singular_extrema, spectral_norm
 from .spectral import (
     CoefVector,
     EnumerationLimitError,

@@ -57,7 +57,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     out = config.out or args.command.replace("-", "_") + ".csv"
-    experiments.write_result(result, out)
+    try:
+        experiments.write_result(result, out)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     print(result.report)
     print(f"wrote {out}")
     return 0

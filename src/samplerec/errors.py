@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import PointSet
-from .lsq import InfoMatrices
+from .lsq import HeadSVD, InfoMatrices, _sqrt_top_eigenvalue
 from .spectral import CoefVector, OrderedBasis, SpectrumSummary
 
 
@@ -31,33 +31,28 @@ class ErrorReport:
     s_max_Gamma: float
 
 
-def worst_case_error_trunc(
-    info: InfoMatrices,
-    g_pinv: np.ndarray,
-    basis: OrderedBasis,
-    k: int | None = None,
-    m: int | None = None,
-) -> float:
-    """Exact worst-case L2 error over the unit ball within the first m
-    basis functions.
+def worst_case_error_trunc(info: InfoMatrices, head: HeadSVD, basis: OrderedBasis) -> float:
+    """Exact worst-case L2 error over the unit ball of the first m basis
+    functions, for a full-rank draw whose head block G has the SVD head.
 
-    On coefficients the residual operator is E = I - pad(G^+ B); the unit
-    ball of the space is the ellipsoid c = diag(sigma) u with ||u|| <= 1, so
-    the supremum equals the largest singular value of E diag(sigma).  Only
-    meaningful when the underlying fit had full rank.  k and m default to the
-    instance values; m may be lowered to analyze a shorter truncation with
-    the same points.
+    The ball is c = diag(sigma) x, ||x|| <= 1, and the residual on
+    coefficients is E = I - pad(G^+ B), so the error is ||E diag(sigma)||.
+    At full rank G^+ G = I: with T = B[:, k:] diag(s_t), s_t = sigma[k:m],
+    E diag(sigma) = [[0, -G^+ T], [0, diag(s_t)]], whose norm is that of
+    [G^+ T; diag(s_t)].  For G = U S V^T, V orthogonal, ||G^+ T x|| = ||W x||
+    with W = S^-1 U^T T; so the error squared is the top eigenvalue of the
+    (m-k) x (m-k) matrix W^T W + diag(s_t)^2.  No m x m matrix is formed.
     """
-    k = info.k if k is None else k
-    m = info.m if m is None else m
-    if not 0 <= k <= m <= info.m:
-        raise ValueError(f"need 0 <= k <= m <= {info.m}, got k={k}, m={m}")
-    if g_pinv.shape != (k, info.B.shape[0]):
-        raise ValueError(f"pseudoinverse must have shape ({k}, {info.B.shape[0]})")
-    e = np.eye(m)
-    if k:
-        e[:k, :] -= g_pinv @ info.B[:, :m]
-    return float(np.linalg.svd(e * basis.sigma[:m], compute_uv=False)[0])
+    if not head.rank_ok:
+        raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
+    n = info.B.shape[0]
+    if head.u.shape != (n, info.k):
+        raise ValueError(f"head SVD must have u of shape ({n}, {info.k}), got {head.u.shape}")
+    tail_sigma = basis.sigma[info.k:info.m]
+    w = (head.u.T @ info.B[:, info.k:]) * tail_sigma / head.sv[:, None]
+    gram = w.T @ w
+    gram[np.diag_indices_from(gram)] += tail_sigma ** 2
+    return _sqrt_top_eigenvalue(gram)
 
 
 def certified_upper_bound(

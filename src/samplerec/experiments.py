@@ -281,15 +281,14 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
                 dens, n, derive_seed(config.seed, _STAGE_RATES, i_n, 0, t)
             )
             info = lsq.build_matrices(pts, basis, k, m)
-            s_min, s_max = lsq.singular_extrema(info.G)
-            if s_min <= lsq.RANK_RTOL * s_max:
+            head = lsq.head_svd(info.G)
+            if not head.rank_ok:
                 degenerate += 1
                 continue
             s_gam = _checked_gamma_norm(info.Gamma)
-            g_pinv = lsq.pseudoinverse(info.G)
-            e_tr = errors.worst_case_error_trunc(info, g_pinv, basis)
-            e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, s_min, k, m)
-            split = a_k + s_gam / s_min
+            e_tr = errors.worst_case_error_trunc(info, head, basis)
+            e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min, k, m)
+            split = a_k + s_gam / head.s_min
             if e_tr > split + _SPLIT_SLACK:
                 raise ValidationError(
                     f"n={n} trial {t}: e_trunc {e_tr:.17g} above split bound {split:.17g}"
@@ -298,7 +297,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
                 raise ValidationError(
                     f"n={n} trial {t}: e_trunc {e_tr:.17g} above certified bound {e_up:.17g}"
                 )
-            s_min_l.append(s_min)
+            s_min_l.append(head.s_min)
             s_gam_l.append(s_gam)
             e_tr_l.append(e_tr)
             e_up_l.append(e_up)

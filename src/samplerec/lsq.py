@@ -57,6 +57,34 @@ def build_matrices(pts: PointSet, basis: OrderedBasis, k: int, m: int) -> InfoMa
 
 
 @dataclass(frozen=True)
+class HeadSVD:
+    """Thin SVD G = u diag(sv) vt (sv descending) of an instance's head block:
+    the one factorization of G behind the fit, s_min/s_max and e_trunc.
+    rank_ok is False on a degenerate draw, s_min <= RANK_RTOL * s_max."""
+
+    u: np.ndarray  # (n, k)
+    sv: np.ndarray  # (k,)
+    vt: np.ndarray  # (k, k)
+
+    @property
+    def s_min(self) -> float:
+        return float(self.sv[-1])
+
+    @property
+    def s_max(self) -> float:
+        return float(self.sv[0])
+
+    @property
+    def rank_ok(self) -> bool:
+        return bool(self.sv[-1] > RANK_RTOL * self.sv[0])
+
+
+def head_svd(g: np.ndarray) -> HeadSVD:
+    """Thin SVD of the head block G, by one LAPACK call."""
+    return HeadSVD(*np.linalg.svd(g, full_matrices=False))
+
+
+@dataclass(frozen=True)
 class Fit:
     """Least-squares coefficients plus the conditioning of the solve."""
 
@@ -77,29 +105,15 @@ def fit(info: InfoMatrices, samples, pts: PointSet) -> Fit:
     if samples.shape != (pts.n,):
         raise ValueError(f"expected {pts.n} samples, got shape {samples.shape}")
     y = samples / np.sqrt(pts.densities)
-    u, sv, vt = np.linalg.svd(info.G, full_matrices=False)
-    cutoff = RANK_RTOL * sv[0]
-    mask = sv > cutoff
-    inv = np.zeros_like(sv)
-    inv[mask] = 1.0 / sv[mask]
-    coef = vt.T @ (inv * (u.T @ y))
-    rank_ok = bool(mask.all())
+    head = head_svd(info.G)
+    inv = np.divide(1.0, head.sv, out=np.zeros_like(head.sv), where=head.sv > RANK_RTOL * head.s_max)
     return Fit(
-        coefficients=coef,
-        s_min_G=float(sv[-1]),
-        s_max_G=float(sv[0]),
-        rank_ok=rank_ok,
-        pinv_norm=1.0 / float(sv[-1]) if rank_ok else None,
+        coefficients=head.vt.T @ (inv * (head.u.T @ y)),
+        s_min_G=head.s_min,
+        s_max_G=head.s_max,
+        rank_ok=head.rank_ok,
+        pinv_norm=1.0 / head.s_min if head.rank_ok else None,
     )
-
-
-def pseudoinverse(g: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Moore-Penrose inverse with a relative singular-value cutoff."""
-    u, sv, vt = np.linalg.svd(g, full_matrices=False)
-    inv = np.zeros_like(sv)
-    mask = sv > rtol * sv[0]
-    inv[mask] = 1.0 / sv[mask]
-    return (vt.T * inv) @ u.T
 
 
 def singular_extrema(mat: np.ndarray) -> tuple[float, float]:
@@ -133,9 +147,7 @@ def spectral_norm(mat: np.ndarray, method: str = "auto") -> float:
     if method == "svd":
         return float(np.linalg.svd(mat, compute_uv=False)[0])
     if method == "gram":
-        gram = mat @ mat.T if n <= p else mat.T @ mat
-        top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=(q - 1, q - 1))[0]
-        return float(np.sqrt(max(top, 0.0)))
+        return _sqrt_top_eigenvalue(mat @ mat.T if n <= p else mat.T @ mat)
     if method == "lanczos":
         v0 = np.full(q, 1.0 / np.sqrt(q))
         sv = scipy.sparse.linalg.svds(
@@ -144,3 +156,10 @@ def spectral_norm(mat: np.ndarray, method: str = "auto") -> float:
         )
         return float(sv[0])
     raise ValueError(f"unknown method {method!r}")
+
+
+def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:
+    """Spectral norm of any matrix whose Gram matrix is the given one."""
+    q = gram.shape[0]
+    top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=(q - 1, q - 1))[0]
+    return float(np.sqrt(max(top, 0.0)))

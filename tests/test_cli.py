@@ -210,6 +210,17 @@ def test_cli_default_output_name(tmp_path, monkeypatch):
     assert (tmp_path / "density_check.csv").exists()
 
 
+def test_cli_unwritable_output_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "n_grid = 16\nc_head = 0.5\ntrials = 1\n")
+    out = tmp_path / "no" / "such" / "x.csv"
+    assert cli.main(["rates", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, "bogus = 1\n")
     assert cli.main(["rates", "--config", path]) == 2
@@ -261,9 +272,12 @@ def test_cli_limit_errors_exit_3(tmp_path, monkeypatch, capsys, module, attr, ra
     assert not (tmp_path / "rates.csv").exists()
 
 
-# sha256 of the CSVs of two small configs, recorded before the factor-table
-# basis evaluation replaced the column-masked one, with one BLAS thread
-# (numpy 2.4.6, OpenBLAS 0.3.31); other thread counts change low digits.
+# sha256 of the CSVs of two small configs, with one BLAS thread (numpy 2.4.6,
+# OpenBLAS 0.3.31); other thread counts change low digits.  The claims digest
+# dates from before the factor-table basis evaluation replaced the
+# column-masked one; the rates digest from e_trunc's move to the reduced tail
+# block of one thin SVD of G, which moved s_min_G, e_trunc, e_upper, ratio1
+# and ratio2 by at most 1e-15 relative.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -273,7 +287,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "d9c1fc11df5ece6e57b39add8eb23a6189aa14ca7b8a114dba2593f89e5f5182",
+        "87e3806358374e8766c6a26a47ba27e7ace50cddafdec8fe52279ed30de620a8",
     ),
 }
 

@@ -9,7 +9,7 @@ from samplerec.lsq import (
     RANK_RTOL,
     build_matrices,
     fit,
-    pseudoinverse,
+    head_svd,
     singular_extrema,
     spectral_norm,
 )
@@ -170,30 +170,41 @@ def test_fit_flags_rank_deficiency_without_rejecting():
     assert np.all(np.isfinite(res.coefficients))
 
 
-def test_pseudoinverse_moore_penrose_identities():
+def test_head_svd_rebuilds_g():
     rng = np.random.Generator(np.random.Philox(key=23))
     for shape in ((7, 4), (40, 7), (512, 64), (64, 64)):
         g = rng.standard_normal(shape)
-        gp = pseudoinverse(g)
-        s_max = singular_extrema(g)[1]
-        assert np.max(np.abs(g @ gp @ g - g)) <= 1e-8 * s_max
-        assert np.max(np.abs(gp @ g @ gp - gp)) <= 1e-8 / singular_extrema(g)[0]
+        head = head_svd(g)
+        assert head.u.shape == shape and head.sv.shape == (shape[1],) and head.vt.shape == (shape[1],) * 2
+        assert np.max(np.abs((head.u * head.sv) @ head.vt - g)) <= 1e-12 * head.s_max
+        assert np.all(np.diff(head.sv) <= 0.0)
 
 
-def test_pseudoinverse_norm_is_reciprocal_smin():
+def test_head_svd_agrees_with_singular_extrema():
     _, _, pts, info = make_instance(SP1, 8, 32, 128, 3)
-    gp = pseudoinverse(info.G)
-    s_min = singular_extrema(info.G)[0]
-    assert spectral_norm(gp) * s_min == pytest.approx(1.0, abs=1e-10)
+    head = head_svd(info.G)
+    s_min, s_max = singular_extrema(info.G)
+    assert head.s_min == pytest.approx(s_min, rel=1e-12)
+    assert head.s_max == pytest.approx(s_max, rel=1e-12)
+    assert np.allclose(head.sv, np.linalg.svd(info.G, compute_uv=False), rtol=1e-12, atol=0.0)
+    assert head.rank_ok
+    assert fit(info, np.zeros(128), pts).pinv_norm * head.s_min == pytest.approx(1.0, abs=1e-10)
 
 
-def test_pseudoinverse_rank_cutoff():
+def test_head_svd_rank_cutoff():
     g = np.diag([1.0, 1e-14, 0.0])
-    gp = pseudoinverse(g)
+    assert not head_svd(g).rank_ok
+    # the fit's map is G^+ with singular values at or below the cutoff
+    # treated as zero; its columns are the fits of unit sample vectors
+    info = InfoMatrices(G=g, B=np.hstack([g, g]), Gamma=g, k=3, m=6)
+    pts = PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, n=3)
+    gp = np.column_stack([fit(info, e, pts).coefficients for e in np.eye(3)])
     assert gp[0, 0] == pytest.approx(1.0)
     assert gp[1, 1] == 0.0
     assert gp[2, 2] == 0.0
     assert RANK_RTOL == 1e-10
+    assert head_svd(np.diag([1.0, 2e-10])).rank_ok
+    assert not head_svd(np.diag([1.0, 1e-10])).rank_ok
 
 
 def test_spectral_norm_paths_agree():
