@@ -12,7 +12,6 @@ from .density import (
     truncated_density,
 )
 from .errors import (
-    ErrorReport,
     certified_upper_bound,
     empirical_error,
     worst_case_error_trunc,

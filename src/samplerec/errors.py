@@ -3,32 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .density import PointSet
 from .lsq import HeadSVD, InfoMatrices, _sqrt_top_eigenvalue
 from .spectral import CoefVector, OrderedBasis, SpectrumSummary
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Error quantities of one instance.
-
-    tail_benchmark = sqrt(c_report * tail(k) / k) is reported for comparison
-    with its recorded constant; nothing asserts a value for c_report.
-    """
-
-    e_trunc: float
-    e_upper: float
-    a_k: float
-    beta_k: float
-    gamma_k: float
-    tail_benchmark: float
-    c_report: float
-    s_min_G: float
-    s_max_Gamma: float
 
 
 def worst_case_error_trunc(info: InfoMatrices, head: HeadSVD, basis: OrderedBasis) -> float:

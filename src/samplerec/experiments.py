@@ -52,15 +52,15 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ConfigError(f"d must be at least 1, got {self.d}")
-        if not self.s > 0.5:
-            raise ConfigError(f"s must exceed 0.5, got {self.s}")
+        if not (math.isfinite(self.s) and self.s > 0.5):
+            raise ConfigError(f"s must be finite and exceed 0.5, got {self.s}")
         if not self.n_grid:
             raise ConfigError("n_grid must not be empty")
         for n in self.n_grid:
             if not 2 <= n <= lsq.MAX_POINTS:
                 raise ConfigError(f"n_grid entries must lie in [2, {lsq.MAX_POINTS}], got {n}")
-        if not self.c_head > 0.0:
-            raise ConfigError(f"c_head must be positive, got {self.c_head}")
+        if not (math.isfinite(self.c_head) and self.c_head > 0.0):
+            raise ConfigError(f"c_head must be finite and positive, got {self.c_head}")
         if self.m_factor < 2:
             raise ConfigError(f"m_factor must be at least 2, got {self.m_factor}")
         if self.trials < 1:
@@ -164,8 +164,12 @@ def _prepare(space: spectral.SpaceParams, m: int):
     return basis, summary
 
 
-def _checked_gamma_norm(gamma: np.ndarray) -> float:
-    """Spectral norm of the tail block, validated against its Frobenius norm."""
+def _checked_gamma_norm(info: lsq.InfoMatrices, basis: spectral.OrderedBasis) -> float:
+    """Spectral norm of the scaled tail block Gamma = B[:, k:] diag(sigma_k..m),
+    validated against its Frobenius norm.  Gamma is formed here and freed on
+    return, so no trial keeps it alive while the next one samples.
+    """
+    gamma = info.B[:, info.k:] * basis.sigma[info.k:info.m]
     s_gam = lsq.spectral_norm(gamma)
     fro = float(np.linalg.norm(gamma))
     if s_gam > fro * (1.0 + 1e-9) + 1e-12:
@@ -224,7 +228,7 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
                 if s_min <= lsq.RANK_RTOL * s_max:
                     degenerate += 1
                 s_mins[t] = s_min
-                ratios[t] = _checked_gamma_norm(info.Gamma) / (gamma_k * sqrt_n)
+                ratios[t] = _checked_gamma_norm(info, basis) / (gamma_k * sqrt_n)
             frac_smin = float(np.mean(s_mins >= 0.5 * sqrt_n))
             frac_tail = float(np.mean(ratios <= 3.0))
             rows.append((
@@ -285,7 +289,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
             if not head.rank_ok:
                 degenerate += 1
                 continue
-            s_gam = _checked_gamma_norm(info.Gamma)
+            s_gam = _checked_gamma_norm(info, basis)
             e_tr = errors.worst_case_error_trunc(info, head, basis)
             e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min, k, m)
             split = a_k + s_gam / head.s_min

@@ -25,18 +25,18 @@ class InfoMatrices:
 
     B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) is the point set's matrix, made
     at sampling time; G is a view of its head block (first k columns), not
-    a copy, and Gamma the tail block with column j scaled by sigma_{k+j}.
+    a copy.  The scaled tail block Gamma = B[:, k:] diag(sigma_k..m) is not
+    stored: the one caller of its norm forms it on demand.
     """
 
     G: np.ndarray  # (n, k)
     B: np.ndarray  # (n, m)
-    Gamma: np.ndarray  # (n, m - k)
     k: int
     m: int
 
 
 def build_matrices(pts: PointSet, basis: OrderedBasis, k: int, m: int) -> InfoMatrices:
-    """Head block G and scaled tail block Gamma of the point set's matrix B.
+    """Head block G of the point set's matrix B, as a view, plus B itself.
 
     pts must come from sample_points with the same basis and m, so that it
     carries B with m columns; ValueError otherwise.
@@ -53,7 +53,7 @@ def build_matrices(pts: PointSet, basis: OrderedBasis, k: int, m: int) -> InfoMa
     if b is None or b.shape[1] != m:
         width = None if b is None else b.shape[1]
         raise ValueError(f"point set carries a weighted basis matrix of width {width}, need m={m}")
-    return InfoMatrices(G=b[:, :k], B=b, Gamma=b[:, k:] * basis.sigma[k:m], k=k, m=m)
+    return InfoMatrices(G=b[:, :k], B=b, k=k, m=m)
 
 
 @dataclass(frozen=True)
@@ -122,40 +122,32 @@ def singular_extrema(mat: np.ndarray) -> tuple[float, float]:
     return float(sv[-1]), float(sv[0])
 
 
-# Above this flop estimate for forming the smaller Gram matrix, switch from a
-# dense eigensolve to Lanczos iteration.
-_GRAM_FLOP_LIMIT = 5e9
+# Above this flop estimate max(n, p) * q**2 for forming the smaller Gram
+# matrix, Lanczos beats the dense eigensolve.  Every Gamma shape of the
+# benchmark workloads falls on its faster side (4096 x 861 at 3.0e9 is faster
+# by Gram, 2048 x 1498 at 4.6e9 by Lanczos).  Any shape within the dense caps
+# with q <= 64 stays below it, so Lanczos always has q > ncv = 64.
+_GRAM_FLOP_LIMIT = 4e9
 
 
-def spectral_norm(mat: np.ndarray, method: str = "auto") -> float:
-    """Largest singular value of a dense matrix.
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value of a dense n x p matrix, q = min(n, p).
 
-    "auto" picks the cheapest adequate path: direct SVD for small matrices,
-    the top eigenvalue of the smaller Gram matrix for medium ones, Lanczos
-    (with a fixed start vector, so runs are reproducible) for large ones.
+    Up to _GRAM_FLOP_LIMIT on max(n, p) * q**2, the square root of the top
+    eigenvalue of the smaller (q x q) Gram matrix; above it, Lanczos
+    iteration with a fixed start vector, so runs are reproducible.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     n, p = mat.shape
     q = min(n, p)
-    if method == "auto":
-        if q <= 64:
-            method = "svd"
-        elif max(n, p) * q * q <= _GRAM_FLOP_LIMIT:
-            method = "gram"
-        else:
-            method = "lanczos"
-    if method == "svd":
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    if method == "gram":
+    if max(n, p) * q * q <= _GRAM_FLOP_LIMIT:
         return _sqrt_top_eigenvalue(mat @ mat.T if n <= p else mat.T @ mat)
-    if method == "lanczos":
-        v0 = np.full(q, 1.0 / np.sqrt(q))
-        sv = scipy.sparse.linalg.svds(
-            mat, k=1, ncv=min(q, 64), v0=v0, maxiter=max(1000, 20 * q),
-            return_singular_vectors=False,
-        )
-        return float(sv[0])
-    raise ValueError(f"unknown method {method!r}")
+    v0 = np.full(q, 1.0 / np.sqrt(q))
+    sv = scipy.sparse.linalg.svds(
+        mat, k=1, ncv=min(q, 64), v0=v0, maxiter=max(1000, 20 * q),
+        return_singular_vectors=False,
+    )
+    return float(sv[0])
 
 
 def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:

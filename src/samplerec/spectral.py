@@ -50,8 +50,8 @@ class SpaceParams:
         if self.d < 1:
             raise ValueError(f"dimension must be at least 1, got {self.d}")
         # s > 1/2 keeps point evaluation bounded and sum sigma^2 finite
-        if not self.s > 0.5:
-            raise ValueError(f"smoothness must exceed 0.5, got {self.s}")
+        if not (math.isfinite(self.s) and self.s > 0.5):
+            raise ValueError(f"smoothness must be finite and exceed 0.5, got {self.s}")
 
 
 def frequency(k: int) -> int:

@@ -157,7 +157,7 @@ def test_02_split_bound_on_every_instance(emit, rates_run):
             if s_min <= RANK_RTOL * s_max:
                 continue
             e_tr = worst_case_error_trunc(info, head_svd(info.G), basis)
-            s_gam = singular_extrema(info.Gamma)[1]
+            s_gam = singular_extrema(info.B[:, k:] * basis.sigma[k:m])[1]
             worst_gap = max(worst_gap, e_tr - (float(basis.sigma[k]) + s_gam / s_min))
             checked += 1
     emit(

@@ -90,6 +90,11 @@ def test_config_validation():
         ExperimentConfig(n_grid=(1 << 15,))
     with pytest.raises(ConfigError):
         ExperimentConfig(c_head=0.0)
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(s=value)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(c_head=value)
     with pytest.raises(ConfigError):
         ExperimentConfig(m_factor=1)
     with pytest.raises(ConfigError):
@@ -273,39 +278,60 @@ def test_cli_limit_errors_exit_3(tmp_path, monkeypatch, capsys, module, attr, ra
 
 
 # sha256 of the CSVs of two small configs, with one BLAS thread (numpy 2.4.6,
-# OpenBLAS 0.3.31); other thread counts change low digits.  The claims digest
-# dates from before the factor-table basis evaluation replaced the
-# column-masked one; the rates digest from e_trunc's move to the reduced tail
-# block of one thin SVD of G, which moved s_min_G, e_trunc, e_upper, ratio1
-# and ratio2 by at most 1e-15 relative.
+# OpenBLAS 0.3.31); other thread counts change low digits.  Both digests date
+# from the move of the norm of the tail block from a dense SVD to the Gram
+# eigenvalue for narrow blocks (q <= 64), which moved the claims
+# tail_ratio_median and the rates s_max_Gamma and ratio1 by at most 6.3e-16
+# relative.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "98f699293e95c1dd108d5229c517252cae8bcce6054fafc41615e2bc335f96d4",
+        "9c924b74371acf4496ad1dcb6eaabea17c275d838f45f7e46a30b3b9394c1afc",
     ),
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "87e3806358374e8766c6a26a47ba27e7ace50cddafdec8fe52279ed30de620a8",
+        "0ed5c5c9c4233031cb6abfeeecc4185789cfdd7801251dfd29ad7638c4ce8d87",
     ),
 }
 
 
-def test_cli_csv_bytes_match_recorded_digests(tmp_path):
+def _run_cli(tmp_path, command, config_text, timeout):
+    """python -m samplerec <command> in a subprocess, with one BLAS thread."""
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    cfg = write_config(tmp_path, config_text, f"{command}.cfg")
+    out = tmp_path / f"{command}.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "samplerec", command, "--config", cfg, "--out", str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=timeout,
+    )
+    return proc, out
+
+
+def test_cli_csv_bytes_match_recorded_digests(tmp_path):
     for command, (config, digest) in _GOLDEN.items():
-        cfg = write_config(tmp_path, config, f"{command}.cfg")
-        out = tmp_path / f"{command}.csv"
-        subprocess.run(
-            [sys.executable, "-m", "samplerec", command, "--config", cfg, "--out", str(out)],
-            env=env, cwd=tmp_path, check=True, capture_output=True, timeout=120,
-        )
+        proc, out = _run_cli(tmp_path, command, config, timeout=120)
+        assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("rates", "s = inf"), ("claims", "c_head = inf"), ("rates", "s = nan")],
+)
+def test_cli_non_finite_config_exits_2(tmp_path, command, line):
+    # s = inf used to hang in the weight bisection and c_head = inf to end
+    # in an OverflowError traceback; the timeout turns a hang into a failure
+    proc, out = _run_cli(tmp_path, command, f"n_grid = 64\ntrials = 1\n{line}\n", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_rejects_unknown_command():

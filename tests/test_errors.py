@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from samplerec.density import sample_points, truncated_density
 from samplerec.errors import (
-    ErrorReport,
     certified_upper_bound,
     empirical_error,
     worst_case_error_trunc,
@@ -110,7 +109,7 @@ def test_worst_case_error_below_split_bound():
     for k, m, n, seed in ((4, 16, 64, 1), (8, 32, 128, 2), (16, 64, 256, 3)):
         basis, pts, info, head = make_instance(SP1, k, m, n, seed)
         s_min = singular_extrema(info.G)[0]
-        s_gam = spectral_norm(info.Gamma)
+        s_gam = spectral_norm(info.B[:, k:] * basis.sigma[k:m])
         e_tr = worst_case_error_trunc(info, head, basis)
         assert e_tr <= float(basis.sigma[k]) + s_gam / s_min + 1e-10
 
@@ -125,7 +124,7 @@ def test_worst_case_error_argument_checks():
     # a rank-deficient head block: the second column duplicates the first
     b = info.B.copy()
     b[:, 1] = b[:, 0]
-    dup = InfoMatrices(G=b[:, :4], B=b, Gamma=b[:, 4:] * basis.sigma[4:12], k=4, m=12)
+    dup = InfoMatrices(G=b[:, :4], B=b, k=4, m=12)
     dup_head = head_svd(dup.G)
     assert not dup_head.rank_ok
     with pytest.raises(ValueError):
@@ -157,7 +156,7 @@ def test_reduced_e_trunc_property(d, s, k, m_extra, n_extra, seed):
     e_tr = worst_case_error_trunc(info, head, basis)
     assert e_tr == pytest.approx(full_e_trunc(info, pinv(info), basis, m), rel=1e-12, abs=0.0)
     a_k = float(basis.sigma[k])
-    assert a_k <= e_tr <= a_k + spectral_norm(info.Gamma) / head.s_min + 1e-10
+    assert a_k <= e_tr <= a_k + spectral_norm(info.B[:, k:] * basis.sigma[k:m]) / head.s_min + 1e-10
 
 
 def test_certified_bound_reduces_to_trunc_plus_am_on_finite_spectrum():
@@ -265,12 +264,3 @@ def test_empirical_error_matches_quadrature():
     diff = f.evaluate(grid) - g.evaluate(grid)
     quad = math.sqrt(float(np.mean(diff ** 2)))
     assert quad == pytest.approx(empirical_error(g, f), abs=1e-8)
-
-
-def test_error_report_fields_round_trip():
-    report = ErrorReport(
-        e_trunc=0.1, e_upper=0.5, a_k=0.2, beta_k=0.25, gamma_k=0.25,
-        tail_benchmark=0.25, c_report=1.0, s_min_G=5.0, s_max_Gamma=1.5,
-    )
-    assert report.e_trunc <= report.e_upper
-    assert report.tail_benchmark == report.c_report * 0.25

@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
+from samplerec import lsq
 from samplerec.density import PointSet, sample_points, truncated_density
+from samplerec.experiments import _checked_gamma_norm
 from samplerec.lsq import (
+    MAX_POINTS,
+    MAX_TRUNCATION,
     InfoMatrices,
     RANK_RTOL,
     build_matrices,
@@ -36,10 +44,12 @@ def test_build_matrices_shapes_and_blocks():
     basis, _, pts, info = make_instance(SP1, 8, 32, 64, 42)
     assert info.G.shape == (64, 8)
     assert info.B.shape == (64, 32)
-    assert info.Gamma.shape == (64, 24)
+    assert not hasattr(info, "Gamma")
     assert np.array_equal(info.G, info.B[:, :8])
-    # Gamma columns are the tail of B scaled by sigma
-    assert np.allclose(info.Gamma, info.B[:, 8:] * basis.sigma[8:32], atol=1e-15)
+    # Gamma, formed on demand, is the tail of B with columns scaled by sigma
+    gamma = info.B[:, 8:] * basis.sigma[8:32]
+    assert gamma.shape == (64, 24)
+    assert np.allclose(gamma[:, 3], info.B[:, 11] * basis.sigma[11], atol=1e-15)
 
 
 def test_build_matrices_entries_match_composition():
@@ -69,7 +79,8 @@ def test_build_matrices_reuses_sampling_matrix():
         assert np.array_equal(info.B, expected)
         assert info.B is pts.B
         assert np.shares_memory(info.G, info.B)
-        assert np.array_equal(info.Gamma, info.B[:, k:] * basis.sigma[k:m])
+        # the norm check forms Gamma with the same expression, bit for bit
+        assert _checked_gamma_norm(info, basis) == spectral_norm(info.B[:, k:] * basis.sigma[k:m])
 
 
 def test_build_matrices_needs_matching_matrix():
@@ -160,9 +171,7 @@ def test_fit_flags_rank_deficiency_without_rejecting():
     basis = ordered_basis(SP1, 7)
     dens = truncated_density(basis, 3, 6)
     pts = sample_points(dens, 2, 1)
-    info_full = InfoMatrices(
-        G=np.ones((2, 3)), B=np.ones((2, 6)), Gamma=np.ones((2, 3)), k=3, m=6
-    )
+    info_full = InfoMatrices(G=np.ones((2, 3)), B=np.ones((2, 6)), k=3, m=6)
     res = fit(info_full, np.ones(2), pts.__class__(points=pts.points[:2], densities=np.ones(2), seed=0, n=2))
     assert not res.rank_ok
     assert res.pinv_norm is None
@@ -196,7 +205,7 @@ def test_head_svd_rank_cutoff():
     assert not head_svd(g).rank_ok
     # the fit's map is G^+ with singular values at or below the cutoff
     # treated as zero; its columns are the fits of unit sample vectors
-    info = InfoMatrices(G=g, B=np.hstack([g, g]), Gamma=g, k=3, m=6)
+    info = InfoMatrices(G=g, B=np.hstack([g, g]), k=3, m=6)
     pts = PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, n=3)
     gp = np.column_stack([fit(info, e, pts).coefficients for e in np.eye(3)])
     assert gp[0, 0] == pytest.approx(1.0)
@@ -207,19 +216,88 @@ def test_head_svd_rank_cutoff():
     assert not head_svd(np.diag([1.0, 1e-10])).rank_ok
 
 
-def test_spectral_norm_paths_agree():
+def svd_norm(mat):
+    """Reference: the largest singular value by a full dense SVD."""
+    return float(np.linalg.svd(np.atleast_2d(mat), compute_uv=False)[0])
+
+
+def test_spectral_norm_paths_agree(monkeypatch):
     rng = np.random.Generator(np.random.Philox(key=29))
     mat = rng.standard_normal((300, 500))
-    exact = spectral_norm(mat, method="svd")
-    assert spectral_norm(mat, method="gram") == pytest.approx(exact, rel=1e-11)
-    assert spectral_norm(mat, method="lanczos") == pytest.approx(exact, rel=1e-9)
-    assert spectral_norm(mat) == pytest.approx(exact, rel=1e-9)
-    with pytest.raises(ValueError):
-        spectral_norm(mat, method="qr")
+    exact = svd_norm(mat)
+    assert spectral_norm(mat) == pytest.approx(exact, rel=1e-11)  # gram
+    assert spectral_norm(mat.T) == pytest.approx(exact, rel=1e-11)
+    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 0.0)
+    assert spectral_norm(mat) == pytest.approx(exact, rel=1e-9)  # Lanczos
+    assert spectral_norm(mat.T) == pytest.approx(exact, rel=1e-9)
+    with pytest.raises(TypeError):
+        spectral_norm(mat, method="svd")
+
+
+def test_spectral_norm_thin_shapes():
+    rng = np.random.Generator(np.random.Philox(key=31))
+    for shape in ((200, 1), (1, 200), (1, 1)):
+        mat = rng.standard_normal(shape)
+        assert spectral_norm(mat) == pytest.approx(svd_norm(mat), rel=1e-11)
+    assert spectral_norm(np.array([3.0, -4.0])) == pytest.approx(5.0, rel=1e-15)
+
+
+def test_spectral_norm_path_selection(monkeypatch):
+    calls = {"eigh": 0, "svds": 0}
+
+    def counting(module, attr):
+        fn = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    counting(scipy.linalg, "eigh")
+    counting(scipy.sparse.linalg, "svds")
+    # q = 65 is the narrowest Lanczos shape (ncv = 64 < q); at the limit the
+    # Gram eigenvalue runs, one flop below it Lanczos, with the same norm
+    rng = np.random.Generator(np.random.Philox(key=37))
+    for shape in ((400, 65), (65, 400)):
+        mat = rng.standard_normal(shape)
+        exact = svd_norm(mat)
+        monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * 65 ** 2)
+        assert spectral_norm(mat) == pytest.approx(exact, rel=1e-11)
+        monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * 65 ** 2 - 1)
+        assert spectral_norm(mat) == pytest.approx(exact, rel=1e-9)
+    assert calls == {"eigh": 2, "svds": 2}
+
+
+def test_gram_flop_limit_splits_workload_shapes():
+    # Gamma shapes of the benchmark workloads nearest the limit: 4096 x 861
+    # is faster by Gram, 2048 x 1498 by Lanczos; the rest sit farther out
+    assert 4096 * 861 ** 2 <= lsq._GRAM_FLOP_LIMIT < 2048 * 1498 ** 2
+    # no shape within the dense caps with q <= 64 reaches Lanczos
+    assert max(MAX_POINTS, MAX_TRUNCATION) * 64 ** 2 <= lsq._GRAM_FLOP_LIMIT
 
 
 def test_spectral_norm_bounded_by_frobenius():
-    _, _, pts, info = make_instance(SP1, 8, 64, 128, 19)
-    s_gam = spectral_norm(info.Gamma)
-    assert s_gam <= np.linalg.norm(info.Gamma) * (1 + 1e-12)
+    basis, _, pts, info = make_instance(SP1, 8, 64, 128, 19)
+    gamma = info.B[:, 8:] * basis.sigma[8:64]
+    s_gam = spectral_norm(gamma)
+    assert s_gam <= np.linalg.norm(gamma) * (1 + 1e-12)
     assert s_gam > 0
+
+
+@given(
+    d=st.integers(1, 3),
+    s=st.sampled_from((0.75, 1.0, 2.0)),
+    k=st.integers(1, 16),
+    m_extra=st.integers(1, 48),
+    n_extra=st.integers(0, 64),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_spectral_norm_between_column_and_frobenius_norms(d, s, k, m_extra, n_extra, seed):
+    m = min(k + m_extra, 64)
+    basis, _, _, info = make_instance(SpaceParams(d, s), k, m, 2 * k + n_extra, seed)
+    gamma = info.B[:, k:] * basis.sigma[k:m]
+    s_gam = spectral_norm(gamma)
+    # rounding slack on both sides: with one column all three norms coincide
+    assert np.max(np.linalg.norm(gamma, axis=0)) <= s_gam * (1 + 1e-12)
+    assert s_gam <= np.linalg.norm(gamma) * (1 + 1e-12)

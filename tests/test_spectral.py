@@ -60,6 +60,9 @@ def test_space_params_validation():
         SpaceParams(0, 1.0)
     with pytest.raises(ValueError):
         SpaceParams(1, 0.5)
+    for s in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SpaceParams(1, s)
     SpaceParams(3, 0.75)
 
 
