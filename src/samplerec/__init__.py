@@ -4,10 +4,8 @@ periodic spaces, with a reproducible experiment harness."""
 from .density import (
     DensityParams,
     PointSet,
-    density_eval,
     density_selfcheck,
     density_values,
-    inverse_cdf_1d,
     sample_points,
     truncated_density,
 )
@@ -27,7 +25,7 @@ from .experiments import (
     run_density_check,
     run_rates,
 )
-from .lsq import Fit, HeadSVD, InfoMatrices, build_matrices, fit, head_svd, singular_extrema, spectral_norm
+from .lsq import Fit, HeadSVD, fit, head_svd, singular_extrema, spectral_norm
 from .spectral import (
     CoefVector,
     EnumerationLimitError,

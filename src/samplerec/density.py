@@ -18,11 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import OrderedBasis, basis_matrix, frequency
+from .spectral import OrderedBasis, basis_matrix
 
 # Final bracket width 2^-48; factor CDFs are 2-Lipschitz, so the inverse is
 # resolved to |F(x) - u| <= 2^-47 < 1e-12.
 BISECT_STEPS = 48
+
+# Desk-scale caps on dense matrix sizes: m columns, and n * m entries of
+# one n x m matrix, at most MAX_POINTS * MAX_TRUNCATION.
+MAX_POINTS = 1 << 14
+MAX_TRUNCATION = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -56,14 +61,6 @@ def density_values(params: DensityParams, points) -> np.ndarray:
     return _mixture(params, basis_matrix(params.basis, points, params.m))
 
 
-def density_eval(params: DensityParams, x) -> float:
-    """Density at a single point."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x[None]
-    return float(density_values(params, x[None, :])[0])
-
-
 def _factor_cdf(sign, freq, x):
     """CDF of a squared 1-d factor: x + sign * sin(4 pi f x) / (4 pi f).
 
@@ -71,15 +68,6 @@ def _factor_cdf(sign, freq, x):
     """
     f = np.where(sign == 0, 1.0, np.asarray(freq, dtype=float))
     return x + sign * np.sin(4.0 * np.pi * f * x) / (4.0 * np.pi * f)
-
-
-def factor_cdf(k: int, x):
-    """CDF at x of the squared 1-d basis factor with flat index k."""
-    x = np.asarray(x, dtype=float)
-    if k == 0:
-        return x.copy()
-    sign = 1.0 if k % 2 == 0 else -1.0
-    return _factor_cdf(np.full(x.shape, sign), np.full(x.shape, frequency(k)), x)
 
 
 def _invert_factor_cdf(sign, freq, u):
@@ -94,51 +82,39 @@ def _invert_factor_cdf(sign, freq, u):
     return 0.5 * (lo + hi)
 
 
-def inverse_cdf_1d(kind: str, u, freq: int = 0):
-    """Invert one factor CDF at u in [0, 1).
-
-    kind is "constant", "cos" or "sin"; freq >= 1 is required for the
-    trigonometric kinds.  Accepts a scalar or an array of u values.
-    """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0):
-        raise ValueError("u must lie in [0, 1)")
-    if kind == "constant":
-        sign = np.zeros_like(u_arr)
-        f = np.ones_like(u_arr)
-    elif kind in ("cos", "sin"):
-        if freq < 1:
-            raise ValueError(f"{kind} kind needs freq >= 1, got {freq}")
-        sign = np.full(u_arr.shape, 1.0 if kind == "cos" else -1.0)
-        f = np.full(u_arr.shape, float(freq))
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    x = _invert_factor_cdf(sign, f, u_arr)
-    return float(x) if np.isscalar(u) or np.asarray(u).ndim == 0 else x
-
-
 @dataclass(frozen=True)
 class PointSet:
-    """Sample points with their density values and the seed that made them.
+    """One sampling instance: n points drawn from the density, their density
+    values, the seed that made them, and the weighted basis matrix
+    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over the density's m functions.
 
-    sample_points also stores the weighted basis matrix
-    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over the density's m functions,
-    made from the one basis evaluation that gave the densities; it is
-    read-only, and build_matrices takes B from here.  A point set built by
-    hand carries none (B is None).
+    G is the head block of B, its first k columns, as a view; the tail block
+    B[:, k:] scaled by sigma_k..m is Gamma, which is not stored.
+    sample_points makes B from the one basis evaluation that gave the
+    densities and marks it read-only.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
     densities: np.ndarray  # (n,), strictly positive
     seed: int
     n: int
-    B: np.ndarray | None = None  # (n, m) weighted basis matrix
+    B: np.ndarray  # (n, m) weighted basis matrix
+    k: int  # head size, 1 <= k < m
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.B[:, : self.k]
+
+    @property
+    def m(self) -> int:
+        return int(self.B.shape[1])
 
     def __post_init__(self) -> None:
-        if self.points.shape[0] != self.n or self.densities.shape != (self.n,):
+        if (self.points.shape[0] != self.n or self.densities.shape != (self.n,)
+                or self.B.ndim != 2 or self.B.shape[0] != self.n):
             raise ValueError("inconsistent point-set shapes")
-        if self.B is not None and (self.B.ndim != 2 or self.B.shape[0] != self.n):
-            raise ValueError("inconsistent point-set shapes")
+        if not 1 <= self.k < self.m:
+            raise ValueError(f"need 1 <= k < m, got k={self.k}, m={self.m}")
         if np.any(self.densities <= 0.0):
             raise ValueError("density values must be strictly positive")
 
@@ -152,11 +128,17 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
 
     The n x m basis matrix is evaluated once: its squares give the
     densities, then it is divided by sqrt(rho) in place and kept as the
-    point set's weighted matrix B.
+    point set's weighted matrix B, with head size k.  ValueError before any
+    allocation when m exceeds MAX_TRUNCATION or n * m exceeds
+    MAX_POINTS * MAX_TRUNCATION.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
     basis, k, m = params.basis, params.k, params.m
+    if m > MAX_TRUNCATION or n * m > MAX_POINTS * MAX_TRUNCATION:
+        raise ValueError(
+            f"instance exceeds dense caps m <= {MAX_TRUNCATION}, n * m <= {MAX_POINTS * MAX_TRUNCATION}"
+        )
     d = basis.params.d
     u = np.random.Generator(np.random.Philox(key=int(seed))).random((n, d + 2))
     comp = np.empty(n, dtype=np.int64)
@@ -174,7 +156,7 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     rho = _mixture(params, b)
     b /= np.sqrt(rho)[:, None]
     b.flags.writeable = False
-    return PointSet(points=x, densities=rho, seed=int(seed), n=int(n), B=b)
+    return PointSet(points=x, densities=rho, seed=int(seed), n=int(n), B=b, k=k)
 
 
 def density_selfcheck(params: DensityParams, resolution: int) -> float:

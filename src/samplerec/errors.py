@@ -7,13 +7,14 @@ import math
 import numpy as np
 
 from .density import PointSet
-from .lsq import HeadSVD, InfoMatrices, _sqrt_top_eigenvalue
+from .lsq import HeadSVD, _sqrt_top_eigenvalue
 from .spectral import CoefVector, OrderedBasis, SpectrumSummary
 
 
-def worst_case_error_trunc(info: InfoMatrices, head: HeadSVD, basis: OrderedBasis) -> float:
+def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -> float:
     """Exact worst-case L2 error over the unit ball of the first m basis
     functions, for a full-rank draw whose head block G has the SVD head.
+    info is the PointSet of the instance: its B, head size k and width m.
 
     The ball is c = diag(sigma) x, ||x|| <= 1, and the residual on
     coefficients is E = I - pad(G^+ B), so the error is ||E diag(sigma)||.
@@ -25,9 +26,8 @@ def worst_case_error_trunc(info: InfoMatrices, head: HeadSVD, basis: OrderedBasi
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
-    n = info.B.shape[0]
-    if head.u.shape != (n, info.k):
-        raise ValueError(f"head SVD must have u of shape ({n}, {info.k}), got {head.u.shape}")
+    if head.u.shape != (info.n, info.k):
+        raise ValueError(f"head SVD must have u of shape ({info.n}, {info.k}), got {head.u.shape}")
     tail_sigma = basis.sigma[info.k:info.m]
     w = (head.u.T @ info.B[:, info.k:]) * tail_sigma / head.sv[:, None]
     gram = w.T @ w
@@ -41,7 +41,6 @@ def certified_upper_bound(
     summary: SpectrumSummary,
     pts: PointSet,
     s_min_g: float,
-    k: int,
     m: int,
 ) -> float:
     """e_trunc plus certified addends for what truncation at m discarded.
@@ -51,10 +50,8 @@ def certified_upper_bound(
     information (the sqrt addend).  Loose, but a true bound.  The basis must
     extend at least one position past m so a_m is available.
     """
-    if not 0 <= k < m:
-        raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    if len(basis) < m + 1:
-        raise ValueError(f"basis of length {len(basis)} cannot provide a_{m}")
+    if not 1 <= m < len(basis):
+        raise ValueError(f"need 1 <= m < {len(basis)} (basis length) for a_m, got m={m}")
     if s_min_g <= 0.0:
         raise ValueError("a degenerate fit has no certified bound")
     d = basis.params.d

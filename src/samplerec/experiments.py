@@ -57,8 +57,8 @@ class ExperimentConfig:
         if not self.n_grid:
             raise ConfigError("n_grid must not be empty")
         for n in self.n_grid:
-            if not 2 <= n <= lsq.MAX_POINTS:
-                raise ConfigError(f"n_grid entries must lie in [2, {lsq.MAX_POINTS}], got {n}")
+            if not 2 <= n <= density.MAX_POINTS:
+                raise ConfigError(f"n_grid entries must lie in [2, {density.MAX_POINTS}], got {n}")
         if not (math.isfinite(self.c_head) and self.c_head > 0.0):
             raise ConfigError(f"c_head must be finite and positive, got {self.c_head}")
         if self.m_factor < 2:
@@ -164,12 +164,13 @@ def _prepare(space: spectral.SpaceParams, m: int):
     return basis, summary
 
 
-def _checked_gamma_norm(info: lsq.InfoMatrices, basis: spectral.OrderedBasis) -> float:
-    """Spectral norm of the scaled tail block Gamma = B[:, k:] diag(sigma_k..m),
-    validated against its Frobenius norm.  Gamma is formed here and freed on
-    return, so no trial keeps it alive while the next one samples.
+def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> float:
+    """Spectral norm of the point set's scaled tail block
+    Gamma = B[:, k:] diag(sigma_k..m), validated against its Frobenius norm.
+    Gamma is formed here and freed on return, so no trial keeps it alive
+    while the next one samples.
     """
-    gamma = info.B[:, info.k:] * basis.sigma[info.k:info.m]
+    gamma = pts.B[:, pts.k:] * basis.sigma[pts.k:pts.m]
     s_gam = lsq.spectral_norm(gamma)
     fro = float(np.linalg.norm(gamma))
     if s_gam > fro * (1.0 + 1e-9) + 1e-12:
@@ -182,8 +183,8 @@ def _checked_gamma_norm(info: lsq.InfoMatrices, basis: spectral.OrderedBasis) ->
 def _check_feasible(n: int, k: int, m: int) -> str | None:
     if k > n // 2:
         return f"head size k={k} above n/2={n // 2}"
-    if m > lsq.MAX_TRUNCATION:
-        return f"truncation m={m} above cap {lsq.MAX_TRUNCATION}"
+    if m > density.MAX_TRUNCATION:
+        return f"truncation m={m} above cap {density.MAX_TRUNCATION}"
     return None
 
 
@@ -223,12 +224,11 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
                 pts = density.sample_points(
                     dens, n, derive_seed(config.seed, _STAGE_CLAIMS, i_n, step, t)
                 )
-                info = lsq.build_matrices(pts, basis, k, m)
-                s_min, s_max = lsq.singular_extrema(info.G)
+                s_min, s_max = lsq.singular_extrema(pts.G)
                 if s_min <= lsq.RANK_RTOL * s_max:
                     degenerate += 1
                 s_mins[t] = s_min
-                ratios[t] = _checked_gamma_norm(info, basis) / (gamma_k * sqrt_n)
+                ratios[t] = _checked_gamma_norm(pts, basis) / (gamma_k * sqrt_n)
             frac_smin = float(np.mean(s_mins >= 0.5 * sqrt_n))
             frac_tail = float(np.mean(ratios <= 3.0))
             rows.append((
@@ -284,14 +284,13 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
             pts = density.sample_points(
                 dens, n, derive_seed(config.seed, _STAGE_RATES, i_n, 0, t)
             )
-            info = lsq.build_matrices(pts, basis, k, m)
-            head = lsq.head_svd(info.G)
+            head = lsq.head_svd(pts.G)
             if not head.rank_ok:
                 degenerate += 1
                 continue
-            s_gam = _checked_gamma_norm(info, basis)
-            e_tr = errors.worst_case_error_trunc(info, head, basis)
-            e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min, k, m)
+            s_gam = _checked_gamma_norm(pts, basis)
+            e_tr = errors.worst_case_error_trunc(pts, head, basis)
+            e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min, m)
             split = a_k + s_gam / head.s_min
             if e_tr > split + _SPLIT_SLACK:
                 raise ValidationError(

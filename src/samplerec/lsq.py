@@ -1,4 +1,5 @@
-"""Weighted information matrices and the least-squares recovery step."""
+"""The least-squares recovery step on a sampling instance: the thin SVD of
+its head block G, the fit, and singular values and norms of its blocks."""
 
 from __future__ import annotations
 
@@ -9,58 +10,17 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .density import PointSet
-from .spectral import OrderedBasis
 
 # Relative singular-value cutoff below which a draw counts as degenerate.
 RANK_RTOL = 1e-10
-
-# Desk-scale caps on dense matrix sizes.
-MAX_POINTS = 1 << 14
-MAX_TRUNCATION = 1 << 13
-
-
-@dataclass(frozen=True)
-class InfoMatrices:
-    """Density-weighted evaluation matrices of one sampling instance.
-
-    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) is the point set's matrix, made
-    at sampling time; G is a view of its head block (first k columns), not
-    a copy.  The scaled tail block Gamma = B[:, k:] diag(sigma_k..m) is not
-    stored: the one caller of its norm forms it on demand.
-    """
-
-    G: np.ndarray  # (n, k)
-    B: np.ndarray  # (n, m)
-    k: int
-    m: int
-
-
-def build_matrices(pts: PointSet, basis: OrderedBasis, k: int, m: int) -> InfoMatrices:
-    """Head block G of the point set's matrix B, as a view, plus B itself.
-
-    pts must come from sample_points with the same basis and m, so that it
-    carries B with m columns; ValueError otherwise.
-    """
-    if not 1 <= k < m <= len(basis):
-        raise ValueError(f"need 1 <= k < m <= {len(basis)}, got k={k}, m={m}")
-    if pts.n < k:
-        raise ValueError(f"head block underdetermined: n={pts.n} < k={k}")
-    if pts.n > MAX_POINTS or m > MAX_TRUNCATION:
-        raise ValueError(
-            f"instance exceeds dense caps n <= {MAX_POINTS}, m <= {MAX_TRUNCATION}"
-        )
-    b = pts.B
-    if b is None or b.shape[1] != m:
-        width = None if b is None else b.shape[1]
-        raise ValueError(f"point set carries a weighted basis matrix of width {width}, need m={m}")
-    return InfoMatrices(G=b[:, :k], B=b, k=k, m=m)
 
 
 @dataclass(frozen=True)
 class HeadSVD:
     """Thin SVD G = u diag(sv) vt (sv descending) of an instance's head block:
     the one factorization of G behind the fit, s_min/s_max and e_trunc.
-    rank_ok is False on a degenerate draw, s_min <= RANK_RTOL * s_max."""
+    rank_ok is False on a degenerate draw: s_min <= RANK_RTOL * s_max, or a
+    wide G (n < k) with fewer singular values than columns."""
 
     u: np.ndarray  # (n, k)
     sv: np.ndarray  # (k,)
@@ -76,7 +36,7 @@ class HeadSVD:
 
     @property
     def rank_ok(self) -> bool:
-        return bool(self.sv[-1] > RANK_RTOL * self.sv[0])
+        return len(self.sv) == self.vt.shape[1] and bool(self.sv[-1] > RANK_RTOL * self.sv[0])
 
 
 def head_svd(g: np.ndarray) -> HeadSVD:
@@ -95,8 +55,9 @@ class Fit:
     pinv_norm: float | None  # 1 / s_min_G, None on a degenerate draw
 
 
-def fit(info: InfoMatrices, samples, pts: PointSet) -> Fit:
-    """Solve min ||G c - y||_2 with y_i = f(x_i) / sqrt(rho(x_i)), by SVD.
+def fit(pts: PointSet, samples) -> Fit:
+    """Solve min ||G c - y||_2 with y_i = f(x_i) / sqrt(rho(x_i)), by SVD of
+    the point set's head block G.
 
     Singular values at or below RANK_RTOL times the largest are treated as
     zero; such draws are flagged through rank_ok rather than rejected.
@@ -105,7 +66,7 @@ def fit(info: InfoMatrices, samples, pts: PointSet) -> Fit:
     if samples.shape != (pts.n,):
         raise ValueError(f"expected {pts.n} samples, got shape {samples.shape}")
     y = samples / np.sqrt(pts.densities)
-    head = head_svd(info.G)
+    head = head_svd(pts.G)
     inv = np.divide(1.0, head.sv, out=np.zeros_like(head.sv), where=head.sv > RANK_RTOL * head.s_max)
     return Fit(
         coefficients=head.vt.T @ (inv * (head.u.T @ y)),

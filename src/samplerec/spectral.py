@@ -61,14 +61,24 @@ def frequency(k: int) -> int:
     return (k + 1) // 2
 
 
+def _factor_weight(f: int, s: float) -> float:
+    """Weight 1 + f^(2s) of one coordinate at frequency f.
+
+    PrecisionError when it is beyond float range, as it is for large s.
+    """
+    try:
+        return 1.0 + float(f) ** (2.0 * s)
+    except OverflowError:
+        raise PrecisionError(f"norm weight 1 + {f}^(2s) at s={s:g} is beyond float range") from None
+
+
 def hnorm_weight(idx, params: SpaceParams) -> float:
     """Squared-norm weight prod_c (1 + freq(k_c)^(2s)) of one basis function."""
     if len(idx) != params.d:
         raise ValueError(f"index has length {len(idx)}, expected d={params.d}")
     w = 1.0
     for k in idx:
-        f = frequency(int(k))
-        w *= 1.0 + float(f) ** (2.0 * params.s)
+        w *= _factor_weight(frequency(int(k)), params.s)
     return w
 
 
@@ -123,7 +133,7 @@ def _count_weight_below(threshold: float, d: int, s: float) -> int:
     total = 0
     f = 0
     while True:
-        wf = 1.0 + float(f) ** (2.0 * s)
+        wf = _factor_weight(f, s)
         if wf > threshold:
             break
         total += (1 if f == 0 else 2) * _count_weight_below(threshold / wf, d - 1, s)
@@ -142,7 +152,7 @@ def _collect_weight_below(threshold: float, d: int, s: float) -> list[tuple[int,
             return
         f = 0
         while True:
-            wf = 1.0 + float(f) ** (2.0 * s)
+            wf = _factor_weight(f, s)
             if wf > budget:
                 break
             for kf in ((0,) if f == 0 else (2 * f - 1, 2 * f)):

@@ -25,7 +25,7 @@ from samplerec.experiments import (
     run_density_check,
     run_rates,
 )
-from samplerec.lsq import RANK_RTOL, build_matrices, fit, head_svd, singular_extrema
+from samplerec.lsq import RANK_RTOL, fit, head_svd, singular_extrema
 from samplerec.spectral import (
     CoefVector,
     OrderedBasis,
@@ -75,9 +75,7 @@ def rates_run():
 def make_instance(d, k, m, n, pts_seed):
     basis = ordered_basis(SpaceParams(d, 1.0), m + 1)
     dens = truncated_density(basis, k, m)
-    pts = sample_points(dens, n, pts_seed)
-    info = build_matrices(pts, basis, k, m)
-    return basis, pts, info
+    return basis, sample_points(dens, n, pts_seed)
 
 
 def first_row_per_n(result):
@@ -87,14 +85,14 @@ def first_row_per_n(result):
     return rows
 
 
-def ball_probe_errors(info, g_pinv, basis, m, probes, seed):
+def ball_probe_errors(pts, g_pinv, basis, m, probes, seed):
     """Recovery errors of random unit-ball functions: lower bounds on e_trunc."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     g = rng.standard_normal((probes, m))
     u = g / np.linalg.norm(g, axis=1, keepdims=True)
     coef = u * basis.sigma[:m]
     residual = coef.copy()
-    residual[:, : info.k] -= (g_pinv @ (info.B[:, :m] @ coef.T)).T
+    residual[:, : pts.k] -= (g_pinv @ (pts.B[:, :m] @ coef.T)).T
     return np.linalg.norm(residual, axis=1)
 
 
@@ -127,10 +125,10 @@ def test_01_reproduces_head_span_functions(emit):
     worst = 0.0
     degenerate = 0
     for d in (1, 2):
-        basis, pts, info = make_instance(d, 16, 128, 256, derive_seed(ACC_SEED, 10, d))
+        basis, pts = make_instance(d, 16, 128, 256, derive_seed(ACC_SEED, 10, d))
         for t in range(100):
             f = random_unit_function(basis, (1, 16), derive_seed(ACC_SEED, 11, d, t))
-            solved = fit(info, f.evaluate(pts.points), pts)
+            solved = fit(pts, f.evaluate(pts.points))
             if not solved.rank_ok:
                 degenerate += 1
                 continue
@@ -152,12 +150,12 @@ def test_02_split_bound_on_every_instance(emit, rates_run):
     checked = 0
     for d, n, k, m in ((1, 128, 8, 32), (2, 256, 12, 48)):
         for t in range(3):
-            basis, pts, info = make_instance(d, k, m, n, derive_seed(ACC_SEED, 20, d, t))
-            s_min, s_max = singular_extrema(info.G)
+            basis, pts = make_instance(d, k, m, n, derive_seed(ACC_SEED, 20, d, t))
+            s_min, s_max = singular_extrema(pts.G)
             if s_min <= RANK_RTOL * s_max:
                 continue
-            e_tr = worst_case_error_trunc(info, head_svd(info.G), basis)
-            s_gam = singular_extrema(info.B[:, k:] * basis.sigma[k:m])[1]
+            e_tr = worst_case_error_trunc(pts, head_svd(pts.G), basis)
+            s_gam = singular_extrema(pts.B[:, k:] * basis.sigma[k:m])[1]
             worst_gap = max(worst_gap, e_tr - (float(basis.sigma[k]) + s_gam / s_min))
             checked += 1
     emit(
@@ -296,20 +294,20 @@ def test_09_independent_oracles(emit):
     probe_ok = True
     best = []
     for k, m, n, pts_seed in ((2, 4, 64, 424242), (3, 6, 64, 7)):
-        basis, pts, info = make_instance(1, k, m, n, pts_seed)
-        g_pinv = np.linalg.pinv(info.G, rtol=RANK_RTOL)
-        e_tr = worst_case_error_trunc(info, head_svd(info.G), basis)
-        probes = ball_probe_errors(info, g_pinv, basis, m, 10_000, seed=99)
+        basis, pts = make_instance(1, k, m, n, pts_seed)
+        g_pinv = np.linalg.pinv(pts.G, rtol=RANK_RTOL)
+        e_tr = worst_case_error_trunc(pts, head_svd(pts.G), basis)
+        probes = ball_probe_errors(pts, g_pinv, basis, m, 10_000, seed=99)
         probe_ok = probe_ok and bool(np.all(probes <= e_tr * (1.0 + 1e-12)))
         probe_ok = probe_ok and float(probes.max()) >= 0.95 * e_tr
         best.append(float(probes.max()) / e_tr)
-    basis, pts, info = make_instance(1, 16, 128, 256, derive_seed(ACC_SEED, 30))
-    g_pinv = np.linalg.pinv(info.G, rtol=RANK_RTOL)
-    e_tr = worst_case_error_trunc(info, head_svd(info.G), basis)
-    probes = ball_probe_errors(info, g_pinv, basis, 128, 10_000, seed=99)
+    basis, pts = make_instance(1, 16, 128, 256, derive_seed(ACC_SEED, 30))
+    g_pinv = np.linalg.pinv(pts.G, rtol=RANK_RTOL)
+    e_tr = worst_case_error_trunc(pts, head_svd(pts.G), basis)
+    probes = ball_probe_errors(pts, g_pinv, basis, 128, 10_000, seed=99)
     probe_ok = probe_ok and bool(np.all(probes <= e_tr * (1.0 + 1e-12)))
     residual = np.eye(128)
-    residual[:16, :] -= g_pinv @ info.B
+    residual[:16, :] -= g_pinv @ pts.B
     power = block_power_norm(residual * basis.sigma[:128])
     probe_ok = probe_ok and abs(power - e_tr) <= 1e-8 * e_tr
 

@@ -334,6 +334,18 @@ def test_cli_non_finite_config_exits_2(tmp_path, command, line):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("s", ["300", "400"])
+def test_cli_weight_beyond_float_range_exits_3(tmp_path, s):
+    # the norm weights of the basis at such s overflow a float; this used to
+    # end in an OverflowError traceback with exit 1
+    proc, out = _run_cli(tmp_path, "rates", f"d = 1\nn_grid = 64\ntrials = 1\ns = {s}\n", timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "beyond float range" in proc.stderr
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from samplerec import density
 from samplerec.density import (
+    MAX_POINTS,
+    MAX_TRUNCATION,
     DensityParams,
     PointSet,
-    density_eval,
+    _factor_cdf,
+    _invert_factor_cdf,
     density_selfcheck,
     density_values,
-    factor_cdf,
-    inverse_cdf_1d,
     sample_points,
     truncated_density,
 )
@@ -23,6 +25,13 @@ SP2 = SpaceParams(2, 1.0)
 
 def make_density(params, k, m):
     return truncated_density(ordered_basis(params, m + 1), k, m)
+
+
+def factor_kinds(flat):
+    """Sign (0 constant, +1 cosine, -1 sine) and frequency of flat indices,
+    the per-factor arguments of the vector CDF and its inverse."""
+    flat = np.asarray(flat)
+    return np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0)), (flat + 1) // 2
 
 
 def test_truncated_density_weights():
@@ -55,14 +64,6 @@ def test_density_positive_and_above_floor():
         assert np.all(values >= 1.0 / (2.0 * k) - 1e-12)
 
 
-def test_density_eval_matches_vector_form():
-    dens = make_density(SP2, 3, 12)
-    x = np.array([0.21, 0.77])
-    assert density_eval(dens, x) == density_values(dens, x[None, :])[0]
-    with pytest.raises(ValueError):
-        density_eval(dens, np.array([0.21, 1.0]))
-
-
 def test_density_integrates_to_one_by_quadrature():
     for params, k, m, res in ((SP1, 4, 16, 256), (SP2, 4, 20, 64)):
         dens = make_density(params, k, m)
@@ -77,41 +78,30 @@ def test_density_selfcheck_rejects_coarse_grid():
 
 
 def test_inverse_cdf_known_points():
-    assert inverse_cdf_1d("constant", 0.3) == pytest.approx(0.3, abs=1e-12)
-    assert inverse_cdf_1d("cos", 0.5, freq=1) == pytest.approx(0.5, abs=1e-9)
-    x = inverse_cdf_1d("sin", 0.25, freq=1)
+    # sign 0 is the constant factor, +1 the cosine, -1 the sine
+    assert float(_invert_factor_cdf(0.0, 0, np.array(0.3))) == pytest.approx(0.3, abs=1e-12)
+    assert float(_invert_factor_cdf(1.0, 1, np.array(0.5))) == pytest.approx(0.5, abs=1e-9)
+    x = float(_invert_factor_cdf(-1.0, 1, np.array(0.25)))
     assert x - math.sin(4 * math.pi * x) / (4 * math.pi) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_inverse_cdf_inverts_to_tolerance():
     rng = np.random.Generator(np.random.Philox(key=21))
     u = rng.random(500)
-    for kind in ("cos", "sin"):
+    for sign in (1.0, -1.0):
         for freq in (1, 2, 3, 7):
-            x = inverse_cdf_1d(kind, u, freq=freq)
-            sign = 1.0 if kind == "cos" else -1.0
+            x = _invert_factor_cdf(sign, freq, u)
             back = x + sign * np.sin(4 * np.pi * freq * x) / (4 * np.pi * freq)
             assert np.max(np.abs(back - u)) <= 1e-12
             assert np.all((x >= 0) & (x < 1))
-    x = inverse_cdf_1d("constant", u)
+    x = _invert_factor_cdf(0.0, 0, u)
     assert np.max(np.abs(x - u)) <= 1e-12
-
-
-def test_inverse_cdf_argument_errors():
-    with pytest.raises(ValueError):
-        inverse_cdf_1d("cos", 0.5)
-    with pytest.raises(ValueError):
-        inverse_cdf_1d("tan", 0.5, freq=1)
-    with pytest.raises(ValueError):
-        inverse_cdf_1d("constant", 1.0)
-    with pytest.raises(ValueError):
-        inverse_cdf_1d("constant", -0.1)
 
 
 def test_factor_cdf_endpoints_and_monotone():
     x = np.linspace(0, 1, 401)
     for flat in (0, 1, 2, 5, 8):
-        cdf = factor_cdf(flat, x)
+        cdf = _factor_cdf(*factor_kinds(flat), x)
         assert cdf[0] == pytest.approx(0.0, abs=1e-15)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(cdf) >= -1e-15)
@@ -145,15 +135,44 @@ def test_sampled_densities_match_recomputation():
     assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
     # the kept weighted matrix is read-only, since instances share it
     assert pts.B.shape == (300, 16) and not pts.B.flags.writeable
+    assert (pts.k, pts.m) == (4, 16)
 
 
 def test_point_set_validation():
+    def point_set(densities=np.ones(3), b=np.ones((3, 4)), k=2):
+        return PointSet(points=np.zeros((3, 1)), densities=densities, seed=0, n=3, B=b, k=k)
+
+    assert point_set().m == 4
     with pytest.raises(ValueError):
-        PointSet(points=np.zeros((3, 1)), densities=np.array([1.0, 0.0, 1.0]), seed=0, n=3)
+        point_set(densities=np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
-        PointSet(points=np.zeros((3, 1)), densities=np.ones(2), seed=0, n=3)
+        point_set(densities=np.ones(2))
     with pytest.raises(ValueError):
-        PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, n=3, B=np.ones((2, 4)))
+        point_set(b=np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        point_set(b=np.ones(3))
+    # the head size must leave a nonempty head and a nonempty tail
+    for k in (0, -1, 4, 5):
+        with pytest.raises(ValueError):
+            point_set(k=k)
+    # B is required
+    with pytest.raises(TypeError):
+        PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, n=3)
+
+
+def test_sample_points_checks_dense_caps_before_allocating(monkeypatch):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("basis evaluated past the dense caps")
+
+    monkeypatch.setattr(density, "basis_matrix", no_evaluation)
+    dens = make_density(SP1, 4, 16)
+    # n * m one entry past MAX_POINTS * MAX_TRUNCATION: an n x m matrix of
+    # 1 GiB, refused before the uniforms or the basis matrix are made
+    with pytest.raises(ValueError, match="dense caps"):
+        sample_points(dens, MAX_POINTS * MAX_TRUNCATION // 16 + 1, 1)
+    monkeypatch.setattr(density, "MAX_TRUNCATION", 15)
+    with pytest.raises(ValueError, match="dense caps"):
+        sample_points(dens, 8, 1)
 
 
 def test_uniform_case_sampling_is_uniform():
@@ -163,15 +182,12 @@ def test_uniform_case_sampling_is_uniform():
     assert stat < 0.01
 
 
-def mixture_bin_probs(dens, edges):
-    probs = np.zeros(len(edges) - 1)
-    half_k = 0.5 / dens.k
-    for j in range(dens.m):
-        flat = int(dens.basis.indices[j, 0])
-        weight = half_k if j < dens.k else 0.5 * dens.tail_weights[j - dens.k]
-        cdf = factor_cdf(flat, edges)
-        probs += weight * np.diff(cdf)
-    return probs
+def mixture_bin_probs(dens, edges, axis=0):
+    """Bin probabilities of one coordinate: the mixture of the factor CDFs."""
+    weights = np.concatenate([np.full(dens.k, 0.5 / dens.k), 0.5 * dens.tail_weights])
+    sign, freq = factor_kinds(dens.basis.indices[: dens.m, axis])
+    cdf = _factor_cdf(sign[:, None], freq[:, None], edges)
+    return weights @ np.diff(cdf, axis=1)
 
 
 def test_sampling_histogram_matches_density():
@@ -205,11 +221,7 @@ def test_sampling_d2_marginal_histogram():
     pts = sample_points(dens, n, 999)
     edges = np.linspace(0.0, 1.0, 51)
     for axis in range(2):
-        probs = np.zeros(50)
-        for j in range(dens.m):
-            flat = int(dens.basis.indices[j, axis])
-            weight = 0.5 / dens.k if j < dens.k else 0.5 * dens.tail_weights[j - dens.k]
-            probs += weight * np.diff(factor_cdf(flat, edges))
+        probs = mixture_bin_probs(dens, edges, axis)
         counts, _ = np.histogram(pts.points[:, axis], bins=edges)
         se = np.sqrt(n * probs * (1.0 - probs))
         assert np.max(np.abs(counts - n * probs) / se) < 5.0

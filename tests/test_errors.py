@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +14,6 @@ from samplerec.errors import (
 )
 from samplerec.lsq import (
     RANK_RTOL,
-    InfoMatrices,
-    build_matrices,
     head_svd,
     singular_extrema,
     spectral_norm,
@@ -36,33 +35,32 @@ def make_instance(params, k, m, n, seed):
     basis = ordered_basis(params, m + 1)
     dens = truncated_density(basis, k, m)
     pts = sample_points(dens, n, seed)
-    info = build_matrices(pts, basis, k, m)
-    return basis, pts, info, head_svd(info.G)
+    return basis, pts, head_svd(pts.G)
 
 
-def pinv(info):
+def pinv(pts):
     """Moore-Penrose inverse of G with the RANK_RTOL cutoff, from its own SVD."""
-    return np.linalg.pinv(info.G, rtol=RANK_RTOL)
+    return np.linalg.pinv(pts.G, rtol=RANK_RTOL)
 
 
-def full_e_trunc(info, g_pinv, basis, m):
+def full_e_trunc(pts, g_pinv, basis, m):
     """Reference e_trunc in E-form: the largest singular value of
     (I - pad(g_pinv B)) diag(sigma) over the first m coefficients, by a full
     SVD of the m x m matrix.  g_pinv may be any k x n map."""
     e = np.eye(m)
-    if info.k:
-        e[: info.k, :] -= g_pinv @ info.B[:, :m]
+    if pts.k:
+        e[: pts.k, :] -= g_pinv @ pts.B[:, :m]
     return float(np.linalg.svd(e * basis.sigma[:m], compute_uv=False)[0])
 
 
-def ball_probe_errors(info, g_pinv, basis, m, probes, seed):
+def ball_probe_errors(pts, g_pinv, basis, m, probes, seed):
     """Worst-case lower bounds: recovery error of random unit-ball functions."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     g = rng.standard_normal((probes, m))
     u = g / np.linalg.norm(g, axis=1, keepdims=True)
     coef = u * basis.sigma[:m]
     residual = coef.copy()
-    residual[:, : info.k] -= (g_pinv @ (info.B[:, :m] @ coef.T)).T
+    residual[:, : pts.k] -= (g_pinv @ (pts.B[:, :m] @ coef.T)).T
     return np.linalg.norm(residual, axis=1)
 
 
@@ -77,54 +75,54 @@ def block_power_norm(mat, block=4, iters=300, seed=5):
 
 
 def test_worst_case_error_zero_when_m_equals_k():
-    basis, pts, info, _ = make_instance(SP1, 6, 18, 64, 2)
-    assert full_e_trunc(info, pinv(info), basis, 6) < 1e-12
+    basis, pts, _ = make_instance(SP1, 6, 18, 64, 2)
+    assert full_e_trunc(pts, pinv(pts), basis, 6) < 1e-12
 
 
 def test_worst_case_error_of_zero_algorithm_is_one():
     # with the zero map every coefficient survives; the worst unit-ball
     # function is the constant, with error sigma_1 = 1
-    basis, pts, info, _ = make_instance(SP1, 4, 12, 32, 3)
+    basis, pts, _ = make_instance(SP1, 4, 12, 32, 3)
     zero_pinv = np.zeros((4, 32))
-    assert full_e_trunc(info, zero_pinv, basis, 12) == pytest.approx(1.0, abs=1e-12)
+    assert full_e_trunc(pts, zero_pinv, basis, 12) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_worst_case_error_dominates_ball_probes():
-    basis, pts, info, head = make_instance(SP1, 16, 128, 256, 6)
-    e_tr = worst_case_error_trunc(info, head, basis)
-    probes = ball_probe_errors(info, pinv(info), basis, 128, 10_000, seed=11)
+    basis, pts, head = make_instance(SP1, 16, 128, 256, 6)
+    e_tr = worst_case_error_trunc(pts, head, basis)
+    probes = ball_probe_errors(pts, pinv(pts), basis, 128, 10_000, seed=11)
     assert np.all(probes <= e_tr * (1 + 1e-12))
 
 
 def test_worst_case_error_matches_power_iteration():
-    basis, pts, info, head = make_instance(SP1, 16, 128, 256, 6)
-    e_tr = worst_case_error_trunc(info, head, basis)
+    basis, pts, head = make_instance(SP1, 16, 128, 256, 6)
+    e_tr = worst_case_error_trunc(pts, head, basis)
     e_mat = np.eye(128)
-    e_mat[:16, :] -= pinv(info) @ info.B
+    e_mat[:16, :] -= pinv(pts) @ pts.B
     independent = block_power_norm(e_mat * basis.sigma[:128])
     assert independent == pytest.approx(e_tr, rel=1e-8)
 
 
 def test_worst_case_error_below_split_bound():
     for k, m, n, seed in ((4, 16, 64, 1), (8, 32, 128, 2), (16, 64, 256, 3)):
-        basis, pts, info, head = make_instance(SP1, k, m, n, seed)
-        s_min = singular_extrema(info.G)[0]
-        s_gam = spectral_norm(info.B[:, k:] * basis.sigma[k:m])
-        e_tr = worst_case_error_trunc(info, head, basis)
+        basis, pts, head = make_instance(SP1, k, m, n, seed)
+        s_min = singular_extrema(pts.G)[0]
+        s_gam = spectral_norm(pts.B[:, k:] * basis.sigma[k:m])
+        e_tr = worst_case_error_trunc(pts, head, basis)
         assert e_tr <= float(basis.sigma[k]) + s_gam / s_min + 1e-10
 
 
 def test_worst_case_error_argument_checks():
-    basis, pts, info, head = make_instance(SP1, 4, 12, 32, 3)
+    basis, pts, head = make_instance(SP1, 4, 12, 32, 3)
     # a head SVD of another instance: other k, other n
     for k, n in ((3, 32), (4, 33)):
-        other = make_instance(SP1, k, 12, n, 3)[3]
+        other = make_instance(SP1, k, 12, n, 3)[2]
         with pytest.raises(ValueError):
-            worst_case_error_trunc(info, other, basis)
+            worst_case_error_trunc(pts, other, basis)
     # a rank-deficient head block: the second column duplicates the first
-    b = info.B.copy()
+    b = pts.B.copy()
     b[:, 1] = b[:, 0]
-    dup = InfoMatrices(G=b[:, :4], B=b, k=4, m=12)
+    dup = dataclasses.replace(pts, B=b)
     dup_head = head_svd(dup.G)
     assert not dup_head.rank_ok
     with pytest.raises(ValueError):
@@ -136,9 +134,9 @@ def test_worst_case_error_argument_checks():
     [(SP1, 16, 128, 256, 6), (SpaceParams(2, 0.75), 12, 96, 256, 8), (SpaceParams(3, 1.0), 8, 64, 128, 9)],
 )
 def test_reduced_e_trunc_matches_full_form(params, k, m, n, seed):
-    basis, pts, info, head = make_instance(params, k, m, n, seed)
-    full = full_e_trunc(info, pinv(info), basis, m)
-    assert worst_case_error_trunc(info, head, basis) == pytest.approx(full, rel=1e-12, abs=0.0)
+    basis, pts, head = make_instance(params, k, m, n, seed)
+    full = full_e_trunc(pts, pinv(pts), basis, m)
+    assert worst_case_error_trunc(pts, head, basis) == pytest.approx(full, rel=1e-12, abs=0.0)
 
 
 @given(
@@ -152,21 +150,21 @@ def test_reduced_e_trunc_matches_full_form(params, k, m, n, seed):
 def test_reduced_e_trunc_property(d, s, k, m_extra, n_extra, seed):
     # small instances in the runners' domain: m <= 64, n >= 2k
     m = min(k + m_extra, 64)
-    basis, pts, info, head = make_instance(SpaceParams(d, s), k, m, 2 * k + n_extra, seed)
-    e_tr = worst_case_error_trunc(info, head, basis)
-    assert e_tr == pytest.approx(full_e_trunc(info, pinv(info), basis, m), rel=1e-12, abs=0.0)
+    basis, pts, head = make_instance(SpaceParams(d, s), k, m, 2 * k + n_extra, seed)
+    e_tr = worst_case_error_trunc(pts, head, basis)
+    assert e_tr == pytest.approx(full_e_trunc(pts, pinv(pts), basis, m), rel=1e-12, abs=0.0)
     a_k = float(basis.sigma[k])
-    assert a_k <= e_tr <= a_k + spectral_norm(info.B[:, k:] * basis.sigma[k:m]) / head.s_min + 1e-10
+    assert a_k <= e_tr <= a_k + spectral_norm(pts.B[:, k:] * basis.sigma[k:m]) / head.s_min + 1e-10
 
 
 def test_certified_bound_reduces_to_trunc_plus_am_on_finite_spectrum():
     # a synthetic spectrum whose mass ends exactly at m: the sqrt addend is 0
-    basis, pts, info, g_head = make_instance(SP1, 4, 12, 32, 5)
-    e_tr = worst_case_error_trunc(info, g_head, basis)
+    basis, pts, g_head = make_instance(SP1, 4, 12, 32, 5)
+    e_tr = worst_case_error_trunc(pts, g_head, basis)
     head = np.concatenate(([0.0], np.cumsum(basis.sigma ** 2)))
     finite = SpectrumSummary(total_lo=float(head[12]), total_hi=float(head[12]), head=head)
-    s_min = singular_extrema(info.G)[0]
-    bound = certified_upper_bound(e_tr, basis, finite, pts, s_min, 4, 12)
+    s_min = singular_extrema(pts.G)[0]
+    bound = certified_upper_bound(e_tr, basis, finite, pts, s_min, 12)
     assert bound == pytest.approx(e_tr + float(basis.sigma[12]), abs=1e-13)
 
 
@@ -182,14 +180,13 @@ def test_certified_bound_monotone_tail_addend():
     k = 8
     dens = truncated_density(basis, k, m_max)
     pts = sample_points(dens, 128, 9)
-    info = build_matrices(pts, basis, k, m_max)
-    g_pinv = pinv(info)
-    s_min = singular_extrema(info.G)[0]
+    g_pinv = pinv(pts)
+    s_min = singular_extrema(pts.G)[0]
     addends = []
     e_base = None
     for m in m_grid:
-        e_tr = full_e_trunc(info, g_pinv, basis, m)
-        bound = certified_upper_bound(e_tr, basis, summary, pts, s_min, k, m)
+        e_tr = full_e_trunc(pts, g_pinv, basis, m)
+        bound = certified_upper_bound(e_tr, basis, summary, pts, s_min, m)
         addends.append(bound - e_tr - float(basis.sigma[m]))
         if e_base is None:
             e_base = e_tr
@@ -199,22 +196,24 @@ def test_certified_bound_monotone_tail_addend():
 
 
 def test_certified_bound_argument_checks():
-    basis, pts, info, head = make_instance(SP1, 4, 12, 32, 5)
+    basis, pts, head = make_instance(SP1, 4, 12, 32, 5)
     summary = spectral_sums(SP1, basis)
-    e_tr = worst_case_error_trunc(info, head, basis)
+    e_tr = worst_case_error_trunc(pts, head, basis)
     with pytest.raises(ValueError):
-        certified_upper_bound(e_tr, basis, summary, pts, 0.0, 4, 12)
+        certified_upper_bound(e_tr, basis, summary, pts, 0.0, 12)
     with pytest.raises(ValueError):
-        certified_upper_bound(e_tr, basis, summary, pts, 1.0, 4, 13)
+        certified_upper_bound(e_tr, basis, summary, pts, 1.0, 13)
+    with pytest.raises(ValueError):
+        certified_upper_bound(e_tr, basis, summary, pts, 1.0, 0)
 
 
 def test_certified_bound_scale_equivariance():
     # scaling every coefficient-space quantity by lam scales both error terms
-    basis, pts, info, head = make_instance(SP1, 4, 12, 32, 5)
+    basis, pts, head = make_instance(SP1, 4, 12, 32, 5)
     summary = spectral_sums(SP1, basis)
-    s_min = singular_extrema(info.G)[0]
-    e_tr = worst_case_error_trunc(info, head, basis)
-    bound = certified_upper_bound(e_tr, basis, summary, pts, s_min, 4, 12)
+    s_min = singular_extrema(pts.G)[0]
+    e_tr = worst_case_error_trunc(pts, head, basis)
+    bound = certified_upper_bound(e_tr, basis, summary, pts, s_min, 12)
     lam = 3.5
     scaled_sigma = lam * basis.sigma
     scaled_basis = basis.__class__(
@@ -229,10 +228,10 @@ def test_certified_bound_scale_equivariance():
         head=lam ** 2 * summary.head,
     )
     # Gamma scaling does not enter here; e_trunc scales linearly
-    e_tr_scaled = worst_case_error_trunc(info, head, scaled_basis)
+    e_tr_scaled = worst_case_error_trunc(pts, head, scaled_basis)
     assert e_tr_scaled == pytest.approx(lam * e_tr, rel=1e-12)
     bound_scaled = certified_upper_bound(
-        e_tr_scaled, scaled_basis, scaled_summary, pts, s_min, 4, 12
+        e_tr_scaled, scaled_basis, scaled_summary, pts, s_min, 12
     )
     assert bound_scaled == pytest.approx(lam * bound, rel=1e-12)
 

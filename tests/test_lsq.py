@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,14 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from samplerec import lsq
-from samplerec.density import PointSet, sample_points, truncated_density
+from samplerec.density import MAX_POINTS, MAX_TRUNCATION, PointSet, sample_points, truncated_density
+from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import _checked_gamma_norm
 from samplerec.lsq import (
-    MAX_POINTS,
-    MAX_TRUNCATION,
-    InfoMatrices,
     RANK_RTOL,
-    build_matrices,
     fit,
     head_svd,
     singular_extrema,
@@ -36,63 +34,60 @@ SP1 = SpaceParams(1, 1.0)
 def make_instance(params, k, m, n, seed):
     basis = ordered_basis(params, m + 1)
     dens = truncated_density(basis, k, m)
-    pts = sample_points(dens, n, seed)
-    return basis, dens, pts, build_matrices(pts, basis, k, m)
+    return basis, dens, sample_points(dens, n, seed)
 
 
-def test_build_matrices_shapes_and_blocks():
-    basis, _, pts, info = make_instance(SP1, 8, 32, 64, 42)
-    assert info.G.shape == (64, 8)
-    assert info.B.shape == (64, 32)
-    assert not hasattr(info, "Gamma")
-    assert np.array_equal(info.G, info.B[:, :8])
+def test_point_set_head_block_is_a_view():
+    basis, _, pts = make_instance(SP1, 8, 32, 64, 42)
+    assert (pts.k, pts.m) == (8, 32)
+    assert pts.G.shape == (64, 8)
+    assert pts.B.shape == (64, 32)
+    assert np.shares_memory(pts.G, pts.B)
+    assert np.array_equal(pts.G, pts.B[:, :8])
     # Gamma, formed on demand, is the tail of B with columns scaled by sigma
-    gamma = info.B[:, 8:] * basis.sigma[8:32]
+    gamma = pts.B[:, 8:] * basis.sigma[8:32]
     assert gamma.shape == (64, 24)
-    assert np.allclose(gamma[:, 3], info.B[:, 11] * basis.sigma[11], atol=1e-15)
+    assert np.allclose(gamma[:, 3], pts.B[:, 11] * basis.sigma[11], atol=1e-15)
 
 
-def test_build_matrices_entries_match_composition():
-    basis, _, pts, info = make_instance(SP1, 8, 32, 64, 42)
+def test_point_set_entries_match_composition():
+    basis, _, pts = make_instance(SP1, 8, 32, 64, 42)
     for i in range(0, 64, 7):
         w = 1.0 / math.sqrt(pts.densities[i])
         for j in range(32):
             expected = basis_eval(basis.indices[j], pts.points[i]) * w
-            assert info.B[i, j] == pytest.approx(expected, abs=1e-14)
+            assert pts.B[i, j] == pytest.approx(expected, abs=1e-14)
 
 
-def test_build_matrices_argument_errors():
-    basis, _, pts, _ = make_instance(SP1, 8, 32, 64, 42)
-    with pytest.raises(ValueError):
-        build_matrices(pts, basis, 0, 32)
-    with pytest.raises(ValueError):
-        build_matrices(pts, basis, 8, 34)  # basis has 33 entries
-    small = sample_points(truncated_density(basis, 8, 32), 4, 1)
-    with pytest.raises(ValueError):
-        build_matrices(small, basis, 8, 32)
-
-
-def test_build_matrices_reuses_sampling_matrix():
+def test_point_set_matrix_is_the_sampling_matrix():
     for params, k, m, n in ((SP1, 8, 32, 64), (SpaceParams(2, 0.75), 6, 48, 96)):
-        basis, _, pts, info = make_instance(params, k, m, n, 19)
+        basis, _, pts = make_instance(params, k, m, n, 19)
         expected = basis_matrix(basis, pts.points, m) / np.sqrt(pts.densities)[:, None]
-        assert np.array_equal(info.B, expected)
-        assert info.B is pts.B
-        assert np.shares_memory(info.G, info.B)
+        assert np.array_equal(pts.B, expected)
+        assert np.shares_memory(pts.G, pts.B)
         # the norm check forms Gamma with the same expression, bit for bit
-        assert _checked_gamma_norm(info, basis) == spectral_norm(info.B[:, k:] * basis.sigma[k:m])
+        assert _checked_gamma_norm(pts, basis) == spectral_norm(pts.B[:, k:] * basis.sigma[k:m])
 
 
-def test_build_matrices_needs_matching_matrix():
-    basis, _, pts, _ = make_instance(SP1, 8, 32, 64, 42)
+def test_wide_head_block_is_not_rank_ok():
+    # fewer points than head functions: G is 2 x 3, and its thin SVD has
+    # only two singular values, both well above the cutoff
+    rng = np.random.Generator(np.random.Philox(key=41))
+    g = rng.standard_normal((2, 3))
+    head = head_svd(g)
+    assert len(head.sv) == 2 and head.sv[-1] > RANK_RTOL * head.sv[0]
+    assert not head.rank_ok
+    pts = PointSet(points=np.zeros((2, 1)), densities=np.ones(2), seed=0, n=2,
+                   B=np.hstack([g, g]), k=3)
+    res = fit(pts, np.ones(2))
+    assert not res.rank_ok
+    assert res.pinv_norm is None
+    basis = ordered_basis(SP1, 7)
     with pytest.raises(ValueError):
-        build_matrices(pts, basis, 8, 24)  # sampled with m=32
-    shorter = sample_points(truncated_density(basis, 8, 24), 64, 42)
-    with pytest.raises(ValueError):
-        build_matrices(shorter, basis, 8, 32)
-    bare = PointSet(points=pts.points, densities=pts.densities, seed=pts.seed, n=pts.n)
-    with pytest.raises(ValueError):
-        build_matrices(bare, basis, 8, 32)
+        worst_case_error_trunc(pts, head, basis)
+    # a sampled instance with n < k is flagged the same way
+    _, _, small = make_instance(SP1, 8, 32, 4, 1)
+    assert not head_svd(small.G).rank_ok
 
 
 def test_uniform_case_head_column_is_constant():
@@ -100,8 +95,7 @@ def test_uniform_case_head_column_is_constant():
     basis = ordered_basis(SP1, 4)
     dens = truncated_density(basis, 1, 3)
     pts = sample_points(dens, 256, 3)
-    info = build_matrices(pts, basis, 1, 3)
-    s_min, s_max = singular_extrema(info.G)
+    s_min, s_max = singular_extrema(pts.G)
     assert s_min == pytest.approx(math.sqrt(256.0), rel=1e-12)
     assert s_max == pytest.approx(math.sqrt(256.0), rel=1e-12)
 
@@ -116,9 +110,9 @@ def test_singular_extrema_known_matrices():
 
 
 def test_fit_recovers_single_basis_function():
-    basis, _, pts, info = make_instance(SP1, 8, 32, 64, 7)
+    basis, _, pts = make_instance(SP1, 8, 32, 64, 7)
     samples = np.array([basis_eval(basis.indices[2], x) for x in pts.points])
-    res = fit(info, samples, pts)
+    res = fit(pts, samples)
     expected = np.zeros(8)
     expected[2] = 1.0
     assert res.rank_ok
@@ -126,40 +120,40 @@ def test_fit_recovers_single_basis_function():
 
 
 def test_fit_zero_samples_zero_coefficients():
-    _, _, pts, info = make_instance(SP1, 4, 12, 32, 5)
-    res = fit(info, np.zeros(32), pts)
+    _, _, pts = make_instance(SP1, 4, 12, 32, 5)
+    res = fit(pts, np.zeros(32))
     assert np.all(res.coefficients == 0.0)
 
 
 def test_fit_reproduces_head_functions():
-    basis, _, pts, info = make_instance(SP1, 8, 32, 128, 11)
+    basis, _, pts = make_instance(SP1, 8, 32, 128, 11)
     worst = 0.0
     for t in range(100):
         f = random_unit_function(basis, (1, 8), t)
-        res = fit(info, f.evaluate(pts.points), pts)
+        res = fit(pts, f.evaluate(pts.points))
         assert res.rank_ok
         worst = max(worst, float(np.max(np.abs(res.coefficients - f.c[:8]))))
     assert worst < 1e-9
 
 
 def test_fit_is_weighted_least_squares_optimum():
-    basis, _, pts, info = make_instance(SP1, 6, 18, 48, 13)
+    basis, _, pts = make_instance(SP1, 6, 18, 48, 13)
     f = random_unit_function(basis, (1, 18), 4)
     samples = f.evaluate(pts.points)
-    res = fit(info, samples, pts)
+    res = fit(pts, samples)
     y = samples / np.sqrt(pts.densities)
-    base = np.linalg.norm(info.G @ res.coefficients - y)
+    base = np.linalg.norm(pts.G @ res.coefficients - y)
     rng = np.random.Generator(np.random.Philox(key=17))
     for _ in range(20):
         direction = rng.standard_normal(6)
         perturbed = res.coefficients + 1e-3 * direction
-        assert np.linalg.norm(info.G @ perturbed - y) >= base - 1e-12
+        assert np.linalg.norm(pts.G @ perturbed - y) >= base - 1e-12
 
 
 def test_fit_conditioning_fields():
-    _, _, pts, info = make_instance(SP1, 8, 32, 64, 42)
-    res = fit(info, np.zeros(64), pts)
-    s_min, s_max = singular_extrema(info.G)
+    _, _, pts = make_instance(SP1, 8, 32, 64, 42)
+    res = fit(pts, np.zeros(64))
+    s_min, s_max = singular_extrema(pts.G)
     assert res.s_min_G == pytest.approx(s_min)
     assert res.s_max_G == pytest.approx(s_max)
     assert res.pinv_norm == pytest.approx(1.0 / s_min)
@@ -171,8 +165,8 @@ def test_fit_flags_rank_deficiency_without_rejecting():
     basis = ordered_basis(SP1, 7)
     dens = truncated_density(basis, 3, 6)
     pts = sample_points(dens, 2, 1)
-    info_full = InfoMatrices(G=np.ones((2, 3)), B=np.ones((2, 6)), k=3, m=6)
-    res = fit(info_full, np.ones(2), pts.__class__(points=pts.points[:2], densities=np.ones(2), seed=0, n=2))
+    ones = dataclasses.replace(pts, densities=np.ones(2), B=np.ones((2, 6)))
+    res = fit(ones, np.ones(2))
     assert not res.rank_ok
     assert res.pinv_norm is None
     assert res.coefficients.shape == (3,)
@@ -190,14 +184,14 @@ def test_head_svd_rebuilds_g():
 
 
 def test_head_svd_agrees_with_singular_extrema():
-    _, _, pts, info = make_instance(SP1, 8, 32, 128, 3)
-    head = head_svd(info.G)
-    s_min, s_max = singular_extrema(info.G)
+    _, _, pts = make_instance(SP1, 8, 32, 128, 3)
+    head = head_svd(pts.G)
+    s_min, s_max = singular_extrema(pts.G)
     assert head.s_min == pytest.approx(s_min, rel=1e-12)
     assert head.s_max == pytest.approx(s_max, rel=1e-12)
-    assert np.allclose(head.sv, np.linalg.svd(info.G, compute_uv=False), rtol=1e-12, atol=0.0)
+    assert np.allclose(head.sv, np.linalg.svd(pts.G, compute_uv=False), rtol=1e-12, atol=0.0)
     assert head.rank_ok
-    assert fit(info, np.zeros(128), pts).pinv_norm * head.s_min == pytest.approx(1.0, abs=1e-10)
+    assert fit(pts, np.zeros(128)).pinv_norm * head.s_min == pytest.approx(1.0, abs=1e-10)
 
 
 def test_head_svd_rank_cutoff():
@@ -205,9 +199,8 @@ def test_head_svd_rank_cutoff():
     assert not head_svd(g).rank_ok
     # the fit's map is G^+ with singular values at or below the cutoff
     # treated as zero; its columns are the fits of unit sample vectors
-    info = InfoMatrices(G=g, B=np.hstack([g, g]), k=3, m=6)
-    pts = PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, n=3)
-    gp = np.column_stack([fit(info, e, pts).coefficients for e in np.eye(3)])
+    pts = PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, n=3, B=np.hstack([g, g]), k=3)
+    gp = np.column_stack([fit(pts, e).coefficients for e in np.eye(3)])
     assert gp[0, 0] == pytest.approx(1.0)
     assert gp[1, 1] == 0.0
     assert gp[2, 2] == 0.0
@@ -278,8 +271,8 @@ def test_gram_flop_limit_splits_workload_shapes():
 
 
 def test_spectral_norm_bounded_by_frobenius():
-    basis, _, pts, info = make_instance(SP1, 8, 64, 128, 19)
-    gamma = info.B[:, 8:] * basis.sigma[8:64]
+    basis, _, pts = make_instance(SP1, 8, 64, 128, 19)
+    gamma = pts.B[:, 8:] * basis.sigma[8:64]
     s_gam = spectral_norm(gamma)
     assert s_gam <= np.linalg.norm(gamma) * (1 + 1e-12)
     assert s_gam > 0
@@ -295,8 +288,8 @@ def test_spectral_norm_bounded_by_frobenius():
 )
 def test_spectral_norm_between_column_and_frobenius_norms(d, s, k, m_extra, n_extra, seed):
     m = min(k + m_extra, 64)
-    basis, _, _, info = make_instance(SpaceParams(d, s), k, m, 2 * k + n_extra, seed)
-    gamma = info.B[:, k:] * basis.sigma[k:m]
+    basis, _, pts = make_instance(SpaceParams(d, s), k, m, 2 * k + n_extra, seed)
+    gamma = pts.B[:, k:] * basis.sigma[k:m]
     s_gam = spectral_norm(gamma)
     # rounding slack on both sides: with one column all three norms coincide
     assert np.max(np.linalg.norm(gamma, axis=0)) <= s_gam * (1 + 1e-12)

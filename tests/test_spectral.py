@@ -89,6 +89,9 @@ def test_hnorm_weight_values():
     assert hnorm_weight((3,), SP1) == 5.0
     assert hnorm_weight((4, 2), SP2) == 10.0
     assert hnorm_weight((3,), SpaceParams(1, 2.0)) == 17.0
+    # 4^800 is beyond float range
+    with pytest.raises(PrecisionError):
+        hnorm_weight((7,), SpaceParams(1, 400.0))
 
 
 def test_ordered_basis_d1_first_entries():
