@@ -46,16 +46,16 @@ def certified_upper_bound(
     """e_trunc plus certified addends for what truncation at m discarded.
 
     Mass beyond position m is controlled through |b|^2 <= 2^d and the
-    certified tail sum, paid for once in the target (a_m) and once in the
-    information (the sqrt addend).  Loose, but a true bound.  The basis must
-    extend at least one position past m so a_m is available.
+    upper end of the certified tail sum, paid for once in the target (a_m)
+    and once in the information (the sqrt addend).  Loose, but a true bound.
+    The basis must extend at least one position past m so a_m is available.
     """
     if not 1 <= m < len(basis):
         raise ValueError(f"need 1 <= m < {len(basis)} (basis length) for a_m, got m={m}")
     if s_min_g <= 0.0:
         raise ValueError("a degenerate fit has no certified bound")
     d = basis.params.d
-    addend = math.sqrt(np.sum(1.0 / pts.densities) * 2.0 ** d * summary.tail(m)) / s_min_g
+    addend = math.sqrt(np.sum(1.0 / pts.densities) * 2.0 ** d * summary.tail_upper(m)) / s_min_g
     return float(e_trunc + basis.sigma[m] + addend)
 
 

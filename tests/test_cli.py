@@ -278,11 +278,13 @@ def test_cli_limit_errors_exit_3(tmp_path, monkeypatch, capsys, module, attr, ra
 
 
 # sha256 of the CSVs of two small configs, with one BLAS thread (numpy 2.4.6,
-# OpenBLAS 0.3.31); other thread counts change low digits.  Both digests date
-# from the move of the norm of the tail block from a dense SVD to the Gram
-# eigenvalue for narrow blocks (q <= 64), which moved the claims
-# tail_ratio_median and the rates s_max_Gamma and ratio1 by at most 6.3e-16
-# relative.
+# OpenBLAS 0.3.31); other thread counts change low digits.  The claims digest
+# dates from the move of the norm of the tail block from a dense SVD to the
+# Gram eigenvalue for narrow blocks (q <= 64), which moved the claims
+# tail_ratio_median by at most 6.3e-16 relative.  The rates digest dates from
+# the closed-form series enclosure, which moved beta_k, gamma_k and ratio2 by
+# at most 4.5e-16 relative, and e_upper, which now pays for the upper end of
+# the tail, by 2.1e-14.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -292,7 +294,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "0ed5c5c9c4233031cb6abfeeecc4185789cfdd7801251dfd29ad7638c4ce8d87",
+        "1a65f03de6574df6f6ebc53010b221b72629469650135a942f17017a0bc72637",
     ),
 }
 
@@ -342,6 +344,29 @@ def test_cli_weight_beyond_float_range_exits_3(tmp_path, s):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "beyond float range" in proc.stderr
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, grid, s, message",
+    [
+        ("rates", "64\ntrials = 1", "100", "below the float resolution of the total"),
+        ("rates", "64\ntrials = 1", "200", "below the float resolution of the total"),
+        ("beta", "8, 16", "100", "below the float resolution of the total"),
+        # the 17-function basis needs the weight 1 + 8^400, past float range,
+        # so enumeration stops before the tail is summed
+        ("beta", "8, 16", "200", "beyond float range"),
+    ],
+)
+def test_cli_tail_below_float_resolution_exits_3(tmp_path, command, grid, s, message):
+    # the sigma^2 tail past the head is below one ulp of the total 2; this
+    # used to print numpy overflow warnings before the error line
+    proc, out = _run_cli(tmp_path, command, f"d = 1\nn_grid = {grid}\ns = {s}\n", timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
     assert not list(tmp_path.glob("*.csv"))
 

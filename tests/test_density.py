@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samplerec import density
 from samplerec.density import (
@@ -69,6 +71,22 @@ def test_density_integrates_to_one_by_quadrature():
         dens = make_density(params, k, m)
         value = density_selfcheck(dens, res)
         assert abs(value - 1.0) <= 1e-10
+
+
+@given(
+    d=st.integers(1, 3),
+    s=st.sampled_from((0.6, 0.75, 1.0, 1.3, 2.0)),
+    k=st.integers(1, 8),
+    m_extra=st.integers(1, 40),
+)
+@settings(max_examples=40)
+def test_density_unit_mass_property(d, s, k, m_extra):
+    # the runners' resolution rule: at least 16, and 4 times the largest
+    # frequency, which integrates the squared basis functions exactly
+    m = k + m_extra
+    dens = make_density(SpaceParams(d, s), k, m)
+    resolution = max(16, 4 * dens.basis.max_frequency(m))
+    assert abs(density_selfcheck(dens, resolution) - 1.0) <= 1e-10
 
 
 def test_density_selfcheck_rejects_coarse_grid():

@@ -168,6 +168,21 @@ def test_certified_bound_reduces_to_trunc_plus_am_on_finite_spectrum():
     assert bound == pytest.approx(e_tr + float(basis.sigma[12]), abs=1e-13)
 
 
+def test_certified_bound_pays_for_the_upper_end_of_the_tail():
+    # a wide synthetic enclosure: the addend takes total_hi, not the midpoint
+    basis, pts, g_head = make_instance(SP1, 4, 12, 32, 5)
+    e_tr = worst_case_error_trunc(pts, g_head, basis)
+    head = np.concatenate(([0.0], np.cumsum(basis.sigma ** 2)))
+    head[12] = 0.5
+    wide = SpectrumSummary(total_lo=1.0, total_hi=2.0, head=head)
+    s_min = singular_extrema(pts.G)[0]
+    bound = certified_upper_bound(e_tr, basis, wide, pts, s_min, 12)
+    mass = np.sum(1.0 / pts.densities) * 2.0
+    expected = e_tr + float(basis.sigma[12]) + math.sqrt(mass * (2.0 - 0.5)) / s_min
+    assert bound == pytest.approx(expected, rel=1e-14)
+    assert bound > e_tr + float(basis.sigma[12]) + math.sqrt(mass * wide.tail(12)) / s_min
+
+
 def test_certified_bound_monotone_tail_addend():
     # with points fixed, growing m shrinks what the bound pays for beyond m;
     # at smoothness 3 the addend crosses 1e-3 of the truncated error within

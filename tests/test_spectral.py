@@ -1,8 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from samplerec import spectral
 from samplerec.spectral import (
@@ -236,33 +239,215 @@ def test_spectral_sums_head_monotone_and_tail_decreasing():
 
 def test_spectral_sums_precision_errors():
     basis = ordered_basis(SP1, 8)
-    with pytest.raises(PrecisionError):
-        spectral_sums(SP1, basis, tol=1e-6, max_terms=16)
-    with pytest.raises(PrecisionError):
-        # near the summability edge the integral bracket cannot tighten
-        sp = SpaceParams(1, 0.51)
-        spectral_sums(sp, ordered_basis(sp, 8), tol=1e-12, max_terms=1 << 20)
-    long_basis = ordered_basis(SP1, 2050)
-    with pytest.raises(PrecisionError):
-        # certified total too sloppy to dominate a long head
-        spectral_sums(SP1, long_basis, tol=0.01, max_terms=16)
+    with pytest.raises(ValueError):
+        spectral_sums(SP1, basis, tol=0.0)
+    # one ulp of the total pi coth pi is 4.4e-16
+    with pytest.raises(PrecisionError, match=r"enclosure width .* above tol 1\.0e-18: tol is below"):
+        spectral_sums(SP1, basis, tol=1e-18)
+    # the total at d=3, s=0.51 is about 1.0e6, whose ulp is 1.2e-10
+    sp = SpaceParams(3, 0.51)
+    with pytest.raises(PrecisionError, match=r"enclosure width \d\.\d+e-\d+ of the series total 1\.00642e\+06"):
+        spectral_sums(sp, ordered_basis(sp, 64), tol=1e-10)
+    # at s = 100 the sigma^2 tail past the first nine functions is below one
+    # ulp of the total 2, so the head sum reaches it in floats
+    sp = SpaceParams(1, 100.0)
+    with pytest.raises(PrecisionError, match="tail past the 9-term head is below the float resolution"):
+        spectral_sums(sp, ordered_basis(sp, 9))
 
 
-def test_spectral_sums_enclosure_computed_once_per_space():
+def test_spectral_sums_enclosure_depends_on_space_only():
     sp = SpaceParams(2, 1.7)
     first = spectral_sums(sp, ordered_basis(sp, 10))
-    hits = spectral._series_enclosure.cache_info().hits
     second = spectral_sums(sp, ordered_basis(sp, 40))
-    assert spectral._series_enclosure.cache_info().hits == hits + 1
     assert (second.total_lo, second.total_hi) == (first.total_lo, first.total_hi)
     assert len(second.head) == 41
-    # a failure is not cached: the repeated call fails again, with no hit
-    basis = ordered_basis(SP1, 8)
-    for _ in range(2):
-        hits = spectral._series_enclosure.cache_info().hits
-        with pytest.raises(PrecisionError):
-            spectral_sums(SP1, basis, tol=1e-6, max_terms=20)
-        assert spectral._series_enclosure.cache_info().hits == hits
+
+
+def mp_hurwitz(t, a, digits=40):
+    """zeta(t, a) to `digits` significant digits, as mpmath's Riemann zeta(t)
+    less the first a - 1 terms, at a working precision that absorbs the
+    cancellation.  mpmath's two-argument zeta(t, a) is not used: at a = 1001
+    it is off by 1e-16 relative at t = 12 and by 5e-10 at t = 40."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits + int(float(t) * math.log10(a)) + 10):
+        t = mpmath.mpf(t)
+        return +(mpmath.zeta(t) - mpmath.fsum(mpmath.mpf(n) ** -t for n in range(1, a)))
+
+
+def mp_total(s, d):
+    """(1 + 2 S)^d to 40 digits, S = sum_f 1/(1 + f^(2s)), by a partial sum
+    to f = 50 and the alternating Hurwitz series of its tail."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        total = mpmath.fsum(1 / (1 + mpmath.mpf(f) ** (2 * s)) for f in range(1, 51))
+        for j in itertools.count(1):
+            z = mp_hurwitz(2 * j * s, 51)
+            total += (-1) ** (j + 1) * z
+            if z < mpmath.mpf(10) ** -45:
+                break
+        return (1 + 2 * total) ** d
+
+
+def integral_test_enclosure(s, d, terms):
+    """The integral-test bracket the closed form replaced: a partial sum to
+    `terms` plus remainder bounds
+
+        int_{N+1}^inf (x^(-2s) - x^(-4s)) dx <= remainder <= int_N^inf x^(-2s) dx,
+
+    widened by a generous 1e-13 relative for rounding."""
+    f = np.arange(1, terms + 1, dtype=float)
+    partial = math.fsum(1.0 / (1.0 + f ** (2.0 * s)))
+    big_n = float(terms)
+    rem_hi = big_n ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
+    rem_lo = max(
+        (big_n + 1.0) ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)
+        - (big_n + 1.0) ** (1.0 - 4.0 * s) / (4.0 * s - 1.0),
+        0.0,
+    )
+    lo = (1.0 + 2.0 * (partial + rem_lo)) ** d
+    hi = (1.0 + 2.0 * (partial + rem_hi)) ** d
+    return lo * (1.0 - 1e-13), hi * (1.0 + 1e-13)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [1.0 + 2.0 ** -40, 1.02, 1.2, 1.4, 2.0, 2.04, 3.06, 4.2, 7.3, 12.0, 40.0, 40.5, 80.0, 99.0, 100.2, 400.0],
+)
+def test_hurwitz_bracket_contains_references(t):
+    import scipy.special
+
+    lo, hi = spectral._hurwitz_bracket(t)
+    a = spectral._SERIES_HEAD + 1
+    exact = mp_hurwitz(t, a)
+    assert lo <= exact <= hi
+    if t * math.log2(a) <= 1000.0:
+        # a^-t is a normal number: the bracket is a few ulps wide
+        assert hi - lo <= 4e-15 * float(exact)
+        # scipy's double-precision value agrees within the bracket width
+        assert abs(scipy.special.zeta(t, a) - 0.5 * (lo + hi)) <= hi - lo
+    else:
+        assert lo == 0.0 and hi < 2.0 ** -990
+
+
+@pytest.mark.parametrize("s", [0.5 + 2.0 ** -30, 0.51, 0.75, 1.0, 1.3, 5.0, 20.0, 100.0, 400.0])
+def test_partial_and_tail_brackets_contain_exact_sums(s):
+    mpmath = pytest.importorskip("mpmath")
+    head_n = spectral._SERIES_HEAD
+    part_lo, part_hi = spectral._partial_sum_bracket(s)
+    tail_lo, tail_hi = spectral._tail_bracket(s, spectral._U * part_lo)
+    with mpmath.workdps(40):
+        s2 = 2 * mpmath.mpf(s)
+        part = mpmath.fsum(1 / (1 + mpmath.mpf(f) ** s2) for f in range(1, head_n + 1))
+        tail = mpmath.mpf(0)
+        for j in itertools.count(1):
+            z = mp_hurwitz(j * s2, head_n + 1)
+            tail += (-1) ** (j + 1) * z
+            if z < mpmath.mpf(10) ** -45 * part:
+                break
+    assert part_lo <= part <= part_hi
+    assert tail_lo <= tail <= tail_hi
+    # a few ulps of the larger part wide
+    assert part_hi - part_lo <= 1e-14 * part_hi
+    assert tail_hi - tail_lo <= 1e-14 * max(part_hi, tail_hi)
+
+
+@given(
+    base=st.floats(0.5, 1e6),
+    gap=st.integers(0, 8),
+    d=st.integers(1, 40),
+)
+def test_power_bracket_contains_exact_powers(base, gap, d):
+    # every S in [s_lo, s_hi] has its exact (1 + 2 S)^d inside the bracket
+    s_lo, s_hi = base, base
+    for _ in range(gap):
+        s_hi = math.nextafter(s_hi, math.inf)
+    lo, hi = spectral._power_bracket(s_lo, s_hi, d)
+    if math.isfinite(hi):
+        assert Fraction(lo) <= (1 + 2 * Fraction(s_lo)) ** d
+        assert (1 + 2 * Fraction(s_hi)) ** d <= Fraction(hi)
+        assert hi - lo <= (d * (2 * gap + 4) + 8) * 2.0 ** -52 * hi
+
+
+def test_series_enclosure_matches_integral_test_oracle():
+    # at s >= 1 the old bracket is narrow after 2^20 terms
+    for s in (1.0, 1.3, 2.0, 5.0):
+        for d in (1, 2, 3):
+            lo, hi = spectral._series_enclosure(s, d, 1e-10)
+            o_lo, o_hi = integral_test_enclosure(s, d, 1 << 20)
+            assert o_lo <= hi and lo <= o_hi
+            assert hi - lo < o_hi - o_lo
+
+
+@given(
+    s=st.floats(0.5, 20.0, exclude_min=True),
+    d=st.integers(1, 5),
+    tol=st.sampled_from((1e-8, 1e-10, 1e-12, 1e-14)),
+)
+@settings(max_examples=60)
+def test_series_enclosure_property(s, d, tol):
+    lo, hi = spectral._series_enclosure(s, d, math.inf)
+    assert lo <= mp_total(s, d) <= hi
+    if hi - lo <= tol:
+        assert spectral._series_enclosure(s, d, tol) == (lo, hi)
+    else:
+        with pytest.raises(PrecisionError, match="enclosure width"):
+            spectral._series_enclosure(s, d, tol)
+
+
+@pytest.mark.parametrize("s, d", [(0.51, 1), (0.6, 1), (0.7, 1), (0.6, 3), (0.7, 3), (0.7, 5)])
+def test_spectral_sums_reach_small_smoothness(s, d):
+    # the regime d > 2s + 1 where the paper's rate beats Smolyak's algorithm
+    sp = SpaceParams(d, s)
+    summ = spectral_sums(sp, ordered_basis(sp, 64), tol=1e-10)
+    assert summ.enclosure_width <= 1e-10
+    assert summ.total_lo <= mp_total(s, d) <= summ.total_hi
+
+
+@pytest.mark.parametrize(
+    "params, m", [(SpaceParams(2, 0.75), 300), (SpaceParams(3, 1.3), 200), (SpaceParams(1, 3.0), 985)]
+)
+def test_head_bounds_contain_exact_prefix_sums(params, m):
+    mpmath = pytest.importorskip("mpmath")
+    basis = ordered_basis(params, m)
+    summ = spectral_sums(params, basis)
+    with mpmath.workdps(40):
+        s2 = 2 * mpmath.mpf(params.s)
+        exact = mpmath.mpf(0)
+        for k in range(m + 1):
+            lo, hi = summ.head_bounds(k)
+            assert lo <= exact <= hi
+            if k < m:
+                w = mpmath.fprod(1 + mpmath.mpf((int(kc) + 1) // 2) ** s2 for kc in basis.indices[k])
+                exact += 1 / w
+        # the certified tail past the head holds the exact one
+        assert summ.tail_upper(m) >= summ.total_lo - exact
+
+
+def test_spectral_sums_head_bound_tracks_actual_rounding():
+    # at s = 3 the tail past 985 functions is 1.4e-14, about 60 ulps of the
+    # total 2.03, and the cumsum of the head loses about as much; a bound of
+    # m ulps on that loss, 2.2e-13, would refuse this basis
+    sp = SpaceParams(1, 3.0)
+    basis = ordered_basis(sp, 985)
+    summ = spectral_sums(sp, basis)
+    assert summ.head_bounds(985)[1] < summ.total_lo
+    assert summ.total - math.fsum(basis.sigma ** 2) <= summ.tail_upper(985) < 1e-13
+
+
+def test_tail_upper_uses_upper_ends():
+    head = np.array([0.0, 1.0, 1.5])
+    summ = SpectrumSummary(total_lo=1.75, total_hi=2.0, head=head, head_err=np.array([0.0, 1e-3, 2e-3]))
+    assert summ.head_bounds(2)[0] < 1.498 < 1.502 < summ.head_bounds(2)[1]
+    assert summ.tail_upper(2) == pytest.approx(2.0 - 1.498, rel=1e-15)
+    assert summ.tail_upper(2) > 2.0 - 1.498
+    # an exact head: no widening, and total_hi - head[k] is exact here
+    exact = SpectrumSummary(total_lo=1.75, total_hi=2.0, head=head)
+    assert exact.head_bounds(1) == (1.0, 1.0)
+    assert exact.tail_upper(1) == 1.0
+    assert exact.tail(1) == 0.875
+    with pytest.raises(ValueError):
+        exact.tail_upper(3)
 
 
 def test_beta_gamma_small_values():
