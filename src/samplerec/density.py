@@ -97,9 +97,12 @@ class PointSet:
     points: np.ndarray  # (n, d) in [0, 1)^d
     densities: np.ndarray  # (n,), strictly positive
     seed: int
-    n: int
     B: np.ndarray  # (n, m) weighted basis matrix
     k: int  # head size, 1 <= k < m
+
+    @property
+    def n(self) -> int:
+        return int(self.B.shape[0])
 
     @property
     def G(self) -> np.ndarray:
@@ -110,8 +113,7 @@ class PointSet:
         return int(self.B.shape[1])
 
     def __post_init__(self) -> None:
-        if (self.points.shape[0] != self.n or self.densities.shape != (self.n,)
-                or self.B.ndim != 2 or self.B.shape[0] != self.n):
+        if self.B.ndim != 2 or self.points.shape[0] != self.n or self.densities.shape != (self.n,):
             raise ValueError("inconsistent point-set shapes")
         if not 1 <= self.k < self.m:
             raise ValueError(f"need 1 <= k < m, got k={self.k}, m={self.m}")
@@ -156,7 +158,7 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     rho = _mixture(params, b)
     b /= np.sqrt(rho)[:, None]
     b.flags.writeable = False
-    return PointSet(points=x, densities=rho, seed=int(seed), n=int(n), B=b, k=k)
+    return PointSet(points=x, densities=rho, seed=int(seed), B=b, k=k)
 
 
 def density_selfcheck(params: DensityParams, resolution: int) -> float:

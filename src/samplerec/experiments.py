@@ -378,7 +378,7 @@ def run_density_check(config: ExperimentConfig) -> ExperimentResult:
         infeasible = _check_feasible(n, k, m)
         if infeasible:
             raise ConfigError(f"n={n}: configuration infeasible: {infeasible}")
-        basis, _ = _prepare(space, m)
+        basis = spectral.ordered_basis(space, m)
         dens = density.truncated_density(basis, k, m)
         resolution = max(16, 4 * basis.max_frequency(m))
         if resolution ** space.d > _DENSITY_GRID_CAP:

@@ -7,9 +7,12 @@ such flat indices.  The space norm weights a basis function by
 prod_c (1 + freq(k_c)^(2s)) with freq(k) = ceil(k / 2), so the sine and
 cosine of one frequency carry the same weight.
 
-Sorting basis functions by weight (ties broken lexicographically on the
-index tuple) makes sigma[n] = weight[n] ** -0.5 the n-th decay value of the
-embedding into L2, and head/tail sums of sigma^2 are available with a
+ordered_basis enumerates basis functions by one walk over the sublevel set
+of a weight threshold, which carries each weight as a running product and
+prunes on it, so the set it returns is exactly the float sublevel set.
+Sorting it by weight (ties broken lexicographically on the index tuple)
+makes sigma[n] = weight[n] ** -0.5 the n-th decay value of the embedding
+into L2, and head/tail sums of sigma^2 are available with a
 certified enclosure of the full series in closed form: a partial sum of the
 one-coordinate series plus its tail as a short alternating series of Hurwitz
 zeta values, each bracketed by Euler-Maclaurin, with every floating-point
@@ -129,77 +132,56 @@ class OrderedBasis:
         return int(((k + 1) // 2).max())
 
 
-def _count_weight_below(threshold: float, d: int, s: float) -> int:
-    """Number of flat-index tuples with weight <= threshold."""
-    if threshold < 1.0:
-        return 0
-    if d == 0:
-        return 1
-    total = 0
-    f = 0
-    while True:
-        wf = _factor_weight(f, s)
-        if wf > threshold:
-            break
-        total += (1 if f == 0 else 2) * _count_weight_below(threshold / wf, d - 1, s)
-        f += 1
-    return total
+def _sublevel_set(threshold: float, d: int, s: float, max_indices: int) -> list[tuple[float, tuple]]:
+    """(weight, index tuple) of every flat-index tuple of weight <= threshold.
 
-
-def _collect_weight_below(threshold: float, d: int, s: float) -> list[tuple[int, ...]]:
-    """All flat-index tuples with weight <= threshold (coordinate descent)."""
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def descend(budget: float, dim: int) -> None:
-        if dim == d:
-            out.append(tuple(prefix))
-            return
-        f = 0
-        while True:
-            wf = _factor_weight(f, s)
-            if wf > budget:
-                break
-            for kf in ((0,) if f == 0 else (2 * f - 1, 2 * f)):
-                prefix.append(kf)
-                descend(budget / wf, dim + 1)
-                prefix.pop()
-            f += 1
-
-    descend(threshold, 0)
-    return out
+    The walk extends each tuple one coordinate at a time and carries its
+    weight as the running product of factor weights in coordinate order,
+    bitwise what hnorm_weight returns.  Factor weights are at least 1 and
+    float rounding is monotone, so no tuple above the threshold has an
+    extension below it: pruning on the product itself gives exactly the
+    float sublevel set.  Index 0 extends a tuple at its own weight, so no
+    coordinate holds more tuples than the last; EnumerationLimitError as
+    soon as one holds more than max_indices.
+    """
+    factors: list[float] = []
+    while (wf := _factor_weight(len(factors), s)) <= threshold:
+        factors.append(wf)
+    pairs = [(1.0, ())]
+    for _ in range(d):
+        longer = []
+        for w, idx in pairs:
+            for f, wf in enumerate(factors):
+                wk = w * wf
+                if wk > threshold:
+                    break
+                longer.extend((wk, idx + (kf,)) for kf in ((0,) if f == 0 else (2 * f - 1, 2 * f)))
+            if len(longer) > max_indices:
+                raise EnumerationLimitError(
+                    f"sublevel set at weight {threshold:g} holds more than {max_indices} indices"
+                )
+        pairs = longer
+    return pairs
 
 
 def ordered_basis(params: SpaceParams, m: int, max_indices: int = DEFAULT_INDEX_CAP) -> OrderedBasis:
     """Enumerate the m basis functions of smallest weight.
 
-    Doubles a weight threshold until the sublevel set holds at least m
-    indices, materializes it, sorts by (weight, index tuple) and truncates.
-    Raises EnumerationLimitError if the sublevel set would exceed
-    max_indices before reaching m entries.
+    Doubles a weight threshold until its sublevel set, walked exactly once
+    per threshold with the weights it carries, holds at least m indices,
+    then sorts it by (weight, index tuple) and keeps the first m.  Any index
+    outside the set weighs more than every index in it, so nothing it leaves
+    out belongs among the m smallest.  Raises EnumerationLimitError if a
+    sublevel set would exceed max_indices before reaching m entries.
     """
     if m < 1:
         raise ValueError(f"basis size must be at least 1, got {m}")
     threshold = 2.0
-    while True:
-        count = _count_weight_below(threshold, params.d, params.s)
-        if count > max_indices:
-            raise EnumerationLimitError(
-                f"sublevel set at weight {threshold:g} holds {count} indices, cap is {max_indices}"
-            )
-        if count >= m:
-            break
+    while len(pairs := _sublevel_set(threshold, params.d, params.s, max_indices)) < m:
         threshold *= 2.0
-    # One extra doubling of margin, when affordable, so rounding at the
-    # threshold boundary cannot clip an index that belongs among the m
-    # smallest.
-    if _count_weight_below(2.0 * threshold, params.d, params.s) <= max_indices:
-        threshold *= 2.0
-    flats = _collect_weight_below(threshold, params.d, params.s)
-    weights = np.array([hnorm_weight(idx, params) for idx in flats])
-    order = sorted(range(len(flats)), key=lambda i: (weights[i], flats[i]))[:m]
-    idx_arr = np.array([flats[i] for i in order], dtype=np.int64).reshape(m, params.d)
-    w = weights[order]
+    pairs.sort()
+    w = np.array([w for w, _ in pairs[:m]])
+    idx_arr = np.array([idx for _, idx in pairs[:m]], dtype=np.int64).reshape(m, params.d)
     return OrderedBasis(params=params, indices=idx_arr, weights=w, sigma=w ** -0.5)
 
 

@@ -277,14 +277,15 @@ def test_cli_limit_errors_exit_3(tmp_path, monkeypatch, capsys, module, attr, ra
     assert not (tmp_path / "rates.csv").exists()
 
 
-# sha256 of the CSVs of two small configs, with one BLAS thread (numpy 2.4.6,
-# OpenBLAS 0.3.31); other thread counts change low digits.  The claims digest
-# dates from the move of the norm of the tail block from a dense SVD to the
-# Gram eigenvalue for narrow blocks (q <= 64), which moved the claims
-# tail_ratio_median by at most 6.3e-16 relative.  The rates digest dates from
-# the closed-form series enclosure, which moved beta_k, gamma_k and ratio2 by
-# at most 4.5e-16 relative, and e_upper, which now pays for the upper end of
-# the tail, by 2.1e-14.
+# sha256 of the CSVs of small configs, with one BLAS thread (numpy 2.4.6,
+# OpenBLAS 0.3.31); other thread counts change low digits.  The beta config
+# orders the d=3 ties whose float weights depend on coordinate order.  The
+# claims digest dates from the move of the norm of the tail block from a
+# dense SVD to the Gram eigenvalue for narrow blocks (q <= 64), which moved
+# the claims tail_ratio_median by at most 6.3e-16 relative.  The rates digest
+# dates from the closed-form series enclosure, which moved beta_k, gamma_k
+# and ratio2 by at most 4.5e-16 relative, and e_upper, which now pays for the
+# upper end of the tail, by 2.1e-14.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -295,6 +296,14 @@ _GOLDEN = {
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
         "1a65f03de6574df6f6ebc53010b221b72629469650135a942f17017a0bc72637",
+    ),
+    "beta": (
+        "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
+        "c947c104d138e7511845a7bf760b52ad85fb1d53ca1f6cbffa91a0a092bba1b2",
+    ),
+    "density-check": (
+        "d = 2\ns = 1.0\nn_grid = 64, 256\nc_head = 0.25\nm_factor = 8\nseed = 20250814\n",
+        "b56597545636533aaec74f4e198111152d536d6ec7be8c3ba9447e772a203923",
     ),
 }
 
@@ -320,6 +329,20 @@ def test_cli_csv_bytes_match_recorded_digests(tmp_path):
         proc, out = _run_cli(tmp_path, command, config, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize("d, s", [(3, "0.51"), (1, "100")])
+def test_cli_density_check_needs_no_series_total(tmp_path, d, s):
+    # tol 1e-10 is below the float resolution of the series total at d=3,
+    # s=0.51, and the sigma^2 tail past the basis is below it at d=1, s=100;
+    # density-check reads neither the total nor the tail, and used to exit 3
+    # on both
+    config = f"d = {d}\ns = {s}\nn_grid = 64\nc_head = 0.25\nm_factor = 8\n"
+    proc, out = _run_cli(tmp_path, "density-check", config, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header[4] == "quadrature" and len(rows) == 1
+    assert abs(float(rows[0][4]) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize(

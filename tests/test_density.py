@@ -158,9 +158,9 @@ def test_sampled_densities_match_recomputation():
 
 def test_point_set_validation():
     def point_set(densities=np.ones(3), b=np.ones((3, 4)), k=2):
-        return PointSet(points=np.zeros((3, 1)), densities=densities, seed=0, n=3, B=b, k=k)
+        return PointSet(points=np.zeros((3, 1)), densities=densities, seed=0, B=b, k=k)
 
-    assert point_set().m == 4
+    assert (point_set().n, point_set().m) == (3, 4)
     with pytest.raises(ValueError):
         point_set(densities=np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ def test_point_set_validation():
             point_set(k=k)
     # B is required
     with pytest.raises(TypeError):
-        PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, n=3)
+        PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, k=2)
 
 
 def test_sample_points_checks_dense_caps_before_allocating(monkeypatch):

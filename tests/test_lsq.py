@@ -77,8 +77,7 @@ def test_wide_head_block_is_not_rank_ok():
     head = head_svd(g)
     assert len(head.sv) == 2 and head.sv[-1] > RANK_RTOL * head.sv[0]
     assert not head.rank_ok
-    pts = PointSet(points=np.zeros((2, 1)), densities=np.ones(2), seed=0, n=2,
-                   B=np.hstack([g, g]), k=3)
+    pts = PointSet(points=np.zeros((2, 1)), densities=np.ones(2), seed=0, B=np.hstack([g, g]), k=3)
     res = fit(pts, np.ones(2))
     assert not res.rank_ok
     assert res.pinv_norm is None
@@ -199,7 +198,7 @@ def test_head_svd_rank_cutoff():
     assert not head_svd(g).rank_ok
     # the fit's map is G^+ with singular values at or below the cutoff
     # treated as zero; its columns are the fits of unit sample vectors
-    pts = PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, n=3, B=np.hstack([g, g]), k=3)
+    pts = PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, B=np.hstack([g, g]), k=3)
     gp = np.column_stack([fit(pts, e).coefficients for e in np.eye(3)])
     assert gp[0, 0] == pytest.approx(1.0)
     assert gp[1, 1] == 0.0

@@ -117,12 +117,28 @@ def test_ordered_basis_d2_small():
 
 
 def test_ordered_basis_matches_brute_force():
-    for params, m, cutoff in ((SP1, 200, 500), (SP2, 300, 80), (SpaceParams(3, 1.0), 500, 41)):
+    cases = (
+        (SP1, 200, 500),
+        (SP2, 300, 80),
+        # the weight-4 tie group sits on the doubling threshold 4, whose
+        # sublevel set holds exactly 9 indices
+        (SP2, 5, 9),
+        (SP2, 6, 9),
+        (SP2, 9, 9),
+        (SpaceParams(3, 1.0), 500, 41),
+        # float weights that depend on the coordinate order
+        (SpaceParams(3, 1.3), 400, 21),
+        (SpaceParams(4, 1.0), 100, 9),
+    )
+    for params, m, cutoff in cases:
         basis = ordered_basis(params, m)
         expected = brute_sorted_indices(params, m, cutoff)
         assert [tuple(r) for r in basis.indices] == expected
         # the brute-force cube really contained the winners
         assert basis.max_frequency() < (cutoff + 1) // 2
+        # the weights are the ones hnorm_weight gives, bit for bit
+        expected_weights = np.array([hnorm_weight(r, params) for r in basis.indices])
+        assert basis.weights.tobytes() == expected_weights.tobytes()
 
 
 def test_ordered_basis_weights_nondecreasing_and_sigma_consistent():
