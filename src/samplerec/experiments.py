@@ -201,6 +201,10 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
     space = config.space()
     rows: list[tuple] = []
     lines: list[str] = []
+    # The first m + 1 entries of a longer ordered basis are the ordered basis
+    # of length m + 1, so one basis serves every cell and grows only when a
+    # cell outruns it.
+    basis, summary = None, None
     for i_n, n in enumerate(config.n_grid):
         c = float(config.c_head)
         step = 0
@@ -213,7 +217,8 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
                     raise ConfigError(f"n={n}: base configuration infeasible: {infeasible}")
                 lines.append(f"n={n}: sweep stopped before the drop: {infeasible}")
                 break
-            basis, summary = _prepare(space, m)
+            if basis is None or m + 1 > len(basis):
+                basis, summary = _prepare(space, m)
             dens = density.truncated_density(basis, k, m)
             _, gamma_k = spectral.beta_gamma(summary, basis, k)
             sqrt_n = math.sqrt(n)
