@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expsums
 from .spectral import OrderedBasis, basis_matrix
 
 # Final bracket width 2^-48; factor CDFs are 2-Lipschitz, so the inverse is
@@ -85,40 +86,77 @@ def _invert_factor_cdf(sign, freq, u):
 @dataclass(frozen=True)
 class PointSet:
     """One sampling instance: n points drawn from the density, their density
-    values, the seed that made them, and the weighted basis matrix
-    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over the density's m functions.
+    values, the seed that made them, the head size k and the width m, and
+    the weighted basis matrix B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over
+    the density's m functions in one of two forms.
 
-    G is the head block of B, its first k columns, as a view; the tail block
+    Dense (d >= 2): B itself, read-only; G is a view of its first k columns,
+    and m defaults to its width.  Structured (d = 1, B None): head holds G,
+    the (n, k) head block, and sums the weighted exponential sums
+    E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}, h = 0..2 f_max, from which every
+    Gram block of B is read (samplerec.expsums), so no n x m matrix exists.
+    A given B takes precedence over the structured fields.  The tail block
     B[:, k:] scaled by sigma_k..m is Gamma, which is not stored.
-    sample_points makes B from the one basis evaluation that gave the
-    densities and marks it read-only.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
     densities: np.ndarray  # (n,), strictly positive
     seed: int
-    B: np.ndarray  # (n, m) weighted basis matrix
+    B: np.ndarray | None  # (n, m) weighted basis matrix, None in the structured form
     k: int  # head size, 1 <= k < m
+    m: int | None = None  # width, B.shape[1] when B is given
+    head: np.ndarray | None = None  # (n, k) head block G of the structured form
+    sums: np.ndarray | None = None  # (2 f_max + 1,) complex E(h) of the structured form
 
     @property
     def n(self) -> int:
-        return int(self.B.shape[0])
+        return int(self.points.shape[0])
 
     @property
     def G(self) -> np.ndarray:
-        return self.B[:, : self.k]
-
-    @property
-    def m(self) -> int:
-        return int(self.B.shape[1])
+        return self.head if self.B is None else self.B[:, : self.k]
 
     def __post_init__(self) -> None:
-        if self.B.ndim != 2 or self.points.shape[0] != self.n or self.densities.shape != (self.n,):
-            raise ValueError("inconsistent point-set shapes")
+        if self.B is not None:
+            if self.B.ndim != 2 or self.m not in (None, self.B.shape[1]):
+                raise ValueError("inconsistent point-set shapes")
+            object.__setattr__(self, "m", int(self.B.shape[1]))
+        elif self.head is None or self.sums is None or self.m is None:
+            raise ValueError("a point set needs B, or its head block, sums and width m")
         if not 1 <= self.k < self.m:
             raise ValueError(f"need 1 <= k < m, got k={self.k}, m={self.m}")
+        if self.G.shape != (self.n, self.k) or self.densities.shape != (self.n,):
+            raise ValueError("inconsistent point-set shapes")
         if np.any(self.densities <= 0.0):
             raise ValueError("density values must be strictly positive")
+
+
+def dense_matrix(pts: PointSet, basis: OrderedBasis) -> np.ndarray:
+    """The instance's weighted n x m matrix B: pts.B when it is stored,
+    otherwise the first m basis functions evaluated at the points and
+    divided by sqrt(rho)."""
+    if pts.B is not None:
+        return pts.B
+    return basis_matrix(basis, pts.points, pts.m) / np.sqrt(pts.densities)[:, None]
+
+
+def _closed_form_density(params: DensityParams, x: np.ndarray) -> np.ndarray:
+    """The density at d = 1 in closed form, rho(x) = 1 + sum_f alpha_f cos(4 pi f x).
+
+    A squared factor is 1 + cos(4 pi f x) for a cosine, 1 - cos(4 pi f x) for
+    a sine and 1 for the constant, and the sine and cosine of one frequency
+    share their mixture weight in the head and in the tail, so alpha_f
+    cancels exactly except at the frequencies cut at positions k and m: at
+    most two terms.
+    """
+    flat = params.basis.indices[: params.m, 0]
+    sign = np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0))
+    mix = np.concatenate((np.full(params.k, 0.5 / params.k), 0.5 * params.tail_weights))
+    alpha = np.bincount((flat + 1) // 2, weights=sign * mix)
+    rho = np.ones(len(x))
+    for f in np.flatnonzero(alpha):
+        rho += alpha[f] * np.cos((4.0 * np.pi * f) * x)
+    return rho
 
 
 def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
@@ -128,11 +166,13 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     point i: a head/tail coin, a mixture-component uniform, then one uniform
     per coordinate fed to the factor-CDF inverse of the chosen component.
 
-    The n x m basis matrix is evaluated once: its squares give the
+    At d >= 2 the n x m basis matrix is evaluated once: its squares give the
     densities, then it is divided by sqrt(rho) in place and kept as the
-    point set's weighted matrix B, with head size k.  ValueError before any
-    allocation when m exceeds MAX_TRUNCATION or n * m exceeds
-    MAX_POINTS * MAX_TRUNCATION.
+    point set's weighted matrix B, with head size k.  At d = 1 the point set
+    takes the structured form: the density in closed form, the n x k head
+    block G and the sums E(h) for h up to twice the largest frequency of
+    the m functions.  ValueError before any allocation when m exceeds
+    MAX_TRUNCATION or n * m exceeds MAX_POINTS * MAX_TRUNCATION.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
@@ -154,6 +194,13 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     freq = (flat + 1) // 2
     sign = np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0))
     x = _invert_factor_cdf(sign, freq, u[:, 2:])
+    if d == 1:
+        rho = _closed_form_density(params, x[:, 0])
+        g = basis_matrix(basis, x, k)
+        g /= np.sqrt(rho)[:, None]
+        g.flags.writeable = False
+        sums = expsums.exp_sums(x[:, 0], 1.0 / rho, 2 * basis.max_frequency(m))
+        return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, head=g, sums=sums)
     b = basis_matrix(basis, x, m)
     rho = _mixture(params, b)
     b /= np.sqrt(rho)[:, None]

@@ -5,10 +5,34 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse.linalg
 
-from .density import PointSet
-from .lsq import HeadSVD, _sqrt_top_eigenvalue
+from . import expsums, lsq
+from .density import PointSet, dense_matrix
+from .lsq import HeadSVD
 from .spectral import CoefVector, OrderedBasis, SpectrumSummary
+
+# Largest kappa(G) = s_max / s_min for which a structured (d = 1) draw takes
+# the Gram route to e_trunc.  That route reads G^T B_tail = V S U^T B_tail
+# off the exponential sums and divides by S^2 where the dense route divides
+# U^T B_tail by S.  Each Gram entry errs by about u E(0), and E(0) <= s_max^2
+# since the constant is a column of G, so the Gram route's error in W
+# relative to W is about kappa^2 u against the dense route's kappa u, as for
+# the normal equations against an orthogonal factorization (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, sec. 20.4).  Holding
+# kappa^2 u to 1e-13, a tenth of the 1e-12 relative agreement the two routes
+# are held to, gives kappa <= sqrt(1e-13 / 2^-53) = 30.0.  A draw above it
+# takes the dense route on B evaluated for that draw alone.  The bound is
+# safe rather than tight: on d = 1 draws with kappa up to 436 the routes
+# agreed to 2.4e-14.
+KAPPA_LIMIT = math.sqrt(1e-13 / 2.0 ** -53)
+
+
+def dense_fallback(info: PointSet, head: HeadSVD) -> bool:
+    """True for a structured (d = 1) draw whose G is too ill-conditioned for
+    the Gram route to e_trunc, so that worst_case_error_trunc evaluates its
+    dense matrix B instead."""
+    return info.B is None and not head.s_max <= KAPPA_LIMIT * head.s_min
 
 
 def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -> float:
@@ -23,16 +47,33 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     [G^+ T; diag(s_t)].  For G = U S V^T, V orthogonal, ||G^+ T x|| = ||W x||
     with W = S^-1 U^T T; so the error squared is the top eigenvalue of the
     (m-k) x (m-k) matrix W^T W + diag(s_t)^2.  No m x m matrix is formed.
+
+    A structured (d = 1) draw with kappa(G) <= KAPPA_LIMIT takes the Gram
+    route: W = S^-2 V^T (G^T B_tail) diag(s_t), with the head-by-tail Gram
+    block G^T B_tail read off the exponential sums, and the top eigenvalue
+    of W^T W + diag(s_t)^2 by Lanczos on the operator; no n x m matrix is
+    formed.  Any other draw takes the dense route above.
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
     if head.u.shape != (info.n, info.k):
         raise ValueError(f"head SVD must have u of shape ({info.n}, {info.k}), got {head.u.shape}")
-    tail_sigma = basis.sigma[info.k:info.m]
-    w = (head.u.T @ info.B[:, info.k:]) * tail_sigma / head.sv[:, None]
+    k, m = info.k, info.m
+    tail_sigma = basis.sigma[k:m]
+    if info.B is None and not dense_fallback(info, head):
+        block = expsums.gram_block(info.sums, basis.indices[:k, 0], basis.indices[k:m, 0])
+        w = (head.vt @ block) * tail_sigma / head.sv[:, None] ** 2
+
+        def gram(v):
+            v = np.ravel(v)
+            return w.T @ (w @ v) + tail_sigma ** 2 * v
+
+        op = scipy.sparse.linalg.LinearOperator((m - k, m - k), matvec=gram, dtype=float)
+        return math.sqrt(lsq.spectral_norm(op))
+    w = (head.u.T @ dense_matrix(info, basis)[:, k:]) * tail_sigma / head.sv[:, None]
     gram = w.T @ w
     gram[np.diag_indices_from(gram)] += tail_sigma ** 2
-    return _sqrt_top_eigenvalue(gram)
+    return lsq._sqrt_top_eigenvalue(gram)
 
 
 def certified_upper_bound(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import density, errors, lsq, spectral
+from . import density, errors, expsums, lsq, spectral
 
 DEFAULT_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
 
@@ -167,12 +167,22 @@ def _prepare(space: spectral.SpaceParams, m: int):
 def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> float:
     """Spectral norm of the point set's scaled tail block
     Gamma = B[:, k:] diag(sigma_k..m), validated against its Frobenius norm.
-    Gamma is formed here and freed on return, so no trial keeps it alive
-    while the next one samples.
+
+    Dense form: Gamma is formed here and freed on return, so no trial keeps
+    it alive while the next one samples.  Structured form (d = 1): both
+    norms come from the Toeplitz Gram operator Gamma^T Gamma, the spectral
+    norm as the square root of its top eigenvalue, the Frobenius norm from
+    its trace.
     """
-    gamma = pts.B[:, pts.k:] * basis.sigma[pts.k:pts.m]
-    s_gam = lsq.spectral_norm(gamma)
-    fro = float(np.linalg.norm(gamma))
+    sigma = basis.sigma[pts.k:pts.m]
+    if pts.B is None:
+        gram = expsums.TailGram(pts.sums, pts.k, pts.m, sigma)
+        s_gam = math.sqrt(lsq.spectral_norm(gram))
+        fro = math.sqrt(gram.trace())
+    else:
+        gamma = pts.B[:, pts.k:] * sigma
+        s_gam = lsq.spectral_norm(gamma)
+        fro = float(np.linalg.norm(gamma))
     if s_gam > fro * (1.0 + 1e-9) + 1e-12:
         raise ValidationError(
             f"spectral norm {s_gam:.17g} exceeds Frobenius norm {fro:.17g}"
@@ -273,6 +283,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
     lines: list[str] = []
     fit_logn: list[float] = []
     fit_loge: list[float] = []
+    full_rank = fallbacks = 0
     for i_n, n in enumerate(config.n_grid):
         k = head_size(n, config.c_head)
         m = config.m_factor * k
@@ -294,6 +305,8 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
                 degenerate += 1
                 continue
             s_gam = _checked_gamma_norm(pts, basis)
+            full_rank += 1
+            fallbacks += errors.dense_fallback(pts, head)
             e_tr = errors.worst_case_error_trunc(pts, head, basis)
             e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min, m)
             split = a_k + s_gam / head.s_min
@@ -329,6 +342,11 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
         lines.append(
             f"n={n}: k={k}, m={m}, median e_trunc "
             f"{row[8]:.6g}, max ratio1 {row[10]:.9f}, degenerate {degenerate}"
+        )
+    if config.d == 1:
+        lines.append(
+            f"dense e_trunc fallback (kappa(G) above {errors.KAPPA_LIMIT:.1f}): "
+            f"{fallbacks} of {full_rank} full-rank draws"
         )
     if len(fit_logn) >= 2:
         slope = float(np.polyfit(fit_logn, fit_loge, 1)[0])

@@ -84,20 +84,33 @@ def singular_extrema(mat: np.ndarray) -> tuple[float, float]:
 
 
 # Above this flop estimate max(n, p) * q**2 for forming the smaller Gram
-# matrix, Lanczos beats the dense eigensolve.  Every Gamma shape of the
-# benchmark workloads falls on its faster side (4096 x 861 at 3.0e9 is faster
-# by Gram, 2048 x 1498 at 4.6e9 by Lanczos).  Any shape within the dense caps
-# with q <= 64 stays below it, so Lanczos always has q > ncv = 64.
+# matrix, Lanczos beats the dense eigensolve.  Only d >= 2 instances reach
+# this code: d = 1 takes the Toeplitz Gram operator below, so the d = 1
+# shapes that set the limit (4096 x 861 at 3.0e9 is faster by Gram,
+# 2048 x 1498 at 4.6e9 by Lanczos) no longer pass through it.  Any shape
+# within the dense caps with q <= 64 stays below it, so Lanczos always has
+# q > ncv = 64.
 _GRAM_FLOP_LIMIT = 4e9
 
+# Up to this size a symmetric operator is applied to the identity and its
+# top eigenvalue taken densely; above it, Lanczos with 20 Lanczos vectors,
+# which took the fewest seconds of 20, 32 and 64 on the d = 1 tail shapes.
+_OPERATOR_DENSE_SIZE = 64
 
-def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value of a dense n x p matrix, q = min(n, p).
 
-    Up to _GRAM_FLOP_LIMIT on max(n, p) * q**2, the square root of the top
-    eigenvalue of the smaller (q x q) Gram matrix; above it, Lanczos
+def spectral_norm(mat) -> float:
+    """Largest singular value of a dense n x p matrix, q = min(n, p), or of
+    a symmetric positive semidefinite scipy LinearOperator, which is its top
+    eigenvalue (the squared norm of any matrix whose Gram operator it is).
+
+    Dense: up to _GRAM_FLOP_LIMIT on max(n, p) * q**2, the square root of
+    the top eigenvalue of the smaller (q x q) Gram matrix; above it, Lanczos
     iteration with a fixed start vector, so runs are reproducible.
+    Operator: Lanczos (eigsh) with a fixed start vector above
+    _OPERATOR_DENSE_SIZE, a dense eigensolve of its matrix up to it.
     """
+    if isinstance(mat, scipy.sparse.linalg.LinearOperator):
+        return _operator_top_eigenvalue(mat)
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     n, p = mat.shape
     q = min(n, p)
@@ -111,8 +124,25 @@ def spectral_norm(mat: np.ndarray) -> float:
     return float(sv[0])
 
 
-def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:
-    """Spectral norm of any matrix whose Gram matrix is the given one."""
+def _operator_top_eigenvalue(op: scipy.sparse.linalg.LinearOperator) -> float:
+    """Top eigenvalue, clamped at 0, of a symmetric PSD operator."""
+    q = op.shape[0]
+    if q <= _OPERATOR_DENSE_SIZE:
+        return _top_eigenvalue(op.matmat(np.eye(q)))
+    top = scipy.sparse.linalg.eigsh(
+        op, k=1, which="LA", ncv=20, v0=np.full(q, 1.0 / np.sqrt(q)),
+        maxiter=max(1000, 20 * q), return_eigenvectors=False,
+    )
+    return max(float(top[0]), 0.0)
+
+
+def _top_eigenvalue(gram: np.ndarray) -> float:
+    """Top eigenvalue, clamped at 0, of a symmetric PSD matrix."""
     q = gram.shape[0]
     top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=(q - 1, q - 1))[0]
-    return float(np.sqrt(max(top, 0.0)))
+    return max(float(top), 0.0)
+
+
+def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:
+    """Spectral norm of any matrix whose Gram matrix is the given one."""
+    return float(np.sqrt(_top_eigenvalue(gram)))

@@ -31,6 +31,7 @@ from samplerec.spectral import (
     OrderedBasis,
     SpaceParams,
     SpectrumSummary,
+    basis_matrix,
     beta_gamma,
     ordered_basis,
     random_unit_function,
@@ -78,6 +79,11 @@ def make_instance(d, k, m, n, pts_seed):
     return basis, sample_points(dens, n, pts_seed)
 
 
+def weighted_matrix(pts, basis):
+    """The instance's weighted matrix B, evaluated at its points: the dense oracle."""
+    return basis_matrix(basis, pts.points, pts.m) / np.sqrt(pts.densities)[:, None]
+
+
 def first_row_per_n(result):
     rows = {}
     for row in result.rows:
@@ -92,7 +98,7 @@ def ball_probe_errors(pts, g_pinv, basis, m, probes, seed):
     u = g / np.linalg.norm(g, axis=1, keepdims=True)
     coef = u * basis.sigma[:m]
     residual = coef.copy()
-    residual[:, : pts.k] -= (g_pinv @ (pts.B[:, :m] @ coef.T)).T
+    residual[:, : pts.k] -= (g_pinv @ (weighted_matrix(pts, basis)[:, :m] @ coef.T)).T
     return np.linalg.norm(residual, axis=1)
 
 
@@ -155,7 +161,7 @@ def test_02_split_bound_on_every_instance(emit, rates_run):
             if s_min <= RANK_RTOL * s_max:
                 continue
             e_tr = worst_case_error_trunc(pts, head_svd(pts.G), basis)
-            s_gam = singular_extrema(pts.B[:, k:] * basis.sigma[k:m])[1]
+            s_gam = singular_extrema(weighted_matrix(pts, basis)[:, k:] * basis.sigma[k:m])[1]
             worst_gap = max(worst_gap, e_tr - (float(basis.sigma[k]) + s_gam / s_min))
             checked += 1
     emit(
@@ -307,7 +313,7 @@ def test_09_independent_oracles(emit):
     probes = ball_probe_errors(pts, g_pinv, basis, 128, 10_000, seed=99)
     probe_ok = probe_ok and bool(np.all(probes <= e_tr * (1.0 + 1e-12)))
     residual = np.eye(128)
-    residual[:16, :] -= g_pinv @ pts.B
+    residual[:16, :] -= g_pinv @ weighted_matrix(pts, basis)
     power = block_power_norm(residual * basis.sigma[:128])
     probe_ok = probe_ok and abs(power - e_tr) <= 1e-8 * e_tr
 

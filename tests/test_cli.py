@@ -280,9 +280,10 @@ def test_cli_limit_errors_exit_3(tmp_path, monkeypatch, capsys, module, attr, ra
 # sha256 of the CSVs of small configs, with one BLAS thread (numpy 2.4.6,
 # OpenBLAS 0.3.31); other thread counts change low digits.  The beta config
 # orders the d=3 ties whose float weights depend on coordinate order.  The
-# claims digest dates from the move of the norm of the tail block from a
-# dense SVD to the Gram eigenvalue for narrow blocks (q <= 64), which moved
-# the claims tail_ratio_median by at most 6.3e-16 relative.  The rates digest
+# claims digest (d=1) dates from the structured Gram path, which takes the
+# norm of the tail block from the Toeplitz Gram operator of the weighted
+# exponential sums and the densities from their closed form; it moved
+# tail_ratio_median by at most 2.1e-15 relative.  The rates digest
 # dates from the closed-form series enclosure, which moved beta_k, gamma_k
 # and ratio2 by at most 4.5e-16 relative, and e_upper, which now pays for the
 # upper end of the tail, by 2.1e-14.
@@ -290,7 +291,7 @@ _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "9c924b74371acf4496ad1dcb6eaabea17c275d838f45f7e46a30b3b9394c1afc",
+        "e7c194334c6c2569d6a77a9a444efd32d69a1f09040b96741cb7b35ae8aa4d0d",
     ),
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"

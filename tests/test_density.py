@@ -19,7 +19,7 @@ from samplerec.density import (
     sample_points,
     truncated_density,
 )
-from samplerec.spectral import SpaceParams, ordered_basis
+from samplerec.spectral import SpaceParams, basis_matrix, ordered_basis
 
 SP1 = SpaceParams(1, 1.0)
 SP2 = SpaceParams(2, 1.0)
@@ -87,6 +87,12 @@ def test_density_unit_mass_property(d, s, k, m_extra):
     dens = make_density(SpaceParams(d, s), k, m)
     resolution = max(16, 4 * dens.basis.max_frequency(m))
     assert abs(density_selfcheck(dens, resolution) - 1.0) <= 1e-10
+    if d == 1:
+        # the closed form that sample_points uses at d = 1, against the mixture
+        grid = np.arange(resolution) / resolution
+        mixture = density._mixture(dens, basis_matrix(dens.basis, grid[:, None], m))
+        closed = density._closed_form_density(dens, grid)
+        assert np.max(np.abs(closed / mixture - 1.0)) <= 1e-14
 
 
 def test_density_selfcheck_rejects_coarse_grid():
@@ -147,12 +153,20 @@ def test_sample_points_prefix_stability():
 
 
 def test_sampled_densities_match_recomputation():
-    dens = make_density(SP1, 4, 16)
+    dens = make_density(SP2, 4, 20)
     pts = sample_points(dens, 300, 9)
     assert np.array_equal(pts.densities, density_values(dens, pts.points))
     assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
     # the kept weighted matrix is read-only, since instances share it
-    assert pts.B.shape == (300, 16) and not pts.B.flags.writeable
+    assert pts.B.shape == (300, 20) and not pts.B.flags.writeable
+    assert (pts.k, pts.m) == (4, 20)
+    # at d = 1 the densities come from the closed form, and G is kept alone
+    dens = make_density(SP1, 4, 16)
+    pts = sample_points(dens, 300, 9)
+    assert np.array_equal(pts.densities, density._closed_form_density(dens, pts.points[:, 0]))
+    assert np.allclose(pts.densities, density_values(dens, pts.points), rtol=1e-14, atol=0)
+    assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
+    assert pts.B is None and pts.G.shape == (300, 4) and not pts.G.flags.writeable
     assert (pts.k, pts.m) == (4, 16)
 
 

@@ -38,6 +38,11 @@ def make_instance(params, k, m, n, seed):
     return basis, pts, head_svd(pts.G)
 
 
+def weighted_matrix(pts, basis):
+    """The instance's weighted matrix B, evaluated at its points: the dense oracle."""
+    return basis_matrix(basis, pts.points, pts.m) / np.sqrt(pts.densities)[:, None]
+
+
 def pinv(pts):
     """Moore-Penrose inverse of G with the RANK_RTOL cutoff, from its own SVD."""
     return np.linalg.pinv(pts.G, rtol=RANK_RTOL)
@@ -49,7 +54,7 @@ def full_e_trunc(pts, g_pinv, basis, m):
     SVD of the m x m matrix.  g_pinv may be any k x n map."""
     e = np.eye(m)
     if pts.k:
-        e[: pts.k, :] -= g_pinv @ pts.B[:, :m]
+        e[: pts.k, :] -= g_pinv @ weighted_matrix(pts, basis)[:, :m]
     return float(np.linalg.svd(e * basis.sigma[:m], compute_uv=False)[0])
 
 
@@ -60,7 +65,7 @@ def ball_probe_errors(pts, g_pinv, basis, m, probes, seed):
     u = g / np.linalg.norm(g, axis=1, keepdims=True)
     coef = u * basis.sigma[:m]
     residual = coef.copy()
-    residual[:, : pts.k] -= (g_pinv @ (pts.B[:, :m] @ coef.T)).T
+    residual[:, : pts.k] -= (g_pinv @ (weighted_matrix(pts, basis)[:, :m] @ coef.T)).T
     return np.linalg.norm(residual, axis=1)
 
 
@@ -98,7 +103,7 @@ def test_worst_case_error_matches_power_iteration():
     basis, pts, head = make_instance(SP1, 16, 128, 256, 6)
     e_tr = worst_case_error_trunc(pts, head, basis)
     e_mat = np.eye(128)
-    e_mat[:16, :] -= pinv(pts) @ pts.B
+    e_mat[:16, :] -= pinv(pts) @ weighted_matrix(pts, basis)
     independent = block_power_norm(e_mat * basis.sigma[:128])
     assert independent == pytest.approx(e_tr, rel=1e-8)
 
@@ -107,7 +112,7 @@ def test_worst_case_error_below_split_bound():
     for k, m, n, seed in ((4, 16, 64, 1), (8, 32, 128, 2), (16, 64, 256, 3)):
         basis, pts, head = make_instance(SP1, k, m, n, seed)
         s_min = singular_extrema(pts.G)[0]
-        s_gam = spectral_norm(pts.B[:, k:] * basis.sigma[k:m])
+        s_gam = spectral_norm(weighted_matrix(pts, basis)[:, k:] * basis.sigma[k:m])
         e_tr = worst_case_error_trunc(pts, head, basis)
         assert e_tr <= float(basis.sigma[k]) + s_gam / s_min + 1e-10
 
@@ -120,7 +125,7 @@ def test_worst_case_error_argument_checks():
         with pytest.raises(ValueError):
             worst_case_error_trunc(pts, other, basis)
     # a rank-deficient head block: the second column duplicates the first
-    b = pts.B.copy()
+    b = weighted_matrix(pts, basis)
     b[:, 1] = b[:, 0]
     dup = dataclasses.replace(pts, B=b)
     dup_head = head_svd(dup.G)
@@ -154,7 +159,7 @@ def test_reduced_e_trunc_property(d, s, k, m_extra, n_extra, seed):
     e_tr = worst_case_error_trunc(pts, head, basis)
     assert e_tr == pytest.approx(full_e_trunc(pts, pinv(pts), basis, m), rel=1e-12, abs=0.0)
     a_k = float(basis.sigma[k])
-    assert a_k <= e_tr <= a_k + spectral_norm(pts.B[:, k:] * basis.sigma[k:m]) / head.s_min + 1e-10
+    assert a_k <= e_tr <= a_k + spectral_norm(weighted_matrix(pts, basis)[:, k:] * basis.sigma[k:m]) / head.s_min + 1e-10
 
 
 def test_certified_bound_reduces_to_trunc_plus_am_on_finite_spectrum():

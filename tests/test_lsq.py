@@ -37,8 +37,13 @@ def make_instance(params, k, m, n, seed):
     return basis, dens, sample_points(dens, n, seed)
 
 
+def weighted_matrix(pts, basis):
+    """The instance's weighted matrix B, evaluated at its points: the dense oracle."""
+    return basis_matrix(basis, pts.points, pts.m) / np.sqrt(pts.densities)[:, None]
+
+
 def test_point_set_head_block_is_a_view():
-    basis, _, pts = make_instance(SP1, 8, 32, 64, 42)
+    basis, _, pts = make_instance(SpaceParams(2, 1.0), 8, 32, 64, 42)
     assert (pts.k, pts.m) == (8, 32)
     assert pts.G.shape == (64, 8)
     assert pts.B.shape == (64, 32)
@@ -48,25 +53,36 @@ def test_point_set_head_block_is_a_view():
     gamma = pts.B[:, 8:] * basis.sigma[8:32]
     assert gamma.shape == (64, 24)
     assert np.allclose(gamma[:, 3], pts.B[:, 11] * basis.sigma[11], atol=1e-15)
+    # at d = 1 the point set keeps G alone, the first k columns of B
+    basis, _, pts = make_instance(SP1, 8, 32, 64, 42)
+    assert pts.B is None and (pts.k, pts.m) == (8, 32)
+    assert np.array_equal(pts.G, weighted_matrix(pts, basis)[:, :8])
 
 
 def test_point_set_entries_match_composition():
     basis, _, pts = make_instance(SP1, 8, 32, 64, 42)
+    b = weighted_matrix(pts, basis)
     for i in range(0, 64, 7):
         w = 1.0 / math.sqrt(pts.densities[i])
         for j in range(32):
             expected = basis_eval(basis.indices[j], pts.points[i]) * w
-            assert pts.B[i, j] == pytest.approx(expected, abs=1e-14)
+            assert b[i, j] == pytest.approx(expected, abs=1e-14)
 
 
 def test_point_set_matrix_is_the_sampling_matrix():
-    for params, k, m, n in ((SP1, 8, 32, 64), (SpaceParams(2, 0.75), 6, 48, 96)):
-        basis, _, pts = make_instance(params, k, m, n, 19)
-        expected = basis_matrix(basis, pts.points, m) / np.sqrt(pts.densities)[:, None]
-        assert np.array_equal(pts.B, expected)
-        assert np.shares_memory(pts.G, pts.B)
-        # the norm check forms Gamma with the same expression, bit for bit
-        assert _checked_gamma_norm(pts, basis) == spectral_norm(pts.B[:, k:] * basis.sigma[k:m])
+    basis, _, pts = make_instance(SpaceParams(2, 0.75), 6, 48, 96, 19)
+    expected = basis_matrix(basis, pts.points, 48) / np.sqrt(pts.densities)[:, None]
+    assert np.array_equal(pts.B, expected)
+    assert np.shares_memory(pts.G, pts.B)
+    # the norm check forms Gamma with the same expression, bit for bit
+    assert _checked_gamma_norm(pts, basis) == spectral_norm(pts.B[:, 6:] * basis.sigma[6:48])
+    # at d = 1 the norm comes from the Toeplitz Gram operator instead
+    basis, _, pts = make_instance(SP1, 8, 32, 64, 19)
+    expected = weighted_matrix(pts, basis)
+    assert np.array_equal(pts.G, expected[:, :8])
+    assert _checked_gamma_norm(pts, basis) == pytest.approx(
+        spectral_norm(expected[:, 8:] * basis.sigma[8:32]), rel=1e-12
+    )
 
 
 def test_wide_head_block_is_not_rank_ok():
@@ -226,6 +242,18 @@ def test_spectral_norm_paths_agree(monkeypatch):
         spectral_norm(mat, method="svd")
 
 
+def test_spectral_norm_of_a_gram_operator():
+    # a symmetric PSD operator M^T M has spectral norm ||M||^2: densely up to
+    # size 64, by Lanczos above
+    rng = np.random.Generator(np.random.Philox(key=43))
+    for shape in ((80, 1), (80, 64), (300, 65), (300, 200)):
+        mat = rng.standard_normal(shape)
+        op = scipy.sparse.linalg.LinearOperator(
+            (shape[1], shape[1]), matvec=lambda v, mat=mat: mat.T @ (mat @ v), dtype=float
+        )
+        assert spectral_norm(op) == pytest.approx(svd_norm(mat) ** 2, rel=1e-12)
+
+
 def test_spectral_norm_thin_shapes():
     rng = np.random.Generator(np.random.Philox(key=31))
     for shape in ((200, 1), (1, 200), (1, 1)):
@@ -271,7 +299,7 @@ def test_gram_flop_limit_splits_workload_shapes():
 
 def test_spectral_norm_bounded_by_frobenius():
     basis, _, pts = make_instance(SP1, 8, 64, 128, 19)
-    gamma = pts.B[:, 8:] * basis.sigma[8:64]
+    gamma = weighted_matrix(pts, basis)[:, 8:] * basis.sigma[8:64]
     s_gam = spectral_norm(gamma)
     assert s_gam <= np.linalg.norm(gamma) * (1 + 1e-12)
     assert s_gam > 0
@@ -288,7 +316,7 @@ def test_spectral_norm_bounded_by_frobenius():
 def test_spectral_norm_between_column_and_frobenius_norms(d, s, k, m_extra, n_extra, seed):
     m = min(k + m_extra, 64)
     basis, _, pts = make_instance(SpaceParams(d, s), k, m, 2 * k + n_extra, seed)
-    gamma = pts.B[:, k:] * basis.sigma[k:m]
+    gamma = weighted_matrix(pts, basis)[:, k:] * basis.sigma[k:m]
     s_gam = spectral_norm(gamma)
     # rounding slack on both sides: with one column all three norms coincide
     assert np.max(np.linalg.norm(gamma, axis=0)) <= s_gam * (1 + 1e-12)
