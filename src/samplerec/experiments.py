@@ -176,7 +176,7 @@ def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> 
     """
     sigma = basis.sigma[pts.k:pts.m]
     if pts.B is None:
-        gram = expsums.TailGram(pts.sums, pts.k, pts.m, sigma)
+        gram = expsums.TailGram(pts.sums, basis.indices[pts.k:pts.m, 0], sigma)
         s_gam = math.sqrt(lsq.spectral_norm(gram))
         fro = math.sqrt(gram.trace())
     else:

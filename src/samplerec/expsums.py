@@ -64,25 +64,26 @@ def gram_block(sums: np.ndarray, rows, cols) -> np.ndarray:
 
 
 class TailGram(LinearOperator):
-    """Gamma^T Gamma = diag(sigma) (B^T B)[k:m, k:m] diag(sigma) of a d = 1
-    instance, with Gamma = B[:, k:m] diag(sigma), as a symmetric positive
-    semidefinite operator of size m - k.
+    """Gamma^T Gamma = diag(sigma) (B^T B)[tail, tail] diag(sigma) of a d = 1
+    instance, with Gamma = B[:, tail] diag(sigma) for the distinct
+    nonconstant flat basis indices tail (positions k..m-1 of the basis), as
+    a symmetric positive semidefinite operator of size len(tail).
 
     A product maps the tail coefficients to the exponentials |f| <= F (F the
     largest tail frequency), multiplies by the Toeplitz matrix
     T[f, g] = E(g - f) as a circular convolution of length the power of two
-    above 4F,
-    whose kernel transform is taken once here, and maps back: one FFT pair.
+    above 4F, whose kernel transform is taken once here, and maps back: one
+    FFT pair.
     """
 
-    def __init__(self, sums: np.ndarray, k: int, m: int, sigma: np.ndarray) -> None:
-        if not 1 <= k < m or len(sigma) != m - k:
-            raise ValueError(f"need 1 <= k < m and m - k tail values sigma, got k={k}, m={m}")
-        flat = np.arange(k, m)
-        self._freq = (flat + 1) // 2
-        self._cos = flat % 2 == 0
+    def __init__(self, sums: np.ndarray, tail, sigma: np.ndarray) -> None:
+        tail = np.asarray(tail, dtype=np.int64)
+        if len(tail) == 0 or np.any(tail <= 0) or len(np.unique(tail)) != len(tail) or len(sigma) != len(tail):
+            raise ValueError("need distinct nonconstant tail indices, one sigma each")
+        self._freq = (tail + 1) // 2
+        self._cos = tail % 2 == 0
         self._sigma = np.asarray(sigma, dtype=float)
-        self._top = top = int(self._freq[-1])
+        self._top = top = int(self._freq.max())
         if len(sums) <= 2 * top:
             raise ValueError(f"need E(h) up to h={2 * top}, got {len(sums) - 1}")
         self._length = length = 1 << (4 * top).bit_length()
@@ -92,7 +93,7 @@ class TailGram(LinearOperator):
         kernel[length - 2 * top :] = sums[2 * top : 0 : -1]
         self._kernel = np.fft.fft(kernel)
         self._diagonal = sums[0].real + np.where(self._cos, 1.0, -1.0) * sums[2 * self._freq].real
-        super().__init__(dtype=np.dtype(float), shape=(m - k, m - k))
+        super().__init__(dtype=np.dtype(float), shape=(len(tail), len(tail)))
 
     def _matmat(self, v):
         u = math.sqrt(0.5) * self._sigma[:, None] * v
