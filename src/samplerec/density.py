@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expsums
-from .spectral import OrderedBasis, basis_matrix
+from .spectral import OrderedBasis, basis_matrix, row_blocks
 
 # Final bracket width 2^-48; factor CDFs are 2-Lipschitz, so the inverse is
 # resolved to |F(x) - u| <= 2^-47 < 1e-12.
@@ -50,7 +50,11 @@ def truncated_density(basis: OrderedBasis, k: int, m: int) -> DensityParams:
 
 
 def _mixture(params: DensityParams, values: np.ndarray) -> np.ndarray:
-    """Density from the (n, m) unweighted basis matrix at the points."""
+    """Density from the unweighted basis matrix at some points, (rows, m).
+
+    It squares all of values at once, so callers hand it one row block at a
+    time; each row's density depends on that row alone, bit for bit.
+    """
     bsq = values ** 2
     head = bsq[:, : params.k].sum(axis=1) / params.k
     tail = bsq[:, params.k :] @ params.tail_weights
@@ -58,8 +62,19 @@ def _mixture(params: DensityParams, values: np.ndarray) -> np.ndarray:
 
 
 def density_values(params: DensityParams, points) -> np.ndarray:
-    """Density at each row of an (n, d) array of points in [0, 1)^d."""
-    return _mixture(params, basis_matrix(params.basis, points, params.m))
+    """Density at each row of an (n, d) array of points in [0, 1)^d.
+
+    The basis is evaluated one row block at a time (row_blocks) and only the
+    density vector is kept, so memory is O(block * m + n), never an n x m
+    matrix.
+    """
+    x = np.asarray(points, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    rho = np.empty(x.shape[0])
+    for rows in row_blocks(x.shape[0], params.m):
+        rho[rows] = _mixture(params, basis_matrix(params.basis, x[rows], params.m))
+    return rho
 
 
 def _factor_cdf(sign, freq, x):
@@ -166,12 +181,14 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     point i: a head/tail coin, a mixture-component uniform, then one uniform
     per coordinate fed to the factor-CDF inverse of the chosen component.
 
-    At d >= 2 the n x m basis matrix is evaluated once: its squares give the
-    densities, then it is divided by sqrt(rho) in place and kept as the
-    point set's weighted matrix B, with head size k.  At d = 1 the point set
-    takes the structured form: the density in closed form, the n x k head
-    block G and the sums E(h) for h up to twice the largest frequency of
-    the m functions.  ValueError before any allocation when m exceeds
+    At d >= 2 the n x m basis matrix is evaluated once, and it is the only
+    array of that size the call makes: then, row block by row block
+    (row_blocks), the squares of a block give its densities and the block is
+    divided by sqrt(rho) in place.  The result is kept as the point set's
+    weighted matrix B, with head size k.  At d = 1 the point set takes the
+    structured form: the density in closed form, the n x k head block G and
+    the sums E(h) for h up to twice the largest frequency of the m
+    functions.  ValueError before any allocation when m exceeds
     MAX_TRUNCATION or n * m exceeds MAX_POINTS * MAX_TRUNCATION.
     """
     if n < 1:
@@ -202,8 +219,11 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
         sums = expsums.exp_sums(x[:, 0], 1.0 / rho, 2 * basis.max_frequency(m))
         return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, head=g, sums=sums)
     b = basis_matrix(basis, x, m)
-    rho = _mixture(params, b)
-    b /= np.sqrt(rho)[:, None]
+    rho = np.empty(n)
+    for rows in row_blocks(n, m):
+        block = b[rows]
+        rho[rows] = _mixture(params, block)
+        block /= np.sqrt(rho[rows])[:, None]
     b.flags.writeable = False
     return PointSet(points=x, densities=rho, seed=int(seed), B=b, k=k)
 

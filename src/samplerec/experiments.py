@@ -168,21 +168,20 @@ def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> 
     """Spectral norm of the point set's scaled tail block
     Gamma = B[:, k:] diag(sigma_k..m), validated against its Frobenius norm.
 
-    Dense form: Gamma is formed here and freed on return, so no trial keeps
-    it alive while the next one samples.  Structured form (d = 1): both
-    norms come from the Toeplitz Gram operator Gamma^T Gamma, the spectral
-    norm as the square root of its top eigenvalue, the Frobenius norm from
-    its trace.
+    Both norms come from the Gram operator Gamma^T Gamma, the spectral norm
+    as the square root of its top eigenvalue, the Frobenius norm from its
+    trace, and Gamma is never formed.  Dense form (d >= 2): lsq.ViewGram of
+    the view B[:, k:], an explicit q x q matrix up to the flop limit and an
+    operator on the view above it.  Structured form (d = 1): the Toeplitz
+    Gram operator of the weighted exponential sums.
     """
     sigma = basis.sigma[pts.k:pts.m]
     if pts.B is None:
         gram = expsums.TailGram(pts.sums, basis.indices[pts.k:pts.m, 0], sigma)
-        s_gam = math.sqrt(lsq.spectral_norm(gram))
-        fro = math.sqrt(gram.trace())
     else:
-        gamma = pts.B[:, pts.k:] * sigma
-        s_gam = lsq.spectral_norm(gamma)
-        fro = float(np.linalg.norm(gamma))
+        gram = lsq.ViewGram(pts.B[:, pts.k:], sigma)
+    s_gam = math.sqrt(lsq.spectral_norm(gram))
+    fro = math.sqrt(gram.trace())
     if s_gam > fro * (1.0 + 1e-9) + 1e-12:
         raise ValidationError(
             f"spectral norm {s_gam:.17g} exceeds Frobenius norm {fro:.17g}"
@@ -196,6 +195,21 @@ def _check_feasible(n: int, k: int, m: int) -> str | None:
     if m > density.MAX_TRUNCATION:
         return f"truncation m={m} above cap {density.MAX_TRUNCATION}"
     return None
+
+
+def _grid_sizes(config: ExperimentConfig, what: str) -> list[tuple[int, int, int]]:
+    """(n, k, m) at c_head for each n of the grid, every one checked for
+    feasibility first, so an infeasible grid point exits before any work;
+    what names the configuration in the message."""
+    sizes = []
+    for n in config.n_grid:
+        k = head_size(n, config.c_head)
+        m = config.m_factor * k
+        infeasible = _check_feasible(n, k, m)
+        if infeasible:
+            raise ConfigError(f"n={n}: {what} infeasible: {infeasible}")
+        sizes.append((n, k, m))
+    return sizes
 
 
 def run_claims(config: ExperimentConfig) -> ExperimentResult:
@@ -215,6 +229,7 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
     # of length m + 1, so one basis serves every cell and grows only when a
     # cell outruns it.
     basis, summary = None, None
+    _grid_sizes(config, "base configuration")
     for i_n, n in enumerate(config.n_grid):
         c = float(config.c_head)
         step = 0
@@ -223,8 +238,6 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
             m = config.m_factor * k
             infeasible = _check_feasible(n, k, m)
             if infeasible:
-                if step == 0:
-                    raise ConfigError(f"n={n}: base configuration infeasible: {infeasible}")
                 lines.append(f"n={n}: sweep stopped before the drop: {infeasible}")
                 break
             if basis is None or m + 1 > len(basis):
@@ -271,7 +284,8 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
     Every non-degenerate instance is validated against the split bound
     e_trunc <= a_k + s_max(Gamma) / s_min(G) (absolute slack 1e-10) and
     e_trunc <= e_upper; the report carries the fitted log-log slope of the
-    median e_trunc against n.
+    median e_trunc against n.  Every grid point is checked for feasibility
+    before the first draw.
     """
     header = (
         "n", "k", "m", "a_k", "beta_k", "gamma_k",
@@ -284,12 +298,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
     fit_logn: list[float] = []
     fit_loge: list[float] = []
     full_rank = fallbacks = 0
-    for i_n, n in enumerate(config.n_grid):
-        k = head_size(n, config.c_head)
-        m = config.m_factor * k
-        infeasible = _check_feasible(n, k, m)
-        if infeasible:
-            raise ConfigError(f"n={n}: configuration infeasible: {infeasible}")
+    for i_n, (n, k, m) in enumerate(_grid_sizes(config, "configuration")):
         basis, summary = _prepare(space, m)
         dens = density.truncated_density(basis, k, m)
         a_k = float(basis.sigma[k])
@@ -389,25 +398,27 @@ def run_beta(config: ExperimentConfig) -> ExperimentResult:
 def run_density_check(config: ExperimentConfig) -> ExperimentResult:
     """Quadrature self-check of the sampling density over the n grid.
 
-    Validates that the tensor-grid quadrature equals 1 within 1e-10.
+    Every grid point's sizes and quadrature grid are checked against their
+    caps before the first quadrature.  Validates that the tensor-grid
+    quadrature equals 1 within 1e-10.
     """
     header = ("n", "k", "m", "resolution", "quadrature", "abs_error")
     space = config.space()
     rows: list[tuple] = []
     worst = 0.0
-    for n in config.n_grid:
-        k = head_size(n, config.c_head)
-        m = config.m_factor * k
-        infeasible = _check_feasible(n, k, m)
-        if infeasible:
-            raise ConfigError(f"n={n}: configuration infeasible: {infeasible}")
-        basis = spectral.ordered_basis(space, m)
-        dens = density.truncated_density(basis, k, m)
+    sizes = _grid_sizes(config, "configuration")
+    # the first m entries of the longest basis are the ordered basis of length m
+    basis = spectral.ordered_basis(space, max(m for _, _, m in sizes))
+    resolutions = []
+    for n, _, m in sizes:
         resolution = max(16, 4 * basis.max_frequency(m))
         if resolution ** space.d > _DENSITY_GRID_CAP:
             raise ConfigError(
                 f"n={n}: quadrature grid {resolution}^{space.d} exceeds {_DENSITY_GRID_CAP} points"
             )
+        resolutions.append(resolution)
+    for (n, k, m), resolution in zip(sizes, resolutions):
+        dens = density.truncated_density(basis, k, m)
         value = density.density_selfcheck(dens, resolution)
         err = abs(value - 1.0)
         if err > 1e-10:

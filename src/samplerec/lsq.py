@@ -1,5 +1,6 @@
 """The least-squares recovery step on a sampling instance: the thin SVD of
-its head block G, the fit, and singular values and norms of its blocks."""
+its head block G, the fit, and singular values of G and norms of the tail
+block through its Gram operator."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .density import PointSet
+from .spectral import row_blocks
 
 # Relative singular-value cutoff below which a draw counts as degenerate.
 RANK_RTOL = 1e-10
@@ -83,13 +85,13 @@ def singular_extrema(mat: np.ndarray) -> tuple[float, float]:
     return float(sv[-1]), float(sv[0])
 
 
-# Above this flop estimate max(n, p) * q**2 for forming the smaller Gram
-# matrix, Lanczos beats the dense eigensolve.  Only d >= 2 instances reach
-# this code: d = 1 takes the Toeplitz Gram operator below, so the d = 1
-# shapes that set the limit (4096 x 861 at 3.0e9 is faster by Gram,
-# 2048 x 1498 at 4.6e9 by Lanczos) no longer pass through it.  Any shape
-# within the dense caps with q <= 64 stays below it, so Lanczos always has
-# q > ncv = 64.
+# Above this flop estimate n * q**2 for forming the q x q Gram matrix of a
+# dense (d >= 2) instance's tail block, q <= n, Lanczos on the Gram operator
+# beats the dense eigensolve.  d = 1 takes the Toeplitz Gram operator of
+# samplerec.expsums, so the d = 1 shapes that set the limit (4096 x 861 at
+# 3.0e9 is faster by Gram, 2048 x 1498 at 4.6e9 by Lanczos) no longer pass
+# through it.  Any shape within the dense caps with q <= 64 stays below it,
+# so Lanczos always has q > ncv.
 _GRAM_FLOP_LIMIT = 4e9
 
 # Up to this size a symmetric operator is applied to the identity and its
@@ -98,39 +100,68 @@ _GRAM_FLOP_LIMIT = 4e9
 _OPERATOR_DENSE_SIZE = 64
 
 
-def spectral_norm(mat) -> float:
-    """Largest singular value of a dense n x p matrix, q = min(n, p), or of
-    a symmetric positive semidefinite scipy LinearOperator, which is its top
-    eigenvalue (the squared norm of any matrix whose Gram operator it is).
+class ViewGram(scipy.sparse.linalg.LinearOperator):
+    """Gamma^T Gamma for Gamma = view diag(sigma), q = len(sigma), read from
+    the (n, q) view alone: the tail Gram of a dense (d >= 2) instance, whose
+    view is B[:, k:].  Gamma is never formed.
 
-    Dense: up to _GRAM_FLOP_LIMIT on max(n, p) * q**2, the square root of
-    the top eigenvalue of the smaller (q x q) Gram matrix; above it, Lanczos
-    iteration with a fixed start vector, so runs are reproducible.
-    Operator: Lanczos (eigsh) with a fixed start vector above
-    _OPERATOR_DENSE_SIZE, a dense eigensolve of its matrix up to it.
+    With q <= n and n q^2 <= _GRAM_FLOP_LIMIT the q x q matrix is formed
+    once, by one BLAS product of the view with itself scaled by sigma on
+    both sides, and held as matrix; otherwise matrix is None and a product
+    applies the view and its transpose.  Either way nothing of the view's
+    size is allocated.
     """
-    if isinstance(mat, scipy.sparse.linalg.LinearOperator):
-        return _operator_top_eigenvalue(mat)
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    n, p = mat.shape
-    q = min(n, p)
-    if max(n, p) * q * q <= _GRAM_FLOP_LIMIT:
-        return _sqrt_top_eigenvalue(mat @ mat.T if n <= p else mat.T @ mat)
-    v0 = np.full(q, 1.0 / np.sqrt(q))
-    sv = scipy.sparse.linalg.svds(
-        mat, k=1, ncv=min(q, 64), v0=v0, maxiter=max(1000, 20 * q),
-        return_singular_vectors=False,
-    )
-    return float(sv[0])
+
+    def __init__(self, view: np.ndarray, sigma: np.ndarray) -> None:
+        n, q = view.shape
+        if len(sigma) != q:
+            raise ValueError(f"need one sigma per column, got {len(sigma)} for {q}")
+        self._view = view
+        self._sigma = np.asarray(sigma, dtype=float)
+        self.matrix = None
+        if q <= n and n * q * q <= _GRAM_FLOP_LIMIT:
+            self.matrix = view.T @ view
+            self.matrix *= self._sigma
+            self.matrix *= self._sigma[:, None]
+        super().__init__(dtype=np.dtype(float), shape=(q, q))
+
+    def _matmat(self, v):
+        if self.matrix is not None:
+            return self.matrix @ v
+        u = self._sigma[:, None] * v
+        return self._sigma[:, None] * (self._view.T @ (self._view @ u))
+
+    def trace(self) -> float:
+        """Squared Frobenius norm of Gamma."""
+        if self.matrix is not None:
+            return float(np.trace(self.matrix))
+        columns = np.zeros(self.shape[0])
+        for rows in row_blocks(self._view.shape[0], self.shape[0]):
+            block = self._view[rows]
+            columns += np.einsum("ij,ij->j", block, block)
+        return float(columns @ self._sigma ** 2)
 
 
-def _operator_top_eigenvalue(op: scipy.sparse.linalg.LinearOperator) -> float:
-    """Top eigenvalue, clamped at 0, of a symmetric PSD operator."""
-    q = op.shape[0]
-    if q <= _OPERATOR_DENSE_SIZE:
-        return _top_eigenvalue(op.matmat(np.eye(q)))
+def spectral_norm(gram: scipy.sparse.linalg.LinearOperator) -> float:
+    """Top eigenvalue, clamped at 0, of a symmetric positive semidefinite
+    operator: the squared spectral norm of any matrix whose Gram operator it
+    is (a ViewGram or the d = 1 samplerec.expsums.TailGram).
+
+    By a dense eigensolve of the matrix the operator holds (ViewGram.matrix)
+    or, up to _OPERATOR_DENSE_SIZE, of its product with the identity;
+    otherwise by Lanczos (eigsh) with a fixed start vector, so runs are
+    reproducible.
+    """
+    if not isinstance(gram, scipy.sparse.linalg.LinearOperator):
+        raise TypeError(f"spectral_norm takes a Gram operator, got {type(gram).__name__}")
+    q = gram.shape[0]
+    matrix = getattr(gram, "matrix", None)
+    if matrix is None and q <= _OPERATOR_DENSE_SIZE:
+        matrix = gram.matmat(np.eye(q))
+    if matrix is not None:
+        return _top_eigenvalue(matrix)
     top = scipy.sparse.linalg.eigsh(
-        op, k=1, which="LA", ncv=20, v0=np.full(q, 1.0 / np.sqrt(q)),
+        gram, k=1, which="LA", ncv=20, v0=np.full(q, 1.0 / np.sqrt(q)),
         maxiter=max(1000, 20 * q), return_eigenvectors=False,
     )
     return max(float(top[0]), 0.0)

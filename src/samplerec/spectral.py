@@ -22,7 +22,9 @@ resolution of the total.
 
 basis_matrix evaluates each coordinate's sin/cos once per distinct flat
 index into a factor table and gathers it out to the columns, so a d-variate
-matrix costs d small tables plus products.
+matrix costs d small tables plus products.  It works row block by row block
+(row_blocks), so the n x m result is the only array it makes that grows
+with n * m.
 """
 
 from __future__ import annotations
@@ -37,6 +39,20 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 
 DEFAULT_INDEX_CAP = 10_000_000
+
+# Bytes of one row block of an (n, width) float matrix: the size of every
+# temporary that basis_matrix, the density and the tail Gram of a dense
+# instance make on top of the matrices they return or read.
+ROW_BLOCK_BYTES = 1 << 20
+
+# A matrix-vector product over rows (the density's tail sum) may round a
+# row differently by where it sits: OpenBLAS's gemv takes rows in groups of
+# four and the rows left over by another kernel, and numpy takes a one-row
+# product by dot.  Row blocks that start on a multiple of this, and a last
+# block no shorter than it, meet each row as the whole matrix does with one
+# BLAS thread.  (With more, gemv splits the rows between threads at points
+# that depend on n, so the whole-matrix product itself moves with n.)
+_ROW_ALIGN = 16
 
 
 class EnumerationLimitError(RuntimeError):
@@ -212,12 +228,32 @@ def _factor_table(k: np.ndarray, xc: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return table, column
 
 
+def row_blocks(n: int, width: int) -> list[slice]:
+    """Slices that cover rows 0..n-1 of an (n, width) float matrix in order,
+    about ROW_BLOCK_BYTES of it each.
+
+    Every block starts on a multiple of _ROW_ALIGN, and the last one, which
+    ends at n, holds at least _ROW_ALIGN rows unless it is the only one, so
+    a row-wise product over the blocks rounds each row as over the whole
+    matrix.
+    """
+    rows = max(_ROW_ALIGN, ROW_BLOCK_BYTES // (8 * max(width, 1)) // _ROW_ALIGN * _ROW_ALIGN)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] < _ROW_ALIGN:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
 def basis_matrix(basis: OrderedBasis, points, m: int | None = None) -> np.ndarray:
     """Evaluate the first m basis functions at an (n, d) array of points.
 
-    Per coordinate, sin/cos is evaluated once per distinct flat index into an
-    (n, #distinct) factor table, which is gathered out to the m columns and
-    multiplied into the product of the earlier coordinates.  The gather uses
+    The (n, m) result is allocated once and filled row block by row block
+    (row_blocks): per coordinate, sin/cos of the block's points is evaluated
+    once per distinct flat index into a (rows, #distinct) factor table,
+    gathered out to the m columns and written into the block (the first
+    coordinate) or multiplied into it (the others).  So no other array
+    larger than a row block is made, and every entry is the same product of
+    the same factors, bit for bit, whatever the block size.  The gather uses
     take(), whose result is C-ordered; a fancy-index gather table[:, idx]
     holds the same values in Fortran order, and row sums and BLAS products
     over such an array add in a different order, which changes low bits of
@@ -235,15 +271,19 @@ def basis_matrix(basis: OrderedBasis, points, m: int | None = None) -> np.ndarra
     if not 1 <= m <= len(basis):
         raise ValueError(f"m must be in [1, {len(basis)}], got {m}")
     flat = basis.indices[:m]
-    out = None
+    coords = []
     for c in range(basis.params.d):
         distinct, inv = np.unique(flat[:, c], return_inverse=True)
-        table, column = _factor_table(distinct, x[:, c : c + 1])
-        factor = table.take(column[inv], axis=1)
-        if out is None:
-            out = factor
-        else:
-            out *= factor
+        coords.append((distinct, inv))
+    out = np.empty((x.shape[0], m))
+    for rows in row_blocks(x.shape[0], m):
+        block = out[rows]
+        for c, (distinct, inv) in enumerate(coords):
+            table, column = _factor_table(distinct, x[rows, c : c + 1])
+            if c == 0:
+                table.take(column[inv], axis=1, out=block, mode="clip")
+            else:
+                block *= table.take(column[inv], axis=1, mode="clip")
     return out
 
 

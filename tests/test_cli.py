@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import samplerec
-from samplerec import cli, experiments, lsq, spectral
+from samplerec import cli, density, experiments, lsq, spectral
 from samplerec.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -174,6 +175,30 @@ def test_run_density_check_unit_mass():
     assert csv_text(result) == csv_text(run_density_check(config))
 
 
+@pytest.mark.parametrize(
+    "runner, config, message",
+    [
+        (run_rates, dict(d=1, c_head=1.0, n_grid=(64, 16384)),
+         "n=16384: configuration infeasible: truncation m=13504 above cap 8192"),
+        (run_claims, dict(d=1, c_head=1.0, n_grid=(64, 16384)),
+         "n=16384: base configuration infeasible: truncation m=13504 above cap 8192"),
+        (run_density_check, dict(d=1, c_head=1.0, n_grid=(64, 16384)),
+         "n=16384: configuration infeasible: truncation m=13504 above cap 8192"),
+        (run_density_check, dict(d=3, s=0.6, c_head=0.25, n_grid=(64, 16384)),
+         r"n=16384: quadrature grid 216\^3 exceeds 4194304 points"),
+    ],
+)
+def test_infeasible_grid_point_exits_before_any_draw(monkeypatch, runner, config, message):
+    # the last grid point is infeasible; the first is fine and would sample
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before every grid point was checked")
+
+    monkeypatch.setattr(density, "sample_points", no_work)
+    monkeypatch.setattr(density, "density_selfcheck", no_work)
+    with pytest.raises(ConfigError, match=message):
+        runner(ExperimentConfig(trials=3, **config))
+
+
 def test_csv_formatting_17_significant_digits():
     result = experiments.ExperimentResult(
         header=("a", "b"), rows=((1, 0.1), (2, 1.0)), report=""
@@ -286,7 +311,9 @@ def test_cli_limit_errors_exit_3(tmp_path, monkeypatch, capsys, module, attr, ra
 # tail_ratio_median by at most 2.1e-15 relative.  The rates digest
 # dates from the closed-form series enclosure, which moved beta_k, gamma_k
 # and ratio2 by at most 4.5e-16 relative, and e_upper, which now pays for the
-# upper end of the tail, by 2.1e-14.
+# upper end of the tail, by 2.1e-14; and then from the tail Gram read from
+# the view B[:, k:] in place of the formed Gamma, which moved s_max_Gamma and
+# ratio1 by at most 2.5e-16 relative.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -296,7 +323,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "1a65f03de6574df6f6ebc53010b221b72629469650135a942f17017a0bc72637",
+        "02d838620e9378d1ed3b64eba82c3d0ff387238898bed4bd9d8110cc5eaa033a",
     ),
     "beta": (
         "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
@@ -309,8 +336,9 @@ _GOLDEN = {
 }
 
 
-def _run_cli(tmp_path, command, config_text, timeout):
-    """python -m samplerec <command> in a subprocess, with one BLAS thread."""
+def _run_cli(tmp_path, command, config_text, timeout, preexec_fn=None):
+    """python -m samplerec <command> in a subprocess, with one BLAS thread;
+    preexec_fn runs in the child before it starts."""
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -321,6 +349,7 @@ def _run_cli(tmp_path, command, config_text, timeout):
     proc = subprocess.run(
         [sys.executable, "-m", "samplerec", command, "--config", cfg, "--out", str(out)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=preexec_fn,
     )
     return proc, out
 
@@ -343,6 +372,25 @@ def test_cli_density_check_needs_no_series_total(tmp_path, d, s):
     assert proc.returncode == 0, proc.stderr
     header, *rows = [line.split(",") for line in out.read_text().splitlines()]
     assert header[4] == "quadrature" and len(rows) == 1
+    assert abs(float(rows[0][4]) - 1.0) <= 1e-10
+
+
+def test_cli_density_check_runs_below_its_matrix_size(tmp_path):
+    # d=2, s=0.75, m=984: the 236^2-point quadrature grid's basis matrix
+    # would take 418 MiB, more than the child may map in all; only row
+    # blocks of it exist at a time
+    limit = 384 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    config = "d = 2\ns = 0.75\nn_grid = 4096\nc_head = 0.25\nm_factor = 8\n"
+    proc, out = _run_cli(tmp_path, "density-check", config, timeout=120, preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header[2:5] == ["m", "resolution", "quadrature"] and len(rows) == 1
+    m, resolution = int(rows[0][2]), int(rows[0][3])
+    assert resolution ** 2 * m * 8 > limit
     assert abs(float(rows[0][4]) - 1.0) <= 1e-10
 
 

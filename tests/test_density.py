@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samplerec import density
+from samplerec import density, spectral
 from samplerec.density import (
     MAX_POINTS,
     MAX_TRUNCATION,
@@ -257,3 +262,104 @@ def test_sampling_d2_marginal_histogram():
         counts, _ = np.histogram(pts.points[:, axis], bins=edges)
         se = np.sqrt(n * probs * (1.0 - probs))
         assert np.max(np.abs(counts - n * probs) / se) < 5.0
+
+
+def one_shot_basis_matrix(basis, points, m):
+    """The basis matrix as one n x m product per coordinate: the unblocked
+    evaluation, kept as an oracle for the row-blocked one."""
+    flat = basis.indices[:m]
+    out = None
+    for c in range(basis.params.d):
+        distinct, inv = np.unique(flat[:, c], return_inverse=True)
+        table, column = spectral._factor_table(distinct, points[:, c : c + 1])
+        factor = table.take(column[inv], axis=1)
+        if out is None:
+            out = factor
+        else:
+            out *= factor
+    return out
+
+
+def one_shot_mixture(params, values):
+    """The density from the whole n x m basis matrix at once: the oracle for
+    the row-blocked mixture."""
+    bsq = values ** 2
+    head = bsq[:, : params.k].sum(axis=1) / params.k
+    tail = bsq[:, params.k :] @ params.tail_weights
+    return 0.5 * (head + tail)
+
+
+def block_boundary_mismatches():
+    """The (d, n, what) cases where row-blocked evaluation differs in any bit
+    from the one-shot oracles, at n around the row block of each width."""
+    bad = []
+    for params, k, m in ((SP1, 8, 64), (SpaceParams(2, 0.75), 123, 984), (SpaceParams(3, 0.6), 20, 160)):
+        dens = make_density(params, k, m)
+        block = spectral.row_blocks(1 << 20, m)[0].stop
+        for n in (1, block - 1, block, block + 1, 3 * block + 5):
+            pts = sample_points(dens, n, n)
+            x = pts.points
+            full = one_shot_basis_matrix(dens.basis, x, m)
+            blocked = basis_matrix(dens.basis, x, m)
+            if not (np.array_equal(blocked, full) and blocked.flags.c_contiguous):
+                bad.append((params.d, n, "basis_matrix"))
+            rho = one_shot_mixture(dens, full)
+            if not np.array_equal(density_values(dens, x), rho):
+                bad.append((params.d, n, "density_values"))
+            if params.d == 1:
+                continue
+            full /= np.sqrt(rho)[:, None]
+            if not np.array_equal(pts.densities, rho):
+                bad.append((params.d, n, "densities"))
+            if not (np.array_equal(pts.B, full) and pts.B.flags.c_contiguous):
+                bad.append((params.d, n, "B"))
+    return bad
+
+
+def test_row_blocks_keep_every_bit():
+    # with one BLAS thread, as for the recorded CSV digests: with more, the
+    # one-shot oracle's own matrix-vector product splits rows between
+    # threads by n, and its low bits move with that split
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(spectral.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_density; print(test_density.block_boundary_mismatches())"],
+        env=env, cwd=Path(__file__).parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of traced allocations above their level at entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_points_keeps_one_instance_sized_array():
+    # the largest rates-d2-s075 instance: B is 30.8 MiB, and nothing else the
+    # draw makes is larger than one row block or a few arrays per point
+    n, d = 4096, 2
+    dens = make_density(SpaceParams(d, 0.75), 123, 984)
+    pts, peak = traced_peak(sample_points, dens, n, 3)
+    assert pts.B.nbytes == n * 984 * 8
+    assert peak <= pts.B.nbytes + spectral.ROW_BLOCK_BYTES + 16 * 8 * n * (d + 2)
+
+
+def test_density_selfcheck_memory_stays_within_blocks():
+    # the grid at the runners' resolution is 236^2 points, whose basis
+    # matrix would take 418 MiB; only the density vector is kept
+    dens = make_density(SpaceParams(2, 0.75), 123, 984)
+    resolution = max(16, 4 * dens.basis.max_frequency(984))
+    points = resolution ** 2
+    assert points * 984 * 8 >= 400 << 20
+    value, peak = traced_peak(density_selfcheck, dens, resolution)
+    assert abs(value - 1.0) <= 1e-10
+    assert peak <= 2 * spectral.ROW_BLOCK_BYTES + 4 * 8 * points * 3

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import _checked_gamma_norm
 from samplerec.lsq import (
     RANK_RTOL,
+    ViewGram,
     fit,
     head_svd,
     singular_extrema,
@@ -74,15 +76,33 @@ def test_point_set_matrix_is_the_sampling_matrix():
     expected = basis_matrix(basis, pts.points, 48) / np.sqrt(pts.densities)[:, None]
     assert np.array_equal(pts.B, expected)
     assert np.shares_memory(pts.G, pts.B)
-    # the norm check forms Gamma with the same expression, bit for bit
-    assert _checked_gamma_norm(pts, basis) == spectral_norm(pts.B[:, 6:] * basis.sigma[6:48])
+    # the norm check reads the Gram of the view B[:, k:], never Gamma itself,
+    # so it agrees with the norm of the explicitly formed Gamma to rounding
+    assert _checked_gamma_norm(pts, basis) == pytest.approx(
+        svd_norm(pts.B[:, 6:] * basis.sigma[6:48]), rel=1e-12
+    )
     # at d = 1 the norm comes from the Toeplitz Gram operator instead
     basis, _, pts = make_instance(SP1, 8, 32, 64, 19)
     expected = weighted_matrix(pts, basis)
     assert np.array_equal(pts.G, expected[:, :8])
     assert _checked_gamma_norm(pts, basis) == pytest.approx(
-        spectral_norm(expected[:, 8:] * basis.sigma[8:32]), rel=1e-12
+        svd_norm(expected[:, 8:] * basis.sigma[8:32]), rel=1e-12
     )
+
+
+def test_gamma_norm_allocates_no_tail_sized_array():
+    # the largest rates-d2-s075 instance: Gamma would be n x (m - k), 26.9 MiB;
+    # its Gram reads the view B[:, k:], and the q x q Gram is a quarter of it
+    basis, _, pts = make_instance(SpaceParams(2, 0.75), 123, 984, 4096, 3)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        s_gam = _checked_gamma_norm(pts, basis)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < pts.n * (pts.m - pts.k) * 8
+    assert s_gam == pytest.approx(svd_norm(pts.B[:, 123:] * basis.sigma[123:984]), rel=1e-12)
 
 
 def test_wide_head_block_is_not_rank_ok():
@@ -230,16 +250,27 @@ def svd_norm(mat):
 
 
 def test_spectral_norm_paths_agree(monkeypatch):
+    # the Gram of a matrix with unit sigma has top eigenvalue ||mat||^2: a
+    # tall view by its formed q x q Gram, a wide one (q > n) and a tall one
+    # above the flop limit by Lanczos on the view
     rng = np.random.Generator(np.random.Philox(key=29))
     mat = rng.standard_normal((300, 500))
-    exact = svd_norm(mat)
-    assert spectral_norm(mat) == pytest.approx(exact, rel=1e-11)  # gram
-    assert spectral_norm(mat.T) == pytest.approx(exact, rel=1e-11)
+    exact = svd_norm(mat) ** 2
+    tall = ViewGram(mat.T, np.ones(300))
+    assert tall.matrix is not None
+    assert spectral_norm(tall) == pytest.approx(exact, rel=1e-11)  # gram
+    wide = ViewGram(mat, np.ones(500))
+    assert wide.matrix is None
+    assert spectral_norm(wide) == pytest.approx(exact, rel=1e-9)  # Lanczos
     monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 0.0)
-    assert spectral_norm(mat) == pytest.approx(exact, rel=1e-9)  # Lanczos
-    assert spectral_norm(mat.T) == pytest.approx(exact, rel=1e-9)
+    tall = ViewGram(mat.T, np.ones(300))
+    assert tall.matrix is None
+    assert spectral_norm(tall) == pytest.approx(exact, rel=1e-9)  # Lanczos
+    # a dense matrix is no Gram operator
     with pytest.raises(TypeError):
-        spectral_norm(mat, method="svd")
+        spectral_norm(mat)
+    with pytest.raises(TypeError):
+        spectral_norm(tall, method="svd")
 
 
 def test_spectral_norm_of_a_gram_operator():
@@ -258,12 +289,13 @@ def test_spectral_norm_thin_shapes():
     rng = np.random.Generator(np.random.Philox(key=31))
     for shape in ((200, 1), (1, 200), (1, 1)):
         mat = rng.standard_normal(shape)
-        assert spectral_norm(mat) == pytest.approx(svd_norm(mat), rel=1e-11)
-    assert spectral_norm(np.array([3.0, -4.0])) == pytest.approx(5.0, rel=1e-15)
+        gram = ViewGram(mat, np.ones(shape[1]))
+        assert spectral_norm(gram) == pytest.approx(svd_norm(mat) ** 2, rel=1e-11)
+    assert math.sqrt(spectral_norm(ViewGram(np.array([[3.0, -4.0]]), np.ones(2)))) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_spectral_norm_path_selection(monkeypatch):
-    calls = {"eigh": 0, "svds": 0}
+    calls = {"eigh": 0, "eigsh": 0}
 
     def counting(module, attr):
         fn = getattr(module, attr)
@@ -275,18 +307,19 @@ def test_spectral_norm_path_selection(monkeypatch):
         monkeypatch.setattr(module, attr, counted)
 
     counting(scipy.linalg, "eigh")
-    counting(scipy.sparse.linalg, "svds")
-    # q = 65 is the narrowest Lanczos shape (ncv = 64 < q); at the limit the
-    # Gram eigenvalue runs, one flop below it Lanczos, with the same norm
+    counting(scipy.sparse.linalg, "eigsh")
+    # q = 65 is the narrowest Lanczos shape (ncv = 20 < q); at the limit the
+    # formed Gram's eigenvalue runs, one flop below it Lanczos, with the same
+    # norm; a wide view (q > n) takes Lanczos at any limit
     rng = np.random.Generator(np.random.Philox(key=37))
-    for shape in ((400, 65), (65, 400)):
-        mat = rng.standard_normal(shape)
-        exact = svd_norm(mat)
-        monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * 65 ** 2)
-        assert spectral_norm(mat) == pytest.approx(exact, rel=1e-11)
-        monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * 65 ** 2 - 1)
-        assert spectral_norm(mat) == pytest.approx(exact, rel=1e-9)
-    assert calls == {"eigh": 2, "svds": 2}
+    mat = rng.standard_normal((400, 65))
+    exact = svd_norm(mat) ** 2
+    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * 65 ** 2)
+    assert spectral_norm(ViewGram(mat, np.ones(65))) == pytest.approx(exact, rel=1e-11)
+    assert spectral_norm(ViewGram(mat.T, np.ones(400))) == pytest.approx(exact, rel=1e-9)
+    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * 65 ** 2 - 1)
+    assert spectral_norm(ViewGram(mat, np.ones(65))) == pytest.approx(exact, rel=1e-9)
+    assert calls == {"eigh": 1, "eigsh": 2}
 
 
 def test_gram_flop_limit_splits_workload_shapes():
@@ -299,10 +332,35 @@ def test_gram_flop_limit_splits_workload_shapes():
 
 def test_spectral_norm_bounded_by_frobenius():
     basis, _, pts = make_instance(SP1, 8, 64, 128, 19)
-    gamma = weighted_matrix(pts, basis)[:, 8:] * basis.sigma[8:64]
-    s_gam = spectral_norm(gamma)
+    b = weighted_matrix(pts, basis)
+    gamma = b[:, 8:] * basis.sigma[8:64]
+    gram = ViewGram(b[:, 8:], basis.sigma[8:64])
+    s_gam = math.sqrt(spectral_norm(gram))
     assert s_gam <= np.linalg.norm(gamma) * (1 + 1e-12)
     assert s_gam > 0
+    assert math.sqrt(gram.trace()) == pytest.approx(np.linalg.norm(gamma), rel=1e-12)
+
+
+def test_view_gram_forms_no_gamma(monkeypatch):
+    # both forms of the Gram of Gamma = B[:, k:] diag(sigma) agree with
+    # Gamma formed explicitly, in norm and trace, and read B through a view
+    basis, _, pts = make_instance(SpaceParams(2, 0.75), 12, 96, 256, 8)
+    view, sigma = pts.B[:, 12:], basis.sigma[12:96]
+    gamma = view * sigma
+    dense = ViewGram(view, sigma)
+    assert dense.matrix.shape == (84, 84)
+    assert np.allclose(dense.matrix, gamma.T @ gamma, rtol=0, atol=1e-13 * np.max(gamma.T @ gamma))
+    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 0.0)
+    op = ViewGram(view, sigma)
+    assert op.matrix is None
+    v = np.random.Generator(np.random.Philox(key=3)).standard_normal(84)
+    assert np.allclose(op.matvec(v), gamma.T @ (gamma @ v), rtol=1e-12, atol=1e-12)
+    exact = svd_norm(gamma) ** 2
+    for gram in (dense, op):
+        assert spectral_norm(gram) == pytest.approx(exact, rel=1e-11)
+        assert gram.trace() == pytest.approx(np.linalg.norm(gamma) ** 2, rel=1e-12)
+    with pytest.raises(ValueError):
+        ViewGram(view, sigma[1:])
 
 
 @given(
@@ -316,8 +374,9 @@ def test_spectral_norm_bounded_by_frobenius():
 def test_spectral_norm_between_column_and_frobenius_norms(d, s, k, m_extra, n_extra, seed):
     m = min(k + m_extra, 64)
     basis, _, pts = make_instance(SpaceParams(d, s), k, m, 2 * k + n_extra, seed)
-    gamma = weighted_matrix(pts, basis)[:, k:] * basis.sigma[k:m]
-    s_gam = spectral_norm(gamma)
+    b = weighted_matrix(pts, basis)
+    gamma = b[:, k:] * basis.sigma[k:m]
+    s_gam = math.sqrt(spectral_norm(ViewGram(b[:, k:], basis.sigma[k:m])))
     # rounding slack on both sides: with one column all three norms coincide
     assert np.max(np.linalg.norm(gamma, axis=0)) <= s_gam * (1 + 1e-12)
     assert s_gam <= np.linalg.norm(gamma) * (1 + 1e-12)

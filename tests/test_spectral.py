@@ -163,6 +163,21 @@ def test_basis_matrix_matches_pointwise_eval():
             assert mat[i, j] == pytest.approx(basis_eval(basis.indices[j], pts[i]), abs=1e-14)
 
 
+def test_row_blocks_cover_rows_in_aligned_blocks():
+    for n in (0, 1, 15, 16, 17, 127, 128, 129, 144, 145, 4096, 4097, 70000):
+        for width in (1, 20, 984, 8192, 20000):
+            blocks = spectral.row_blocks(n, width)
+            rows = np.concatenate([np.arange(n)[b] for b in blocks]) if blocks else np.arange(0)
+            assert np.array_equal(rows, np.arange(n))
+            full = spectral.row_blocks(1 << 20, width)[0].stop
+            assert full % spectral._ROW_ALIGN == 0
+            assert full * width * 8 <= max(spectral.ROW_BLOCK_BYTES, spectral._ROW_ALIGN * width * 8)
+            for b in blocks:
+                assert b.start % spectral._ROW_ALIGN == 0 and 0 < b.stop - b.start < full + spectral._ROW_ALIGN
+            if len(blocks) > 1:
+                assert blocks[-1].stop - blocks[-1].start >= spectral._ROW_ALIGN
+
+
 def test_basis_matrix_equals_masked_oracle():
     rng = np.random.Generator(np.random.Philox(key=11))
     sp3 = SpaceParams(3, 1.3)
