@@ -5,9 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from scipy.sparse.linalg import ArpackNoConvergence
-
 from . import experiments
+from .lsq import ConvergenceError
 from .spectral import EnumerationLimitError, PrecisionError
 
 # A numerical or size limit stopped the run before it could finish.
@@ -53,7 +52,7 @@ def main(argv=None) -> int:
     except experiments.ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
-    except (PrecisionError, EnumerationLimitError, ArpackNoConvergence) as exc:
+    except (PrecisionError, EnumerationLimitError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     out = config.out or args.command.replace("-", "_") + ".csv"

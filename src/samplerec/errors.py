@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import expsums, lsq
 from .density import PointSet, dense_matrix
@@ -45,14 +44,17 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     At full rank G^+ G = I: with T = B[:, k:] diag(s_t), s_t = sigma[k:m],
     E diag(sigma) = [[0, -G^+ T], [0, diag(s_t)]], whose norm is that of
     [G^+ T; diag(s_t)].  For G = U S V^T, V orthogonal, ||G^+ T x|| = ||W x||
-    with W = S^-1 U^T T; so the error squared is the top eigenvalue of the
-    (m-k) x (m-k) matrix W^T W + diag(s_t)^2.  No m x m matrix is formed.
+    with W = S^-1 U^T T; so the error squared is the top eigenvalue of
+    W^T W + diag(s_t)^2, of size q = m - k.
 
     A structured (d = 1) draw with kappa(G) <= KAPPA_LIMIT takes the Gram
     route: W = S^-2 V^T (G^T B_tail) diag(s_t), with the head-by-tail Gram
-    block G^T B_tail read off the exponential sums, and the top eigenvalue
-    of W^T W + diag(s_t)^2 by Lanczos on the operator; no n x m matrix is
-    formed.  Any other draw takes the dense route above.
+    block G^T B_tail read off the exponential sums; no n x m matrix is
+    formed.  Any other draw takes the dense route above, on info.B or on B
+    evaluated for the draw.  Both routes end in one lsq.spectral_norm of
+    the operator x -> W^T (W x) + s_t^2 x, which forms a q x q matrix only
+    up to lsq._OPERATOR_DENSE_SIZE and otherwise runs Lanczos on the
+    (k, q) matrix W.
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
@@ -63,17 +65,27 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     if info.B is None and not dense_fallback(info, head):
         block = expsums.gram_block(info.sums, basis.indices[:k, 0], basis.indices[k:m, 0])
         w = (head.vt @ block) * tail_sigma / head.sv[:, None] ** 2
+    else:
+        w = (head.u.T @ dense_matrix(info, basis)[:, k:]) * tail_sigma / head.sv[:, None]
+    return math.sqrt(lsq.spectral_norm(_TruncGram(w, tail_sigma)))
 
-        def gram(v):
-            v = np.ravel(v)
-            return w.T @ (w @ v) + tail_sigma ** 2 * v
 
-        op = scipy.sparse.linalg.LinearOperator((m - k, m - k), matvec=gram, dtype=float)
-        return math.sqrt(lsq.spectral_norm(op))
-    w = (head.u.T @ dense_matrix(info, basis)[:, k:]) * tail_sigma / head.sv[:, None]
-    gram = w.T @ w
-    gram[np.diag_indices_from(gram)] += tail_sigma ** 2
-    return lsq._sqrt_top_eigenvalue(gram)
+class _TruncGram:
+    """W^T W + diag(s_t)^2 for a (k, q) matrix W and the q tail weights s_t,
+    as a Gram operator for lsq.spectral_norm: e_trunc squared is its top
+    eigenvalue.  It holds W alone; a product costs two passes over W."""
+
+    def __init__(self, w: np.ndarray, tail_sigma: np.ndarray) -> None:
+        self._w = w
+        self._squares = tail_sigma ** 2
+        self.shape = (len(tail_sigma), len(tail_sigma))
+
+    def matmat(self, v: np.ndarray) -> np.ndarray:
+        """(W^T W + diag(s_t)^2) v for a vector or a (q, p) block v."""
+        squares = self._squares.reshape((-1,) + (1,) * (v.ndim - 1))
+        return self._w.T @ (self._w @ v) + squares * v
+
+    matvec = matmat
 
 
 def certified_upper_bound(

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 # E(64 b + j) = sum_i w_i e^{2 pi i 64 b x_i} e^{2 pi i j x_i}: one complex
 # matrix product of an (n, #blocks) and an (n, 64) table of exponentials.
@@ -63,17 +62,21 @@ def gram_block(sums: np.ndarray, rows, cols) -> np.ndarray:
     return (plus + minus).real
 
 
-class TailGram(LinearOperator):
+class TailGram:
     """Gamma^T Gamma = diag(sigma) (B^T B)[tail, tail] diag(sigma) of a d = 1
     instance, with Gamma = B[:, tail] diag(sigma) for the distinct
     nonconstant flat basis indices tail (positions k..m-1 of the basis), as
-    a symmetric positive semidefinite operator of size len(tail).
+    a symmetric positive semidefinite operator of size len(tail): a Gram
+    operator for samplerec.lsq.spectral_norm, with shape, matmat and matvec
+    (one method, for a vector or a block), diagonal and trace, and no
+    matrix.
 
     A product maps the tail coefficients to the exponentials |f| <= F (F the
     largest tail frequency), multiplies by the Toeplitz matrix
-    T[f, g] = E(g - f) as a circular convolution of length the power of two
-    above 4F, whose kernel transform is taken once here, and maps back: one
-    FFT pair.
+    T[f, g] = E(g - f) as a circular convolution of length L, the power of
+    two above 4F, whose kernel transform is taken once here, and maps back.
+    Coefficients, kernel and product are all Hermitian in f, so their
+    transforms are real: one pair of half-length real FFTs (hfft, ihfft).
     """
 
     def __init__(self, sums: np.ndarray, tail, sigma: np.ndarray) -> None:
@@ -83,34 +86,37 @@ class TailGram(LinearOperator):
         self._freq = (tail + 1) // 2
         self._cos = tail % 2 == 0
         self._sigma = np.asarray(sigma, dtype=float)
-        self._top = top = int(self._freq.max())
+        top = int(self._freq.max())
         if len(sums) <= 2 * top:
             raise ValueError(f"need E(h) up to h={2 * top}, got {len(sums) - 1}")
         self._length = length = 1 << (4 * top).bit_length()
-        # circular kernel K[t mod L] = E(-t), |t| <= 2F
-        kernel = np.zeros(length, dtype=complex)
+        # the circular kernel K[t mod L] = E(-t), |t| <= 2F, is Hermitian
+        # (K[-t] = conj K[t]), so its transform is real: hfft of its first half
+        kernel = np.zeros(length // 2 + 1, dtype=complex)
         kernel[: 2 * top + 1] = sums[: 2 * top + 1].conj()
-        kernel[length - 2 * top :] = sums[2 * top : 0 : -1]
-        self._kernel = np.fft.fft(kernel)
+        self._kernel = np.fft.hfft(kernel, length)
         self._diagonal = sums[0].real + np.where(self._cos, 1.0, -1.0) * sums[2 * self._freq].real
-        super().__init__(dtype=np.dtype(float), shape=(len(tail), len(tail)))
+        self._cos_at, self._sin_at = np.flatnonzero(self._cos), np.flatnonzero(~self._cos)
+        self._cos_freq, self._sin_freq = self._freq[self._cos_at], self._freq[self._sin_at]
+        self.shape = (len(tail), len(tail))
 
-    def _matmat(self, v):
-        u = math.sqrt(0.5) * self._sigma[:, None] * v
-        top, cos, sin = self._top, self._cos, ~self._cos
-        # coefficients on e^{2 pi i f x}, f = -F..F at positions F + f:
-        # sqrt(2) cos = (e_f + e_-f) / sqrt(2), sqrt(2) sin = -i (e_f - e_-f) / sqrt(2)
-        pos, neg = top + self._freq, top - self._freq
-        c = np.zeros((2 * top + 1, v.shape[1]), dtype=complex)
-        c.real[pos[cos]] = u[cos]
-        c.real[neg[cos]] = u[cos]
-        c.imag[pos[sin]] = -u[sin]
-        c.imag[neg[sin]] = u[sin]
-        y = np.fft.ifft(self._kernel[:, None] * np.fft.fft(c, self._length, axis=0), axis=0)[pos]
-        return math.sqrt(2.0) * self._sigma[:, None] * np.where(cos[:, None], y.real, -y.imag)
+    def matmat(self, v: np.ndarray) -> np.ndarray:
+        """Gamma^T Gamma v for a vector or a (q, p) block v."""
+        column = (-1,) + (1,) * (v.ndim - 1)
+        sigma = self._sigma.reshape(column)
+        u = math.sqrt(0.5) * sigma * v
+        # coefficients c(f) on e^{2 pi i f x}, |f| <= F, at f mod L:
+        # sqrt(2) cos = (e_f + e_-f) / sqrt(2), sqrt(2) sin = -i (e_f - e_-f) / sqrt(2),
+        # so c(-f) = conj c(f); hfft takes c(0..L/2) and gives the real transform
+        c = np.zeros((self._length // 2 + 1,) + v.shape[1:], dtype=complex)
+        c.real[self._cos_freq] = u[self._cos_at]
+        c.imag[self._sin_freq] = -u[self._sin_at]
+        # the correlation y(f) = sum_g E(g - f) c(g) is Hermitian as well
+        y = np.fft.ihfft(self._kernel.reshape(column) * np.fft.hfft(c, self._length, axis=0), axis=0)
+        y = y[self._freq]
+        return math.sqrt(2.0) * sigma * np.where(self._cos.reshape(column), y.real, -y.imag)
 
-    def _matvec(self, v):
-        return self._matmat(np.reshape(v, (-1, 1)))[:, 0]
+    matvec = matmat
 
     def diagonal(self) -> np.ndarray:
         """Squared column norms of Gamma: sigma^2 (E(0) +- Re E(2 f))."""

@@ -7,8 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .density import PointSet
 from .spectral import row_blocks
@@ -87,23 +85,38 @@ def singular_extrema(mat: np.ndarray) -> tuple[float, float]:
 
 # Above this flop estimate n * q**2 for forming the q x q Gram matrix of a
 # dense (d >= 2) instance's tail block, q <= n, Lanczos on the Gram operator
-# beats the dense eigensolve.  d = 1 takes the Toeplitz Gram operator of
-# samplerec.expsums, so the d = 1 shapes that set the limit (4096 x 861 at
-# 3.0e9 is faster by Gram, 2048 x 1498 at 4.6e9 by Lanczos) no longer pass
-# through it.  Any shape within the dense caps with q <= 64 stays below it,
-# so Lanczos always has q > ncv.
+# beats forming it and np.linalg.eigvalsh.  Timed on d = 2, s = 0.75 views
+# at one BLAS thread, two runs: 4096 x 861 (3.0e9) takes 0.18-0.25 s by Gram
+# and 0.50-0.52 s by Lanczos, 2048 x 1498 (4.6e9) 0.55-0.59 s by Gram and
+# 0.31-0.45 s by Lanczos.
 _GRAM_FLOP_LIMIT = 4e9
 
 # Up to this size a symmetric operator is applied to the identity and its
-# top eigenvalue taken densely; above it, Lanczos with 20 Lanczos vectors,
-# which took the fewest seconds of 20, 32 and 64 on the d = 1 tail shapes.
-_OPERATOR_DENSE_SIZE = 64
+# top eigenvalue taken by np.linalg.eigvalsh; above it, Lanczos.  Timed on
+# d = 1 tail Grams and e_trunc operators at one BLAS thread, two runs: the
+# dense solve is faster for both up to q = 112, the tail Gram breaks even
+# near q = 140 and is faster by Lanczos from q = 182 (5.4 against 5.9-6.6
+# ms), and the e_trunc operator is faster densely up to q = 224.
+_OPERATOR_DENSE_SIZE = 160
+
+# Step cap of the Lanczos solver, which stores one vector of the operator's
+# size per step, so at most _LANCZOS_STEPS of them.  The Gram operators of
+# the benchmark workloads converged in 23 to 79 steps, random Gaussian
+# Grams M^T M of size up to 2000 in at most 145, and a top pair clustered
+# to 1e-12 over a uniform spectrum in at most 100.
+_LANCZOS_STEPS = 300
 
 
-class ViewGram(scipy.sparse.linalg.LinearOperator):
+class ConvergenceError(RuntimeError):
+    """Lanczos reached _LANCZOS_STEPS steps before its top Ritz value
+    converged."""
+
+
+class ViewGram:
     """Gamma^T Gamma for Gamma = view diag(sigma), q = len(sigma), read from
     the (n, q) view alone: the tail Gram of a dense (d >= 2) instance, whose
-    view is B[:, k:].  Gamma is never formed.
+    view is B[:, k:].  Gamma is never formed.  A Gram operator for
+    spectral_norm: shape (q, q), matmat and matvec, trace and matrix.
 
     With q <= n and n q^2 <= _GRAM_FLOP_LIMIT the q x q matrix is formed
     once, by one BLAS product of the view with itself scaled by sigma on
@@ -116,6 +129,7 @@ class ViewGram(scipy.sparse.linalg.LinearOperator):
         n, q = view.shape
         if len(sigma) != q:
             raise ValueError(f"need one sigma per column, got {len(sigma)} for {q}")
+        self.shape = (q, q)
         self._view = view
         self._sigma = np.asarray(sigma, dtype=float)
         self.matrix = None
@@ -123,13 +137,15 @@ class ViewGram(scipy.sparse.linalg.LinearOperator):
             self.matrix = view.T @ view
             self.matrix *= self._sigma
             self.matrix *= self._sigma[:, None]
-        super().__init__(dtype=np.dtype(float), shape=(q, q))
 
-    def _matmat(self, v):
+    def matmat(self, v: np.ndarray) -> np.ndarray:
+        """Gamma^T Gamma v for a vector or a (q, p) block v."""
         if self.matrix is not None:
             return self.matrix @ v
-        u = self._sigma[:, None] * v
-        return self._sigma[:, None] * (self._view.T @ (self._view @ u))
+        sigma = self._sigma.reshape((-1,) + (1,) * (v.ndim - 1))
+        return sigma * (self._view.T @ (self._view @ (sigma * v)))
+
+    matvec = matmat
 
     def trace(self) -> float:
         """Squared Frobenius norm of Gamma."""
@@ -142,38 +158,72 @@ class ViewGram(scipy.sparse.linalg.LinearOperator):
         return float(columns @ self._sigma ** 2)
 
 
-def spectral_norm(gram: scipy.sparse.linalg.LinearOperator) -> float:
+def spectral_norm(gram) -> float:
     """Top eigenvalue, clamped at 0, of a symmetric positive semidefinite
     operator: the squared spectral norm of any matrix whose Gram operator it
-    is (a ViewGram or the d = 1 samplerec.expsums.TailGram).
+    is (a ViewGram, the d = 1 samplerec.expsums.TailGram or the e_trunc
+    operator of samplerec.errors).
 
-    By a dense eigensolve of the matrix the operator holds (ViewGram.matrix)
-    or, up to _OPERATOR_DENSE_SIZE, of its product with the identity;
-    otherwise by Lanczos (eigsh) with a fixed start vector, so runs are
-    reproducible.
+    A Gram operator has shape (q, q), matmat and matvec, and optionally
+    matrix, the q x q matrix it holds.  The top eigenvalue comes from
+    np.linalg.eigvalsh of that matrix or, up to _OPERATOR_DENSE_SIZE, of the
+    operator's product with the identity; otherwise from Lanczos with a
+    fixed start vector, so runs are reproducible.  Raises ConvergenceError
+    when Lanczos reaches its step cap first.
     """
-    if not isinstance(gram, scipy.sparse.linalg.LinearOperator):
+    if not (callable(getattr(gram, "matmat", None)) and callable(getattr(gram, "matvec", None))):
         raise TypeError(f"spectral_norm takes a Gram operator, got {type(gram).__name__}")
     q = gram.shape[0]
     matrix = getattr(gram, "matrix", None)
     if matrix is None and q <= _OPERATOR_DENSE_SIZE:
         matrix = gram.matmat(np.eye(q))
-    if matrix is not None:
-        return _top_eigenvalue(matrix)
-    top = scipy.sparse.linalg.eigsh(
-        gram, k=1, which="LA", ncv=20, v0=np.full(q, 1.0 / np.sqrt(q)),
-        maxiter=max(1000, 20 * q), return_eigenvectors=False,
-    )
-    return max(float(top[0]), 0.0)
-
-
-def _top_eigenvalue(gram: np.ndarray) -> float:
-    """Top eigenvalue, clamped at 0, of a symmetric PSD matrix."""
-    q = gram.shape[0]
-    top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=(q - 1, q - 1))[0]
+    top = np.linalg.eigvalsh(matrix)[-1] if matrix is not None else _lanczos_top(gram)
     return max(float(top), 0.0)
 
 
-def _sqrt_top_eigenvalue(gram: np.ndarray) -> float:
-    """Spectral norm of any matrix whose Gram matrix is the given one."""
-    return float(np.sqrt(_top_eigenvalue(gram)))
+def _lanczos_top(gram) -> float:
+    """Top eigenvalue of a symmetric operator of size q by Lanczos from the
+    vector 1/sqrt(q), with full reorthogonalization: each new vector is
+    orthogonalized against the whole stored basis by two classical
+    Gram-Schmidt passes; the first also takes off the three-term recurrence,
+    and alpha_j is the sum of both passes' coefficients on the last vector.
+
+    After step j the top Ritz pair (theta, y) of the j x j tridiagonal T_j
+    comes from np.linalg.eigh.  The run stops when the residual
+    beta_j |y_last| <= eps theta (ARPACK's rule at tol = 0); on breakdown,
+    beta_j <= eps ||T_j||, where the Krylov space is invariant and theta is
+    exact; or at j = q.
+    """
+    q = gram.shape[0]
+    steps = min(q, _LANCZOS_STEPS)
+    eps = np.finfo(float).eps
+    basis = np.empty((min(steps, 32), q))
+    basis[0] = 1.0 / np.sqrt(q)
+    tri = np.zeros((len(basis), len(basis)))
+    for j in range(steps):
+        stored = basis[: j + 1]
+        # a copy: an operator may hand back its argument or its own data
+        w = np.array(gram.matvec(stored[j]), dtype=float)
+        coef = stored @ w
+        w -= coef @ stored
+        again = stored @ w
+        w -= again @ stored
+        tri[j, j] = coef[j] + again[j]
+        beta = float(np.linalg.norm(w))
+        theta, y = np.linalg.eigh(tri[: j + 1, : j + 1])
+        top = theta[-1]
+        if (beta * abs(y[-1, -1]) <= eps * abs(top)
+                or beta <= eps * max(abs(theta[0]), abs(top)) or j + 1 == q):
+            return float(top)
+        if j + 1 == steps:
+            break
+        if j + 1 == len(basis):
+            grow = min(len(basis), steps - len(basis))
+            basis = np.concatenate([basis, np.empty((grow, q))])
+            tri = np.pad(tri, (0, grow))
+        basis[j + 1] = w / beta
+        tri[j, j + 1] = tri[j + 1, j] = beta
+    raise ConvergenceError(
+        f"Lanczos reached its cap of {_LANCZOS_STEPS} steps on a Gram operator of size {q}: "
+        f"residual {beta * abs(y[-1, -1]):.3g} of top Ritz value {top:.17g}"
+    )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,26 @@ def test_reduced_e_trunc_matches_full_form(params, k, m, n, seed):
     basis, pts, head = make_instance(params, k, m, n, seed)
     full = full_e_trunc(pts, pinv(pts), basis, m)
     assert worst_case_error_trunc(pts, head, basis) == pytest.approx(full, rel=1e-12, abs=0.0)
+
+
+def test_dense_e_trunc_allocates_no_tail_square():
+    # d = 2, s = 1, n = 1024, k = 147, m = 1176: B is 9.2 MiB and the tail
+    # has q = 1029 columns; e_trunc applies W^T W + diag(s_t)^2 as an
+    # operator, so no q x q array (8.1 MiB) is allocated
+    basis, pts, head = make_instance(SpaceParams(2, 1.0), 147, 1176, 1024, 4)
+    q = pts.m - pts.k
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        e_tr = worst_case_error_trunc(pts, head, basis)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < q * q * 8
+    # against the top eigenvalue of the formed matrix
+    w = (head.u.T @ pts.B[:, pts.k:]) * basis.sigma[pts.k:pts.m] / head.sv[:, None]
+    gram = w.T @ w + np.diag(basis.sigma[pts.k:pts.m] ** 2)
+    assert e_tr == pytest.approx(math.sqrt(np.linalg.eigvalsh(gram)[-1]), rel=1e-12, abs=0)
 
 
 @given(

@@ -4,15 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.sparse.linalg import aslinearoperator
 
 from samplerec import lsq
-from samplerec.density import MAX_POINTS, MAX_TRUNCATION, PointSet, sample_points, truncated_density
+from samplerec.density import MAX_POINTS, MAX_TRUNCATION, PointSet, dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import _checked_gamma_norm
+from samplerec.expsums import TailGram
 from samplerec.lsq import (
     RANK_RTOL,
     ViewGram,
@@ -275,9 +276,9 @@ def test_spectral_norm_paths_agree(monkeypatch):
 
 def test_spectral_norm_of_a_gram_operator():
     # a symmetric PSD operator M^T M has spectral norm ||M||^2: densely up to
-    # size 64, by Lanczos above
+    # size 160, by Lanczos above
     rng = np.random.Generator(np.random.Philox(key=43))
-    for shape in ((80, 1), (80, 64), (300, 65), (300, 200)):
+    for shape in ((80, 1), (80, 64), (300, 160), (300, 161), (300, 200)):
         mat = rng.standard_normal(shape)
         op = scipy.sparse.linalg.LinearOperator(
             (shape[1], shape[1]), matvec=lambda v, mat=mat: mat.T @ (mat @ v), dtype=float
@@ -295,39 +296,118 @@ def test_spectral_norm_thin_shapes():
 
 
 def test_spectral_norm_path_selection(monkeypatch):
-    calls = {"eigh": 0, "eigsh": 0}
+    calls = {"eigvalsh": 0, "lanczos": 0}
 
-    def counting(module, attr):
+    def counting(module, attr, key):
         fn = getattr(module, attr)
 
         def counted(*args, **kwargs):
-            calls[attr] += 1
+            calls[key] += 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
 
-    counting(scipy.linalg, "eigh")
-    counting(scipy.sparse.linalg, "eigsh")
-    # q = 65 is the narrowest Lanczos shape (ncv = 20 < q); at the limit the
-    # formed Gram's eigenvalue runs, one flop below it Lanczos, with the same
-    # norm; a wide view (q > n) takes Lanczos at any limit
+    counting(np.linalg, "eigvalsh", "eigvalsh")
+    counting(lsq, "_lanczos_top", "lanczos")
+    # q = 161 is the narrowest Lanczos shape; at the limit the formed Gram's
+    # eigenvalue runs, one flop below it Lanczos, with the same norm; a wide
+    # view (q > n) takes Lanczos at any limit
+    q = lsq._OPERATOR_DENSE_SIZE + 1
     rng = np.random.Generator(np.random.Philox(key=37))
-    mat = rng.standard_normal((400, 65))
+    mat = rng.standard_normal((400, q))
     exact = svd_norm(mat) ** 2
-    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * 65 ** 2)
-    assert spectral_norm(ViewGram(mat, np.ones(65))) == pytest.approx(exact, rel=1e-11)
+    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * q ** 2)
+    assert spectral_norm(ViewGram(mat, np.ones(q))) == pytest.approx(exact, rel=1e-11)
     assert spectral_norm(ViewGram(mat.T, np.ones(400))) == pytest.approx(exact, rel=1e-9)
-    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * 65 ** 2 - 1)
-    assert spectral_norm(ViewGram(mat, np.ones(65))) == pytest.approx(exact, rel=1e-9)
-    assert calls == {"eigh": 1, "eigsh": 2}
+    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * q ** 2 - 1)
+    assert spectral_norm(ViewGram(mat, np.ones(q))) == pytest.approx(exact, rel=1e-9)
+    assert calls == {"eigvalsh": 1, "lanczos": 2}
+
+
+def lanczos_oracles(a):
+    """Top eigenvalue of a symmetric matrix by dense eigvalsh and by ARPACK."""
+    dense = np.linalg.eigvalsh(a)[-1]
+    arpack = scipy.sparse.linalg.eigsh(
+        a, k=1, which="LA", v0=np.full(len(a), 1.0 / math.sqrt(len(a))), return_eigenvectors=False
+    )[0]
+    return dense, arpack
+
+
+@pytest.mark.parametrize("q", [65, 100, 333, 1000, 2000])
+def test_lanczos_matches_oracles_on_random_psd(q):
+    rng = np.random.Generator(np.random.Philox(key=q))
+    for rows in (q // 2, 2 * q):
+        m = rng.standard_normal((rows, q))
+        a = m.T @ m
+        top = lsq._lanczos_top(aslinearoperator(a))
+        for oracle in lanczos_oracles(a):
+            assert top == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+def test_lanczos_breakdown_on_low_rank_views():
+    # a rank-1 Gram (one row) and a wide view (q > n) make the Krylov space
+    # invariant after at most n + 1 steps: breakdown, and theta is exact
+    rng = np.random.Generator(np.random.Philox(key=31))
+    for shape in ((1, 200), (1, 1000), (5, 300), (40, 200)):
+        mat = rng.standard_normal(shape)
+        gram = ViewGram(mat, np.ones(shape[1]))
+        assert gram.matrix is None
+        exact = svd_norm(mat) ** 2
+        assert spectral_norm(gram) == pytest.approx(exact, rel=1e-12, abs=0)
+        for oracle in lanczos_oracles(mat.T @ mat):
+            assert spectral_norm(gram) == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+def test_lanczos_identity_zero_and_clustered_top():
+    # the start vector is an eigenvector of the identity, and the zero
+    # operator maps it to 0: both break down after one step
+    for q in (65, 500):
+        assert lsq._lanczos_top(aslinearoperator(3.0 * np.eye(q))) == pytest.approx(3.0, rel=1e-15)
+        assert lsq._lanczos_top(aslinearoperator(np.zeros((q, q)))) == 0.0
+    # a top pair 1e-12 apart, over a uniform spectrum below 0.9
+    rng = np.random.Generator(np.random.Philox(key=5))
+    for q in (100, 300):
+        ev = rng.uniform(0.0, 0.9, q)
+        ev[:2] = 1.0, 1.0 - 1e-12
+        basis, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        a = (basis * ev) @ basis.T
+        a = (a + a.T) / 2
+        top = lsq._lanczos_top(aslinearoperator(a))
+        assert top == pytest.approx(1.0, rel=1e-12, abs=0)
+        for oracle in lanczos_oracles(a):
+            assert top == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+def test_lanczos_on_claims_tail_grams():
+    # TailGram shapes of the claims-d1 workload (d = 1, c_head = 0.05, tails
+    # of 91 to 917 columns), against the dense Gram of Gamma
+    for k, m, n in ((13, 104, 512), (65, 520, 512), (131, 1048, 2048)):
+        basis, _, pts = make_instance(SP1, k, m, n, 11)
+        gram = TailGram(pts.sums, basis.indices[k:m, 0], basis.sigma[k:m])
+        gamma = dense_matrix(pts, basis)[:, k:] * basis.sigma[k:m]
+        dense = gamma.T @ gamma
+        top = lsq._lanczos_top(gram)
+        for oracle in lanczos_oracles(dense):
+            assert top == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+def test_lanczos_step_cap_raises(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=7))
+    m = rng.standard_normal((400, 200))
+    monkeypatch.setattr(lsq, "_LANCZOS_STEPS", 2)
+    with pytest.raises(lsq.ConvergenceError, match="cap of 2 steps"):
+        spectral_norm(aslinearoperator(m.T @ m))
+    # a run that ends within the cap is unaffected
+    assert spectral_norm(aslinearoperator(np.eye(200))) == 1.0
 
 
 def test_gram_flop_limit_splits_workload_shapes():
     # Gamma shapes of the benchmark workloads nearest the limit: 4096 x 861
     # is faster by Gram, 2048 x 1498 by Lanczos; the rest sit farther out
     assert 4096 * 861 ** 2 <= lsq._GRAM_FLOP_LIMIT < 2048 * 1498 ** 2
-    # no shape within the dense caps with q <= 64 reaches Lanczos
-    assert max(MAX_POINTS, MAX_TRUNCATION) * 64 ** 2 <= lsq._GRAM_FLOP_LIMIT
+    # a tall view within the dense caps with q <= _OPERATOR_DENSE_SIZE always
+    # forms its Gram matrix
+    assert max(MAX_POINTS, MAX_TRUNCATION) * lsq._OPERATOR_DENSE_SIZE ** 2 <= lsq._GRAM_FLOP_LIMIT
 
 
 def test_spectral_norm_bounded_by_frobenius():
