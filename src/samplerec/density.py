@@ -106,12 +106,14 @@ class PointSet:
     the density's m functions in one of two forms.
 
     Dense (d >= 2): B itself, read-only; G is a view of its first k columns,
-    and m defaults to its width.  Structured (d = 1, B None): head holds G,
-    the (n, k) head block, and sums the weighted exponential sums
-    E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}, h = 0..2 f_max, from which every
-    Gram block of B is read (samplerec.expsums), so no n x m matrix exists.
-    A given B takes precedence over the structured fields.  The tail block
-    B[:, k:] scaled by sigma_k..m is Gamma, which is not stored.
+    and m defaults to its width.  Structured (d = 1, B None): sums holds the
+    weighted exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
+    h = 0..2 f_max, from which every Gram block of B is read
+    (samplerec.expsums), and basis the ordered basis of the density; no n-row
+    matrix is stored, and G, the (n, k) head block, is evaluated from the
+    basis on each access.  A given B takes precedence over the structured
+    fields.  The tail block B[:, k:] scaled by sigma_k..m is Gamma, which is
+    not stored.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
@@ -120,8 +122,8 @@ class PointSet:
     B: np.ndarray | None  # (n, m) weighted basis matrix, None in the structured form
     k: int  # head size, 1 <= k < m
     m: int | None = None  # width, B.shape[1] when B is given
-    head: np.ndarray | None = None  # (n, k) head block G of the structured form
     sums: np.ndarray | None = None  # (2 f_max + 1,) complex E(h) of the structured form
+    basis: OrderedBasis | None = None  # the density's basis, in the structured form
 
     @property
     def n(self) -> int:
@@ -129,18 +131,25 @@ class PointSet:
 
     @property
     def G(self) -> np.ndarray:
-        return self.head if self.B is None else self.B[:, : self.k]
+        """The (n, k) head block: a view of B, or in the structured form a
+        new read-only array evaluated from the basis on each access."""
+        if self.B is not None:
+            return self.B[:, : self.k]
+        g = basis_matrix(self.basis, self.points, self.k)
+        g /= np.sqrt(self.densities)[:, None]
+        g.flags.writeable = False
+        return g
 
     def __post_init__(self) -> None:
         if self.B is not None:
-            if self.B.ndim != 2 or self.m not in (None, self.B.shape[1]):
+            if self.B.ndim != 2 or self.B.shape[0] != self.n or self.m not in (None, self.B.shape[1]):
                 raise ValueError("inconsistent point-set shapes")
             object.__setattr__(self, "m", int(self.B.shape[1]))
-        elif self.head is None or self.sums is None or self.m is None:
-            raise ValueError("a point set needs B, or its head block, sums and width m")
+        elif self.sums is None or self.basis is None or self.m is None:
+            raise ValueError("a point set needs B, or its sums, basis and width m")
         if not 1 <= self.k < self.m:
             raise ValueError(f"need 1 <= k < m, got k={self.k}, m={self.m}")
-        if self.G.shape != (self.n, self.k) or self.densities.shape != (self.n,):
+        if self.densities.shape != (self.n,):
             raise ValueError("inconsistent point-set shapes")
         if np.any(self.densities <= 0.0):
             raise ValueError("density values must be strictly positive")
@@ -186,9 +195,10 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     (row_blocks), the squares of a block give its densities and the block is
     divided by sqrt(rho) in place.  The result is kept as the point set's
     weighted matrix B, with head size k.  At d = 1 the point set takes the
-    structured form: the density in closed form, the n x k head block G and
-    the sums E(h) for h up to twice the largest frequency of the m
-    functions.  ValueError before any allocation when m exceeds
+    structured form: the density in closed form and the sums E(h) for h up
+    to twice the largest frequency of the m functions, and no basis function
+    is evaluated, so nothing the call makes grows with n faster than O(n) or
+    a row block.  ValueError before any allocation when m exceeds
     MAX_TRUNCATION or n * m exceeds MAX_POINTS * MAX_TRUNCATION.
     """
     if n < 1:
@@ -213,11 +223,8 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     x = _invert_factor_cdf(sign, freq, u[:, 2:])
     if d == 1:
         rho = _closed_form_density(params, x[:, 0])
-        g = basis_matrix(basis, x, k)
-        g /= np.sqrt(rho)[:, None]
-        g.flags.writeable = False
         sums = expsums.exp_sums(x[:, 0], 1.0 / rho, 2 * basis.max_frequency(m))
-        return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, head=g, sums=sums)
+        return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, sums=sums, basis=basis)
     b = basis_matrix(basis, x, m)
     rho = np.empty(n)
     for rows in row_blocks(n, m):

@@ -11,33 +11,12 @@ from .density import PointSet, dense_matrix
 from .lsq import HeadSVD
 from .spectral import CoefVector, OrderedBasis, SpectrumSummary
 
-# Largest kappa(G) = s_max / s_min for which a structured (d = 1) draw takes
-# the Gram route to e_trunc.  That route reads G^T B_tail = V S U^T B_tail
-# off the exponential sums and divides by S^2 where the dense route divides
-# U^T B_tail by S.  Each Gram entry errs by about u E(0), and E(0) <= s_max^2
-# since the constant is a column of G, so the Gram route's error in W
-# relative to W is about kappa^2 u against the dense route's kappa u, as for
-# the normal equations against an orthogonal factorization (Higham,
-# Accuracy and Stability of Numerical Algorithms, 2002, sec. 20.4).  Holding
-# kappa^2 u to 1e-13, a tenth of the 1e-12 relative agreement the two routes
-# are held to, gives kappa <= sqrt(1e-13 / 2^-53) = 30.0.  A draw above it
-# takes the dense route on B evaluated for that draw alone.  The bound is
-# safe rather than tight: on d = 1 draws with kappa up to 436 the routes
-# agreed to 2.4e-14.
-KAPPA_LIMIT = math.sqrt(1e-13 / 2.0 ** -53)
-
-
-def dense_fallback(info: PointSet, head: HeadSVD) -> bool:
-    """True for a structured (d = 1) draw whose G is too ill-conditioned for
-    the Gram route to e_trunc, so that worst_case_error_trunc evaluates its
-    dense matrix B instead."""
-    return info.B is None and not head.s_max <= KAPPA_LIMIT * head.s_min
-
 
 def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -> float:
     """Exact worst-case L2 error over the unit ball of the first m basis
-    functions, for a full-rank draw whose head block G has the SVD head.
-    info is the PointSet of the instance: its B, head size k and width m.
+    functions, for a full-rank draw whose head block G has the factorization
+    head (samplerec.lsq.head_factor).  info is the PointSet of the instance:
+    its B or sums, head size k and width m.
 
     The ball is c = diag(sigma) x, ||x|| <= 1, and the residual on
     coefficients is E = I - pad(G^+ B), so the error is ||E diag(sigma)||.
@@ -47,25 +26,30 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     with W = S^-1 U^T T; so the error squared is the top eigenvalue of
     W^T W + diag(s_t)^2, of size q = m - k.
 
-    A structured (d = 1) draw with kappa(G) <= KAPPA_LIMIT takes the Gram
-    route: W = S^-2 V^T (G^T B_tail) diag(s_t), with the head-by-tail Gram
-    block G^T B_tail read off the exponential sums; no n x m matrix is
-    formed.  Any other draw takes the dense route above, on info.B or on B
-    evaluated for the draw.  Both routes end in one lsq.spectral_norm of
-    the operator x -> W^T (W x) + s_t^2 x, which forms a q x q matrix only
-    up to lsq._OPERATOR_DENSE_SIZE and otherwise runs Lanczos on the
-    (k, q) matrix W.
+    The route follows the factorization.  One without u (the Gram route of
+    a structured d = 1 draw, kappa(G) <= lsq.KAPPA_LIMIT) gives
+    W = S^-2 V^T (G^T B_tail) diag(s_t), with the head-by-tail Gram block
+    G^T B_tail read off the exponential sums; no n-row matrix is formed.
+    One with u takes the dense route above, on info.B or, for a d = 1 draw
+    that fell back, on B evaluated once for the draw.  Both routes end in
+    one lsq.spectral_norm of the operator x -> W^T (W x) + s_t^2 x, which
+    forms a q x q matrix only up to lsq._OPERATOR_DENSE_SIZE and otherwise
+    runs Lanczos on the (k, q) matrix W.
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
-    if head.u.shape != (info.n, info.k):
-        raise ValueError(f"head SVD must have u of shape ({info.n}, {info.k}), got {head.u.shape}")
     k, m = info.k, info.m
+    if head.vt.shape != (k, k):
+        raise ValueError(f"head factorization must have vt of shape ({k}, {k}), got {head.vt.shape}")
     tail_sigma = basis.sigma[k:m]
-    if info.B is None and not dense_fallback(info, head):
+    if head.u is None:
+        if info.sums is None:
+            raise ValueError("a head factorization without u needs the instance's exponential sums")
         block = expsums.gram_block(info.sums, basis.indices[:k, 0], basis.indices[k:m, 0])
         w = (head.vt @ block) * tail_sigma / head.sv[:, None] ** 2
     else:
+        if head.u.shape != (info.n, k):
+            raise ValueError(f"head SVD must have u of shape ({info.n}, {k}), got {head.u.shape}")
         w = (head.u.T @ dense_matrix(info, basis)[:, k:]) * tail_sigma / head.sv[:, None]
     return math.sqrt(lsq.spectral_norm(_TruncGram(w, tail_sigma)))
 

@@ -252,10 +252,9 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
                 pts = density.sample_points(
                     dens, n, derive_seed(config.seed, _STAGE_CLAIMS, i_n, step, t)
                 )
-                s_min, s_max = lsq.singular_extrema(pts.G)
-                if s_min <= lsq.RANK_RTOL * s_max:
-                    degenerate += 1
-                s_mins[t] = s_min
+                head = lsq.head_factor(pts)
+                degenerate += not head.rank_ok
+                s_mins[t] = head.s_min
                 ratios[t] = _checked_gamma_norm(pts, basis) / (gamma_k * sqrt_n)
             frac_smin = float(np.mean(s_mins >= 0.5 * sqrt_n))
             frac_tail = float(np.mean(ratios <= 3.0))
@@ -309,13 +308,13 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
             pts = density.sample_points(
                 dens, n, derive_seed(config.seed, _STAGE_RATES, i_n, 0, t)
             )
-            head = lsq.head_svd(pts.G)
+            head = lsq.head_factor(pts)
             if not head.rank_ok:
                 degenerate += 1
                 continue
             s_gam = _checked_gamma_norm(pts, basis)
             full_rank += 1
-            fallbacks += errors.dense_fallback(pts, head)
+            fallbacks += pts.B is None and head.u is not None
             e_tr = errors.worst_case_error_trunc(pts, head, basis)
             e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min, m)
             split = a_k + s_gam / head.s_min
@@ -354,7 +353,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
         )
     if config.d == 1:
         lines.append(
-            f"dense e_trunc fallback (kappa(G) above {errors.KAPPA_LIMIT:.1f}): "
+            f"dense e_trunc fallback (kappa(G) above {lsq.KAPPA_LIMIT:.1f}): "
             f"{fallbacks} of {full_rank} full-rank draws"
         )
     if len(fit_logn) >= 2:

@@ -22,27 +22,42 @@ import math
 
 import numpy as np
 
+from .spectral import row_blocks
+
 # E(64 b + j) = sum_i w_i e^{2 pi i 64 b x_i} e^{2 pi i j x_i}: one complex
-# matrix product of an (n, #blocks) and an (n, 64) table of exponentials.
+# matrix product of a (rows, #blocks) and a (rows, 64) table of exponentials
+# per row block of points.
 _BLOCK = 64
 
 
 def exp_sums(x, weights, h_max: int) -> np.ndarray:
     """E(h) = sum_i weights_i e^{2 pi i h x_i} for h = 0..h_max, by blocked
     powers: the block bases e^{2 pi i 64 b x} times the first 64 powers.
-    Each angle is (2 pi h) * x, in the association basis_matrix uses."""
+    Each angle is (2 pi h) * x, in the association basis_matrix uses.
+
+    The tables are made one row block of points at a time (row_blocks) and
+    their products summed, so memory is O(block * (64 + h_max / 64)).
+    """
     x = np.asarray(x, dtype=float)
+    weights = np.asarray(weights, dtype=float)
     blocks = h_max // _BLOCK + 1
-    inner = np.exp(1j * np.multiply.outer(x, (2.0 * np.pi) * np.arange(_BLOCK)))
-    outer = np.exp(1j * np.multiply.outer(x, (2.0 * np.pi * _BLOCK) * np.arange(blocks)))
-    outer *= np.asarray(weights, dtype=float)[:, None]
-    return (outer.T @ inner).ravel()[: h_max + 1]
+    inner_freq = (2.0 * np.pi) * np.arange(_BLOCK)
+    outer_freq = (2.0 * np.pi * _BLOCK) * np.arange(blocks)
+    sums = np.zeros((blocks, _BLOCK), dtype=complex)
+    # a complex entry is two floats wide
+    for rows in row_blocks(len(x), 2 * (_BLOCK + blocks)):
+        inner = np.exp(1j * np.multiply.outer(x[rows], inner_freq))
+        outer = np.exp(1j * np.multiply.outer(x[rows], outer_freq))
+        outer *= weights[rows, None]
+        sums += outer.T @ inner
+    return sums.ravel()[: h_max + 1]
 
 
 def _at(sums: np.ndarray, h: np.ndarray) -> np.ndarray:
     """E(h) for integer h of either sign, from E at h >= 0."""
     values = sums[np.abs(h)]
-    return np.where(h < 0, values.conj(), values)
+    np.conjugate(values, out=values, where=h < 0)
+    return values
 
 
 def _halved_coefficients(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,12 +69,17 @@ def _halved_coefficients(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gram_block(sums: np.ndarray, rows, cols) -> np.ndarray:
     """The block (B^T B)[rows, cols] of a d = 1 instance, for flat basis
-    indices rows and cols, from its sums E(h) up to the largest f_j + f_l."""
+    indices rows and cols, from its sums E(h) up to the largest f_j + f_l.
+    The two terms are formed in place, so the call holds about three complex
+    arrays of the block's size at a time."""
     f_r, c_r = _halved_coefficients(rows)
     f_c, c_c = _halved_coefficients(cols)
-    plus = np.outer(c_r, c_c) * _at(sums, np.add.outer(f_r, f_c))
-    minus = np.outer(c_r, c_c.conj()) * _at(sums, np.subtract.outer(f_r, f_c))
-    return (plus + minus).real
+    block = _at(sums, np.add.outer(f_r, f_c))
+    block *= np.outer(c_r, c_c)
+    minus = _at(sums, np.subtract.outer(f_r, f_c))
+    minus *= np.outer(c_r, c_c.conj())
+    block += minus
+    return block.real
 
 
 class TailGram:

@@ -1,28 +1,48 @@
-"""The least-squares recovery step on a sampling instance: the thin SVD of
-its head block G, the fit, and singular values of G and norms of the tail
+"""The least-squares recovery step on a sampling instance: the one
+factorization of its head block G (head_factor: at d = 1 from the k x k
+Gram G^T G, otherwise the thin SVD of G), the fit, and norms of the tail
 block through its Gram operator."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import expsums
 from .density import PointSet
 from .spectral import row_blocks
 
 # Relative singular-value cutoff below which a draw counts as degenerate.
 RANK_RTOL = 1e-10
 
+# Largest kappa(G) = s_max / s_min for which a structured (d = 1) draw takes
+# the Gram route: its head factorization comes from the eigendecomposition of
+# G^T G, and e_trunc reads G^T B_tail off the exponential sums and divides by
+# S^2 where the dense route divides U^T B_tail by S.  Each Gram entry errs by
+# about u E(0), and E(0) <= s_max^2 since the constant is a column of G, so
+# the Gram route's relative error in s_min and in W is about kappa^2 u
+# against the SVD's kappa u, as for the normal equations against an
+# orthogonal factorization (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, sec. 20.4).  Holding kappa^2 u to 1e-13, a tenth of the
+# 1e-12 relative agreement the two routes are held to, gives
+# kappa <= sqrt(1e-13 / 2^-53) = 30.0.  A draw above it takes the dense SVD
+# of G evaluated for that draw alone.  The bound is safe rather than tight:
+# on d = 1 draws with kappa up to 436 the e_trunc routes agreed to 2.4e-14.
+KAPPA_LIMIT = math.sqrt(1e-13 / 2.0 ** -53)
+
 
 @dataclass(frozen=True)
 class HeadSVD:
     """Thin SVD G = u diag(sv) vt (sv descending) of an instance's head block:
     the one factorization of G behind the fit, s_min/s_max and e_trunc.
-    rank_ok is False on a degenerate draw: s_min <= RANK_RTOL * s_max, or a
-    wide G (n < k) with fewer singular values than columns."""
+    u is None when it came from the eigendecomposition G^T G = V S^2 V^T
+    (head_factor's Gram route), which gives sv and vt alone.  rank_ok is
+    False on a degenerate draw: s_min <= RANK_RTOL * s_max, or a wide G
+    (n < k) with fewer singular values than columns."""
 
-    u: np.ndarray  # (n, k)
+    u: np.ndarray | None  # (n, k), None on the Gram route
     sv: np.ndarray  # (k,)
     vt: np.ndarray  # (k, k)
 
@@ -42,6 +62,28 @@ class HeadSVD:
 def head_svd(g: np.ndarray) -> HeadSVD:
     """Thin SVD of the head block G, by one LAPACK call."""
     return HeadSVD(*np.linalg.svd(g, full_matrices=False))
+
+
+def head_factor(pts: PointSet) -> HeadSVD:
+    """The one factorization of the instance's head block G.
+
+    Dense form (d >= 2): head_svd of the view pts.G.  Structured form
+    (d = 1): the eigendecomposition G^T G = V diag(lambda) V^T of the k x k
+    head Gram read off the sums (samplerec.expsums.gram_block), giving
+    sv = sqrt(lambda) descending, vt = V^T and u None; no n-row array is
+    made.  When some lambda <= 0 or kappa = sv[0] / sv[-1] exceeds
+    KAPPA_LIMIT, G is evaluated for this draw alone and the result is its
+    head_svd, so a rank-deficient draw gets the exact dense test at
+    RANK_RTOL: the dense fallback of the Gram route.
+    """
+    if pts.B is None:
+        flat = pts.basis.indices[: pts.k, 0]
+        lam, v = np.linalg.eigh(expsums.gram_block(pts.sums, flat, flat))
+        if lam[0] > 0.0:
+            sv = np.sqrt(lam[::-1])
+            if sv[0] <= KAPPA_LIMIT * sv[-1]:
+                return HeadSVD(None, sv, v[:, ::-1].T)
+    return head_svd(pts.G)
 
 
 @dataclass(frozen=True)
@@ -75,12 +117,6 @@ def fit(pts: PointSet, samples) -> Fit:
         rank_ok=head.rank_ok,
         pinv_norm=1.0 / head.s_min if head.rank_ok else None,
     )
-
-
-def singular_extrema(mat: np.ndarray) -> tuple[float, float]:
-    """(smallest, largest) singular value by dense SVD."""
-    sv = np.linalg.svd(np.atleast_2d(mat), compute_uv=False)
-    return float(sv[-1]), float(sv[0])
 
 
 # Above this flop estimate n * q**2 for forming the q x q Gram matrix of a

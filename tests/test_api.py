@@ -27,6 +27,7 @@ PUBLIC_NAMES = [
     "density_values",
     "empirical_error",
     "fit",
+    "head_factor",
     "head_svd",
     "hnorm_weight",
     "load_config",
@@ -38,7 +39,6 @@ PUBLIC_NAMES = [
     "run_density_check",
     "run_rates",
     "sample_points",
-    "singular_extrema",
     "spectral_norm",
     "spectral_sums",
     "truncated_density",

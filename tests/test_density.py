@@ -165,7 +165,8 @@ def test_sampled_densities_match_recomputation():
     # the kept weighted matrix is read-only, since instances share it
     assert pts.B.shape == (300, 20) and not pts.B.flags.writeable
     assert (pts.k, pts.m) == (4, 20)
-    # at d = 1 the densities come from the closed form, and G is kept alone
+    # at d = 1 the densities come from the closed form, and G is evaluated
+    # on access
     dens = make_density(SP1, 4, 16)
     pts = sample_points(dens, 300, 9)
     assert np.array_equal(pts.densities, density._closed_form_density(dens, pts.points[:, 0]))
@@ -351,6 +352,17 @@ def test_sample_points_keeps_one_instance_sized_array():
     pts, peak = traced_peak(sample_points, dens, n, 3)
     assert pts.B.nbytes == n * 984 * 8
     assert peak <= pts.B.nbytes + spectral.ROW_BLOCK_BYTES + 16 * 8 * n * (d + 2)
+
+
+def test_sample_points_at_d1_makes_no_head_sized_array():
+    # the largest claims-d1 instance: its head block G would be n x k,
+    # 6.7 MiB; the structured draw keeps the sums, evaluates no basis
+    # function and makes its exponential tables one row block at a time
+    n, k, m = 2048, 429, 3432
+    dens = make_density(SP1, k, m)
+    pts, peak = traced_peak(sample_points, dens, n, 3)
+    assert pts.B is None and len(pts.sums) == 2 * dens.basis.max_frequency(m) + 1
+    assert peak < n * k * 8
 
 
 def test_density_selfcheck_memory_stays_within_blocks():

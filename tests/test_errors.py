@@ -13,11 +13,7 @@ from samplerec.errors import (
     empirical_error,
     worst_case_error_trunc,
 )
-from samplerec.lsq import (
-    RANK_RTOL,
-    head_svd,
-    singular_extrema,
-)
+from samplerec.lsq import RANK_RTOL, head_svd
 from samplerec.spectral import (
     CoefVector,
     SpaceParams,
@@ -111,7 +107,7 @@ def test_worst_case_error_matches_power_iteration():
 def test_worst_case_error_below_split_bound():
     for k, m, n, seed in ((4, 16, 64, 1), (8, 32, 128, 2), (16, 64, 256, 3)):
         basis, pts, head = make_instance(SP1, k, m, n, seed)
-        s_min = singular_extrema(pts.G)[0]
+        s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
         s_gam = np.linalg.norm(weighted_matrix(pts, basis)[:, k:] * basis.sigma[k:m], 2)
         e_tr = worst_case_error_trunc(pts, head, basis)
         assert e_tr <= float(basis.sigma[k]) + s_gam / s_min + 1e-10
@@ -188,7 +184,7 @@ def test_certified_bound_reduces_to_trunc_plus_am_on_finite_spectrum():
     e_tr = worst_case_error_trunc(pts, g_head, basis)
     head = np.concatenate(([0.0], np.cumsum(basis.sigma ** 2)))
     finite = SpectrumSummary(total_lo=float(head[12]), total_hi=float(head[12]), head=head)
-    s_min = singular_extrema(pts.G)[0]
+    s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
     bound = certified_upper_bound(e_tr, basis, finite, pts, s_min, 12)
     assert bound == pytest.approx(e_tr + float(basis.sigma[12]), abs=1e-13)
 
@@ -200,7 +196,7 @@ def test_certified_bound_pays_for_the_upper_end_of_the_tail():
     head = np.concatenate(([0.0], np.cumsum(basis.sigma ** 2)))
     head[12] = 0.5
     wide = SpectrumSummary(total_lo=1.0, total_hi=2.0, head=head)
-    s_min = singular_extrema(pts.G)[0]
+    s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
     bound = certified_upper_bound(e_tr, basis, wide, pts, s_min, 12)
     mass = np.sum(1.0 / pts.densities) * 2.0
     expected = e_tr + float(basis.sigma[12]) + math.sqrt(mass * (2.0 - 0.5)) / s_min
@@ -221,7 +217,7 @@ def test_certified_bound_monotone_tail_addend():
     dens = truncated_density(basis, k, m_max)
     pts = sample_points(dens, 128, 9)
     g_pinv = pinv(pts)
-    s_min = singular_extrema(pts.G)[0]
+    s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
     addends = []
     e_base = None
     for m in m_grid:
@@ -251,7 +247,7 @@ def test_certified_bound_scale_equivariance():
     # scaling every coefficient-space quantity by lam scales both error terms
     basis, pts, head = make_instance(SP1, 4, 12, 32, 5)
     summary = spectral_sums(SP1, basis)
-    s_min = singular_extrema(pts.G)[0]
+    s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
     e_tr = worst_case_error_trunc(pts, head, basis)
     bound = certified_upper_bound(e_tr, basis, summary, pts, s_min, 12)
     lam = 3.5

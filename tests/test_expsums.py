@@ -4,18 +4,19 @@ read off them."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from samplerec import density, errors
+from samplerec import density, lsq, spectral
 from samplerec.density import dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, run_claims, run_rates
 from samplerec.expsums import TailGram, exp_sums, gram_block
-from samplerec.lsq import head_svd
+from samplerec.lsq import head_factor, head_svd
 from samplerec.spectral import SpaceParams, ordered_basis
 
 SP1 = SpaceParams(1, 1.0)
@@ -44,6 +45,35 @@ def test_exp_sums_match_direct_sums():
     assert exp_sums(x, w, 5)[0] == pytest.approx(np.sum(w), rel=1e-14)
 
 
+def one_shot_exp_sums(x, w, h_max):
+    """The blocked powers of exp_sums with the tables of all points at once."""
+    blocks = h_max // 64 + 1
+    inner = np.exp(1j * np.multiply.outer(x, (2.0 * np.pi) * np.arange(64)))
+    outer = np.exp(1j * np.multiply.outer(x, (2.0 * np.pi * 64) * np.arange(blocks)))
+    return ((outer * w[:, None]).T @ inner).ravel()[: h_max + 1]
+
+
+def test_exp_sums_in_row_blocks_match_one_shot_tables():
+    # the claims-d1 width (h_max = 3432, 54 blocks of powers), over 1 to 31
+    # row blocks of points
+    rng = np.random.Generator(np.random.Philox(key=4))
+    for n in (100, 2048, 16384):
+        x = rng.random(n)
+        w = rng.random(n) + 0.5
+        reference = one_shot_exp_sums(x, w, 3432)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            sums = exp_sums(x, w, 3432)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(sums - reference)) <= 1e-15 * np.sum(w)
+        # a few tables of one row block, not of n rows
+        assert peak <= 4 * spectral.ROW_BLOCK_BYTES
+    assert np.array_equal(exp_sums(x[:300], w[:300], 200), one_shot_exp_sums(x[:300], w[:300], 200))
+
+
 def test_sample_points_at_d1_is_structured():
     basis, pts = make_instance(13, 104, 256, 5)
     assert pts.B is None and (pts.k, pts.m, pts.n) == (13, 104, 256)
@@ -65,6 +95,24 @@ def test_gram_block_matches_dense_gram():
         block = gram_block(pts.sums, flat[:k], flat[k:])
         assert block.shape == (k, m - k)
         assert np.max(np.abs(block - pts.G.T @ b[:, k:])) <= 1e-13 * scale
+
+
+def test_gram_block_holds_three_blocks_at_a_time():
+    # the claims-d1 head Gram (k = 429) and a rates-d1 head-by-tail block:
+    # the two terms are formed in place, so about three complex arrays of the
+    # block's size are alive at once (the products and their sum took 5.6)
+    basis, pts = make_instance(429, 3432, 2048, 3)
+    flat = basis.indices[:3432, 0]
+    for rows, cols in ((flat[:429], flat[:429]), (flat[:123], flat[123:984])):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            block = gram_block(pts.sums, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (len(rows), len(cols))
+        assert peak <= 3.5 * block.size * 16
 
 
 @pytest.mark.parametrize("k, m, n", [(1, 2, 30), (2, 16, 16), (8, 64, 200), (13, 104, 256), (57, 456, 1024)])
@@ -100,17 +148,20 @@ def test_structured_norms_and_e_trunc_match_dense(s, k, m_factor, n_extra, seed)
     gamma = dense.B[:, k:] * basis.sigma[k:m]
     fro = math.sqrt(TailGram(pts.sums, basis.indices[k:m, 0], basis.sigma[k:m]).trace())
     assert fro == pytest.approx(np.linalg.norm(gamma), rel=1e-12, abs=0)
-    head = head_svd(pts.G)
+    # the run path's factorization (the Gram route, or its dense fallback)
+    # against the SVD of the dense instance's G
+    head, dense_head = head_factor(pts), head_svd(dense.G)
+    assert head.rank_ok == dense_head.rank_ok
     if head.rank_ok:
         assert worst_case_error_trunc(pts, head, basis) == pytest.approx(
-            worst_case_error_trunc(dense, head, basis), rel=1e-12, abs=0
+            worst_case_error_trunc(dense, dense_head, basis), rel=1e-12, abs=0
         )
 
 
 def test_kappa_limit_value():
     # kappa^2 u <= 1e-13 with u = 2^-53
-    assert errors.KAPPA_LIMIT == pytest.approx(30.0, rel=1e-3)
-    assert errors.KAPPA_LIMIT ** 2 * 2.0 ** -53 == pytest.approx(1e-13, rel=1e-12)
+    assert lsq.KAPPA_LIMIT == pytest.approx(30.0, rel=1e-3)
+    assert lsq.KAPPA_LIMIT ** 2 * 2.0 ** -53 == pytest.approx(1e-13, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -121,33 +172,39 @@ def test_kappa_limit_value():
 )
 def test_gram_route_holds_up_to_the_kappa_limit(k, m, n, seed):
     basis, pts = make_instance(k, m, n, seed)
-    head = head_svd(pts.G)
-    assert 15.0 < head.s_max / head.s_min <= errors.KAPPA_LIMIT
-    assert not errors.dense_fallback(pts, head)
-    dense = worst_case_error_trunc(with_dense_matrix(pts, basis), head, basis)
-    assert worst_case_error_trunc(pts, head, basis) == pytest.approx(dense, rel=1e-12, abs=0)
+    head = head_factor(pts)
+    assert head.u is None  # the Gram route
+    assert 15.0 < head.s_max / head.s_min <= lsq.KAPPA_LIMIT
+    dense = with_dense_matrix(pts, basis)
+    dense_head = head_svd(dense.G)
+    assert head.sv == pytest.approx(dense_head.sv, rel=1e-12, abs=0)
+    expected = worst_case_error_trunc(dense, dense_head, basis)
+    assert worst_case_error_trunc(pts, head, basis) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_ill_conditioned_draw_takes_the_dense_route():
     basis, pts = make_instance(40, 320, 100, 26)
-    head = head_svd(pts.G)
-    assert head.rank_ok and head.s_max / head.s_min > errors.KAPPA_LIMIT
-    assert errors.dense_fallback(pts, head)
-    dense = worst_case_error_trunc(with_dense_matrix(pts, basis), head, basis)
-    assert worst_case_error_trunc(pts, head, basis) == dense
+    head = head_factor(pts)
+    assert head.u is not None  # the dense fallback
+    assert head.rank_ok and head.s_max / head.s_min > lsq.KAPPA_LIMIT
+    dense = with_dense_matrix(pts, basis)
+    dense_head = head_svd(dense.G)
+    assert np.array_equal(head.sv, dense_head.sv)
+    assert worst_case_error_trunc(pts, head, basis) == worst_case_error_trunc(dense, dense_head, basis)
 
 
 def test_forced_kappa_fallback_returns_the_dense_value_bitwise(monkeypatch):
     basis, pts = make_instance(16, 128, 256, 6)
-    head = head_svd(pts.G)
+    head = head_factor(pts)
     dense = with_dense_matrix(pts, basis)
-    assert not errors.dense_fallback(pts, head)
+    assert head.u is None
     structured = worst_case_error_trunc(pts, head, basis)
-    monkeypatch.setattr(errors, "KAPPA_LIMIT", 0.0)
-    assert errors.dense_fallback(pts, head)
-    assert not errors.dense_fallback(dense, head)  # a dense instance never falls back
+    monkeypatch.setattr(lsq, "KAPPA_LIMIT", 0.0)
+    head = head_factor(pts)
+    assert head.u is not None
+    assert head_factor(dense).u is not None  # a dense instance never takes the Gram route
     fallback = worst_case_error_trunc(pts, head, basis)
-    assert fallback == worst_case_error_trunc(dense, head, basis)
+    assert fallback == worst_case_error_trunc(dense, head_svd(dense.G), basis)
     assert fallback == pytest.approx(structured, rel=1e-12)
 
 
@@ -155,7 +212,7 @@ def test_rates_report_counts_dense_fallbacks(monkeypatch):
     config = ExperimentConfig(n_grid=(64, 128), c_head=0.25, trials=2, seed=3)
     before = run_rates(config)
     assert "dense e_trunc fallback (kappa(G) above 30.0): 0 of 4 full-rank draws" in before.report
-    monkeypatch.setattr(errors, "KAPPA_LIMIT", 0.0)
+    monkeypatch.setattr(lsq, "KAPPA_LIMIT", 0.0)
     after = run_rates(config)
     assert "dense e_trunc fallback (kappa(G) above 0.0): 4 of 4 full-rank draws" in after.report
     # the dense route moves e_trunc and what derives from it in the last bits
@@ -179,5 +236,6 @@ def test_claims_d1_evaluates_no_basis_column_past_the_head(monkeypatch):
     monkeypatch.setattr(density, "sample_points", sampling)
     monkeypatch.setattr(density, "basis_matrix", evaluating)
     result = run_claims(ExperimentConfig(n_grid=(256, 1024), c_head=0.05, trials=2, seed=20250814))
-    assert len(widths) == sum(row[4] for row in result.rows) > 0
-    assert all(m <= k for k, m in widths), widths
+    assert len(heads) == sum(row[4] for row in result.rows) > 0
+    # no draw falls back to the dense SVD of G, so none evaluates even the head
+    assert widths == []

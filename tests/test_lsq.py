@@ -9,17 +9,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse.linalg import aslinearoperator
 
-from samplerec import lsq
+from samplerec import density, lsq
 from samplerec.density import MAX_POINTS, MAX_TRUNCATION, PointSet, dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
-from samplerec.experiments import _checked_gamma_norm
-from samplerec.expsums import TailGram
+from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, run_claims, run_rates
+from samplerec.expsums import TailGram, exp_sums
 from samplerec.lsq import (
     RANK_RTOL,
     ViewGram,
     fit,
+    head_factor,
     head_svd,
-    singular_extrema,
     spectral_norm,
 )
 from samplerec.spectral import (
@@ -56,10 +56,12 @@ def test_point_set_head_block_is_a_view():
     gamma = pts.B[:, 8:] * basis.sigma[8:32]
     assert gamma.shape == (64, 24)
     assert np.allclose(gamma[:, 3], pts.B[:, 11] * basis.sigma[11], atol=1e-15)
-    # at d = 1 the point set keeps G alone, the first k columns of B
+    # at d = 1 the point set keeps no n-row array, and G, the first k
+    # columns of B, is evaluated on access
     basis, _, pts = make_instance(SP1, 8, 32, 64, 42)
     assert pts.B is None and (pts.k, pts.m) == (8, 32)
     assert np.array_equal(pts.G, weighted_matrix(pts, basis)[:, :8])
+    assert pts.G is not pts.G
 
 
 def test_point_set_entries_match_composition():
@@ -131,18 +133,12 @@ def test_uniform_case_head_column_is_constant():
     basis = ordered_basis(SP1, 4)
     dens = truncated_density(basis, 1, 3)
     pts = sample_points(dens, 256, 3)
-    s_min, s_max = singular_extrema(pts.G)
-    assert s_min == pytest.approx(math.sqrt(256.0), rel=1e-12)
-    assert s_max == pytest.approx(math.sqrt(256.0), rel=1e-12)
-
-
-def test_singular_extrema_known_matrices():
-    s_min, s_max = singular_extrema(np.eye(3))
-    assert (s_min, s_max) == (1.0, 1.0)
-    tall = np.vstack([np.diag([3.0, 1.0, 2.0]), np.zeros((2, 3))])
-    s_min, s_max = singular_extrema(tall)
-    assert s_min == pytest.approx(1.0)
-    assert s_max == pytest.approx(3.0)
+    sv = np.linalg.svd(pts.G, compute_uv=False)
+    assert sv[-1] == pytest.approx(math.sqrt(256.0), rel=1e-12)
+    assert sv[0] == pytest.approx(math.sqrt(256.0), rel=1e-12)
+    head = head_factor(pts)
+    assert head.u is None and head.vt.shape == (1, 1)
+    assert head.s_min == head.s_max == pytest.approx(math.sqrt(256.0), rel=1e-12)
 
 
 def test_fit_recovers_single_basis_function():
@@ -189,7 +185,8 @@ def test_fit_is_weighted_least_squares_optimum():
 def test_fit_conditioning_fields():
     _, _, pts = make_instance(SP1, 8, 32, 64, 42)
     res = fit(pts, np.zeros(64))
-    s_min, s_max = singular_extrema(pts.G)
+    sv = np.linalg.svd(pts.G, compute_uv=False)
+    s_min, s_max = sv[-1], sv[0]
     assert res.s_min_G == pytest.approx(s_min)
     assert res.s_max_G == pytest.approx(s_max)
     assert res.pinv_norm == pytest.approx(1.0 / s_min)
@@ -219,13 +216,13 @@ def test_head_svd_rebuilds_g():
         assert np.all(np.diff(head.sv) <= 0.0)
 
 
-def test_head_svd_agrees_with_singular_extrema():
+def test_head_svd_agrees_with_dense_singular_values():
     _, _, pts = make_instance(SP1, 8, 32, 128, 3)
     head = head_svd(pts.G)
-    s_min, s_max = singular_extrema(pts.G)
-    assert head.s_min == pytest.approx(s_min, rel=1e-12)
-    assert head.s_max == pytest.approx(s_max, rel=1e-12)
-    assert np.allclose(head.sv, np.linalg.svd(pts.G, compute_uv=False), rtol=1e-12, atol=0.0)
+    sv = np.linalg.svd(pts.G, compute_uv=False)
+    assert head.s_min == pytest.approx(sv[-1], rel=1e-12)
+    assert head.s_max == pytest.approx(sv[0], rel=1e-12)
+    assert np.allclose(head.sv, sv, rtol=1e-12, atol=0.0)
     assert head.rank_ok
     assert fit(pts, np.zeros(128)).pinv_norm * head.s_min == pytest.approx(1.0, abs=1e-10)
 
@@ -243,6 +240,97 @@ def test_head_svd_rank_cutoff():
     assert RANK_RTOL == 1e-10
     assert head_svd(np.diag([1.0, 2e-10])).rank_ok
     assert not head_svd(np.diag([1.0, 1e-10])).rank_ok
+
+
+@given(
+    s=st.sampled_from((0.75, 1.0, 2.0)),
+    k=st.integers(1, 60),
+    m_factor=st.integers(2, 8),
+    n_extra=st.integers(0, 300),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_head_factor_matches_the_dense_svd(s, k, m_factor, n_extra, seed):
+    # d = 1 draws in the runners' domain (n >= 2k): a draw on the Gram route
+    # (kappa <= KAPPA_LIMIT) matches the SVD of G and the dense e_trunc at
+    # rel 1e-12; any other draw is the SVD of G itself
+    m = m_factor * k
+    basis, _, pts = make_instance(SpaceParams(1, s), k, m, 2 * k + n_extra, seed)
+    head, dense = head_factor(pts), head_svd(pts.G)
+    if head.u is not None:
+        assert np.array_equal(head.sv, dense.sv) and np.array_equal(head.vt, dense.vt)
+        assert not (dense.rank_ok and dense.s_max <= lsq.KAPPA_LIMIT * (1.0 - 1e-12) * dense.s_min)
+        return
+    assert dense.s_max <= lsq.KAPPA_LIMIT * (1.0 + 1e-12) * dense.s_min
+    assert head.rank_ok and dense.rank_ok
+    assert head.s_min == pytest.approx(dense.s_min, rel=1e-12, abs=0)
+    assert head.s_max == pytest.approx(dense.s_max, rel=1e-12, abs=0)
+    assert np.all(np.diff(head.sv) <= 0.0)
+    dense_pts = dataclasses.replace(pts, B=weighted_matrix(pts, basis))
+    assert worst_case_error_trunc(pts, head, basis) == pytest.approx(
+        worst_case_error_trunc(dense_pts, dense, basis), rel=1e-12, abs=0
+    )
+
+
+def test_kappa_limit_one_sends_every_d1_draw_to_the_dense_route(monkeypatch):
+    config = ExperimentConfig(n_grid=(64, 128), c_head=0.25, trials=2, seed=3)
+    claims = run_claims(config)
+    monkeypatch.setattr(lsq, "KAPPA_LIMIT", 1.0)
+    _, _, pts = make_instance(SP1, 6, 48, 128, 3)
+    head = head_factor(pts)
+    assert head.u is not None and np.array_equal(head.sv, head_svd(pts.G).sv)
+    rates = run_rates(config)
+    assert "dense e_trunc fallback (kappa(G) above 1.0): 4 of 4 full-rank draws" in rates.report
+    # s_min enters claims only through its success fraction
+    assert run_claims(config).rows == claims.rows
+
+
+def test_duplicated_points_are_counted_degenerate(monkeypatch):
+    # every draw repeats k // 2 of its own points, so rank G <= k // 2 < k:
+    # lambda_min of G^T G is rounding noise, the draw falls back, and the
+    # dense SVD's RANK_RTOL test counts it degenerate
+    sample = density.sample_points
+
+    def duplicated(params, n, seed):
+        few = sample(params, max(1, params.k // 2), seed)
+        x = np.resize(few.points, (n, 1))
+        rho = np.resize(few.densities, n)
+        sums = exp_sums(x[:, 0], 1.0 / rho, len(few.sums) - 1)
+        return dataclasses.replace(few, points=x, densities=rho, sums=sums)
+
+    dup = duplicated(truncated_density(ordered_basis(SP1, 49), 6, 48), 128, 3)
+    head = head_factor(dup)
+    assert dup.n == 128 and head.u is not None and not head.rank_ok
+    monkeypatch.setattr(density, "sample_points", duplicated)
+    config = ExperimentConfig(n_grid=(64, 128), c_head=0.25, trials=2, seed=3)
+    rates = run_rates(config)
+    assert [row[12] for row in rates.rows] == [2, 2]
+    assert "0 of 0 full-rank draws" in rates.report
+    claims = run_claims(config)
+    assert [row[8] for row in claims.rows] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("seed", [20250814, 2])
+def test_rates_d1_makes_no_n_row_array_and_no_dense_svd(monkeypatch, seed):
+    # the perfbench rates-d1 config: none of its 21 full-rank draws falls
+    # back, so no instance evaluates a basis function or takes an SVD
+    calls = []
+    svd, evaluate = np.linalg.svd, density.basis_matrix
+
+    def counted_svd(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    def counted_evaluation(*args, **kwargs):
+        calls.append("basis_matrix")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(density, "basis_matrix", counted_evaluation)
+    config = ExperimentConfig(d=1, s=1.0, n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
+                              c_head=0.25, m_factor=8, trials=3, seed=seed)
+    result = run_rates(config)
+    assert "0 of 21 full-rank draws" in result.report
+    assert calls == []
 
 
 def svd_norm(mat):
