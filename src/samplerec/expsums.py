@@ -53,33 +53,56 @@ def exp_sums(x, weights, h_max: int) -> np.ndarray:
     return sums.ravel()[: h_max + 1]
 
 
-def _at(sums: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """E(h) for integer h of either sign, from E at h >= 0."""
-    values = sums[np.abs(h)]
-    np.conjugate(values, out=values, where=h < 0)
-    return values
-
-
-def _halved_coefficients(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Frequency f_j and c_j / sqrt(2) of one-coordinate flat indices."""
+def _split(flat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequency f_j, the real factor |c_j| / sqrt(2) (sqrt(1/2) on the
+    constant, 1 otherwise) and the sine flag of one-coordinate flat
+    indices."""
     flat = np.asarray(flat, dtype=np.int64)
-    coef = np.where(flat == 0, math.sqrt(0.5), np.where(flat % 2 == 0, 1.0, -1j))
-    return (flat + 1) // 2, coef
+    return (flat + 1) // 2, np.where(flat == 0, math.sqrt(0.5), 1.0), flat % 2 == 1
 
 
 def gram_block(sums: np.ndarray, rows, cols) -> np.ndarray:
     """The block (B^T B)[rows, cols] of a d = 1 instance, for flat basis
     indices rows and cols, from its sums E(h) up to the largest f_j + f_l.
-    The two terms are formed in place, so the call holds about three complex
-    arrays of the block's size at a time."""
-    f_r, c_r = _halved_coefficients(rows)
-    f_c, c_c = _halved_coefficients(cols)
-    block = _at(sums, np.add.outer(f_r, f_c))
-    block *= np.outer(c_r, c_c)
-    minus = _at(sums, np.subtract.outer(f_r, f_c))
-    minus *= np.outer(c_r, c_c.conj())
-    block += minus
-    return block.real
+
+    With p = |c_j c_l| / 2 and E(-h) = conj(E(h)), the module formula gives
+    each entry as Re E(f_j + f_l) p + Re E(f_j - f_l) p between two cosines,
+    Re E(f_j - f_l) p - Re E(f_j + f_l) p between two sines, and
+    Im E(f_j + f_l) p -+ Im E(f_j - f_l) p between a cosine row and a sine
+    column (-) or a sine row and a cosine column (+); these are the real
+    parts of the complex products term by term, so the block is the same to
+    the bit.  It is filled one cos/sin quadrant at a time from the real or
+    imaginary parts of the sums, so nothing complex of the block's size is
+    made and the call holds under three real blocks at a time.
+    """
+    f_r, a_r, sin_r = _split(rows)
+    f_c, a_c, sin_c = _split(cols)
+    block = np.empty((len(f_r), len(f_c)))
+    for row_sin in (False, True):
+        r = np.flatnonzero(sin_r == row_sin)
+        for col_sin in (False, True):
+            c = np.flatnonzero(sin_c == col_sin)
+            mixed = row_sin != col_sin
+            part = sums.imag if mixed else sums.real
+            p = np.multiply.outer(a_r[r], a_c[c])
+            h = np.add.outer(f_r[r], f_c[c])
+            plus = part[h]
+            plus *= p
+            np.subtract.outer(f_r[r], f_c[c], out=h)
+            negative = h < 0
+            minus = part[np.abs(h, out=h)]
+            if mixed:
+                # Im E(-h) = -Im E(h)
+                np.negative(minus, out=minus, where=negative)
+            minus *= p
+            if row_sin and col_sin:
+                np.subtract(minus, plus, out=plus)
+            elif col_sin:
+                plus -= minus
+            else:
+                plus += minus
+            block[np.ix_(r, c)] = plus
+    return block
 
 
 class TailGram:

@@ -129,18 +129,33 @@ _GRAM_FLOP_LIMIT = 4e9
 
 # Up to this size a symmetric operator is applied to the identity and its
 # top eigenvalue taken by np.linalg.eigvalsh; above it, Lanczos.  Timed on
-# d = 1 tail Grams and e_trunc operators at one BLAS thread, two runs: the
-# dense solve is faster for both up to q = 112, the tail Gram breaks even
-# near q = 140 and is faster by Lanczos from q = 182 (5.4 against 5.9-6.6
-# ms), and the e_trunc operator is faster densely up to q = 224.
+# d = 1 tail Grams and e_trunc operators at one BLAS thread, best of five
+# on two draws each, with a Ritz pair every _RITZ_STRIDE steps: at q = 112
+# the two break even (tail Gram 2.3-2.5 ms either way, e_trunc 0.70-0.85
+# ms dense against 0.75-0.95 ms), at q = 140 Lanczos is faster (tail Gram
+# 1.8-2.1 against 3.1-3.4 ms, e_trunc 0.84-0.86 against 0.96-0.99 ms), and
+# at q = 182 faster by 1.3 to 2.5 times.  The cut stays above 140 all the
+# same: the only operators of the benchmark workloads between 112 and 160
+# have q = 140 (six per rates-d1 run, one per rates-d2-s075 run), and a
+# cut at 128 moved the in-process norm time by less than its run-to-run
+# spread (median of ten runs: rates-d1 0.157 -> 0.137 s, rates-d2-s075
+# 0.135 -> 0.145 s, claims-d1 untouched).
 _OPERATOR_DENSE_SIZE = 160
 
 # Step cap of the Lanczos solver, which stores one vector of the operator's
 # size per step, so at most _LANCZOS_STEPS of them.  The Gram operators of
-# the benchmark workloads converged in 23 to 79 steps, random Gaussian
+# the benchmark workloads converged in 23 to 79 steps (and stop on the
+# Ritz schedule below, after 32 to 80 on both config seeds), random Gaussian
 # Grams M^T M of size up to 2000 in at most 145, and a top pair clustered
 # to 1e-12 over a uniform spectrum in at most 100.
 _LANCZOS_STEPS = 300
+
+# Lanczos takes the top Ritz pair of T_j by a dense eigh only every this
+# many steps (and at a possible breakdown or the last step): an eigh of
+# the j x j T_j costs O(j^3), 0.1 ms at j = 30 and 0.9 ms at j = 80, more
+# than a product with a cheap operator.  A run whose residual rule holds
+# from some step on stops at most _RITZ_STRIDE - 1 products after it.
+_RITZ_STRIDE = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -224,11 +239,18 @@ def _lanczos_top(gram) -> float:
     Gram-Schmidt passes; the first also takes off the three-term recurrence,
     and alpha_j is the sum of both passes' coefficients on the last vector.
 
-    After step j the top Ritz pair (theta, y) of the j x j tridiagonal T_j
-    comes from np.linalg.eigh.  The run stops when the residual
-    beta_j |y_last| <= eps theta (ARPACK's rule at tol = 0); on breakdown,
-    beta_j <= eps ||T_j||, where the Krylov space is invariant and theta is
-    exact; or at j = q.
+    The top Ritz pair (theta, y) of the j x j tridiagonal T_j comes from
+    np.linalg.eigh, taken only on a schedule: when j is a multiple of
+    _RITZ_STRIDE, at the last step (j = q or the cap), and whenever
+    beta_j <= eps g_j, where g_j = max over i <= j of
+    |alpha_i| + beta_(i-1) + beta_i (beta_0 = 0) is a Gershgorin bound on
+    ||T_j||, kept up to date in O(1) per step.  At each such step the run
+    stops when the residual beta_j |y_last| <= eps theta (ARPACK's rule at
+    tol = 0); on breakdown, beta_j <= eps ||T_j||, where the Krylov space is
+    invariant and theta is exact; or at j = q.  Since g_j >= ||T_j||, every
+    breakdown gets this exact test at its own step, before w is divided by
+    beta_j; a run whose residual rule holds from some step on stops at most
+    _RITZ_STRIDE - 1 products after it.
     """
     q = gram.shape[0]
     steps = min(q, _LANCZOS_STEPS)
@@ -236,6 +258,7 @@ def _lanczos_top(gram) -> float:
     basis = np.empty((min(steps, 32), q))
     basis[0] = 1.0 / np.sqrt(q)
     tri = np.zeros((len(basis), len(basis)))
+    beta = bound = 0.0
     for j in range(steps):
         stored = basis[: j + 1]
         # a copy: an operator may hand back its argument or its own data
@@ -245,12 +268,15 @@ def _lanczos_top(gram) -> float:
         again = stored @ w
         w -= again @ stored
         tri[j, j] = coef[j] + again[j]
+        radius = abs(tri[j, j]) + beta
         beta = float(np.linalg.norm(w))
-        theta, y = np.linalg.eigh(tri[: j + 1, : j + 1])
-        top = theta[-1]
-        if (beta * abs(y[-1, -1]) <= eps * abs(top)
-                or beta <= eps * max(abs(theta[0]), abs(top)) or j + 1 == q):
-            return float(top)
+        bound = max(bound, radius + beta)
+        if (j + 1) % _RITZ_STRIDE == 0 or j + 1 == steps or beta <= eps * bound:
+            theta, y = np.linalg.eigh(tri[: j + 1, : j + 1])
+            top = theta[-1]
+            if (beta * abs(y[-1, -1]) <= eps * abs(top)
+                    or beta <= eps * max(abs(theta[0]), abs(top)) or j + 1 == q):
+                return float(top)
         if j + 1 == steps:
             break
         if j + 1 == len(basis):

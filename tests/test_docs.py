@@ -8,3 +8,19 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_solver_figures_match_lsq():
+    # the README quotes the norm solver's size cut, step cap and Ritz stride;
+    # a retune of any of them must carry the README along
+    from samplerec import lsq
+
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sizes = re.findall(r"(?:up to|above) size (\d+)", text)
+    caps = re.findall(r"(\d+) steps", text)
+    strides = re.findall(r"every (\d+)th step", text)
+    extra = re.findall(r"at most (\d+) products", text)
+    assert len(sizes) == 2 and len(caps) == 2 and len(strides) == 1 and len(extra) == 1
+    assert {int(x) for x in sizes} == {lsq._OPERATOR_DENSE_SIZE}
+    assert {int(x) for x in caps} == {lsq._LANCZOS_STEPS}
+    assert int(strides[0]) == lsq._RITZ_STRIDE and int(extra[0]) == lsq._RITZ_STRIDE - 1

@@ -115,6 +115,59 @@ def test_gram_block_holds_three_blocks_at_a_time():
         assert peak <= 3.5 * block.size * 16
 
 
+def complex_gram_block(sums, rows, cols):
+    """The block by the module formula in complex arithmetic, with c_j = 1,
+    sqrt(2) or -i sqrt(2) halved: the reference for gram_block."""
+
+    def split(flat):
+        flat = np.asarray(flat, dtype=np.int64)
+        return (flat + 1) // 2, np.where(flat == 0, math.sqrt(0.5), np.where(flat % 2 == 0, 1.0, -1j))
+
+    def at(h):
+        values = sums[np.abs(h)]
+        np.conjugate(values, out=values, where=h < 0)
+        return values
+
+    f_r, c_r = split(rows)
+    f_c, c_c = split(cols)
+    plus = at(np.add.outer(f_r, f_c)) * np.outer(c_r, c_c)
+    return (plus + at(np.subtract.outer(f_r, f_c)) * np.outer(c_r, c_c.conj())).real
+
+
+flat_indices = st.tuples(st.lists(st.integers(0, 300), max_size=40), st.integers(0, 40)).map(
+    lambda drawn: drawn[0][: drawn[1]] + [0] + drawn[0][drawn[1]:]
+)
+
+
+@given(rows=flat_indices, cols=flat_indices, seed=st.integers(0, 2 ** 32 - 1))
+def test_gram_block_is_the_complex_formula_to_the_bit(rows, cols, seed):
+    # each entry is a sum of two real products, the real parts of the
+    # complex ones, so the real-arithmetic block matches bit for bit
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    sums = rng.standard_normal(301) + 1j * rng.standard_normal(301)
+    block = gram_block(sums, rows, cols)
+    assert block.shape == (len(rows), len(cols))
+    assert np.array_equal(block.view(np.int64), complex_gram_block(sums, rows, cols).view(np.int64))
+
+
+def test_gram_block_holds_three_real_blocks():
+    # the claims-d1 head Gram and e_trunc head-by-tail blocks of the
+    # largest claims-d1 and rates-d1 instances, filled one cos/sin quadrant
+    # at a time from real parts of the sums
+    basis, pts = make_instance(429, 3432, 2048, 3)
+    flat = basis.indices[:3432, 0]
+    for rows, cols in ((flat[:429], flat[:429]), (flat[:429], flat[429:]), (flat[:123], flat[123:984])):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            block = gram_block(pts.sums, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(block, complex_gram_block(pts.sums, rows, cols))
+        assert peak <= 3 * block.size * 8
+
+
 @pytest.mark.parametrize("k, m, n", [(1, 2, 30), (2, 16, 16), (8, 64, 200), (13, 104, 256), (57, 456, 1024)])
 def test_toeplitz_matvec_matches_dense_gamma(k, m, n):
     basis, pts = make_instance(k, m, n, 11)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -487,6 +488,65 @@ def test_lanczos_step_cap_raises(monkeypatch):
         spectral_norm(aslinearoperator(m.T @ m))
     # a run that ends within the cap is unaffected
     assert spectral_norm(aslinearoperator(np.eye(200))) == 1.0
+
+
+class CountedGram:
+    """A Gram operator that counts its products."""
+
+    def __init__(self, gram):
+        self.gram, self.shape, self.products = gram, gram.shape, 0
+
+    def matvec(self, v):
+        self.products += 1
+        return self.gram.matvec(v)
+
+    matmat = matvec
+
+
+def test_lanczos_breakdown_off_the_ritz_schedule():
+    # M^T M of rank r: with these draws the Krylov space is invariant to
+    # rounding after r + 2 products, on no multiple of the Ritz stride, and
+    # there beta_j <= eps ||T_j||; the Gershgorin guard takes the exact
+    # breakdown test at that step, so the run stops where it would with a
+    # Ritz pair every step
+    rng = np.random.Generator(np.random.Philox(key=3))
+    for rows, products in ((5, 7), (12, 14), (21, 23)):
+        mat = rng.standard_normal((rows, 300))
+        assert products % lsq._RITZ_STRIDE != 0
+        gram = CountedGram(aslinearoperator(mat.T @ mat))
+        assert lsq._lanczos_top(gram) == pytest.approx(svd_norm(mat) ** 2, rel=1e-12, abs=0)
+        assert gram.products == products
+
+
+def test_lanczos_takes_a_ritz_pair_every_stride(monkeypatch):
+    # a claims-d1 tail Gram shape (k = 131, m = 1048): one dense eigh per
+    # _RITZ_STRIDE products, plus one at a breakdown or the last step
+    basis, _, pts = make_instance(SP1, 131, 1048, 2048, 11)
+    gram = CountedGram(TailGram(pts.sums, basis.indices[131:1048, 0], basis.sigma[131:1048]))
+    eighs = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        eighs.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    lsq._lanczos_top(gram)
+    assert gram.products > 2 * lsq._RITZ_STRIDE
+    assert len(eighs) <= -(-gram.products // lsq._RITZ_STRIDE) + 1
+
+
+def test_lanczos_step_cap_off_the_ritz_schedule(monkeypatch):
+    # a cap on no multiple of the stride still gets its Ritz pair, which
+    # gives the error its residual
+    rng = np.random.Generator(np.random.Philox(key=7))
+    m = rng.standard_normal((400, 200))
+    monkeypatch.setattr(lsq, "_LANCZOS_STEPS", 13)
+    with pytest.raises(lsq.ConvergenceError, match="cap of 13 steps") as raised:
+        lsq._lanczos_top(aslinearoperator(m.T @ m))
+    residual = re.search(r"residual (\S+) of top Ritz value (\S+)$", str(raised.value))
+    assert math.isfinite(float(residual[1])) and float(residual[1]) > 0.0
+    assert float(residual[2]) == pytest.approx(svd_norm(m) ** 2, rel=1e-3)
 
 
 def test_gram_flop_limit_splits_workload_shapes():
