@@ -103,17 +103,16 @@ class PointSet:
     """One sampling instance: n points drawn from the density, their density
     values, the seed that made them, the head size k and the width m, and
     the weighted basis matrix B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over
-    the density's m functions in one of two forms.
+    the density's m functions in one of two forms, read alike at every d
+    through gram (its Gram blocks) and G (its (n, k) head block).
 
     Dense (d >= 2): B itself, read-only; G is a view of its first k columns,
     and m defaults to its width.  Structured (d = 1, B None): sums holds the
     weighted exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
-    h = 0..2 f_max, from which every Gram block of B is read
-    (samplerec.expsums), and basis the ordered basis of the density; no n-row
-    matrix is stored, and G, the (n, k) head block, is evaluated from the
-    basis on each access.  A given B takes precedence over the structured
-    fields.  The tail block B[:, k:] scaled by sigma_k..m is Gamma, which is
-    not stored.
+    h = 0..2 f_max, and basis the ordered basis of the density; no n-row
+    matrix is stored, and G is evaluated from the basis on each access.  A
+    given B takes precedence over the structured fields.  The tail block
+    B[:, k:] scaled by sigma_k..m is Gamma, which is not stored.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
@@ -140,6 +139,14 @@ class PointSet:
         g.flags.writeable = False
         return g
 
+    def gram(self, rows: slice, cols: slice) -> np.ndarray:
+        """(B^T B)[rows, cols] for slices of basis positions: from two views of
+        B, or structured from the sums (samplerec.expsums.gram_block)."""
+        if self.B is not None:
+            return self.B[:, rows].T @ self.B[:, cols]
+        flat = self.basis.indices[: self.m, 0]
+        return expsums.gram_block(self.sums, flat[rows], flat[cols])
+
     def __post_init__(self) -> None:
         if self.B is not None:
             if self.B.ndim != 2 or self.B.shape[0] != self.n or self.m not in (None, self.B.shape[1]):
@@ -155,13 +162,13 @@ class PointSet:
             raise ValueError("density values must be strictly positive")
 
 
-def dense_matrix(pts: PointSet, basis: OrderedBasis) -> np.ndarray:
+def dense_matrix(pts: PointSet) -> np.ndarray:
     """The instance's weighted n x m matrix B: pts.B when it is stored,
-    otherwise the first m basis functions evaluated at the points and
+    otherwise the first m functions of its basis evaluated at the points and
     divided by sqrt(rho)."""
     if pts.B is not None:
         return pts.B
-    return basis_matrix(basis, pts.points, pts.m) / np.sqrt(pts.densities)[:, None]
+    return basis_matrix(pts.basis, pts.points, pts.m) / np.sqrt(pts.densities)[:, None]
 
 
 def _closed_form_density(params: DensityParams, x: np.ndarray) -> np.ndarray:

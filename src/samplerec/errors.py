@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from . import expsums, lsq
+from . import lsq
 from .density import PointSet, dense_matrix
 from .lsq import HeadSVD
 from .spectral import CoefVector, OrderedBasis, SpectrumSummary
@@ -16,7 +16,7 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     """Exact worst-case L2 error over the unit ball of the first m basis
     functions, for a full-rank draw whose head block G has the factorization
     head (samplerec.lsq.head_factor).  info is the PointSet of the instance:
-    its B or sums, head size k and width m.
+    its Gram blocks, head size k and width m.
 
     The ball is c = diag(sigma) x, ||x|| <= 1, and the residual on
     coefficients is E = I - pad(G^+ B), so the error is ||E diag(sigma)||.
@@ -27,14 +27,14 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     W^T W + diag(s_t)^2, of size q = m - k.
 
     The route follows the factorization.  One without u (the Gram route of
-    a structured d = 1 draw, kappa(G) <= lsq.KAPPA_LIMIT) gives
-    W = S^-2 V^T (G^T B_tail) diag(s_t), with the head-by-tail Gram block
-    G^T B_tail read off the exponential sums; no n-row matrix is formed.
-    One with u takes the dense route above, on info.B or, for a d = 1 draw
-    that fell back, on B evaluated once for the draw.  Both routes end in
-    one lsq.spectral_norm of the operator x -> W^T (W x) + s_t^2 x, which
-    forms a q x q matrix only up to lsq._OPERATOR_DENSE_SIZE and otherwise
-    runs Lanczos on the (k, q) matrix W.
+    any d, kappa(G) <= lsq.KAPPA_LIMIT) gives
+    W = S^-2 V^T (G^T B_tail) diag(s_t), with the block G^T B_tail from
+    info.gram; at d = 1 no n-row matrix is formed.  One with u (a fallback
+    draw) takes the dense route above, on info.B or, at d = 1, on B
+    evaluated once for the draw.  Both routes end in one lsq.spectral_norm
+    of the operator x -> W^T (W x) + s_t^2 x, which forms a q x q matrix
+    only up to lsq._OPERATOR_DENSE_SIZE and otherwise runs Lanczos on the
+    (k, q) matrix W.
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
@@ -43,14 +43,12 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
         raise ValueError(f"head factorization must have vt of shape ({k}, {k}), got {head.vt.shape}")
     tail_sigma = basis.sigma[k:m]
     if head.u is None:
-        if info.sums is None:
-            raise ValueError("a head factorization without u needs the instance's exponential sums")
-        block = expsums.gram_block(info.sums, basis.indices[:k, 0], basis.indices[k:m, 0])
+        block = info.gram(slice(0, k), slice(k, m))
         w = (head.vt @ block) * tail_sigma / head.sv[:, None] ** 2
     else:
         if head.u.shape != (info.n, k):
             raise ValueError(f"head SVD must have u of shape ({info.n}, {k}), got {head.u.shape}")
-        w = (head.u.T @ dense_matrix(info, basis)[:, k:]) * tail_sigma / head.sv[:, None]
+        w = (head.u.T @ dense_matrix(info)[:, k:]) * tail_sigma / head.sv[:, None]
     return math.sqrt(lsq.spectral_norm(_TruncGram(w, tail_sigma)))
 
 

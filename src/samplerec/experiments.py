@@ -122,8 +122,12 @@ def load_config(path: str | None = None, seed: int | None = None, out: str | Non
 
 
 def head_size(n: int, c_head: float) -> int:
-    """k = floor(c_head * n / log n), clamped up to 1 so a head always exists."""
-    return max(1, math.floor(c_head * n / math.log(n)))
+    """k = floor(c_head * n / log n), clamped up to 1 so a head always exists;
+    ConfigError when c_head * n / log n is beyond float range."""
+    k = c_head * n / math.log(n)
+    if not math.isfinite(k):
+        raise ConfigError(f"n={n}: configuration infeasible: head size c_head * n / log n beyond float range")
+    return max(1, math.floor(k))
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -314,7 +318,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
                 continue
             s_gam = _checked_gamma_norm(pts, basis)
             full_rank += 1
-            fallbacks += pts.B is None and head.u is not None
+            fallbacks += head.u is not None
             e_tr = errors.worst_case_error_trunc(pts, head, basis)
             e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min, m)
             split = a_k + s_gam / head.s_min
@@ -351,11 +355,10 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
             f"n={n}: k={k}, m={m}, median e_trunc "
             f"{row[8]:.6g}, max ratio1 {row[10]:.9f}, degenerate {degenerate}"
         )
-    if config.d == 1:
-        lines.append(
-            f"dense e_trunc fallback (kappa(G) above {lsq.KAPPA_LIMIT:.1f}): "
-            f"{fallbacks} of {full_rank} full-rank draws"
-        )
+    lines.append(
+        f"dense e_trunc fallback (kappa(G) above {lsq.KAPPA_LIMIT:.1f}): "
+        f"{fallbacks} of {full_rank} full-rank draws"
+    )
     if len(fit_logn) >= 2:
         slope = float(np.polyfit(fit_logn, fit_loge, 1)[0])
         lines.append(f"log-log slope of median e_trunc vs n: {slope:.4f} (reference -s = {-config.s:g})")

@@ -1,7 +1,7 @@
 """The least-squares recovery step on a sampling instance: the one
-factorization of its head block G (head_factor: at d = 1 from the k x k
-Gram G^T G, otherwise the thin SVD of G), the fit, and norms of the tail
-block through its Gram operator."""
+factorization of its head block G (head_factor: from the k x k Gram G^T G,
+the thin SVD of G as the fallback), the fit, and norms of the tail block
+through its Gram operator."""
 
 from __future__ import annotations
 
@@ -10,37 +10,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expsums
 from .density import PointSet
 from .spectral import row_blocks
 
 # Relative singular-value cutoff below which a draw counts as degenerate.
 RANK_RTOL = 1e-10
 
-# Largest kappa(G) = s_max / s_min for which a structured (d = 1) draw takes
-# the Gram route: its head factorization comes from the eigendecomposition of
-# G^T G, and e_trunc reads G^T B_tail off the exponential sums and divides by
-# S^2 where the dense route divides U^T B_tail by S.  Each Gram entry errs by
-# about u E(0), and E(0) <= s_max^2 since the constant is a column of G, so
-# the Gram route's relative error in s_min and in W is about kappa^2 u
-# against the SVD's kappa u, as for the normal equations against an
-# orthogonal factorization (Higham, Accuracy and Stability of Numerical
-# Algorithms, 2002, sec. 20.4).  Holding kappa^2 u to 1e-13, a tenth of the
-# 1e-12 relative agreement the two routes are held to, gives
-# kappa <= sqrt(1e-13 / 2^-53) = 30.0.  A draw above it takes the dense SVD
-# of G evaluated for that draw alone.  The bound is safe rather than tight:
-# on d = 1 draws with kappa up to 436 the e_trunc routes agreed to 2.4e-14.
+# Largest kappa(G) = s_max / s_min for which a draw takes the Gram route, at
+# every d: its head factorization comes from the eigendecomposition of
+# G^T G, and e_trunc reads the Gram block G^T B_tail and divides by S^2
+# where the SVD route divides U^T B_tail by S.  Each entry of G^T G errs by
+# about u ||G_j|| ||G_l|| <= u s_max^2, so the Gram route's relative error
+# in s_min and in W is about kappa^2 u against the SVD's kappa u, as for
+# the normal equations against an orthogonal factorization (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, sec. 20.4).
+# Holding kappa^2 u to 1e-13, a tenth of the 1e-12 relative agreement the
+# two routes are held to, gives kappa <= sqrt(1e-13 / 2^-53) = 30.0.  A
+# draw above it takes the SVD of G.  The bound is safe rather than tight:
+# on d = 1 draws with kappa up to 436 the e_trunc routes agreed to 2.4e-14;
+# 38 d = 2 and 3 rates draws (benchmark and golden configs) had 1.15-1.53.
 KAPPA_LIMIT = math.sqrt(1e-13 / 2.0 ** -53)
 
 
 @dataclass(frozen=True)
 class HeadSVD:
     """Thin SVD G = u diag(sv) vt (sv descending) of an instance's head block:
-    the one factorization of G behind the fit, s_min/s_max and e_trunc.
-    u is None when it came from the eigendecomposition G^T G = V S^2 V^T
-    (head_factor's Gram route), which gives sv and vt alone.  rank_ok is
-    False on a degenerate draw: s_min <= RANK_RTOL * s_max, or a wide G
-    (n < k) with fewer singular values than columns."""
+    the one factorization of G behind the fit, s_min/s_max and e_trunc.  u
+    is None when it came from head_factor's Gram route G^T G = V S^2 V^T (any
+    d); head_svd, the fallback and fit's solve, sets it.  rank_ok is False
+    on a degenerate draw: s_min <= RANK_RTOL * s_max, or a wide G (n < k)
+    with fewer singular values than columns."""
 
     u: np.ndarray | None  # (n, k), None on the Gram route
     sv: np.ndarray  # (k,)
@@ -65,24 +64,21 @@ def head_svd(g: np.ndarray) -> HeadSVD:
 
 
 def head_factor(pts: PointSet) -> HeadSVD:
-    """The one factorization of the instance's head block G.
+    """The one factorization of the instance's head block G, at every d.
 
-    Dense form (d >= 2): head_svd of the view pts.G.  Structured form
-    (d = 1): the eigendecomposition G^T G = V diag(lambda) V^T of the k x k
-    head Gram read off the sums (samplerec.expsums.gram_block), giving
-    sv = sqrt(lambda) descending, vt = V^T and u None; no n-row array is
-    made.  When some lambda <= 0 or kappa = sv[0] / sv[-1] exceeds
-    KAPPA_LIMIT, G is evaluated for this draw alone and the result is its
-    head_svd, so a rank-deficient draw gets the exact dense test at
-    RANK_RTOL: the dense fallback of the Gram route.
+    The eigendecomposition G^T G = V diag(lambda) V^T of the k x k head Gram
+    pts.gram(head, head) gives sv = sqrt(lambda) descending, vt = V^T and
+    u None; no n-row array is made.  When some lambda <= 0 or
+    kappa = sv[0] / sv[-1] exceeds KAPPA_LIMIT, the result is head_svd of
+    pts.G instead, so a rank-deficient draw gets the exact test at
+    RANK_RTOL: the one fallback of the Gram route.
     """
-    if pts.B is None:
-        flat = pts.basis.indices[: pts.k, 0]
-        lam, v = np.linalg.eigh(expsums.gram_block(pts.sums, flat, flat))
-        if lam[0] > 0.0:
-            sv = np.sqrt(lam[::-1])
-            if sv[0] <= KAPPA_LIMIT * sv[-1]:
-                return HeadSVD(None, sv, v[:, ::-1].T)
+    head = slice(0, pts.k)
+    lam, v = np.linalg.eigh(pts.gram(head, head))
+    if lam[0] > 0.0:
+        sv = np.sqrt(lam[::-1])
+        if sv[0] <= KAPPA_LIMIT * sv[-1]:
+            return HeadSVD(None, sv, v[:, ::-1].T)
     return head_svd(pts.G)
 
 

@@ -88,12 +88,16 @@ def frequency(k: int) -> int:
 def _factor_weight(f: int, s: float) -> float:
     """Weight 1 + f^(2s) of one coordinate at frequency f.
 
-    PrecisionError when it is beyond float range, as it is for large s.
+    PrecisionError when it is beyond float range, as it is for large s
+    (where 2s itself may round to inf, and f^(2s) to inf without overflow).
     """
     try:
-        return 1.0 + float(f) ** (2.0 * s)
+        w = 1.0 + float(f) ** (2.0 * s)
     except OverflowError:
-        raise PrecisionError(f"norm weight 1 + {f}^(2s) at s={s:g} is beyond float range") from None
+        w = math.inf
+    if not math.isfinite(w):
+        raise PrecisionError(f"norm weight 1 + {f}^(2s) at s={s:g} is beyond float range")
+    return w
 
 
 def hnorm_weight(idx, params: SpaceParams) -> float:

@@ -359,7 +359,10 @@ def test_cli_run_path_imports_no_scipy(tmp_path, command, d):
 # relative, integer and fraction columns unchanged.  The claims digest then
 # moved with the exponential sums summed over row blocks of points, which
 # moved tail_ratio_median by 3.5e-16 relative; the head factorization from
-# G^T G moved no claims column.
+# G^T G moved no claims column.  The rates digest (d=2) then moved with the
+# same head factorization at every d, G^T G and G^T B_tail from B's views in
+# place of the SVD of G: s_min_G, e_trunc, e_upper, ratio1 and ratio2 by at
+# most 8.5e-16 relative, integer columns unchanged.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -369,7 +372,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "ce532ef4f56bcf6bd8d46e31590b20f1a2f19a13f80d7727cb4aa919666b4488",
+        "ceb1b85bd5dd55b82596b9bb5bd6eeec8e70551aeea174d3b3a7c65a13a98cdc",
     ),
     "beta": (
         "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
@@ -442,23 +445,34 @@ def test_cli_density_check_runs_below_its_matrix_size(tmp_path):
 
 @pytest.mark.parametrize(
     "command, line",
-    [("rates", "s = inf"), ("claims", "c_head = inf"), ("rates", "s = nan")],
+    [("rates", "s = inf"), ("claims", "c_head = inf"), ("rates", "s = nan"),
+     ("claims", "c_head = 1e308"), ("rates", "c_head = 1e308"), ("density-check", "c_head = 1e308")],
 )
 def test_cli_non_finite_config_exits_2(tmp_path, command, line):
-    # s = inf used to hang in the weight bisection and c_head = inf to end
-    # in an OverflowError traceback; the timeout turns a hang into a failure
+    # s = inf used to hang in the weight bisection, and c_head = inf, or a
+    # finite c_head whose head size c_head * n / log n is inf, to end in an
+    # OverflowError traceback; the timeout turns a hang into a failure
     proc, out = _run_cli(tmp_path, command, f"n_grid = 64\ntrials = 1\n{line}\n", timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
     assert not out.exists()
     assert not list(tmp_path.glob("*.csv"))
 
 
-@pytest.mark.parametrize("s", ["300", "400"])
+@pytest.mark.parametrize("s", ["300", "400", "1e308"])
 def test_cli_weight_beyond_float_range_exits_3(tmp_path, s):
     # the norm weights of the basis at such s overflow a float; this used to
-    # end in an OverflowError traceback with exit 1
-    proc, out = _run_cli(tmp_path, "rates", f"d = 1\nn_grid = 64\ntrials = 1\ns = {s}\n", timeout=60)
+    # end in an OverflowError traceback with exit 1, and at s = 1e308, where
+    # 2s is inf and 2^(2s) inf without overflow, in a basis enumeration that
+    # grew without bound, which the address-space cap stops early
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc, out = _run_cli(tmp_path, "rates", f"d = 1\nn_grid = 64\ntrials = 1\ns = {s}\n", timeout=60,
+                         preexec_fn=cap_address_space)
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "beyond float range" in proc.stderr

@@ -30,7 +30,7 @@ def make_instance(k, m, n, seed, params=SP1):
 
 def with_dense_matrix(pts, basis):
     """The same instance in the dense form, B evaluated at its points."""
-    return dataclasses.replace(pts, B=dense_matrix(pts, basis))
+    return dataclasses.replace(pts, B=dense_matrix(pts))
 
 
 def test_exp_sums_match_direct_sums():
@@ -79,7 +79,7 @@ def test_sample_points_at_d1_is_structured():
     assert pts.B is None and (pts.k, pts.m, pts.n) == (13, 104, 256)
     assert pts.G.shape == (256, 13) and not pts.G.flags.writeable
     assert len(pts.sums) == 2 * basis.max_frequency(104) + 1
-    b = dense_matrix(pts, basis)
+    b = dense_matrix(pts)
     assert b.shape == (256, 104)
     assert np.array_equal(pts.G, b[:, :13])
     assert np.array_equal(pts.sums, exp_sums(pts.points[:, 0], 1.0 / pts.densities, 104))
@@ -88,13 +88,28 @@ def test_sample_points_at_d1_is_structured():
 def test_gram_block_matches_dense_gram():
     for k, m, n, seed in ((1, 3, 40, 1), (6, 40, 90, 2), (13, 104, 256, 5)):
         basis, pts = make_instance(k, m, n, seed)
-        b = dense_matrix(pts, basis)
+        b = dense_matrix(pts)
         flat = basis.indices[:m, 0]
         scale = pts.sums[0].real
         assert np.max(np.abs(gram_block(pts.sums, flat, flat) - b.T @ b)) <= 1e-13 * scale
         block = gram_block(pts.sums, flat[:k], flat[k:])
         assert block.shape == (k, m - k)
         assert np.max(np.abs(block - pts.G.T @ b[:, k:])) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_point_set_gram_matches_the_dense_matrix(d):
+    basis, pts = make_instance(13, 104, 256, 5, SpaceParams(d, 1.0))
+    b = dense_matrix(pts)
+    for rows, cols in ((slice(0, 13), slice(0, 13)), (slice(0, 13), slice(13, 104)),
+                       (slice(13, 104), slice(0, 104)), (slice(40, 41), slice(7, 90))):
+        block = pts.gram(rows, cols)
+        dense = b[:, rows].T @ b[:, cols]
+        if d == 2:
+            assert np.array_equal(block, dense)
+        else:
+            assert block.shape == dense.shape
+            assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_gram_block_holds_three_blocks_at_a_time():
@@ -171,7 +186,7 @@ def test_gram_block_holds_three_real_blocks():
 @pytest.mark.parametrize("k, m, n", [(1, 2, 30), (2, 16, 16), (8, 64, 200), (13, 104, 256), (57, 456, 1024)])
 def test_toeplitz_matvec_matches_dense_gamma(k, m, n):
     basis, pts = make_instance(k, m, n, 11)
-    gamma = dense_matrix(pts, basis)[:, k:] * basis.sigma[k:m]
+    gamma = dense_matrix(pts)[:, k:] * basis.sigma[k:m]
     gram = TailGram(pts.sums, basis.indices[k:m, 0], basis.sigma[k:m])
     assert gram.shape == (m - k, m - k)
     rng = np.random.Generator(np.random.Philox(key=k))
@@ -252,25 +267,28 @@ def test_forced_kappa_fallback_returns_the_dense_value_bitwise(monkeypatch):
     dense = with_dense_matrix(pts, basis)
     assert head.u is None
     structured = worst_case_error_trunc(pts, head, basis)
+    assert head_factor(dense).u is None
     monkeypatch.setattr(lsq, "KAPPA_LIMIT", 0.0)
     head = head_factor(pts)
     assert head.u is not None
-    assert head_factor(dense).u is not None  # a dense instance never takes the Gram route
+    assert head_factor(dense).u is not None  # the dense instance falls back at the same limit
     fallback = worst_case_error_trunc(pts, head, basis)
     assert fallback == worst_case_error_trunc(dense, head_svd(dense.G), basis)
     assert fallback == pytest.approx(structured, rel=1e-12)
 
 
 def test_rates_report_counts_dense_fallbacks(monkeypatch):
-    config = ExperimentConfig(n_grid=(64, 128), c_head=0.25, trials=2, seed=3)
-    before = run_rates(config)
-    assert "dense e_trunc fallback (kappa(G) above 30.0): 0 of 4 full-rank draws" in before.report
+    configs = [ExperimentConfig(d=d, n_grid=(64, 128), c_head=0.25, trials=2, seed=3) for d in (1, 2)]
+    before = [run_rates(config) for config in configs]
+    for result in before:
+        assert "dense e_trunc fallback (kappa(G) above 30.0): 0 of 4 full-rank draws" in result.report
     monkeypatch.setattr(lsq, "KAPPA_LIMIT", 0.0)
-    after = run_rates(config)
-    assert "dense e_trunc fallback (kappa(G) above 0.0): 4 of 4 full-rank draws" in after.report
-    # the dense route moves e_trunc and what derives from it in the last bits
-    for row_after, row_before in zip(after.rows, before.rows, strict=True):
-        assert row_after == pytest.approx(row_before, rel=1e-12, abs=0)
+    for config, result in zip(configs, before):
+        after = run_rates(config)
+        assert "dense e_trunc fallback (kappa(G) above 0.0): 4 of 4 full-rank draws" in after.report
+        # the dense route moves e_trunc and what derives from it in the last bits
+        for row_after, row_before in zip(after.rows, result.rows, strict=True):
+            assert row_after == pytest.approx(row_before, rel=1e-12, abs=0)
 
 
 def test_claims_d1_evaluates_no_basis_column_past_the_head(monkeypatch):

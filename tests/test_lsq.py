@@ -244,18 +244,19 @@ def test_head_svd_rank_cutoff():
 
 
 @given(
+    d=st.sampled_from((1, 2)),
     s=st.sampled_from((0.75, 1.0, 2.0)),
     k=st.integers(1, 60),
     m_factor=st.integers(2, 8),
     n_extra=st.integers(0, 300),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_head_factor_matches_the_dense_svd(s, k, m_factor, n_extra, seed):
-    # d = 1 draws in the runners' domain (n >= 2k): a draw on the Gram route
+def test_head_factor_matches_the_dense_svd(d, s, k, m_factor, n_extra, seed):
+    # draws in the runners' domain (n >= 2k): a draw on the Gram route
     # (kappa <= KAPPA_LIMIT) matches the SVD of G and the dense e_trunc at
     # rel 1e-12; any other draw is the SVD of G itself
     m = m_factor * k
-    basis, _, pts = make_instance(SpaceParams(1, s), k, m, 2 * k + n_extra, seed)
+    basis, _, pts = make_instance(SpaceParams(d, s), k, m, 2 * k + n_extra, seed)
     head, dense = head_factor(pts), head_svd(pts.G)
     if head.u is not None:
         assert np.array_equal(head.sv, dense.sv) and np.array_equal(head.vt, dense.vt)
@@ -331,6 +332,25 @@ def test_rates_d1_makes_no_n_row_array_and_no_dense_svd(monkeypatch, seed):
                               c_head=0.25, m_factor=8, trials=3, seed=seed)
     result = run_rates(config)
     assert "0 of 21 full-rank draws" in result.report
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [20250814, 2])
+def test_rates_d2_takes_no_dense_svd(monkeypatch, seed):
+    # the perfbench rates-d2-s075 config: kappa(G) stays under KAPPA_LIMIT
+    # on all five draws, so every head factorization is the Gram route
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    config = ExperimentConfig(d=2, s=0.75, n_grid=(256, 512, 1024, 2048, 4096),
+                              c_head=0.25, m_factor=8, trials=1, seed=seed)
+    result = run_rates(config)
+    assert "0 of 5 full-rank draws" in result.report
     assert calls == []
 
 
@@ -473,7 +493,7 @@ def test_lanczos_on_claims_tail_grams():
     for k, m, n in ((13, 104, 512), (65, 520, 512), (131, 1048, 2048)):
         basis, _, pts = make_instance(SP1, k, m, n, 11)
         gram = TailGram(pts.sums, basis.indices[k:m, 0], basis.sigma[k:m])
-        gamma = dense_matrix(pts, basis)[:, k:] * basis.sigma[k:m]
+        gamma = dense_matrix(pts)[:, k:] * basis.sigma[k:m]
         dense = gamma.T @ gamma
         top = lsq._lanczos_top(gram)
         for oracle in lanczos_oracles(dense):

@@ -95,6 +95,11 @@ def test_hnorm_weight_values():
     # 4^800 is beyond float range
     with pytest.raises(PrecisionError):
         hnorm_weight((7,), SpaceParams(1, 400.0))
+    # 2s = inf: 2^inf is inf with no OverflowError, while frequency 1 keeps
+    # the finite weight 1 + 1^inf = 2
+    assert hnorm_weight((2,), SpaceParams(1, 1e308)) == 2.0
+    with pytest.raises(PrecisionError, match="beyond float range"):
+        hnorm_weight((3,), SpaceParams(1, 1e308))
 
 
 def test_ordered_basis_d1_first_entries():
