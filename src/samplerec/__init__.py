@@ -25,7 +25,7 @@ from .experiments import (
     run_density_check,
     run_rates,
 )
-from .lsq import Fit, HeadSVD, fit, head_factor, head_svd, spectral_norm
+from .lsq import HeadSVD, fit, head_factor, head_svd, spectral_norm
 from .spectral import (
     CoefVector,
     EnumerationLimitError,

@@ -249,8 +249,7 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
             dens = density.truncated_density(basis, k, m)
             _, gamma_k = spectral.beta_gamma(summary, basis, k)
             sqrt_n = math.sqrt(n)
-            s_mins = np.empty(config.trials)
-            ratios = np.empty(config.trials)
+            s_mins, ratios = [], []
             degenerate = 0
             for t in range(config.trials):
                 pts = density.sample_points(
@@ -258,10 +257,10 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
                 )
                 head = lsq.head_factor(pts)
                 degenerate += not head.rank_ok
-                s_mins[t] = head.s_min
-                ratios[t] = _checked_gamma_norm(pts, basis) / (gamma_k * sqrt_n)
-            frac_smin = float(np.mean(s_mins >= 0.5 * sqrt_n))
-            frac_tail = float(np.mean(ratios <= 3.0))
+                s_mins.append(head.s_min)
+                ratios.append(_checked_gamma_norm(pts, basis) / (gamma_k * sqrt_n))
+            frac_smin = float(np.mean(np.array(s_mins) >= 0.5 * sqrt_n))
+            frac_tail = float(np.mean(np.array(ratios) <= 3.0))
             rows.append((
                 n, c, k, m, config.trials,
                 frac_smin, float(np.median(ratios)), frac_tail,

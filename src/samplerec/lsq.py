@@ -37,9 +37,9 @@ class HeadSVD:
     """Thin SVD G = u diag(sv) vt (sv descending) of an instance's head block:
     the one factorization of G behind the fit, s_min/s_max and e_trunc.  u
     is None when it came from head_factor's Gram route G^T G = V S^2 V^T (any
-    d); head_svd, the fallback and fit's solve, sets it.  rank_ok is False
-    on a degenerate draw: s_min <= RANK_RTOL * s_max, or a wide G (n < k)
-    with fewer singular values than columns."""
+    d); head_svd, the fallback, sets it.  rank_ok is False on a degenerate
+    draw: s_min <= RANK_RTOL * s_max, or a wide G (n < k) with fewer
+    singular values than columns."""
 
     u: np.ndarray | None  # (n, k), None on the Gram route
     sv: np.ndarray  # (k,)
@@ -82,37 +82,25 @@ def head_factor(pts: PointSet) -> HeadSVD:
     return head_svd(pts.G)
 
 
-@dataclass(frozen=True)
-class Fit:
-    """Least-squares coefficients plus the conditioning of the solve."""
-
-    coefficients: np.ndarray  # (k,)
-    s_min_G: float
-    s_max_G: float
-    rank_ok: bool
-    pinv_norm: float | None  # 1 / s_min_G, None on a degenerate draw
-
-
-def fit(pts: PointSet, samples) -> Fit:
-    """Solve min ||G c - y||_2 with y_i = f(x_i) / sqrt(rho(x_i)), by SVD of
-    the point set's head block G.
-
-    Singular values at or below RANK_RTOL times the largest are treated as
-    zero; such draws are flagged through rank_ok rather than rejected.
+def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
+    """The least-squares coefficients c = V S^+ U^T y of min ||G c - y||_2,
+    y_i = f(x_i) / sqrt(rho(x_i)), from head = head_factor(pts), the
+    instance's one factorization of G.  U^T y is u.T @ y on the SVD route
+    and S^-1 V^T (G^T y) on the Gram route (u None), whose rounding is
+    kappa^2 u, as for e_trunc.  Singular values at or below RANK_RTOL times
+    the largest are treated as zero; a degenerate draw is flagged by
+    head.rank_ok rather than rejected.  Raises ValueError when head is not
+    shaped as a factorization of this point set's G.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (pts.n,):
         raise ValueError(f"expected {pts.n} samples, got shape {samples.shape}")
+    if head.vt.shape[1] != pts.k or (head.u is not None and head.u.shape[0] != pts.n):
+        raise ValueError("head is not the head factorization of this point set")
     y = samples / np.sqrt(pts.densities)
-    head = head_svd(pts.G)
+    uty = head.u.T @ y if head.u is not None else (head.vt @ (pts.G.T @ y)) / head.sv
     inv = np.divide(1.0, head.sv, out=np.zeros_like(head.sv), where=head.sv > RANK_RTOL * head.s_max)
-    return Fit(
-        coefficients=head.vt.T @ (inv * (head.u.T @ y)),
-        s_min_G=head.s_min,
-        s_max_G=head.s_max,
-        rank_ok=head.rank_ok,
-        pinv_norm=1.0 / head.s_min if head.rank_ok else None,
-    )
+    return head.vt.T @ (inv * uty)
 
 
 # Above this flop estimate n * q**2 for forming the q x q Gram matrix of a
@@ -120,7 +108,9 @@ def fit(pts: PointSet, samples) -> Fit:
 # beats forming it and np.linalg.eigvalsh.  Timed on d = 2, s = 0.75 views
 # at one BLAS thread, two runs: 4096 x 861 (3.0e9) takes 0.18-0.25 s by Gram
 # and 0.50-0.52 s by Lanczos, 2048 x 1498 (4.6e9) 0.55-0.59 s by Gram and
-# 0.31-0.45 s by Lanczos.
+# 0.31-0.45 s by Lanczos.  4096 x 861 is the largest view of the benchmark
+# workloads (rates-d2-s075; the d = 1 ones take the Toeplitz TailGram), so
+# none of them reaches the Lanczos side.
 _GRAM_FLOP_LIMIT = 4e9
 
 # Up to this size a symmetric operator is applied to the identity and its

@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "EnumerationLimitError",
     "ExperimentConfig",
     "ExperimentResult",
-    "Fit",
     "HeadSVD",
     "OrderedBasis",
     "PointSet",

@@ -139,6 +139,20 @@ def test_run_claims_deterministic():
     assert csv_text(run_claims(config)) == csv_text(run_claims(config))
 
 
+def test_run_claims_huge_trials_reaches_the_first_draw(monkeypatch):
+    # trials bounds the work of a cell but sizes no array: with 10^13 trials
+    # the first draw still runs, where the runner used to die of MemoryError
+    class Drawn(Exception):
+        pass
+
+    def first_draw(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(density, "sample_points", first_draw)
+    with pytest.raises(Drawn):
+        run_claims(ExperimentConfig(n_grid=(64,), c_head=0.2, m_factor=3, trials=10 ** 13, seed=1))
+
+
 def test_run_rates_rows_and_invariants():
     config = ExperimentConfig(n_grid=(64, 128), c_head=0.25, m_factor=8, trials=3, seed=3)
     result = run_rates(config)

@@ -118,9 +118,9 @@ def test_wide_head_block_is_not_rank_ok():
     assert len(head.sv) == 2 and head.sv[-1] > RANK_RTOL * head.sv[0]
     assert not head.rank_ok
     pts = PointSet(points=np.zeros((2, 1)), densities=np.ones(2), seed=0, B=np.hstack([g, g]), k=3)
-    res = fit(pts, np.ones(2))
-    assert not res.rank_ok
-    assert res.pinv_norm is None
+    assert head_factor(pts).u is not None
+    coefficients = fit(pts, head, np.ones(2))
+    assert coefficients.shape == (3,) and np.all(np.isfinite(coefficients))
     basis = ordered_basis(SP1, 7)
     with pytest.raises(ValueError):
         worst_case_error_trunc(pts, head, basis)
@@ -145,27 +145,26 @@ def test_uniform_case_head_column_is_constant():
 def test_fit_recovers_single_basis_function():
     basis, _, pts = make_instance(SP1, 8, 32, 64, 7)
     samples = np.array([basis_eval(basis.indices[2], x) for x in pts.points])
-    res = fit(pts, samples)
+    head = head_factor(pts)
     expected = np.zeros(8)
     expected[2] = 1.0
-    assert res.rank_ok
-    assert np.max(np.abs(res.coefficients - expected)) < 1e-10
+    assert head.rank_ok
+    assert np.max(np.abs(fit(pts, head, samples) - expected)) < 1e-10
 
 
 def test_fit_zero_samples_zero_coefficients():
     _, _, pts = make_instance(SP1, 4, 12, 32, 5)
-    res = fit(pts, np.zeros(32))
-    assert np.all(res.coefficients == 0.0)
+    assert np.all(fit(pts, head_factor(pts), np.zeros(32)) == 0.0)
 
 
 def test_fit_reproduces_head_functions():
     basis, _, pts = make_instance(SP1, 8, 32, 128, 11)
+    head = head_factor(pts)
+    assert head.rank_ok
     worst = 0.0
     for t in range(100):
         f = random_unit_function(basis, (1, 8), t)
-        res = fit(pts, f.evaluate(pts.points))
-        assert res.rank_ok
-        worst = max(worst, float(np.max(np.abs(res.coefficients - f.c[:8]))))
+        worst = max(worst, float(np.max(np.abs(fit(pts, head, f.evaluate(pts.points)) - f.c[:8]))))
     assert worst < 1e-9
 
 
@@ -173,25 +172,28 @@ def test_fit_is_weighted_least_squares_optimum():
     basis, _, pts = make_instance(SP1, 6, 18, 48, 13)
     f = random_unit_function(basis, (1, 18), 4)
     samples = f.evaluate(pts.points)
-    res = fit(pts, samples)
+    coefficients = fit(pts, head_factor(pts), samples)
     y = samples / np.sqrt(pts.densities)
-    base = np.linalg.norm(pts.G @ res.coefficients - y)
+    base = np.linalg.norm(pts.G @ coefficients - y)
     rng = np.random.Generator(np.random.Philox(key=17))
     for _ in range(20):
         direction = rng.standard_normal(6)
-        perturbed = res.coefficients + 1e-3 * direction
+        perturbed = coefficients + 1e-3 * direction
         assert np.linalg.norm(pts.G @ perturbed - y) >= base - 1e-12
 
 
 def test_fit_conditioning_fields():
+    # the conditioning of the solve is the head factorization's: fit is the
+    # map y -> G^+ y, whose norm is 1 / s_min
     _, _, pts = make_instance(SP1, 8, 32, 64, 42)
-    res = fit(pts, np.zeros(64))
+    head = head_factor(pts)
     sv = np.linalg.svd(pts.G, compute_uv=False)
     s_min, s_max = sv[-1], sv[0]
-    assert res.s_min_G == pytest.approx(s_min)
-    assert res.s_max_G == pytest.approx(s_max)
-    assert res.pinv_norm == pytest.approx(1.0 / s_min)
-    assert res.rank_ok
+    assert head.s_min == pytest.approx(s_min)
+    assert head.s_max == pytest.approx(s_max)
+    assert head.rank_ok
+    gp = np.column_stack([fit(pts, head, e * np.sqrt(pts.densities)) for e in np.eye(64)])
+    assert np.linalg.norm(gp, 2) * head.s_min == pytest.approx(1.0, abs=1e-10)
 
 
 def test_fit_flags_rank_deficiency_without_rejecting():
@@ -200,11 +202,89 @@ def test_fit_flags_rank_deficiency_without_rejecting():
     dens = truncated_density(basis, 3, 6)
     pts = sample_points(dens, 2, 1)
     ones = dataclasses.replace(pts, densities=np.ones(2), B=np.ones((2, 6)))
-    res = fit(ones, np.ones(2))
-    assert not res.rank_ok
-    assert res.pinv_norm is None
-    assert res.coefficients.shape == (3,)
-    assert np.all(np.isfinite(res.coefficients))
+    head = head_factor(ones)
+    assert head.u is not None and not head.rank_ok
+    coefficients = fit(ones, head, np.ones(2))
+    assert coefficients.shape == (3,)
+    assert np.all(np.isfinite(coefficients))
+
+
+def counted_svd_calls(monkeypatch):
+    """Patch np.linalg.svd to count its calls into the returned list."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append("svd")
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_fit_on_the_gram_route_takes_no_svd(monkeypatch, d):
+    # a kappa <= KAPPA_LIMIT draw: the fit reads the factorization that
+    # head_factor gave the instance and takes no SVD of its own
+    basis, _, pts = make_instance(SpaceParams(d, 1.0), 8, 32, 128, 11)
+    head = head_factor(pts)
+    assert head.u is None
+    calls = counted_svd_calls(monkeypatch)
+    f = random_unit_function(basis, (1, 8), 3)
+    assert np.max(np.abs(fit(pts, head, f.evaluate(pts.points)) - f.c[:8])) < 1e-10
+    assert calls == []
+
+
+def dense_svd_solve(pts, samples):
+    """Reference: G^+ y by a full-rank thin SVD of G."""
+    u, sv, vt = np.linalg.svd(pts.G, full_matrices=False)
+    return vt.T @ ((1.0 / sv) * (u.T @ (samples / np.sqrt(pts.densities))))
+
+
+@given(
+    d=st.sampled_from((1, 2)),
+    s=st.sampled_from((0.75, 1.0, 2.0)),
+    k=st.integers(1, 60),
+    m_factor=st.integers(2, 8),
+    n_extra=st.integers(0, 300),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_gram_route_fit_matches_the_dense_svd_solve(d, s, k, m_factor, n_extra, seed):
+    # the normal-equations solve errs by about kappa^2 u, at most 1e-13 for
+    # kappa <= KAPPA_LIMIT; samples of a function over the whole width m
+    # leave a residual outside the head span
+    m = m_factor * k
+    basis, _, pts = make_instance(SpaceParams(d, s), k, m, 2 * k + n_extra, seed)
+    head = head_factor(pts)
+    if head.u is not None:
+        return
+    samples = random_unit_function(basis, (1, m), seed).evaluate(pts.points)
+    expected = dense_svd_solve(pts, samples)
+    assert np.linalg.norm(fit(pts, head, samples) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_forced_fallback_fit_is_the_dense_svd_solve(monkeypatch, d):
+    basis, _, pts = make_instance(SpaceParams(d, 1.0), 8, 32, 128, 11)
+    samples = random_unit_function(basis, (1, 32), 5).evaluate(pts.points)
+    monkeypatch.setattr(lsq, "KAPPA_LIMIT", 1.0)
+    head = head_factor(pts)
+    assert head.u is not None and head.rank_ok
+    assert np.array_equal(fit(pts, head, samples), dense_svd_solve(pts, samples))
+
+
+def test_fit_rejects_a_head_of_another_point_set():
+    # a head with another k (either route) or, on the SVD route, another n
+    _, _, pts = make_instance(SP1, 8, 32, 64, 42)
+    _, _, narrow = make_instance(SP1, 6, 24, 64, 42)
+    _, _, taller = make_instance(SP1, 8, 32, 128, 42)
+    assert head_factor(narrow).u is None
+    for head in (head_factor(narrow), head_svd(narrow.G), head_svd(taller.G)):
+        with pytest.raises(ValueError, match="head"):
+            fit(pts, head, np.zeros(64))
+    with pytest.raises(ValueError, match="samples"):
+        fit(pts, head_factor(pts), np.zeros(63))
+    assert fit(pts, head_svd(pts.G), np.zeros(64)).shape == (8,)
 
 
 def test_head_svd_rebuilds_g():
@@ -225,7 +305,6 @@ def test_head_svd_agrees_with_dense_singular_values():
     assert head.s_max == pytest.approx(sv[0], rel=1e-12)
     assert np.allclose(head.sv, sv, rtol=1e-12, atol=0.0)
     assert head.rank_ok
-    assert fit(pts, np.zeros(128)).pinv_norm * head.s_min == pytest.approx(1.0, abs=1e-10)
 
 
 def test_head_svd_rank_cutoff():
@@ -234,7 +313,9 @@ def test_head_svd_rank_cutoff():
     # the fit's map is G^+ with singular values at or below the cutoff
     # treated as zero; its columns are the fits of unit sample vectors
     pts = PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, B=np.hstack([g, g]), k=3)
-    gp = np.column_stack([fit(pts, e).coefficients for e in np.eye(3)])
+    head = head_factor(pts)
+    assert head.u is not None
+    gp = np.column_stack([fit(pts, head, e) for e in np.eye(3)])
     assert gp[0, 0] == pytest.approx(1.0)
     assert gp[1, 1] == 0.0
     assert gp[2, 2] == 0.0
@@ -315,18 +396,13 @@ def test_duplicated_points_are_counted_degenerate(monkeypatch):
 def test_rates_d1_makes_no_n_row_array_and_no_dense_svd(monkeypatch, seed):
     # the perfbench rates-d1 config: none of its 21 full-rank draws falls
     # back, so no instance evaluates a basis function or takes an SVD
-    calls = []
-    svd, evaluate = np.linalg.svd, density.basis_matrix
-
-    def counted_svd(*args, **kwargs):
-        calls.append("svd")
-        return svd(*args, **kwargs)
+    calls = counted_svd_calls(monkeypatch)
+    evaluate = density.basis_matrix
 
     def counted_evaluation(*args, **kwargs):
         calls.append("basis_matrix")
         return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(density, "basis_matrix", counted_evaluation)
     config = ExperimentConfig(d=1, s=1.0, n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
                               c_head=0.25, m_factor=8, trials=3, seed=seed)
@@ -339,14 +415,7 @@ def test_rates_d1_makes_no_n_row_array_and_no_dense_svd(monkeypatch, seed):
 def test_rates_d2_takes_no_dense_svd(monkeypatch, seed):
     # the perfbench rates-d2-s075 config: kappa(G) stays under KAPPA_LIMIT
     # on all five draws, so every head factorization is the Gram route
-    calls = []
-    svd = np.linalg.svd
-
-    def counted_svd(*args, **kwargs):
-        calls.append("svd")
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    calls = counted_svd_calls(monkeypatch)
     config = ExperimentConfig(d=2, s=0.75, n_grid=(256, 512, 1024, 2048, 4096),
                               c_head=0.25, m_factor=8, trials=1, seed=seed)
     result = run_rates(config)
@@ -570,8 +639,9 @@ def test_lanczos_step_cap_off_the_ritz_schedule(monkeypatch):
 
 
 def test_gram_flop_limit_splits_workload_shapes():
-    # Gamma shapes of the benchmark workloads nearest the limit: 4096 x 861
-    # is faster by Gram, 2048 x 1498 by Lanczos; the rest sit farther out
+    # the timed d = 2 views on either side of the limit: 4096 x 861, the
+    # largest view of the benchmark workloads (rates-d2-s075), is faster by
+    # Gram, 2048 x 1498 by Lanczos; no workload view reaches the Lanczos side
     assert 4096 * 861 ** 2 <= lsq._GRAM_FLOP_LIMIT < 2048 * 1498 ** 2
     # a tall view within the dense caps with q <= _OPERATOR_DENSE_SIZE always
     # forms its Gram matrix
