@@ -376,12 +376,14 @@ def test_cli_run_path_imports_no_scipy(tmp_path, command, d):
 # G^T G moved no claims column.  The rates digest (d=2) then moved with the
 # same head factorization at every d, G^T G and G^T B_tail from B's views in
 # place of the SVD of G: s_min_G, e_trunc, e_upper, ratio1 and ratio2 by at
-# most 8.5e-16 relative, integer columns unchanged.
+# most 8.5e-16 relative, integer columns unchanged.  The claims digest then
+# moved with the exponential sums from one complex exponential per point and
+# power tables by multiplication: tail_ratio_median by 3.9e-16 relative.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "f1573aa030d5769c9ab078747547d034f2c5f4392c12452ef06b1d92b2c38646",
+        "cece0b41cc83e369b6f04750fff72f20a04b65ed6eb6483aadedf453c23ad1a9",
     ),
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"

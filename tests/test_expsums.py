@@ -45,12 +45,26 @@ def test_exp_sums_match_direct_sums():
     assert exp_sums(x, w, 5)[0] == pytest.approx(np.sum(w), rel=1e-14)
 
 
+def one_shot_powers(z, count):
+    """z^0 .. z^(count - 1) for all points at once: row r is row r - top times
+    z^top, top the largest power of two up to r, with z^top by squaring."""
+    squares = [z]
+    while 2 ** len(squares) < count:
+        squares.append(squares[-1] * squares[-1])
+    table = np.empty((count, len(z)), dtype=complex)
+    table[0] = 1.0
+    for r in range(1, count):
+        top = r.bit_length() - 1
+        table[r] = table[r - 2 ** top] * squares[top]
+    return table
+
+
 def one_shot_exp_sums(x, w, h_max):
-    """The blocked powers of exp_sums with the tables of all points at once."""
-    blocks = h_max // 64 + 1
-    inner = np.exp(1j * np.multiply.outer(x, (2.0 * np.pi) * np.arange(64)))
-    outer = np.exp(1j * np.multiply.outer(x, (2.0 * np.pi * 64) * np.arange(blocks)))
-    return ((outer * w[:, None]).T @ inner).ravel()[: h_max + 1]
+    """The power tables of exp_sums, built for all points at once."""
+    e = np.exp(2j * np.pi * x)
+    inner = one_shot_powers(e, 64)
+    outer = one_shot_powers(inner[-1] * e, h_max // 64 + 1)
+    return ((outer * w) @ inner.T).ravel()[: h_max + 1]
 
 
 def test_exp_sums_in_row_blocks_match_one_shot_tables():
@@ -72,6 +86,55 @@ def test_exp_sums_in_row_blocks_match_one_shot_tables():
         # a few tables of one row block, not of n rows
         assert peak <= 4 * spectral.ROW_BLOCK_BYTES
     assert np.array_equal(exp_sums(x[:300], w[:300], 200), one_shot_exp_sums(x[:300], w[:300], 200))
+
+
+@pytest.mark.parametrize("h_max", [3432, 8192])
+def test_exp_sums_match_an_mpmath_oracle(h_max):
+    # the claims-d1 width and the MAX_TRUNCATION one; x is exact in binary,
+    # so the oracle's angles carry no rounding and the error counted is the
+    # whole error of exp_sums, the rounding of 2 pi x scaled by h included
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.Generator(np.random.Philox(key=5))
+    x = rng.random(512)
+    w = rng.random(512) + 0.5
+    sums = exp_sums(x, w, h_max)
+    hs = sorted({0, 1, 63, 64, 65, 127, 128, h_max - 64, h_max - 1, h_max}
+                | set(rng.integers(0, h_max + 1, 14).tolist()))
+    with mpmath.workdps(40):
+        xs, ws = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in w]
+        for h in hs:
+            exact = mpmath.fsum(wi * mpmath.expjpi(2 * h * xi) for xi, wi in zip(xs, ws))
+            assert abs(complex(sums[h]) - complex(exact)) <= 1e-12 * np.sum(w), h
+
+
+def test_exp_sums_take_one_exponential_per_point(monkeypatch):
+    # the claims-d1 shape, where one exponential per power would take 118 per point
+    evaluated = []
+    exp = np.exp
+
+    def counting(z, *args, **kwargs):
+        evaluated.append(np.size(z))
+        return exp(z, *args, **kwargs)
+
+    rng = np.random.Generator(np.random.Philox(key=6))
+    x = rng.random(2048)
+    w = rng.random(2048) + 0.5
+    monkeypatch.setattr(np, "exp", counting)
+    exp_sums(x, w, 3432)
+    assert 0 < sum(evaluated) <= 2 * len(x)
+
+
+def test_exp_sums_reject_bad_input():
+    x = np.linspace(0.0, 1.0, 8, endpoint=False)
+    w = np.ones(8)
+    with pytest.raises(ValueError, match="h_max"):
+        exp_sums(x, w, -1)
+    with pytest.raises(ValueError, match="1-D"):
+        exp_sums(x.reshape(2, 4), w.reshape(2, 4), 5)
+    with pytest.raises(ValueError, match="one weight per point"):
+        exp_sums(x, w[:7], 5)
+    with pytest.raises(ValueError, match="one weight per point"):
+        exp_sums(x, 1.0, 5)
 
 
 def test_sample_points_at_d1_is_structured():
