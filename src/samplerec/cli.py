@@ -9,7 +9,8 @@ from . import experiments
 from .lsq import ConvergenceError
 from .spectral import EnumerationLimitError, PrecisionError
 
-# A numerical or size limit stopped the run before it could finish.
+# A numerical or size limit, or the memory the process may take, stopped
+# the run before it could finish.
 EXIT_LIMIT = 3
 
 RUNNERS = {
@@ -54,6 +55,9 @@ def main(argv=None) -> int:
         return 1
     except (PrecisionError, EnumerationLimitError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     out = config.out or args.command.replace("-", "_") + ".csv"
     try:

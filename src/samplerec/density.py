@@ -30,6 +30,28 @@ BISECT_STEPS = 48
 MAX_POINTS = 1 << 14
 MAX_TRUNCATION = 1 << 13
 
+# A d >= 2 draw keeps its m x m Gram B^T B in place of B when m <= n (the
+# Gram is no larger than B) and n q^2 <= _GRAM_FLOP_LIMIT, q = m - k (the
+# Gram is cheap to form); otherwise it keeps B, and the tail norm is
+# Lanczos on the view B[:, k:].  Per-instance seconds at d = 2, s = 0.75
+# (sampling, head factorization, tail norm and e_trunc), one BLAS thread,
+# best of three in each of three runs:
+#   n x m, q            n q^2   Gram          B
+#   4096 x 984, 861     3.0e9   0.219-0.269   0.329-0.372
+#   4096 x 1280, 1120   5.1e9   0.316-0.429   0.423-0.507
+#   2048 x 1712, 1498   4.6e9   0.324-0.373   0.327-0.333
+# The Gram costs n m^2 to sum and Lanczos on the view about n q per step,
+# so n q^2 cannot order the last two; the limit is kept at 4e9, with the
+# largest instance of the benchmark workloads (4096 x 984) on the Gram side.
+_GRAM_FLOP_LIMIT = 4e9
+
+# Rows of one chunk of the Gram sum: whole row blocks (row_blocks) of about
+# _GRAM_CHUNK_BYTES together, and at least _GRAM_CHUNK_ROWS rows, since a
+# product B_c^T B_c over fewer rows costs more per row and each chunk adds
+# a pass over the m x m Gram.
+_GRAM_CHUNK_BYTES = 4 << 20
+_GRAM_CHUNK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class DensityParams:
@@ -103,26 +125,29 @@ class PointSet:
     """One sampling instance: n points drawn from the density, their density
     values, the seed that made them, the head size k and the width m, and
     the weighted basis matrix B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over
-    the density's m functions in one of two forms, read alike at every d
+    the density's m functions in one of three forms, read alike at every d
     through gram (its Gram blocks) and G (its (n, k) head block).
 
-    Dense (d >= 2): B itself, read-only; G is a view of its first k columns,
-    and m defaults to its width.  Structured (d = 1, B None): sums holds the
-    weighted exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
-    h = 0..2 f_max, and basis the ordered basis of the density; no n-row
-    matrix is stored, and G is evaluated from the basis on each access.  A
-    given B takes precedence over the structured fields.  The tail block
-    B[:, k:] scaled by sigma_k..m is Gamma, which is not stored.
+    Dense (d >= 2, B given): B itself, read-only; G is a view of its first
+    k columns, and m defaults to its width.  Gram (d >= 2, BtB given): the
+    m x m Gram B^T B, read-only, whose blocks gram gives as views.
+    Structured (d = 1, sums given): the weighted exponential sums
+    E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}, h = 0..2 f_max.  In the Gram
+    and structured forms basis is the ordered basis of the density, no
+    n-row matrix is stored, and G is evaluated from the basis on each
+    access.  A given B takes precedence over the other fields.  The tail
+    block B[:, k:] scaled by sigma_k..m is Gamma, which is not stored.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
     densities: np.ndarray  # (n,), strictly positive
     seed: int
-    B: np.ndarray | None  # (n, m) weighted basis matrix, None in the structured form
+    B: np.ndarray | None  # (n, m) weighted basis matrix, None in the Gram and structured forms
     k: int  # head size, 1 <= k < m
     m: int | None = None  # width, B.shape[1] when B is given
     sums: np.ndarray | None = None  # (2 f_max + 1,) complex E(h) of the structured form
-    basis: OrderedBasis | None = None  # the density's basis, in the structured form
+    basis: OrderedBasis | None = None  # the density's basis, in the Gram and structured forms
+    BtB: np.ndarray | None = None  # (m, m) Gram B^T B of the Gram form
 
     @property
     def n(self) -> int:
@@ -130,8 +155,8 @@ class PointSet:
 
     @property
     def G(self) -> np.ndarray:
-        """The (n, k) head block: a view of B, or in the structured form a
-        new read-only array evaluated from the basis on each access."""
+        """The (n, k) head block: a view of B, or in the Gram and structured
+        forms a new read-only array evaluated from the basis on each access."""
         if self.B is not None:
             return self.B[:, : self.k]
         g = basis_matrix(self.basis, self.points, self.k)
@@ -141,9 +166,12 @@ class PointSet:
 
     def gram(self, rows: slice, cols: slice) -> np.ndarray:
         """(B^T B)[rows, cols] for slices of basis positions: from two views of
-        B, or structured from the sums (samplerec.expsums.gram_block)."""
+        B, a read-only view of the stored Gram, or structured from the sums
+        (samplerec.expsums.gram_block)."""
         if self.B is not None:
             return self.B[:, rows].T @ self.B[:, cols]
+        if self.BtB is not None:
+            return self.BtB[rows, cols]
         flat = self.basis.indices[: self.m, 0]
         return expsums.gram_block(self.sums, flat[rows], flat[cols])
 
@@ -152,8 +180,10 @@ class PointSet:
             if self.B.ndim != 2 or self.B.shape[0] != self.n or self.m not in (None, self.B.shape[1]):
                 raise ValueError("inconsistent point-set shapes")
             object.__setattr__(self, "m", int(self.B.shape[1]))
-        elif self.sums is None or self.basis is None or self.m is None:
-            raise ValueError("a point set needs B, or its sums, basis and width m")
+        elif (self.sums is None and self.BtB is None) or self.basis is None or self.m is None:
+            raise ValueError("a point set needs B, or its sums or Gram, basis and width m")
+        elif self.BtB is not None and self.BtB.shape != (self.m, self.m):
+            raise ValueError("inconsistent point-set shapes")
         if not 1 <= self.k < self.m:
             raise ValueError(f"need 1 <= k < m, got k={self.k}, m={self.m}")
         if self.densities.shape != (self.n,):
@@ -162,13 +192,14 @@ class PointSet:
             raise ValueError("density values must be strictly positive")
 
 
-def dense_matrix(pts: PointSet) -> np.ndarray:
-    """The instance's weighted n x m matrix B: pts.B when it is stored,
-    otherwise the first m functions of its basis evaluated at the points and
-    divided by sqrt(rho)."""
+def dense_matrix(pts: PointSet, rows: slice = slice(None)) -> np.ndarray:
+    """Rows of the instance's weighted n x m matrix B, all of them by
+    default: a view of pts.B when it is stored, otherwise the first m
+    functions of its basis evaluated at those points and divided by
+    sqrt(rho), the same values bit for bit whatever rows are asked for."""
     if pts.B is not None:
-        return pts.B
-    return basis_matrix(pts.basis, pts.points, pts.m) / np.sqrt(pts.densities)[:, None]
+        return pts.B[rows]
+    return basis_matrix(pts.basis, pts.points[rows], pts.m) / np.sqrt(pts.densities[rows])[:, None]
 
 
 def _closed_form_density(params: DensityParams, x: np.ndarray) -> np.ndarray:
@@ -197,16 +228,22 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     point i: a head/tail coin, a mixture-component uniform, then one uniform
     per coordinate fed to the factor-CDF inverse of the chosen component.
 
-    At d >= 2 the n x m basis matrix is evaluated once, and it is the only
-    array of that size the call makes: then, row block by row block
-    (row_blocks), the squares of a block give its densities and the block is
-    divided by sqrt(rho) in place.  The result is kept as the point set's
-    weighted matrix B, with head size k.  At d = 1 the point set takes the
-    structured form: the density in closed form and the sums E(h) for h up
-    to twice the largest frequency of the m functions, and no basis function
-    is evaluated, so nothing the call makes grows with n faster than O(n) or
-    a row block.  ValueError before any allocation when m exceeds
-    MAX_TRUNCATION or n * m exceeds MAX_POINTS * MAX_TRUNCATION.
+    At d >= 2 the basis is evaluated once at every point, row block by row
+    block (row_blocks): the squares of a block give its densities, and the
+    block is divided by sqrt(rho) in place.  When m <= n and
+    n (m - k)^2 <= _GRAM_FLOP_LIMIT the point set takes the Gram form: the
+    rows are evaluated one chunk of whole row blocks (about
+    _GRAM_CHUNK_BYTES, at least _GRAM_CHUNK_ROWS rows) at a time, and each
+    weighted chunk's B_c^T B_c is added into the m x m Gram, so no n x m
+    array is made.  Otherwise B is evaluated whole and kept, with head size
+    k; it is the only array of that size the call makes.  Points and
+    densities are the same, bit for bit, in either form.  At d = 1 the
+    point set takes the structured form: the density in closed form and the
+    sums E(h) for h up to twice the largest frequency of the m functions,
+    and no basis function is evaluated, so nothing the call makes grows
+    with n faster than O(n) or a row block.  ValueError before any
+    allocation when m exceeds MAX_TRUNCATION or n * m exceeds
+    MAX_POINTS * MAX_TRUNCATION.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
@@ -232,14 +269,34 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
         rho = _closed_form_density(params, x[:, 0])
         sums = expsums.exp_sums(x[:, 0], 1.0 / rho, 2 * basis.max_frequency(m))
         return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, sums=sums, basis=basis)
-    b = basis_matrix(basis, x, m)
     rho = np.empty(n)
-    for rows in row_blocks(n, m):
-        block = b[rows]
+    blocks = row_blocks(n, m)
+    if m > n or n * (m - k) ** 2 > _GRAM_FLOP_LIMIT:
+        b = basis_matrix(basis, x, m)
+        _weigh_rows(params, b, blocks, rho)
+        b.flags.writeable = False
+        return PointSet(points=x, densities=rho, seed=int(seed), B=b, k=k)
+    height = blocks[0].stop
+    per_chunk = max(1, max(_GRAM_CHUNK_ROWS, _GRAM_CHUNK_BYTES // (8 * m)) // height)
+    gram = np.zeros((m, m))
+    for first in range(0, len(blocks), per_chunk):
+        group = blocks[first : first + per_chunk]
+        start = group[0].start
+        chunk = basis_matrix(basis, x[start : group[-1].stop], m)
+        _weigh_rows(params, chunk, [slice(r.start - start, r.stop - start) for r in group], rho[start:])
+        gram += chunk.T @ chunk
+    gram.flags.writeable = False
+    return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, basis=basis, BtB=gram)
+
+
+def _weigh_rows(params: DensityParams, values: np.ndarray, blocks: list[slice], rho: np.ndarray) -> None:
+    """Fill rho[rows] from the unweighted basis rows values[rows] and divide
+    those rows by sqrt(rho) in place, one row block at a time, so each
+    density is what density_values gives for its point, bit for bit."""
+    for rows in blocks:
+        block = values[rows]
         rho[rows] = _mixture(params, block)
         block /= np.sqrt(rho[rows])[:, None]
-    b.flags.writeable = False
-    return PointSet(points=x, densities=rho, seed=int(seed), B=b, k=k)
 
 
 def density_selfcheck(params: DensityParams, resolution: int) -> float:

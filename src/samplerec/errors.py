@@ -9,7 +9,7 @@ import numpy as np
 from . import lsq
 from .density import PointSet, dense_matrix
 from .lsq import HeadSVD
-from .spectral import CoefVector, OrderedBasis, SpectrumSummary
+from .spectral import CoefVector, OrderedBasis, SpectrumSummary, row_blocks
 
 
 def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -> float:
@@ -29,9 +29,12 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     The route follows the factorization.  One without u (the Gram route of
     any d, kappa(G) <= lsq.KAPPA_LIMIT) gives
     W = S^-2 V^T (G^T B_tail) diag(s_t), with the block G^T B_tail from
-    info.gram; at d = 1 no n-row matrix is formed.  One with u (a fallback
-    draw) takes the dense route above, on info.B or, at d = 1, on B
-    evaluated once for the draw.  Both routes end in one lsq.spectral_norm
+    info.gram, a view of the stored Gram in the Gram form; no n-row matrix
+    is formed.  One with u (a fallback draw) takes the dense route above:
+    U^T B_tail is summed over row blocks (row_blocks) of u and of B, whose
+    rows come from info.B or, when B is not stored, are evaluated one block
+    at a time (density.dense_matrix), so the two give the same bits and no
+    n x m array is made.  Both routes end in one lsq.spectral_norm
     of the operator x -> W^T (W x) + s_t^2 x, which forms a q x q matrix
     only up to lsq._OPERATOR_DENSE_SIZE and otherwise runs Lanczos on the
     (k, q) matrix W.
@@ -48,7 +51,10 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     else:
         if head.u.shape != (info.n, k):
             raise ValueError(f"head SVD must have u of shape ({info.n}, {k}), got {head.u.shape}")
-        w = (head.u.T @ dense_matrix(info)[:, k:]) * tail_sigma / head.sv[:, None]
+        block = np.zeros((k, m - k))
+        for rows in row_blocks(info.n, m):
+            block += head.u[rows].T @ dense_matrix(info, rows)[:, k:]
+        w = block * tail_sigma / head.sv[:, None]
     return math.sqrt(lsq.spectral_norm(_TruncGram(w, tail_sigma)))
 
 

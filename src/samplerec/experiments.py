@@ -174,16 +174,20 @@ def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> 
 
     Both norms come from the Gram operator Gamma^T Gamma, the spectral norm
     as the square root of its top eigenvalue, the Frobenius norm from its
-    trace, and Gamma is never formed.  Dense form (d >= 2): lsq.ViewGram of
-    the view B[:, k:], an explicit q x q matrix up to the flop limit and an
-    operator on the view above it.  Structured form (d = 1): the Toeplitz
-    Gram operator of the weighted exponential sums.
+    trace, and Gamma is never formed.  Dense form (d >= 2, B kept):
+    lsq.ViewGram of the view B[:, k:].  Gram form (d >= 2): lsq.BlockGram,
+    the sigma-scaled tail block of the stored Gram, read in place.
+    Structured form (d = 1): the Toeplitz Gram operator of the weighted
+    exponential sums.
     """
-    sigma = basis.sigma[pts.k:pts.m]
-    if pts.B is None:
-        gram = expsums.TailGram(pts.sums, basis.indices[pts.k:pts.m, 0], sigma)
+    tail = slice(pts.k, pts.m)
+    sigma = basis.sigma[tail]
+    if pts.B is not None:
+        gram = lsq.ViewGram(pts.B[:, tail], sigma)
+    elif pts.BtB is not None:
+        gram = lsq.BlockGram(pts.gram(tail, tail), sigma)
     else:
-        gram = lsq.ViewGram(pts.B[:, pts.k:], sigma)
+        gram = expsums.TailGram(pts.sums, basis.indices[tail, 0], sigma)
     s_gam = math.sqrt(lsq.spectral_norm(gram))
     fro = math.sqrt(gram.trace())
     if s_gam > fro * (1.0 + 1e-9) + 1e-12:

@@ -103,29 +103,22 @@ def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
     return head.vt.T @ (inv * uty)
 
 
-# Above this flop estimate n * q**2 for forming the q x q Gram matrix of a
-# dense (d >= 2) instance's tail block, q <= n, Lanczos on the Gram operator
-# beats forming it and np.linalg.eigvalsh.  Timed on d = 2, s = 0.75 views
-# at one BLAS thread, two runs: 4096 x 861 (3.0e9) takes 0.18-0.25 s by Gram
-# and 0.50-0.52 s by Lanczos, 2048 x 1498 (4.6e9) 0.55-0.59 s by Gram and
-# 0.31-0.45 s by Lanczos.  4096 x 861 is the largest view of the benchmark
-# workloads (rates-d2-s075; the d = 1 ones take the Toeplitz TailGram), so
-# none of them reaches the Lanczos side.
-_GRAM_FLOP_LIMIT = 4e9
-
 # Up to this size a symmetric operator is applied to the identity and its
-# top eigenvalue taken by np.linalg.eigvalsh; above it, Lanczos.  Timed on
-# d = 1 tail Grams and e_trunc operators at one BLAS thread, best of five
-# on two draws each, with a Ritz pair every _RITZ_STRIDE steps: at q = 112
-# the two break even (tail Gram 2.3-2.5 ms either way, e_trunc 0.70-0.85
-# ms dense against 0.75-0.95 ms), at q = 140 Lanczos is faster (tail Gram
-# 1.8-2.1 against 3.1-3.4 ms, e_trunc 0.84-0.86 against 0.96-0.99 ms), and
-# at q = 182 faster by 1.3 to 2.5 times.  The cut stays above 140 all the
-# same: the only operators of the benchmark workloads between 112 and 160
-# have q = 140 (six per rates-d1 run, one per rates-d2-s075 run), and a
-# cut at 128 moved the in-process norm time by less than its run-to-run
-# spread (median of ten runs: rates-d1 0.157 -> 0.137 s, rates-d2-s075
-# 0.135 -> 0.145 s, claims-d1 untouched).
+# top eigenvalue taken by np.linalg.eigvalsh; above it, Lanczos, also for
+# an operator that holds its matrix.  Timed on d = 1 tail Grams and
+# e_trunc operators at one BLAS thread, best of five on two draws each,
+# with a Ritz pair every _RITZ_STRIDE steps: at q = 112 the two break even
+# (tail Gram 2.3-2.5 ms either way, e_trunc 0.70-0.85 ms dense against
+# 0.75-0.95 ms), at q = 140 Lanczos is faster (tail Gram 1.8-2.1 against
+# 3.1-3.4 ms, e_trunc 0.84-0.86 against 0.96-0.99 ms), and at q = 182
+# faster by 1.3 to 2.5 times.  The cut stays above 140 all the same: the
+# only operators of the benchmark workloads between 112 and 160 have
+# q = 140 (six per rates-d1 run, one per rates-d2-s075 run), and a cut at
+# 128 moved the in-process norm time by less than its run-to-run spread
+# (median of ten runs: rates-d1 0.157 -> 0.137 s, rates-d2-s075 0.135 ->
+# 0.145 s, claims-d1 untouched).  On the tail block of a stored d = 2,
+# s = 0.75 Gram at n = 4096, m = 984 (q = 861), Lanczos took 28-32 ms
+# against 71-81 ms for eigvalsh of the scaled copy (two draws).
 _OPERATOR_DENSE_SIZE = 160
 
 # Step cap of the Lanczos solver, which stores one vector of the operator's
@@ -151,34 +144,22 @@ class ConvergenceError(RuntimeError):
 
 class ViewGram:
     """Gamma^T Gamma for Gamma = view diag(sigma), q = len(sigma), read from
-    the (n, q) view alone: the tail Gram of a dense (d >= 2) instance, whose
-    view is B[:, k:].  Gamma is never formed.  A Gram operator for
-    spectral_norm: shape (q, q), matmat and matvec, trace and matrix.
-
-    With q <= n and n q^2 <= _GRAM_FLOP_LIMIT the q x q matrix is formed
-    once, by one BLAS product of the view with itself scaled by sigma on
-    both sides, and held as matrix; otherwise matrix is None and a product
-    applies the view and its transpose.  Either way nothing of the view's
-    size is allocated.
+    the (n, q) view alone: the tail Gram of an instance that keeps B, whose
+    view is B[:, k:].  Gamma is never formed, and nothing of the view's size
+    is allocated: a product applies the view and its transpose.  A Gram
+    operator for spectral_norm: shape (q, q), matmat and matvec, and trace.
     """
 
     def __init__(self, view: np.ndarray, sigma: np.ndarray) -> None:
-        n, q = view.shape
+        q = view.shape[1]
         if len(sigma) != q:
             raise ValueError(f"need one sigma per column, got {len(sigma)} for {q}")
         self.shape = (q, q)
         self._view = view
         self._sigma = np.asarray(sigma, dtype=float)
-        self.matrix = None
-        if q <= n and n * q * q <= _GRAM_FLOP_LIMIT:
-            self.matrix = view.T @ view
-            self.matrix *= self._sigma
-            self.matrix *= self._sigma[:, None]
 
     def matmat(self, v: np.ndarray) -> np.ndarray:
         """Gamma^T Gamma v for a vector or a (q, p) block v."""
-        if self.matrix is not None:
-            return self.matrix @ v
         sigma = self._sigma.reshape((-1,) + (1,) * (v.ndim - 1))
         return sigma * (self._view.T @ (self._view @ (sigma * v)))
 
@@ -186,8 +167,6 @@ class ViewGram:
 
     def trace(self) -> float:
         """Squared Frobenius norm of Gamma."""
-        if self.matrix is not None:
-            return float(np.trace(self.matrix))
         columns = np.zeros(self.shape[0])
         for rows in row_blocks(self._view.shape[0], self.shape[0]):
             block = self._view[rows]
@@ -195,26 +174,53 @@ class ViewGram:
         return float(columns @ self._sigma ** 2)
 
 
+class BlockGram:
+    """Gamma^T Gamma = diag(sigma) A diag(sigma) for a symmetric (q, q)
+    block A of a stored Gram, q = len(sigma): the tail Gram of an instance
+    in the Gram form, whose block is (B^T B)[k:, k:].  The block is read in
+    place, often as a strided view, and never scaled into a copy.  A Gram
+    operator for spectral_norm: shape (q, q), matmat and matvec, and trace.
+    """
+
+    def __init__(self, block: np.ndarray, sigma: np.ndarray) -> None:
+        q = len(sigma)
+        if block.shape != (q, q):
+            raise ValueError(f"need a ({q}, {q}) block for {q} sigmas, got {block.shape}")
+        self.shape = (q, q)
+        self._block = block
+        self._sigma = np.asarray(sigma, dtype=float)
+
+    def matmat(self, v: np.ndarray) -> np.ndarray:
+        """Gamma^T Gamma v for a vector or a (q, p) block v."""
+        sigma = self._sigma.reshape((-1,) + (1,) * (v.ndim - 1))
+        return sigma * (self._block @ (sigma * v))
+
+    matvec = matmat
+
+    def trace(self) -> float:
+        """Squared Frobenius norm of Gamma."""
+        return float(np.diagonal(self._block) @ self._sigma ** 2)
+
+
 def spectral_norm(gram) -> float:
     """Top eigenvalue, clamped at 0, of a symmetric positive semidefinite
     operator: the squared spectral norm of any matrix whose Gram operator it
-    is (a ViewGram, the d = 1 samplerec.expsums.TailGram or the e_trunc
-    operator of samplerec.errors).
+    is (a ViewGram or BlockGram at d >= 2, the d = 1
+    samplerec.expsums.TailGram or the e_trunc operator of samplerec.errors).
 
-    A Gram operator has shape (q, q), matmat and matvec, and optionally
-    matrix, the q x q matrix it holds.  The top eigenvalue comes from
-    np.linalg.eigvalsh of that matrix or, up to _OPERATOR_DENSE_SIZE, of the
-    operator's product with the identity; otherwise from Lanczos with a
-    fixed start vector, so runs are reproducible.  Raises ConvergenceError
+    A Gram operator has shape (q, q), matmat and matvec.  Up to
+    _OPERATOR_DENSE_SIZE the top eigenvalue comes from np.linalg.eigvalsh
+    of the operator's product with the identity; above it from Lanczos with
+    a fixed start vector, so runs are reproducible.  Raises ConvergenceError
     when Lanczos reaches its step cap first.
     """
     if not (callable(getattr(gram, "matmat", None)) and callable(getattr(gram, "matvec", None))):
         raise TypeError(f"spectral_norm takes a Gram operator, got {type(gram).__name__}")
     q = gram.shape[0]
-    matrix = getattr(gram, "matrix", None)
-    if matrix is None and q <= _OPERATOR_DENSE_SIZE:
-        matrix = gram.matmat(np.eye(q))
-    top = np.linalg.eigvalsh(matrix)[-1] if matrix is not None else _lanczos_top(gram)
+    if q <= _OPERATOR_DENSE_SIZE:
+        top = np.linalg.eigvalsh(gram.matmat(np.eye(q)))[-1]
+    else:
+        top = _lanczos_top(gram)
     return max(float(top), 0.0)
 
 

@@ -379,6 +379,10 @@ def test_cli_run_path_imports_no_scipy(tmp_path, command, d):
 # most 8.5e-16 relative, integer columns unchanged.  The claims digest then
 # moved with the exponential sums from one complex exponential per point and
 # power tables by multiplication: tail_ratio_median by 3.9e-16 relative.
+# The rates digest then moved with the Gram form of d >= 2 instances with
+# m <= n (B^T B summed over row chunks while sampling, its tail block's norm
+# by Lanczos): s_min_G, s_max_Gamma, e_upper and ratio1 by at most 5.6e-16
+# relative, integer columns unchanged.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -388,7 +392,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "ceb1b85bd5dd55b82596b9bb5bd6eeec8e70551aeea174d3b3a7c65a13a98cdc",
+        "c542aa70403a1f6c48030e96887894476647cef05cdd80f552a30f44b705f9e6",
     ),
     "beta": (
         "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
@@ -424,6 +428,39 @@ def test_cli_csv_bytes_match_recorded_digests(tmp_path):
         proc, out = _run_cli(tmp_path, command, config, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+
+
+def test_cli_instances_that_keep_b_are_unchanged(tmp_path):
+    # d = 2 with m > n at every grid point (m = 1312 at n = 512, 2360 at
+    # n = 1024): the instances keep B, whose Gram would be larger, and the
+    # tail norm is Lanczos on the view B[:, k:]; the CSV is the bytes of
+    # the code before the Gram form
+    config = "d = 2\ns = 0.75\nn_grid = 512, 1024\nc_head = 2.0\nm_factor = 8\ntrials = 1\nseed = 20250814\n"
+    proc, out = _run_cli(tmp_path, "rates", config, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["1312", "2360"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "29430d57075301038cb826d679a560c522463457eb6f38ae7159b78b2cb35c05"
+    )
+
+
+def test_cli_out_of_memory_exits_3(tmp_path):
+    # n = 16384, m = 3376 keeps B (n q^2 is above the Gram limit), a 422 MiB
+    # array the child may not map; this used to end in a MemoryError
+    # traceback with exit 1, the code of a failed invariant
+    limit = 450 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    config = "d = 2\ns = 0.75\nn_grid = 16384\nc_head = 0.25\nm_factor = 8\ntrials = 1\n"
+    proc, out = _run_cli(tmp_path, "rates", config, timeout=120, preexec_fn=cap_address_space)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+    assert "(16384, 3376)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("d, s", [(3, "0.51"), (1, "100")])

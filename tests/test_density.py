@@ -20,6 +20,7 @@ from samplerec.density import (
     _factor_cdf,
     _invert_factor_cdf,
     density_selfcheck,
+    dense_matrix,
     density_values,
     sample_points,
     truncated_density,
@@ -162,9 +163,14 @@ def test_sampled_densities_match_recomputation():
     pts = sample_points(dens, 300, 9)
     assert np.array_equal(pts.densities, density_values(dens, pts.points))
     assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
-    # the kept weighted matrix is read-only, since instances share it
-    assert pts.B.shape == (300, 20) and not pts.B.flags.writeable
+    # with m <= n the instance keeps its Gram in place of B, read-only,
+    # since instances share it, and B is evaluated on request
+    assert pts.B is None and pts.BtB.shape == (20, 20) and not pts.BtB.flags.writeable
+    assert dense_matrix(pts).shape == (300, 20)
     assert (pts.k, pts.m) == (4, 20)
+    # with m > n the weighted matrix itself is kept, read-only
+    pts = sample_points(dens, 16, 9)
+    assert pts.B.shape == (16, 20) and not pts.B.flags.writeable and pts.BtB is None
     # at d = 1 the densities come from the closed form, and G is evaluated
     # on access
     dens = make_density(SP1, 4, 16)
@@ -312,7 +318,8 @@ def block_boundary_mismatches():
             full /= np.sqrt(rho)[:, None]
             if not np.array_equal(pts.densities, rho):
                 bad.append((params.d, n, "densities"))
-            if not (np.array_equal(pts.B, full) and pts.B.flags.c_contiguous):
+            dense = dense_matrix(pts)
+            if not (np.array_equal(dense, full) and dense.flags.c_contiguous):
                 bad.append((params.d, n, "B"))
     return bad
 
@@ -344,14 +351,58 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def traced_peak_and_held(fn, *args):
+    """fn(*args), the peak of traced allocations above their level at entry,
+    and what the call still holds when it returns."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        held, peak = tracemalloc.get_traced_memory()
+        return result, peak - entry, held - entry
+    finally:
+        tracemalloc.stop()
+
+
 def test_sample_points_keeps_one_instance_sized_array():
-    # the largest rates-d2-s075 instance: B is 30.8 MiB, and nothing else the
-    # draw makes is larger than one row block or a few arrays per point
-    n, d = 4096, 2
-    dens = make_density(SpaceParams(d, 0.75), 123, 984)
+    # the largest rates-d2-s075 instance (m <= n): B would be 30.8 MiB; the
+    # draw keeps the 7.4 MiB Gram B^T B, summed over chunks of rows, and
+    # never makes B
+    n, d, m = 4096, 2, 984
+    dens = make_density(SpaceParams(d, 0.75), 123, m)
+    pts, peak, held = traced_peak_and_held(sample_points, dens, n, 3)
+    assert pts.B is None and pts.BtB.nbytes == m * m * 8
+    assert peak < n * m * 8
+    assert held <= m * m * 8 + (1 << 20)
+    # with m > n the draw keeps B, and nothing else it makes is larger than
+    # one row block or a few arrays per point
+    n = 512
     pts, peak = traced_peak(sample_points, dens, n, 3)
-    assert pts.B.nbytes == n * 984 * 8
+    assert pts.B.nbytes == n * m * 8 and pts.BtB is None
     assert peak <= pts.B.nbytes + spectral.ROW_BLOCK_BYTES + 16 * 8 * n * (d + 2)
+
+
+@pytest.mark.parametrize("params, k, m, n", [(SpaceParams(2, 0.75), 123, 984, 1600), (SpaceParams(3, 0.6), 20, 160, 4000)])
+def test_gram_form_matches_the_b_form(monkeypatch, params, k, m, n):
+    # several row chunks of the Gram sum at d = 2 and d = 3: the same points
+    # and densities as the draw that keeps B, bit for bit, and every Gram
+    # block to rounding
+    dens = make_density(params, k, m)
+    gram_pts = sample_points(dens, n, 7)
+    assert gram_pts.B is None and n > density._GRAM_CHUNK_ROWS and n * m * 8 > density._GRAM_CHUNK_BYTES
+    monkeypatch.setattr(density, "_GRAM_FLOP_LIMIT", 0.0)
+    b_pts = sample_points(dens, n, 7)
+    assert b_pts.BtB is None
+    assert np.array_equal(gram_pts.points, b_pts.points)
+    assert np.array_equal(gram_pts.densities, b_pts.densities)
+    assert np.array_equal(dense_matrix(gram_pts), b_pts.B)
+    assert np.array_equal(gram_pts.G, b_pts.G)
+    head, tail, every = slice(0, k), slice(k, m), slice(0, m)
+    for rows, cols in ((head, head), (head, tail), (tail, tail), (every, every), (slice(5, 6), slice(3, m - 7))):
+        block = gram_pts.gram(rows, cols)
+        dense = b_pts.B[:, rows].T @ b_pts.B[:, cols]
+        assert block.shape == dense.shape and not block.flags.writeable
+        assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_sample_points_at_d1_makes_no_head_sized_array():

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from samplerec import lsq
 from samplerec.density import sample_points, truncated_density
 from samplerec.errors import (
     certified_upper_bound,
     empirical_error,
     worst_case_error_trunc,
 )
-from samplerec.lsq import RANK_RTOL, head_svd
+from samplerec.lsq import RANK_RTOL, head_factor, head_svd
 from samplerec.spectral import (
     CoefVector,
     SpaceParams,
@@ -158,6 +159,30 @@ def test_dense_e_trunc_allocates_no_tail_square():
     w = (head.u.T @ pts.B[:, pts.k:]) * basis.sigma[pts.k:pts.m] / head.sv[:, None]
     gram = w.T @ w + np.diag(basis.sigma[pts.k:pts.m] ** 2)
     assert e_tr == pytest.approx(math.sqrt(np.linalg.eigvalsh(gram)[-1]), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("params", [SP1, SpaceParams(2, 0.75)])
+def test_fallback_e_trunc_makes_no_n_by_m_array(monkeypatch, params):
+    # the largest rates-d1 and rates-d2-s075 instances, neither of which
+    # stores B (d = 1 keeps its sums, d = 2 its Gram), forced onto the dense
+    # SVD route: U^T B_tail is summed over row blocks of B evaluated one
+    # block at a time, so the fallback never holds all of B (30.8 MiB)
+    n, k, m = 4096, 123, 984
+    basis, pts, _ = make_instance(params, k, m, n, 3)
+    assert pts.B is None
+    expected = worst_case_error_trunc(pts, head_factor(pts), basis)
+    monkeypatch.setattr(lsq, "KAPPA_LIMIT", 0.0)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        head = head_factor(pts)
+        e_tr = worst_case_error_trunc(pts, head, basis)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert head.u is not None
+    assert peak < n * m * 8
+    assert e_tr == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @given(

@@ -162,17 +162,22 @@ def test_gram_block_matches_dense_gram():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_point_set_gram_matches_the_dense_matrix(d):
-    basis, pts = make_instance(13, 104, 256, 5, SpaceParams(d, 1.0))
-    b = dense_matrix(pts)
-    for rows, cols in ((slice(0, 13), slice(0, 13)), (slice(0, 13), slice(13, 104)),
-                       (slice(13, 104), slice(0, 104)), (slice(40, 41), slice(7, 90))):
-        block = pts.gram(rows, cols)
-        dense = b[:, rows].T @ b[:, cols]
-        if d == 2:
-            assert np.array_equal(block, dense)
-        else:
-            assert block.shape == dense.shape
-            assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
+    # at d = 2 in both dense forms: n = 96 < m keeps B, and n = 256 the Gram
+    instances = [make_instance(13, 104, 256, 5, SpaceParams(d, 1.0))]
+    if d == 2:
+        instances.append(make_instance(13, 104, 96, 5, SpaceParams(d, 1.0)))
+        assert [pts.B is None for _, pts in instances] == [True, False]
+    for _, pts in instances:
+        b = dense_matrix(pts)
+        for rows, cols in ((slice(0, 13), slice(0, 13)), (slice(0, 13), slice(13, 104)),
+                           (slice(13, 104), slice(0, 104)), (slice(40, 41), slice(7, 90))):
+            block = pts.gram(rows, cols)
+            dense = b[:, rows].T @ b[:, cols]
+            if pts.B is not None:
+                assert np.array_equal(block, dense)
+            else:
+                assert block.shape == dense.shape
+                assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_gram_block_holds_three_blocks_at_a_time():

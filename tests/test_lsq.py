@@ -17,6 +17,7 @@ from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, run_cla
 from samplerec.expsums import TailGram, exp_sums
 from samplerec.lsq import (
     RANK_RTOL,
+    BlockGram,
     ViewGram,
     fit,
     head_factor,
@@ -47,16 +48,23 @@ def weighted_matrix(pts, basis):
 
 
 def test_point_set_head_block_is_a_view():
-    basis, _, pts = make_instance(SpaceParams(2, 1.0), 8, 32, 64, 42)
+    # a d = 2 instance that keeps B (m > n)
+    basis, _, pts = make_instance(SpaceParams(2, 1.0), 8, 32, 24, 42)
     assert (pts.k, pts.m) == (8, 32)
-    assert pts.G.shape == (64, 8)
-    assert pts.B.shape == (64, 32)
+    assert pts.G.shape == (24, 8)
+    assert pts.B.shape == (24, 32)
     assert np.shares_memory(pts.G, pts.B)
     assert np.array_equal(pts.G, pts.B[:, :8])
     # Gamma, formed on demand, is the tail of B with columns scaled by sigma
     gamma = pts.B[:, 8:] * basis.sigma[8:32]
-    assert gamma.shape == (64, 24)
+    assert gamma.shape == (24, 24)
     assert np.allclose(gamma[:, 3], pts.B[:, 11] * basis.sigma[11], atol=1e-15)
+    # a d = 2 instance in the Gram form (m <= n) keeps no n-row array, and
+    # G is evaluated on access
+    basis, _, pts = make_instance(SpaceParams(2, 1.0), 8, 32, 64, 42)
+    assert pts.B is None and pts.G.shape == (64, 8)
+    assert np.array_equal(pts.G, weighted_matrix(pts, basis)[:, :8])
+    assert pts.G is not pts.G
     # at d = 1 the point set keeps no n-row array, and G, the first k
     # columns of B, is evaluated on access
     basis, _, pts = make_instance(SP1, 8, 32, 64, 42)
@@ -78,12 +86,13 @@ def test_point_set_entries_match_composition():
 def test_point_set_matrix_is_the_sampling_matrix():
     basis, _, pts = make_instance(SpaceParams(2, 0.75), 6, 48, 96, 19)
     expected = basis_matrix(basis, pts.points, 48) / np.sqrt(pts.densities)[:, None]
-    assert np.array_equal(pts.B, expected)
-    assert np.shares_memory(pts.G, pts.B)
-    # the norm check reads the Gram of the view B[:, k:], never Gamma itself,
-    # so it agrees with the norm of the explicitly formed Gamma to rounding
+    assert np.array_equal(dense_matrix(pts), expected)
+    assert np.array_equal(pts.G, expected[:, :6])
+    # the norm check reads the tail block of the stored Gram, never Gamma
+    # itself, so it agrees with the norm of the explicitly formed Gamma to
+    # rounding
     assert _checked_gamma_norm(pts, basis) == pytest.approx(
-        svd_norm(pts.B[:, 6:] * basis.sigma[6:48]), rel=1e-12
+        svd_norm(dense_matrix(pts)[:, 6:] * basis.sigma[6:48]), rel=1e-12
     )
     # at d = 1 the norm comes from the Toeplitz Gram operator instead
     basis, _, pts = make_instance(SP1, 8, 32, 64, 19)
@@ -96,7 +105,7 @@ def test_point_set_matrix_is_the_sampling_matrix():
 
 def test_gamma_norm_allocates_no_tail_sized_array():
     # the largest rates-d2-s075 instance: Gamma would be n x (m - k), 26.9 MiB;
-    # its Gram reads the view B[:, k:], and the q x q Gram is a quarter of it
+    # its Gram is the tail block of the stored Gram, read in place
     basis, _, pts = make_instance(SpaceParams(2, 0.75), 123, 984, 4096, 3)
     tracemalloc.start()
     try:
@@ -106,7 +115,7 @@ def test_gamma_norm_allocates_no_tail_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < pts.n * (pts.m - pts.k) * 8
-    assert s_gam == pytest.approx(svd_norm(pts.B[:, 123:] * basis.sigma[123:984]), rel=1e-12)
+    assert s_gam == pytest.approx(svd_norm(dense_matrix(pts)[:, 123:] * basis.sigma[123:984]), rel=1e-12)
 
 
 def test_wide_head_block_is_not_rank_ok():
@@ -428,22 +437,18 @@ def svd_norm(mat):
     return float(np.linalg.svd(np.atleast_2d(mat), compute_uv=False)[0])
 
 
-def test_spectral_norm_paths_agree(monkeypatch):
+def test_spectral_norm_paths_agree():
     # the Gram of a matrix with unit sigma has top eigenvalue ||mat||^2: a
     # tall view by its formed q x q Gram, a wide one (q > n) and a tall one
-    # above the flop limit by Lanczos on the view
+    # by Lanczos on the view
     rng = np.random.Generator(np.random.Philox(key=29))
     mat = rng.standard_normal((300, 500))
     exact = svd_norm(mat) ** 2
-    tall = ViewGram(mat.T, np.ones(300))
-    assert tall.matrix is not None
-    assert spectral_norm(tall) == pytest.approx(exact, rel=1e-11)  # gram
+    formed = BlockGram(mat @ mat.T, np.ones(300))
+    assert spectral_norm(formed) == pytest.approx(exact, rel=1e-11)  # Lanczos on the Gram
     wide = ViewGram(mat, np.ones(500))
-    assert wide.matrix is None
     assert spectral_norm(wide) == pytest.approx(exact, rel=1e-9)  # Lanczos
-    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 0.0)
     tall = ViewGram(mat.T, np.ones(300))
-    assert tall.matrix is None
     assert spectral_norm(tall) == pytest.approx(exact, rel=1e-9)  # Lanczos
     # a dense matrix is no Gram operator
     with pytest.raises(TypeError):
@@ -487,19 +492,43 @@ def test_spectral_norm_path_selection(monkeypatch):
 
     counting(np.linalg, "eigvalsh", "eigvalsh")
     counting(lsq, "_lanczos_top", "lanczos")
-    # q = 161 is the narrowest Lanczos shape; at the limit the formed Gram's
-    # eigenvalue runs, one flop below it Lanczos, with the same norm; a wide
-    # view (q > n) takes Lanczos at any limit
+    # q = 161 is the narrowest Lanczos shape, for a formed Gram as for a
+    # view, tall or wide (q > n), with the same norm; at q = 160 the formed
+    # Gram's eigenvalue runs
     q = lsq._OPERATOR_DENSE_SIZE + 1
     rng = np.random.Generator(np.random.Philox(key=37))
     mat = rng.standard_normal((400, q))
     exact = svd_norm(mat) ** 2
-    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * q ** 2)
-    assert spectral_norm(ViewGram(mat, np.ones(q))) == pytest.approx(exact, rel=1e-11)
+    assert spectral_norm(BlockGram(mat.T @ mat, np.ones(q))) == pytest.approx(exact, rel=1e-11)
     assert spectral_norm(ViewGram(mat.T, np.ones(400))) == pytest.approx(exact, rel=1e-9)
-    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 400 * q ** 2 - 1)
     assert spectral_norm(ViewGram(mat, np.ones(q))) == pytest.approx(exact, rel=1e-9)
-    assert calls == {"eigvalsh": 1, "lanczos": 2}
+    assert calls == {"eigvalsh": 0, "lanczos": 3}
+    narrow = mat[:, :-1]
+    assert spectral_norm(BlockGram(narrow.T @ narrow, np.ones(q - 1))) == pytest.approx(svd_norm(narrow) ** 2, rel=1e-11)
+    assert calls == {"eigvalsh": 1, "lanczos": 3}
+
+
+def test_formed_tail_gram_takes_lanczos(monkeypatch):
+    # the largest rates-d2-s075 instance keeps its Gram; the sigma-scaled
+    # tail block (q = 861) is read in place by Lanczos, and no eigvalsh
+    # copies it
+    basis, _, pts = make_instance(SpaceParams(2, 0.75), 123, 984, 4096, 3)
+    tail = slice(123, 984)
+    gram = BlockGram(pts.gram(tail, tail), basis.sigma[tail])
+    assert gram.shape == (861, 861)
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    top = spectral_norm(gram)
+    monkeypatch.undo()
+    assert calls == []
+    formed = pts.gram(tail, tail) * basis.sigma[tail] * basis.sigma[tail, None]
+    assert top == pytest.approx(np.linalg.eigvalsh(formed)[-1], rel=1e-13, abs=0)
 
 
 def lanczos_oracles(a):
@@ -529,7 +558,7 @@ def test_lanczos_breakdown_on_low_rank_views():
     for shape in ((1, 200), (1, 1000), (5, 300), (40, 200)):
         mat = rng.standard_normal(shape)
         gram = ViewGram(mat, np.ones(shape[1]))
-        assert gram.matrix is None
+        assert gram.shape[0] > lsq._OPERATOR_DENSE_SIZE
         exact = svd_norm(mat) ** 2
         assert spectral_norm(gram) == pytest.approx(exact, rel=1e-12, abs=0)
         for oracle in lanczos_oracles(mat.T @ mat):
@@ -639,13 +668,20 @@ def test_lanczos_step_cap_off_the_ritz_schedule(monkeypatch):
 
 
 def test_gram_flop_limit_splits_workload_shapes():
-    # the timed d = 2 views on either side of the limit: 4096 x 861, the
-    # largest view of the benchmark workloads (rates-d2-s075), is faster by
-    # Gram, 2048 x 1498 by Lanczos; no workload view reaches the Lanczos side
-    assert 4096 * 861 ** 2 <= lsq._GRAM_FLOP_LIMIT < 2048 * 1498 ** 2
-    # a tall view within the dense caps with q <= _OPERATOR_DENSE_SIZE always
-    # forms its Gram matrix
-    assert max(MAX_POINTS, MAX_TRUNCATION) * lsq._OPERATOR_DENSE_SIZE ** 2 <= lsq._GRAM_FLOP_LIMIT
+    # per-instance seconds at d = 2, s = 0.75 (sampling, head factorization,
+    # tail norm and e_trunc), one BLAS thread, best of three in each of
+    # three runs, in the Gram form against the B form (Lanczos on B[:, k:]):
+    #   n x m, q            n q^2   Gram          B
+    #   4096 x 984, 861     3.0e9   0.219-0.269   0.329-0.372
+    #   4096 x 1280, 1120   5.1e9   0.316-0.429   0.423-0.507
+    #   2048 x 1712, 1498   4.6e9   0.324-0.373   0.327-0.333
+    # 4096 x 984 is the largest instance of the benchmark workloads
+    # (rates-d2-s075), and it keeps its Gram; n q^2 does not order the other
+    # two, and no workload has either
+    assert 4096 * 861 ** 2 <= density._GRAM_FLOP_LIMIT < 2048 * 1498 ** 2
+    # an instance within the dense caps with m <= n and q <= _OPERATOR_DENSE_SIZE
+    # always keeps its Gram
+    assert max(MAX_POINTS, MAX_TRUNCATION) * lsq._OPERATOR_DENSE_SIZE ** 2 <= density._GRAM_FLOP_LIMIT
 
 
 def test_spectral_norm_bounded_by_frobenius():
@@ -659,18 +695,18 @@ def test_spectral_norm_bounded_by_frobenius():
     assert math.sqrt(gram.trace()) == pytest.approx(np.linalg.norm(gamma), rel=1e-12)
 
 
-def test_view_gram_forms_no_gamma(monkeypatch):
-    # both forms of the Gram of Gamma = B[:, k:] diag(sigma) agree with
-    # Gamma formed explicitly, in norm and trace, and read B through a view
+def test_view_gram_forms_no_gamma():
+    # both Gram operators of Gamma = B[:, k:] diag(sigma), from the stored
+    # Gram's tail block and from the view B[:, k:], agree with Gamma formed
+    # explicitly, in norm and trace
     basis, _, pts = make_instance(SpaceParams(2, 0.75), 12, 96, 256, 8)
-    view, sigma = pts.B[:, 12:], basis.sigma[12:96]
+    view, sigma = dense_matrix(pts)[:, 12:], basis.sigma[12:96]
     gamma = view * sigma
-    dense = ViewGram(view, sigma)
-    assert dense.matrix.shape == (84, 84)
-    assert np.allclose(dense.matrix, gamma.T @ gamma, rtol=0, atol=1e-13 * np.max(gamma.T @ gamma))
-    monkeypatch.setattr(lsq, "_GRAM_FLOP_LIMIT", 0.0)
+    dense = BlockGram(pts.gram(slice(12, 96), slice(12, 96)), sigma)
+    assert dense.shape == (84, 84)
+    formed = dense.matmat(np.eye(84))
+    assert np.allclose(formed, gamma.T @ gamma, rtol=0, atol=1e-13 * np.max(gamma.T @ gamma))
     op = ViewGram(view, sigma)
-    assert op.matrix is None
     v = np.random.Generator(np.random.Philox(key=3)).standard_normal(84)
     assert np.allclose(op.matvec(v), gamma.T @ (gamma @ v), rtol=1e-12, atol=1e-12)
     exact = svd_norm(gamma) ** 2
@@ -679,6 +715,8 @@ def test_view_gram_forms_no_gamma(monkeypatch):
         assert gram.trace() == pytest.approx(np.linalg.norm(gamma) ** 2, rel=1e-12)
     with pytest.raises(ValueError):
         ViewGram(view, sigma[1:])
+    with pytest.raises(ValueError):
+        BlockGram(pts.gram(slice(12, 96), slice(12, 96)), sigma[1:])
 
 
 @given(
