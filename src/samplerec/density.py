@@ -14,12 +14,13 @@ seed) and independent of evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expsums
-from .spectral import OrderedBasis, basis_matrix, row_blocks
+from .spectral import ROW_BLOCK_BYTES, OrderedBasis, basis_matrix, row_blocks
 
 # Final bracket width 2^-48; factor CDFs are 2-Lipschitz, so the inverse is
 # resolved to |F(x) - u| <= 2^-47 < 1e-12.
@@ -51,6 +52,21 @@ _GRAM_FLOP_LIMIT = 4e9
 # a pass over the m x m Gram.
 _GRAM_CHUNK_BYTES = 4 << 20
 _GRAM_CHUNK_ROWS = 512
+
+# Columns of one panel of the Gram sum: each chunk adds the products
+# B_c[:, a]^T B_c[:, b] of column panels a <= b into the Gram's upper
+# triangle in place (a syrk when a = b), and the lower triangle is copied
+# from it once at the end, so no m x m temporary is made; one product takes
+# 256^2 doubles, half a row block.  With OpenBLAS's Haswell kernels, at
+# one or two threads, the panel products held the bits of one product over
+# all columns on the d = 2 and 3 shapes 4096 x 984, 2048 x 536 and
+# 1024 x 288 at every width tried that is a multiple of 8 from 128 to 512;
+# widths 16, 64, 100 and 362 moved entries by at most 3.1e-16 of the
+# largest.  CPU time of sample_points at n = 4096, m = 984 (d = 2,
+# s = 0.75, one BLAS thread, medians of 21 interleaved draws, two runs):
+# 180-202 ms at width 256, 185-198 ms with one product, 220-227 ms at
+# width 128.
+_GRAM_PANEL = math.isqrt(ROW_BLOCK_BYTES // 16)
 
 
 @dataclass(frozen=True)
@@ -130,7 +146,8 @@ class PointSet:
 
     Dense (d >= 2, B given): B itself, read-only; G is a view of its first
     k columns, and m defaults to its width.  Gram (d >= 2, BtB given): the
-    m x m Gram B^T B, read-only, whose blocks gram gives as views.
+    m x m Gram B^T B, read-only, whose blocks gram gives as views;
+    sample_points sums it in place by row chunks and column panels.
     Structured (d = 1, sums given): the weighted exponential sums
     E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}, h = 0..2 f_max.  In the Gram
     and structured forms basis is the ordered basis of the density, no
@@ -234,10 +251,15 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     n (m - k)^2 <= _GRAM_FLOP_LIMIT the point set takes the Gram form: the
     rows are evaluated one chunk of whole row blocks (about
     _GRAM_CHUNK_BYTES, at least _GRAM_CHUNK_ROWS rows) at a time, and each
-    weighted chunk's B_c^T B_c is added into the m x m Gram, so no n x m
-    array is made.  Otherwise B is evaluated whole and kept, with head size
-    k; it is the only array of that size the call makes.  Points and
-    densities are the same, bit for bit, in either form.  At d = 1 the
+    weighted chunk's B_c^T B_c is added into the upper triangle of the
+    m x m Gram in place, one pair of column panels (_GRAM_PANEL wide) at a
+    time; the lower triangle is copied from the upper once at the end.  A
+    chunk is freed before the next is evaluated, so the call holds the Gram,
+    one chunk and temporaries of a row block or a panel product at most, and
+    no n x m array or m x m temporary.  Otherwise B is evaluated whole and
+    kept, with head size k; it is the only array of that size the call
+    makes.  Points and densities are the same, bit for bit, in either
+    form.  At d = 1 the
     point set takes the structured form: the density in closed form and the
     sums E(h) for h up to twice the largest frequency of the m functions,
     and no basis function is evaluated, so nothing the call makes grows
@@ -279,12 +301,19 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     height = blocks[0].stop
     per_chunk = max(1, max(_GRAM_CHUNK_ROWS, _GRAM_CHUNK_BYTES // (8 * m)) // height)
     gram = np.zeros((m, m))
+    panels = [slice(lo, min(lo + _GRAM_PANEL, m)) for lo in range(0, m, _GRAM_PANEL)]
     for first in range(0, len(blocks), per_chunk):
         group = blocks[first : first + per_chunk]
         start = group[0].start
         chunk = basis_matrix(basis, x[start : group[-1].stop], m)
         _weigh_rows(params, chunk, [slice(r.start - start, r.stop - start) for r in group], rho[start:])
-        gram += chunk.T @ chunk
+        for i, a in enumerate(panels):
+            for b in panels[i:]:
+                gram[a, b] += chunk[:, a].T @ chunk[:, b]
+        del chunk  # freed before the next chunk is evaluated
+    for i, a in enumerate(panels):
+        for b in panels[i + 1 :]:
+            gram[b, a] = gram[a, b].T
     gram.flags.writeable = False
     return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, basis=basis, BtB=gram)
 

@@ -15,8 +15,9 @@ from .spectral import CoefVector, OrderedBasis, SpectrumSummary, row_blocks
 def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -> float:
     """Exact worst-case L2 error over the unit ball of the first m basis
     functions, for a full-rank draw whose head block G has the factorization
-    head (samplerec.lsq.head_factor).  info is the PointSet of the instance:
-    its Gram blocks, head size k and width m.
+    head (samplerec.lsq.head_factor, with its vectors: ValueError for a
+    values-only head or a degenerate draw).  info is the PointSet of the
+    instance: its Gram blocks, head size k and width m.
 
     The ball is c = diag(sigma) x, ||x|| <= 1, and the residual on
     coefficients is E = I - pad(G^+ B), so the error is ||E diag(sigma)||.
@@ -42,6 +43,8 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
     k, m = info.k, info.m
+    if head.vt is None:
+        raise ValueError("head holds singular values only: take head_factor(pts) with compute_uv=True")
     if head.vt.shape != (k, k):
         raise ValueError(f"head factorization must have vt of shape ({k}, {k}), got {head.vt.shape}")
     tail_sigma = basis.sigma[k:m]

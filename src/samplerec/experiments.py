@@ -224,6 +224,10 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
     """Concentration sweep: for each n, double c from c_head until the
     success fraction of s_min(G) >= sqrt(n)/2 drops below one half (or a
     size cap stops the sweep), recording tail-norm ratios along the way.
+
+    Each draw reads s_min(G), s_max(G) and rank_ok alone, so its head
+    factorization is values-only (lsq.head_factor with compute_uv False):
+    the eigenvalues of G^T G, no eigenvectors.
     """
     header = (
         "n", "c", "k", "m", "trials",
@@ -259,7 +263,7 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
                 pts = density.sample_points(
                     dens, n, derive_seed(config.seed, _STAGE_CLAIMS, i_n, step, t)
                 )
-                head = lsq.head_factor(pts)
+                head = lsq.head_factor(pts, compute_uv=False)
                 degenerate += not head.rank_ok
                 s_mins.append(head.s_min)
                 ratios.append(_checked_gamma_norm(pts, basis) / (gamma_k * sqrt_n))

@@ -37,13 +37,15 @@ class HeadSVD:
     """Thin SVD G = u diag(sv) vt (sv descending) of an instance's head block:
     the one factorization of G behind the fit, s_min/s_max and e_trunc.  u
     is None when it came from head_factor's Gram route G^T G = V S^2 V^T (any
-    d); head_svd, the fallback, sets it.  rank_ok is False on a degenerate
-    draw: s_min <= RANK_RTOL * s_max, or a wide G (n < k) with fewer
-    singular values than columns."""
+    d); head_svd, the fallback, sets it.  vt is None too in head_factor's
+    values-only mode (compute_uv=False), whose sv, with k entries, serves
+    s_min, s_max and rank_ok alone.  rank_ok is False on a degenerate draw:
+    s_min <= RANK_RTOL * s_max, or a wide G (n < k) with fewer singular
+    values than columns (values-only: zeros past the n-th)."""
 
     u: np.ndarray | None  # (n, k), None on the Gram route
     sv: np.ndarray  # (k,)
-    vt: np.ndarray  # (k, k)
+    vt: np.ndarray | None  # (k, k), None in the values-only mode
 
     @property
     def s_min(self) -> float:
@@ -55,7 +57,8 @@ class HeadSVD:
 
     @property
     def rank_ok(self) -> bool:
-        return len(self.sv) == self.vt.shape[1] and bool(self.sv[-1] > RANK_RTOL * self.sv[0])
+        wide = self.vt is not None and len(self.sv) != self.vt.shape[1]
+        return not wide and bool(self.sv[-1] > RANK_RTOL * self.sv[0])
 
 
 def head_svd(g: np.ndarray) -> HeadSVD:
@@ -63,7 +66,7 @@ def head_svd(g: np.ndarray) -> HeadSVD:
     return HeadSVD(*np.linalg.svd(g, full_matrices=False))
 
 
-def head_factor(pts: PointSet) -> HeadSVD:
+def head_factor(pts: PointSet, compute_uv: bool = True) -> HeadSVD:
     """The one factorization of the instance's head block G, at every d.
 
     The eigendecomposition G^T G = V diag(lambda) V^T of the k x k head Gram
@@ -72,14 +75,24 @@ def head_factor(pts: PointSet) -> HeadSVD:
     kappa = sv[0] / sv[-1] exceeds KAPPA_LIMIT, the result is head_svd of
     pts.G instead, so a rank-deficient draw gets the exact test at
     RANK_RTOL: the one fallback of the Gram route.
+
+    With compute_uv False, as in numpy's svd, only the singular values are
+    computed, by np.linalg.eigvalsh of the head Gram and on the fallback
+    np.linalg.svd(pts.G, compute_uv=False), under the same tests; u and vt
+    are None, and a wide G (n < k) gets zeros past its n values.  Such a
+    head gives s_min, s_max and rank_ok, but neither the fit nor e_trunc.
     """
     head = slice(0, pts.k)
-    lam, v = np.linalg.eigh(pts.gram(head, head))
+    gram = pts.gram(head, head)
+    lam, v = np.linalg.eigh(gram) if compute_uv else (np.linalg.eigvalsh(gram), None)
     if lam[0] > 0.0:
         sv = np.sqrt(lam[::-1])
         if sv[0] <= KAPPA_LIMIT * sv[-1]:
-            return HeadSVD(None, sv, v[:, ::-1].T)
-    return head_svd(pts.G)
+            return HeadSVD(None, sv, None if v is None else v[:, ::-1].T)
+    if compute_uv:
+        return head_svd(pts.G)
+    sv = np.linalg.svd(pts.G, compute_uv=False)
+    return HeadSVD(None, np.pad(sv, (0, pts.k - len(sv))), None)
 
 
 def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
@@ -90,11 +103,14 @@ def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
     kappa^2 u, as for e_trunc.  Singular values at or below RANK_RTOL times
     the largest are treated as zero; a degenerate draw is flagged by
     head.rank_ok rather than rejected.  Raises ValueError when head is not
-    shaped as a factorization of this point set's G.
+    shaped as a factorization of this point set's G, or holds no vectors
+    (head_factor with compute_uv False).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (pts.n,):
         raise ValueError(f"expected {pts.n} samples, got shape {samples.shape}")
+    if head.vt is None:
+        raise ValueError("head holds singular values only: take head_factor(pts) with compute_uv=True")
     if head.vt.shape[1] != pts.k or (head.u is not None and head.u.shape[0] != pts.n):
         raise ValueError("head is not the head factorization of this point set")
     y = samples / np.sqrt(pts.densities)

@@ -5,14 +5,17 @@ b_{2f} = sqrt(2) cos(2 pi f x), b_{2f-1} = sqrt(2) sin(2 pi f x);
 multivariate basis functions are tensor products, identified by a tuple of
 such flat indices.  The space norm weights a basis function by
 prod_c (1 + freq(k_c)^(2s)) with freq(k) = ceil(k / 2), so the sine and
-cosine of one frequency carry the same weight.
+cosine of one frequency carry the same weight.  The float weight is the
+product of the factor weights in ascending order, so a permuted index tuple
+weighs the same bits.
 
 ordered_basis enumerates basis functions by one walk over the sublevel set
-of a weight threshold, which carries each weight as a running product and
-prunes on it, so the set it returns is exactly the float sublevel set.
-Sorting it by weight (ties broken lexicographically on the index tuple)
-makes sigma[n] = weight[n] ** -0.5 the n-th decay value of the embedding
-into L2, and head/tail sums of sigma^2 are available with a
+of a weight threshold, which prunes on a running product with a rounding
+slack and then keeps the tuples whose weight is at most the threshold, so
+the set it returns is exactly the float sublevel set.  Sorting it by
+weight (ties broken lexicographically on the index tuple) makes
+sigma[n] = weight[n] ** -0.5 the n-th decay value of the embedding into
+L2, and head/tail sums of sigma^2 are available with a
 certified enclosure of the full series in closed form: a partial sum of the
 one-coordinate series plus its tail as a short alternating series of Hurwitz
 zeta values, each bracketed by Euler-Maclaurin, with every floating-point
@@ -101,12 +104,14 @@ def _factor_weight(f: int, s: float) -> float:
 
 
 def hnorm_weight(idx, params: SpaceParams) -> float:
-    """Squared-norm weight prod_c (1 + freq(k_c)^(2s)) of one basis function."""
+    """Squared-norm weight prod_c (1 + freq(k_c)^(2s)) of one basis function,
+    the product taken over the factor weights in ascending order, so every
+    permutation of idx gets the same float."""
     if len(idx) != params.d:
         raise ValueError(f"index has length {len(idx)}, expected d={params.d}")
     w = 1.0
-    for k in idx:
-        w *= _factor_weight(frequency(int(k)), params.s)
+    for wf in sorted(_factor_weight(frequency(int(k)), params.s) for k in idx):
+        w *= wf
     return w
 
 
@@ -152,57 +157,72 @@ class OrderedBasis:
         return int(((k + 1) // 2).max())
 
 
-def _sublevel_set(threshold: float, d: int, s: float, max_indices: int) -> list[tuple[float, tuple]]:
-    """(weight, index tuple) of every flat-index tuple of weight <= threshold.
+def _sublevel_set(threshold: float, d: int, s: float, max_indices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and (count, d) flat-index tuples of every tuple of weight
+    <= threshold, in no particular order.
 
-    The walk extends each tuple one coordinate at a time and carries its
-    weight as the running product of factor weights in coordinate order,
-    bitwise what hnorm_weight returns.  Factor weights are at least 1 and
-    float rounding is monotone, so no tuple above the threshold has an
-    extension below it: pruning on the product itself gives exactly the
-    float sublevel set.  Index 0 extends a tuple at its own weight, so no
+    The walk extends all tuples at once, one coordinate at a time, and
+    prunes on each tuple's running product p of factor weights in
+    coordinate order: with c the number of factor weights at most
+    limit / p, its extensions are the flat indices 0 .. 2c - 2 (the
+    constant, then sine and cosine of each frequency below c).  A tuple's
+    weight is the product in ascending order, as hnorm_weight takes it, so
+    permuted tuples weigh the same bits; it is computed once the walk
+    ends.  Each product of d factors is within _gamma(d - 1)
+    relative of the exact one, a running product of fewer factors is at
+    most the exact whole (factor weights are at least 1), and the division
+    that counts the factors adds one rounding, so the limit
+    threshold (1 + 2 _gamma(d + 1)) loses no tuple whose weight is at most
+    the threshold: the set is exactly the float sublevel set once filtered
+    on that weight.  Index 0 extends a tuple at its own weight, so no
     coordinate holds more tuples than the last; EnumerationLimitError as
-    soon as one holds more than max_indices.
+    soon as one would hold more than max_indices.
     """
     factors: list[float] = []
     while (wf := _factor_weight(len(factors), s)) <= threshold:
         factors.append(wf)
-    pairs = [(1.0, ())]
+    weights = np.array(factors)
+    limit = math.nextafter(threshold * (1.0 + 2.0 * _gamma(d + 1)), math.inf)
+    running = np.ones(1)
+    indices = np.zeros((1, 0), dtype=np.int64)
     for _ in range(d):
-        longer = []
-        for w, idx in pairs:
-            for f, wf in enumerate(factors):
-                wk = w * wf
-                if wk > threshold:
-                    break
-                longer.extend((wk, idx + (kf,)) for kf in ((0,) if f == 0 else (2 * f - 1, 2 * f)))
-            if len(longer) > max_indices:
-                raise EnumerationLimitError(
-                    f"sublevel set at weight {threshold:g} holds more than {max_indices} indices"
-                )
-        pairs = longer
-    return pairs
+        children = np.maximum(2 * np.searchsorted(weights, limit / running, side="right") - 1, 0)
+        total = int(children.sum())
+        if total > max_indices:
+            raise EnumerationLimitError(
+                f"sublevel set at weight {threshold:g} holds more than {max_indices} indices"
+            )
+        parent = np.repeat(np.arange(len(running)), children)
+        flat = np.arange(total) - np.repeat(np.cumsum(children) - children, children)
+        running = running[parent] * weights[(flat + 1) // 2]
+        indices = np.column_stack([indices[parent], flat])
+    ascending = np.sort(weights[(indices + 1) // 2], axis=1)
+    product = ascending[:, 0].copy()
+    for c in range(1, d):
+        product *= ascending[:, c]
+    keep = product <= threshold
+    return product[keep], indices[keep]
 
 
 def ordered_basis(params: SpaceParams, m: int, max_indices: int = DEFAULT_INDEX_CAP) -> OrderedBasis:
     """Enumerate the m basis functions of smallest weight.
 
     Doubles a weight threshold until its sublevel set, walked exactly once
-    per threshold with the weights it carries, holds at least m indices,
-    then sorts it by (weight, index tuple) and keeps the first m.  Any index
-    outside the set weighs more than every index in it, so nothing it leaves
-    out belongs among the m smallest.  Raises EnumerationLimitError if a
-    sublevel set would exceed max_indices before reaching m entries.
+    per threshold, holds at least m indices, then sorts it by (weight,
+    index tuple) and keeps the first m.  Any index outside the set weighs
+    more than every index in it, so nothing it leaves out belongs among the
+    m smallest.  Raises EnumerationLimitError if a sublevel set would exceed
+    max_indices before reaching m entries.
     """
     if m < 1:
         raise ValueError(f"basis size must be at least 1, got {m}")
     threshold = 2.0
-    while len(pairs := _sublevel_set(threshold, params.d, params.s, max_indices)) < m:
+    while len((found := _sublevel_set(threshold, params.d, params.s, max_indices))[0]) < m:
         threshold *= 2.0
-    pairs.sort()
-    w = np.array([w for w, _ in pairs[:m]])
-    idx_arr = np.array([idx for _, idx in pairs[:m]], dtype=np.int64).reshape(m, params.d)
-    return OrderedBasis(params=params, indices=idx_arr, weights=w, sigma=w ** -0.5)
+    weights, indices = found
+    order = np.lexsort([indices[:, c] for c in reversed(range(params.d))] + [weights])[:m]
+    w = weights[order]
+    return OrderedBasis(params=params, indices=indices[order], weights=w, sigma=w ** -0.5)
 
 
 def _factor_table(k: np.ndarray, xc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

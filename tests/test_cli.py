@@ -356,8 +356,10 @@ def test_cli_run_path_imports_no_scipy(tmp_path, command, d):
 
 
 # sha256 of the CSVs of small configs, with one BLAS thread (numpy 2.4.6,
-# OpenBLAS 0.3.31); other thread counts change low digits.  The beta config
-# orders the d=3 ties whose float weights depend on coordinate order.  The
+# OpenBLAS 0.3.31), which the command line now pins itself.  The beta
+# config orders d=3 ties, whose float weights once depended on coordinate
+# order; weighing factor weights in ascending order left its digest as it
+# was.  The
 # claims digest (d=1) dates from the structured Gram path, which takes the
 # norm of the tail block from the Toeplitz Gram operator of the weighted
 # exponential sums and the densities from their closed form; it moved
@@ -442,6 +444,58 @@ def test_cli_instances_that_keep_b_are_unchanged(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "29430d57075301038cb826d679a560c522463457eb6f38ae7159b78b2cb35c05"
     )
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
+    # the perfbench rates-d1 config at seed 2, whose CSV moved in its float
+    # columns at two OpenBLAS threads: the command line pins one thread
+    # itself, so the bytes are the one-thread bytes with the variable unset
+    # (OpenBLAS's default) or set to 2
+    src = str(Path(samplerec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    cfg = write_config(tmp_path, "d = 1\ns = 1.0\nn_grid = 64, 128, 256, 512, 1024, 2048, 4096\n"
+                       "c_head = 0.25\nm_factor = 8\ntrials = 3\nseed = 2\n")
+    out = tmp_path / "rates.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "samplerec", "rates", "--config", cfg, "--out", str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "cdeaee379dba43fd85eec0641f372521f28f3f001e50dda4f4ed641fd5930681"
+    )
+
+
+def test_cli_gives_blas_threads_back_and_runs_unpinned(tmp_path, monkeypatch, capsys):
+    # in process, main runs on one thread and leaves each library at the
+    # thread count it found; with no library to pin, the run goes ahead after one stderr line
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, "n_grid = 16, 32\nc_head = 0.5\ntrials = 2\nseed = 4\n")
+    calls = cli._openblas_thread_calls()
+    before = [get() for get, _ in calls]
+    during = []
+    rates = cli.RUNNERS["rates"]
+
+    def counted_rates(config):
+        during.extend(get() for get, _ in calls)
+        return rates(config)
+
+    monkeypatch.setitem(cli.RUNNERS, "rates", counted_rates)
+    assert cli.main(["rates", "--config", path, "--out", "a.csv"]) == 0
+    assert calls and during == [1] * len(calls)
+    assert [get() for get, _ in calls] == before
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(cli, "_openblas_thread_calls", list)
+    assert cli.main(["rates", "--config", path, "--out", "b.csv"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: BLAS not pinned to one thread") and err.count("\n") == 1
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_cli_out_of_memory_exits_3(tmp_path):

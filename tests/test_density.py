@@ -405,6 +405,49 @@ def test_gram_form_matches_the_b_form(monkeypatch, params, k, m, n):
         assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
+def test_gram_sum_holds_the_gram_and_one_chunk():
+    # the largest rates-d2-s075 instance: the Gram is summed in place by
+    # column panels, so the peak is the 7.4 MiB Gram, one 3.8 MiB chunk of
+    # 512 weighted rows (four row blocks of 128) and a few MiB of row-block
+    # and per-point temporaries, with no m x m product and no second chunk
+    n, m = 4096, 984
+    dens = make_density(SpaceParams(2, 0.75), 123, m)
+    assert spectral.row_blocks(n, m)[0].stop * 4 == 512 and m > density._GRAM_PANEL
+    pts, peak = traced_peak(sample_points, dens, n, 2)
+    assert pts.BtB is not None
+    assert peak <= m * m * 8 + 512 * m * 8 + (3 << 20)
+
+
+def gram_of_one_product(monkeypatch, dens, n, seed):
+    """The Gram form's B^T B with one panel as wide as m: one product over
+    all columns per chunk."""
+    with monkeypatch.context() as patch:
+        patch.setattr(density, "_GRAM_PANEL", dens.m)
+        return sample_points(dens, n, seed).BtB
+
+
+@pytest.mark.parametrize("n, k", [(1024, 36), (2048, 67), (4096, 123)])
+def test_panelled_gram_is_the_one_product_gram_on_the_benchmark_shapes(monkeypatch, n, k):
+    # the rates-d2-s075 instances (m = 8k) with more than one panel, whose
+    # products keep every bit of the one product's entries
+    dens = make_density(SpaceParams(2, 0.75), k, 8 * k)
+    assert 8 * k > density._GRAM_PANEL
+    panelled = sample_points(dens, n, 2).BtB
+    assert np.array_equal(panelled, gram_of_one_product(monkeypatch, dens, n, 2))
+    assert np.array_equal(panelled, panelled.T)
+
+
+@pytest.mark.parametrize("params, k, m, n", [(SpaceParams(2, 0.75), 100, 800, 3000), (SpaceParams(3, 0.6), 67, 536, 2048)])
+def test_panelled_gram_matches_the_one_product_gram(monkeypatch, params, k, m, n):
+    # a last chunk shorter than the others, and d = 3: within rounding of
+    # the one product, exactly symmetric
+    dens = make_density(params, k, m)
+    panelled = sample_points(dens, n, 5).BtB
+    one = gram_of_one_product(monkeypatch, dens, n, 5)
+    assert m > density._GRAM_PANEL and np.array_equal(panelled, panelled.T)
+    assert np.max(np.abs(panelled - one)) <= 1e-15 * np.max(np.abs(one))
+
+
 def test_sample_points_at_d1_makes_no_head_sized_array():
     # the largest claims-d1 instance: its head block G would be n x k,
     # 6.7 MiB; the structured draw keeps the sums, evaluates no basis

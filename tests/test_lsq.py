@@ -13,7 +13,7 @@ from scipy.sparse.linalg import aslinearoperator
 from samplerec import density, lsq
 from samplerec.density import MAX_POINTS, MAX_TRUNCATION, PointSet, dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
-from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, run_claims, run_rates
+from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, csv_text, run_claims, run_rates
 from samplerec.expsums import TailGram, exp_sums
 from samplerec.lsq import (
     RANK_RTOL,
@@ -361,6 +361,65 @@ def test_head_factor_matches_the_dense_svd(d, s, k, m_factor, n_extra, seed):
     assert worst_case_error_trunc(pts, head, basis) == pytest.approx(
         worst_case_error_trunc(dense_pts, dense, basis), rel=1e-12, abs=0
     )
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_values_only_head_matches_the_vectors(monkeypatch, d):
+    # on the Gram route and, with KAPPA_LIMIT = 0, on the fallback: the
+    # values of the head with vectors, and of head_svd of G, to 1e-13
+    _, _, pts = make_instance(SpaceParams(d, 1.0), 8, 32, 128, 11)
+    for limit, reference in ((lsq.KAPPA_LIMIT, head_factor(pts)), (0.0, head_svd(pts.G))):
+        monkeypatch.setattr(lsq, "KAPPA_LIMIT", limit)
+        values = head_factor(pts, compute_uv=False)
+        assert values.u is None and values.vt is None and values.sv.shape == (8,)
+        assert values.rank_ok and reference.rank_ok
+        assert values.s_min == pytest.approx(reference.s_min, rel=1e-13, abs=0)
+        assert values.s_max == pytest.approx(reference.s_max, rel=1e-13, abs=0)
+
+
+def test_values_only_head_gives_no_fit_and_no_e_trunc():
+    basis, _, pts = make_instance(SP1, 8, 32, 128, 11)
+    head = head_factor(pts, compute_uv=False)
+    assert head.rank_ok
+    with pytest.raises(ValueError, match="values only"):
+        fit(pts, head, np.ones(pts.n))
+    with pytest.raises(ValueError, match="values only"):
+        worst_case_error_trunc(pts, head, basis)
+
+
+def test_values_only_head_of_a_wide_block_is_not_rank_ok():
+    # G is 2 x 3: its Gram is singular, the fallback's two singular values
+    # are padded with a zero to k = 3
+    g = np.random.Generator(np.random.Philox(key=41)).standard_normal((2, 3))
+    pts = PointSet(points=np.zeros((2, 1)), densities=np.ones(2), seed=0, B=np.hstack([g, g]), k=3)
+    head = head_factor(pts, compute_uv=False)
+    assert head.sv.shape == (3,) and head.s_min == 0.0 and head.s_max > 0.0
+    assert not head.rank_ok
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_claims_takes_no_eigenvectors_of_a_head_gram(monkeypatch, d):
+    # run_claims reads s_min and rank_ok alone: every eigh it makes is of a
+    # Lanczos tridiagonal, none of a dense k x k head Gram, and its CSV is
+    # the one the head factorization with vectors gives
+    config = ExperimentConfig(d=d, n_grid=(128, 512), c_head=0.25, trials=2, seed=3)
+    eigh = np.linalg.eigh
+    dense = []
+
+    def recorded_eigh(a, *args, **kwargs):
+        a = np.asarray(a)
+        if np.any(np.triu(a, 2)) or np.any(np.tril(a, -2)):
+            dense.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+    values = run_claims(config)
+    assert dense == []
+    factor = lsq.head_factor
+    monkeypatch.setattr(lsq, "head_factor", lambda pts, compute_uv=True: factor(pts))
+    vectors = run_claims(config)
+    assert dense and len(values.rows) > 2
+    assert csv_text(values) == csv_text(vectors)
 
 
 def test_kappa_limit_one_sends_every_d1_draw_to_the_dense_route(monkeypatch):

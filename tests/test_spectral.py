@@ -131,7 +131,7 @@ def test_ordered_basis_matches_brute_force():
         (SP2, 6, 9),
         (SP2, 9, 9),
         (SpaceParams(3, 1.0), 500, 41),
-        # float weights that depend on the coordinate order
+        # float weights that once depended on the coordinate order
         (SpaceParams(3, 1.3), 400, 21),
         (SpaceParams(4, 1.0), 100, 9),
     )
@@ -144,6 +144,50 @@ def test_ordered_basis_matches_brute_force():
         # the weights are the ones hnorm_weight gives, bit for bit
         expected_weights = np.array([hnorm_weight(r, params) for r in basis.indices])
         assert basis.weights.tobytes() == expected_weights.tobytes()
+
+
+@pytest.mark.parametrize("s, m", [(1.3, 4111), (0.6, 3000)])
+def test_permuted_tuples_weigh_the_same_bits(s, m):
+    # at d = 3 a product of three factor weights rounds by their order; the
+    # weight takes them ascending, so every permutation of a tuple weighs the
+    # same float in the basis and in hnorm_weight, and ties fall in
+    # lexicographic order of the tuples (m = 4111 is the whole sublevel set
+    # at weight 2^14 for s = 1.3, where 24 of 815 multisets used to weigh
+    # differently)
+    params = SpaceParams(3, s)
+    basis = ordered_basis(params, m)
+    by_multiset = {}
+    for idx, w in zip(map(tuple, basis.indices.tolist()), basis.weights):
+        by_multiset.setdefault(tuple(sorted(idx)), set()).add(w)
+        assert {hnorm_weight(p, params) for p in itertools.permutations(idx)} == {w}
+    assert all(len(weights) == 1 for weights in by_multiset.values())
+    rows = [tuple(r) for r in basis.indices.tolist()]
+    for i in np.flatnonzero(basis.weights[1:] == basis.weights[:-1]):
+        assert rows[i] < rows[i + 1]
+
+
+def test_sublevel_set_keeps_tuples_whose_running_product_rounds_above():
+    # at a threshold equal to a tuple's weight, some permutation's running
+    # product in coordinate order rounds above it; the walk prunes with a
+    # slack, so every permutation is still in the set
+    params = SpaceParams(3, 1.3)
+    checked = 0
+    for idx in map(tuple, ordered_basis(params, 4111).indices.tolist()):
+        running = []
+        for perm in set(itertools.permutations(idx)):
+            w = 1.0
+            for k in perm:
+                w *= 1.0 + float((k + 1) // 2) ** 2.6
+            running.append(w)
+        weight = hnorm_weight(idx, params)
+        if max(running) > weight:
+            _, found = spectral._sublevel_set(weight, 3, 1.3, 10 ** 6)
+            kept = set(map(tuple, found.tolist()))
+            assert set(itertools.permutations(idx)) <= kept
+            checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
 
 
 def test_ordered_basis_weights_nondecreasing_and_sigma_consistent():
