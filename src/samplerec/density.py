@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expsums
+from .rng import uniform_block
 from .spectral import ROW_BLOCK_BYTES, OrderedBasis, basis_matrix, row_blocks
 
 # Final bracket width 2^-48; factor CDFs are 2-Lipschitz, so the inverse is
@@ -244,6 +245,9 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     Row i of a (n, d + 2) counter-based uniform block is the substream of
     point i: a head/tail coin, a mixture-component uniform, then one uniform
     per coordinate fed to the factor-CDF inverse of the chosen component.
+    The block is rng.uniform_block(seed, (n, d + 2)), numpy's Philox4x64-10
+    stream keyed by the seed, bit for bit, without loading numpy.random;
+    ValueError for a seed below 0 or at least 2^128.
 
     At d >= 2 the basis is evaluated once at every point, row block by row
     block (row_blocks): the squares of a block give its densities, and the
@@ -275,7 +279,7 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
             f"instance exceeds dense caps m <= {MAX_TRUNCATION}, n * m <= {MAX_POINTS * MAX_TRUNCATION}"
         )
     d = basis.params.d
-    u = np.random.Generator(np.random.Philox(key=int(seed))).random((n, d + 2))
+    u = uniform_block(seed, (n, d + 2))
     comp = np.empty(n, dtype=np.int64)
     head = u[:, 0] < 0.5
     comp[head] = np.minimum((u[head, 1] * k).astype(np.int64), k - 1)

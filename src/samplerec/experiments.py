@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import density, errors, expsums, lsq, spectral
+from .rng import seed_words
 
 DEFAULT_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
 
@@ -131,10 +132,12 @@ def head_size(n: int, c_head: float) -> int:
 
 
 def derive_seed(master: int, *path: int) -> int:
-    """A 128-bit child seed from the master seed and an integer path."""
-    ss = np.random.SeedSequence([int(master)] + [int(p) for p in path])
-    a, b = ss.generate_state(2, np.uint64)
-    return (int(a) << 64) | int(b)
+    """A 128-bit child seed from the master seed and an integer path: the two
+    words numpy's SeedSequence([master, *path]).generate_state(2, np.uint64)
+    gives, first word high, computed by rng.seed_words without numpy.random.
+    ValueError for a negative master or path entry."""
+    a, b = seed_words([master, *path], 2)
+    return a << 64 | b
 
 
 @dataclass(frozen=True)

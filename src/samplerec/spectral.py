@@ -350,6 +350,9 @@ def random_unit_function(basis: OrderedBasis, support: tuple[int, int], seed: in
 
     A standard Gaussian on the support is normalized, then scaled by sigma so
     the space norm is exactly 1 up to roundoff.  Fully determined by seed.
+    The Gaussians come from numpy.random's Philox generator, so this is the
+    one function of the package that loads numpy.random; no subcommand
+    calls it.
     """
     lo, hi = support
     if not 1 <= lo <= hi <= len(basis):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import resource
@@ -116,6 +117,18 @@ def test_derive_seed_properties():
     assert a != derive_seed(7, 1, 2, 4)
     assert a != derive_seed(8, 1, 2, 3)
     assert 0 <= a < 1 << 128
+
+
+def test_derive_seed_is_numpys_seed_sequence():
+    # SeedSequence([7, 1, 2, 3]).generate_state(2, np.uint64), first word
+    # high, as numpy.random computed it
+    assert derive_seed(7, 1, 2, 3) == 0x2BB5F9FD32B47EC1BB168BEED275D0D8
+
+
+def test_derive_seed_rejects_negative_entries():
+    for path in ((-1, 1), (7, -1), (7, 1, 2, -3)):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_seed(*path)
 
 
 def test_run_claims_uniform_head_is_exact():
@@ -353,6 +366,38 @@ def test_cli_run_path_imports_no_scipy(tmp_path, command, d):
     )
     assert proc.returncode == 0, proc.stderr
     assert "scipy modules: []" in proc.stdout
+
+
+_NO_NUMPY_RANDOM = """
+import json, sys
+from samplerec import cli
+loaded_after = []
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    if "numpy.random" in sys.modules:
+        loaded_after.append(argv[0])
+print("numpy.random loaded after:", loaded_after)
+"""
+
+
+def test_cli_run_path_imports_no_numpy_random(tmp_path):
+    # the draws come from samplerec.rng, which computes numpy's Philox
+    # stream and SeedSequence without loading numpy.random (numpy >= 2
+    # imports it on first use)
+    src = str(Path(samplerec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    runs = []
+    for command, d in (("claims", 1), ("rates", 1), ("rates", 2), ("beta", 2), ("density-check", 2)):
+        cfg = write_config(tmp_path, f"d = {d}\nn_grid = 64, 128\nc_head = 0.25\ntrials = 1\n", f"{command}{d}.cfg")
+        runs.append([command, "--config", cfg, "--out", str(tmp_path / f"{command}{d}.csv")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_RANDOM, json.dumps(runs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy.random loaded after: []" in proc.stdout
 
 
 # sha256 of the CSVs of small configs, with one BLAS thread (numpy 2.4.6,

@@ -158,6 +158,15 @@ def test_sample_points_prefix_stability():
     assert np.array_equal(small.points, big.points[:50])
 
 
+def test_sample_points_rejects_seeds_outside_128_bits():
+    # the seed is the Philox key, refused as numpy.random refused it
+    dens = make_density(SP1, 4, 16)
+    assert sample_points(dens, 4, (1 << 128) - 1).points.shape == (4, 1)
+    for seed in (-1, 1 << 128):
+        with pytest.raises(ValueError, match="less than 2"):
+            sample_points(dens, 4, seed)
+
+
 def test_sampled_densities_match_recomputation():
     dens = make_density(SP2, 4, 20)
     pts = sample_points(dens, 300, 9)
