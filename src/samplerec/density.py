@@ -32,21 +32,6 @@ BISECT_STEPS = 48
 MAX_POINTS = 1 << 14
 MAX_TRUNCATION = 1 << 13
 
-# A d >= 2 draw keeps its m x m Gram B^T B in place of B when m <= n (the
-# Gram is no larger than B) and n q^2 <= _GRAM_FLOP_LIMIT, q = m - k (the
-# Gram is cheap to form); otherwise it keeps B, and the tail norm is
-# Lanczos on the view B[:, k:].  Per-instance seconds at d = 2, s = 0.75
-# (sampling, head factorization, tail norm and e_trunc), one BLAS thread,
-# best of three in each of three runs:
-#   n x m, q            n q^2   Gram          B
-#   4096 x 984, 861     3.0e9   0.219-0.269   0.329-0.372
-#   4096 x 1280, 1120   5.1e9   0.316-0.429   0.423-0.507
-#   2048 x 1712, 1498   4.6e9   0.324-0.373   0.327-0.333
-# The Gram costs n m^2 to sum and Lanczos on the view about n q per step,
-# so n q^2 cannot order the last two; the limit is kept at 4e9, with the
-# largest instance of the benchmark workloads (4096 x 984) on the Gram side.
-_GRAM_FLOP_LIMIT = 4e9
-
 # Rows of one chunk of the Gram sum: whole row blocks (row_blocks) of about
 # _GRAM_CHUNK_BYTES together, and at least _GRAM_CHUNK_ROWS rows, since a
 # product B_c^T B_c over fewer rows costs more per row and each chunk adds
@@ -145,9 +130,10 @@ class PointSet:
     the density's m functions in one of three forms, read alike at every d
     through gram (its Gram blocks) and G (its (n, k) head block).
 
-    Dense (d >= 2, B given): B itself, read-only; G is a view of its first
-    k columns, and m defaults to its width.  Gram (d >= 2, BtB given): the
-    m x m Gram B^T B, read-only, whose blocks gram gives as views;
+    Dense (d >= 2, B given; sample_points keeps it when m > n): B itself,
+    read-only; G is a view of its first k columns, and m defaults to its
+    width.  Gram (d >= 2, BtB given; sample_points keeps it when m <= n):
+    the m x m Gram B^T B, read-only, whose blocks gram gives as views;
     sample_points sums it in place by row chunks and column panels.
     Structured (d = 1, sums given): the weighted exponential sums
     E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}, h = 0..2 f_max.  In the Gram
@@ -251,25 +237,24 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
 
     At d >= 2 the basis is evaluated once at every point, row block by row
     block (row_blocks): the squares of a block give its densities, and the
-    block is divided by sqrt(rho) in place.  When m <= n and
-    n (m - k)^2 <= _GRAM_FLOP_LIMIT the point set takes the Gram form: the
-    rows are evaluated one chunk of whole row blocks (about
-    _GRAM_CHUNK_BYTES, at least _GRAM_CHUNK_ROWS rows) at a time, and each
-    weighted chunk's B_c^T B_c is added into the upper triangle of the
-    m x m Gram in place, one pair of column panels (_GRAM_PANEL wide) at a
-    time; the lower triangle is copied from the upper once at the end.  A
-    chunk is freed before the next is evaluated, so the call holds the Gram,
-    one chunk and temporaries of a row block or a panel product at most, and
-    no n x m array or m x m temporary.  Otherwise B is evaluated whole and
-    kept, with head size k; it is the only array of that size the call
-    makes.  Points and densities are the same, bit for bit, in either
-    form.  At d = 1 the
-    point set takes the structured form: the density in closed form and the
-    sums E(h) for h up to twice the largest frequency of the m functions,
-    and no basis function is evaluated, so nothing the call makes grows
-    with n faster than O(n) or a row block.  ValueError before any
-    allocation when m exceeds MAX_TRUNCATION or n * m exceeds
-    MAX_POINTS * MAX_TRUNCATION.
+    block is divided by sqrt(rho) in place.  When m <= n the point set takes
+    the Gram form, which holds no more entries than B: the rows are
+    evaluated one chunk of whole row blocks (about _GRAM_CHUNK_BYTES, at
+    least _GRAM_CHUNK_ROWS rows) at a time, and each weighted chunk's
+    B_c^T B_c is added into the upper triangle of the m x m Gram in place,
+    one pair of column panels (_GRAM_PANEL wide) at a time; the lower
+    triangle is copied from the upper once at the end.  A chunk is freed
+    before the next is evaluated, so the call holds the Gram, one chunk and
+    temporaries of a row block or a panel product at most, and no n x m
+    array or m x m temporary.  When m > n, where the Gram would be larger
+    than B, B is evaluated whole and kept, with head size k; it is the only
+    array of that size the call makes.  Points and densities are the same,
+    bit for bit, in either form.  At d = 1 the point set takes the
+    structured form: the density in closed form and the sums E(h) for h up
+    to twice the largest frequency of the m functions, and no basis
+    function is evaluated, so nothing the call makes grows with n faster
+    than O(n) or a row block.  ValueError before any allocation when m
+    exceeds MAX_TRUNCATION or n * m exceeds MAX_POINTS * MAX_TRUNCATION.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
@@ -297,7 +282,7 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
         return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, sums=sums, basis=basis)
     rho = np.empty(n)
     blocks = row_blocks(n, m)
-    if m > n or n * (m - k) ** 2 > _GRAM_FLOP_LIMIT:
+    if m > n:
         b = basis_matrix(basis, x, m)
         _weigh_rows(params, b, blocks, rho)
         b.flags.writeable = False

@@ -177,9 +177,10 @@ def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> 
 
     Both norms come from the Gram operator Gamma^T Gamma, the spectral norm
     as the square root of its top eigenvalue, the Frobenius norm from its
-    trace, and Gamma is never formed.  Dense form (d >= 2, B kept):
-    lsq.ViewGram of the view B[:, k:].  Gram form (d >= 2): lsq.BlockGram,
-    the sigma-scaled tail block of the stored Gram, read in place.
+    trace, and Gamma is never formed.  Dense form (d >= 2, B kept when
+    m > n): lsq.ViewGram of the view B[:, k:].  Gram form (d >= 2,
+    m <= n): lsq.BlockGram, the sigma-scaled tail block of the stored Gram,
+    read in place.
     Structured form (d = 1): the Toeplitz Gram operator of the weighted
     exponential sums.
     """

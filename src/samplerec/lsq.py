@@ -160,10 +160,11 @@ class ConvergenceError(RuntimeError):
 
 class ViewGram:
     """Gamma^T Gamma for Gamma = view diag(sigma), q = len(sigma), read from
-    the (n, q) view alone: the tail Gram of an instance that keeps B, whose
-    view is B[:, k:].  Gamma is never formed, and nothing of the view's size
-    is allocated: a product applies the view and its transpose.  A Gram
-    operator for spectral_norm: shape (q, q), matmat and matvec, and trace.
+    the (n, q) view alone: the tail Gram of an instance that keeps B (d >= 2
+    with m > n), whose view is B[:, k:].  Gamma is never formed, and
+    nothing of the view's size is allocated: a product applies the view and
+    its transpose.  A Gram operator for spectral_norm: shape (q, q), matmat
+    and matvec, and trace.
     """
 
     def __init__(self, view: np.ndarray, sigma: np.ndarray) -> None:

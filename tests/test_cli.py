@@ -544,19 +544,19 @@ def test_cli_gives_blas_threads_back_and_runs_unpinned(tmp_path, monkeypatch, ca
 
 
 def test_cli_out_of_memory_exits_3(tmp_path):
-    # n = 16384, m = 3376 keeps B (n q^2 is above the Gram limit), a 422 MiB
-    # array the child may not map; this used to end in a MemoryError
-    # traceback with exit 1, the code of a failed invariant
+    # n = 8000, m = 8192 keeps B (m > n), a 500 MiB array the child may not
+    # map; this used to end in a MemoryError traceback with exit 1, the code
+    # of a failed invariant
     limit = 450 << 20
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    config = "d = 2\ns = 0.75\nn_grid = 16384\nc_head = 0.25\nm_factor = 8\ntrials = 1\n"
+    config = "d = 2\ns = 0.75\nn_grid = 8000\nc_head = 1.151\nm_factor = 8\ntrials = 1\n"
     proc, out = _run_cli(tmp_path, "rates", config, timeout=120, preexec_fn=cap_address_space)
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
-    assert "(16384, 3376)" in proc.stderr
+    assert "(8000, 8192)" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
     assert not list(tmp_path.glob("*.csv"))

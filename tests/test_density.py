@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -374,15 +375,18 @@ def traced_peak_and_held(fn, *args):
 
 
 def test_sample_points_keeps_one_instance_sized_array():
-    # the largest rates-d2-s075 instance (m <= n): B would be 30.8 MiB; the
-    # draw keeps the 7.4 MiB Gram B^T B, summed over chunks of rows, and
-    # never makes B
-    n, d, m = 4096, 2, 984
-    dens = make_density(SpaceParams(d, 0.75), 123, m)
-    pts, peak, held = traced_peak_and_held(sample_points, dens, n, 3)
-    assert pts.B is None and pts.BtB.nbytes == m * m * 8
-    assert peak < n * m * 8
-    assert held <= m * m * 8 + (1 << 20)
+    # with m <= n the draw keeps the Gram B^T B, summed over chunks of 512
+    # rows, and never makes B: at 2048 x 1712 (q = m - k = 1498) B would be
+    # 26.8 MiB against the Gram's 22.4 MiB, so the Gram and one 6.7 MiB
+    # chunk peak above B's size alone, and at the largest rates-d2-s075
+    # instance (4096 x 984) 30.8 MiB against 7.4 MiB
+    d = 2
+    for n, k, m in ((2048, 214, 1712), (4096, 123, 984)):
+        dens = make_density(SpaceParams(d, 0.75), k, m)
+        pts, peak, held = traced_peak_and_held(sample_points, dens, n, 3)
+        assert pts.B is None and pts.BtB.nbytes == m * m * 8
+        assert peak <= m * m * 8 + 512 * m * 8 + (3 << 20)
+        assert held <= m * m * 8 + (1 << 20)
     # with m > n the draw keeps B, and nothing else it makes is larger than
     # one row block or a few arrays per point
     n = 512
@@ -392,24 +396,28 @@ def test_sample_points_keeps_one_instance_sized_array():
 
 
 @pytest.mark.parametrize("params, k, m, n", [(SpaceParams(2, 0.75), 123, 984, 1600), (SpaceParams(3, 0.6), 20, 160, 4000)])
-def test_gram_form_matches_the_b_form(monkeypatch, params, k, m, n):
-    # several row chunks of the Gram sum at d = 2 and d = 3: the same points
-    # and densities as the draw that keeps B, bit for bit, and every Gram
-    # block to rounding
+def test_gram_form_matches_the_b_form(params, k, m, n):
+    # several row chunks of the Gram sum at d = 2 and d = 3 (m <= n), and a
+    # draw of m / 2 points with the same seed (m > n), which keeps B: the
+    # same points, row for row; in either form the densities of
+    # density_values and B the weighted basis matrix, bit for bit; and every
+    # Gram block within rounding of the Gram draw's twin that holds B
     dens = make_density(params, k, m)
     gram_pts = sample_points(dens, n, 7)
     assert gram_pts.B is None and n > density._GRAM_CHUNK_ROWS and n * m * 8 > density._GRAM_CHUNK_BYTES
-    monkeypatch.setattr(density, "_GRAM_FLOP_LIMIT", 0.0)
-    b_pts = sample_points(dens, n, 7)
+    b_pts = sample_points(dens, m // 2, 7)
     assert b_pts.BtB is None
-    assert np.array_equal(gram_pts.points, b_pts.points)
-    assert np.array_equal(gram_pts.densities, b_pts.densities)
-    assert np.array_equal(dense_matrix(gram_pts), b_pts.B)
-    assert np.array_equal(gram_pts.G, b_pts.G)
+    assert np.array_equal(b_pts.points, gram_pts.points[: m // 2])
+    for pts in (gram_pts, b_pts):
+        assert np.array_equal(pts.densities, density_values(dens, pts.points))
+    weighted = basis_matrix(dens.basis, b_pts.points, m) / np.sqrt(b_pts.densities)[:, None]
+    assert np.array_equal(b_pts.B, weighted)
+    twin = dataclasses.replace(gram_pts, B=dense_matrix(gram_pts))
+    assert np.array_equal(gram_pts.G, twin.G)
     head, tail, every = slice(0, k), slice(k, m), slice(0, m)
     for rows, cols in ((head, head), (head, tail), (tail, tail), (every, every), (slice(5, 6), slice(3, m - 7))):
         block = gram_pts.gram(rows, cols)
-        dense = b_pts.B[:, rows].T @ b_pts.B[:, cols]
+        dense = twin.gram(rows, cols)
         assert block.shape == dense.shape and not block.flags.writeable
         assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
 

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -28,3 +30,25 @@ def test_readme_solver_figures_match_lsq():
     assert {int(x) for x in sizes} == {lsq._OPERATOR_DENSE_SIZE}
     assert {int(x) for x in caps} == {lsq._LANCZOS_STEPS}
     assert int(strides[0]) == lsq._RITZ_STRIDE and int(extra[0]) == lsq._RITZ_STRIDE - 1
+
+
+def test_readme_names_resolve():
+    # every backticked name of a samplerec module the README quotes, as
+    # `lsq.X` or `samplerec.density.X(...)`, is an attribute of that module,
+    # so a README that names a deleted constant or class fails here
+    import samplerec
+
+    for module in pkgutil.iter_modules(samplerec.__path__):
+        if not module.name.startswith("_"):
+            importlib.import_module(f"samplerec.{module.name}")
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`]*)`", text):
+        names.update(re.findall(r"\b(?:samplerec|lsq|expsums|density|errors|spectral)(?:\.\w+)+", span))
+    assert {"lsq.KAPPA_LIMIT", "lsq.ViewGram", "lsq.BlockGram", "expsums.TailGram", "samplerec.rng"} <= names
+    for name in sorted(names):
+        parts = name.split(".")
+        obj = samplerec
+        for part in parts[parts[0] == "samplerec" :]:
+            assert hasattr(obj, part), f"README quotes `{name}`, which does not resolve"
+            obj = getattr(obj, part)

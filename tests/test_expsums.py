@@ -268,22 +268,30 @@ def test_toeplitz_matvec_matches_dense_gamma(k, m, n):
 
 
 @given(
+    d=st.integers(1, 3),
     s=st.sampled_from((0.75, 1.0, 2.0)),
     k=st.integers(1, 40),
     m_factor=st.integers(2, 8),
     n_extra=st.integers(0, 200),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_structured_norms_and_e_trunc_match_dense(s, k, m_factor, n_extra, seed):
-    # d = 1 instances in the runners' domain (n >= 2k), with tails from one
-    # column to 280, so both the dense solve of small operators and Lanczos run
+def test_structured_norms_and_e_trunc_match_dense(d, s, k, m_factor, n_extra, seed):
+    # instances in the runners' domain (n >= 2k), with tails from one column
+    # to 280, so both the dense solve of small operators and Lanczos run: at
+    # d = 1 in the structured form, at d = 2 and 3 with n >= m in the Gram
+    # form, each against its twin that holds B
     m = m_factor * k
-    basis, pts = make_instance(k, m, 2 * k + n_extra, seed, SpaceParams(1, s))
+    n = (2 * k if d == 1 else max(2 * k, m)) + n_extra
+    basis, pts = make_instance(k, m, n, seed, SpaceParams(d, s))
+    assert pts.B is None and (d == 1) == (pts.BtB is None)
     dense = with_dense_matrix(pts, basis)
     assert _checked_gamma_norm(pts, basis) == pytest.approx(_checked_gamma_norm(dense, basis), rel=1e-12, abs=0)
     gamma = dense.B[:, k:] * basis.sigma[k:m]
-    fro = math.sqrt(TailGram(pts.sums, basis.indices[k:m, 0], basis.sigma[k:m]).trace())
-    assert fro == pytest.approx(np.linalg.norm(gamma), rel=1e-12, abs=0)
+    if d == 1:
+        tail_gram = TailGram(pts.sums, basis.indices[k:m, 0], basis.sigma[k:m])
+    else:
+        tail_gram = lsq.BlockGram(pts.gram(slice(k, m), slice(k, m)), basis.sigma[k:m])
+    assert math.sqrt(tail_gram.trace()) == pytest.approx(np.linalg.norm(gamma), rel=1e-12, abs=0)
     # the run path's factorization (the Gram route, or its dense fallback)
     # against the SVD of the dense instance's G
     head, dense_head = head_factor(pts), head_svd(dense.G)

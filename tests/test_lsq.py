@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import aslinearoperator
 
 from samplerec import density, lsq
-from samplerec.density import MAX_POINTS, MAX_TRUNCATION, PointSet, dense_matrix, sample_points, truncated_density
+from samplerec.density import PointSet, dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, csv_text, run_claims, run_rates
 from samplerec.expsums import TailGram, exp_sums
@@ -724,23 +724,6 @@ def test_lanczos_step_cap_off_the_ritz_schedule(monkeypatch):
     residual = re.search(r"residual (\S+) of top Ritz value (\S+)$", str(raised.value))
     assert math.isfinite(float(residual[1])) and float(residual[1]) > 0.0
     assert float(residual[2]) == pytest.approx(svd_norm(m) ** 2, rel=1e-3)
-
-
-def test_gram_flop_limit_splits_workload_shapes():
-    # per-instance seconds at d = 2, s = 0.75 (sampling, head factorization,
-    # tail norm and e_trunc), one BLAS thread, best of three in each of
-    # three runs, in the Gram form against the B form (Lanczos on B[:, k:]):
-    #   n x m, q            n q^2   Gram          B
-    #   4096 x 984, 861     3.0e9   0.219-0.269   0.329-0.372
-    #   4096 x 1280, 1120   5.1e9   0.316-0.429   0.423-0.507
-    #   2048 x 1712, 1498   4.6e9   0.324-0.373   0.327-0.333
-    # 4096 x 984 is the largest instance of the benchmark workloads
-    # (rates-d2-s075), and it keeps its Gram; n q^2 does not order the other
-    # two, and no workload has either
-    assert 4096 * 861 ** 2 <= density._GRAM_FLOP_LIMIT < 2048 * 1498 ** 2
-    # an instance within the dense caps with m <= n and q <= _OPERATOR_DENSE_SIZE
-    # always keeps its Gram
-    assert max(MAX_POINTS, MAX_TRUNCATION) * lsq._OPERATOR_DENSE_SIZE ** 2 <= density._GRAM_FLOP_LIMIT
 
 
 def test_spectral_norm_bounded_by_frobenius():
