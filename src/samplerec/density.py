@@ -51,7 +51,9 @@ _GRAM_CHUNK_ROWS = 512
 # largest.  CPU time of sample_points at n = 4096, m = 984 (d = 2,
 # s = 0.75, one BLAS thread, medians of 21 interleaved draws, two runs):
 # 180-202 ms at width 256, 185-198 ms with one product, 220-227 ms at
-# width 128.
+# width 128.  At d = 2 those shapes take the structured form, whose tail
+# norm holds the upper column panels of its tail block at this width
+# (experiments._checked_gamma_norm).
 _GRAM_PANEL = math.isqrt(ROW_BLOCK_BYTES // 16)
 
 
@@ -132,15 +134,18 @@ class PointSet:
 
     Dense (d >= 2, B given; sample_points keeps it when m > n): B itself,
     read-only; G is a view of its first k columns, and m defaults to its
-    width.  Gram (d >= 2, BtB given; sample_points keeps it when m <= n):
+    width.  Gram (d >= 3, BtB given; sample_points keeps it when m <= n):
     the m x m Gram B^T B, read-only, whose blocks gram gives as views;
     sample_points sums it in place by row chunks and column panels.
-    Structured (d = 1, sums given): the weighted exponential sums
-    E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}, h = 0..2 f_max.  In the Gram
-    and structured forms basis is the ordered basis of the density, no
-    n-row matrix is stored, and G is evaluated from the basis on each
-    access.  A given B takes precedence over the other fields.  The tail
-    block B[:, k:] scaled by sigma_k..m is Gamma, which is not stored.
+    Structured (d = 1, and d = 2 when m <= n; sums given): the weighted
+    exponential sums, at d = 1 E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
+    h = 0..2 f_max, and at d = 2 the (2 f_max + 1, 4 f_max + 1) array of
+    E(g1, g2) of samplerec.expsums.exp_sums_2d, f_max the largest
+    frequency in either coordinate.  In the Gram and structured forms
+    basis is the ordered basis of the density, no n-row matrix is stored,
+    and G is evaluated from the basis on each access.  A given B takes
+    precedence over the other fields.  The tail block B[:, k:] scaled by
+    sigma_k..m is Gamma, which is not stored.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
@@ -149,7 +154,7 @@ class PointSet:
     B: np.ndarray | None  # (n, m) weighted basis matrix, None in the Gram and structured forms
     k: int  # head size, 1 <= k < m
     m: int | None = None  # width, B.shape[1] when B is given
-    sums: np.ndarray | None = None  # (2 f_max + 1,) complex E(h) of the structured form
+    sums: np.ndarray | None = None  # complex E of the structured form, 1-D at d = 1 and 2-D at d = 2
     basis: OrderedBasis | None = None  # the density's basis, in the Gram and structured forms
     BtB: np.ndarray | None = None  # (m, m) Gram B^T B of the Gram form
 
@@ -171,13 +176,19 @@ class PointSet:
     def gram(self, rows: slice, cols: slice) -> np.ndarray:
         """(B^T B)[rows, cols] for slices of basis positions: from two views of
         B, a read-only view of the stored Gram, or structured from the sums
-        (samplerec.expsums.gram_block)."""
+        (samplerec.expsums.gram_block at d = 1, a new read-only array from
+        samplerec.expsums.gram_block_2d at d = 2)."""
         if self.B is not None:
             return self.B[:, rows].T @ self.B[:, cols]
         if self.BtB is not None:
             return self.BtB[rows, cols]
-        flat = self.basis.indices[: self.m, 0]
-        return expsums.gram_block(self.sums, flat[rows], flat[cols])
+        if self.sums.ndim == 1:
+            flat = self.basis.indices[: self.m, 0]
+            return expsums.gram_block(self.sums, flat[rows], flat[cols])
+        indices = self.basis.indices[: self.m]
+        block = expsums.gram_block_2d(self.sums, indices[rows], indices[cols])
+        block.flags.writeable = False
+        return block
 
     def __post_init__(self) -> None:
         if self.B is not None:
@@ -235,10 +246,22 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     stream keyed by the seed, bit for bit, without loading numpy.random;
     ValueError for a seed below 0 or at least 2^128.
 
-    At d >= 2 the basis is evaluated once at every point, row block by row
-    block (row_blocks): the squares of a block give its densities, and the
-    block is divided by sqrt(rho) in place.  When m <= n the point set takes
-    the Gram form, which holds no more entries than B: the rows are
+    At d = 1 the point set takes the structured form: the density in closed
+    form and the sums E(h) for h up to twice the largest frequency of the m
+    functions, and no basis function is evaluated, so nothing the call
+    makes grows with n faster than O(n) or a row block.  At d = 2 with
+    m <= n it takes the structured form too: the densities are
+    density_values', bit for bit, from the basis evaluated one row block at
+    a time and dropped, and the point set keeps the sums E(g1, g2)
+    (samplerec.expsums.exp_sums_2d) for g1, |g2| up to twice the largest
+    frequency, one complex product of two power tables per row block of
+    points; so it makes no n x m or m x m array either.
+
+    Otherwise, at d >= 2, the basis is evaluated once at every point, row
+    block by row block (row_blocks): the squares of a block give its
+    densities, and the block is divided by sqrt(rho) in place.  When m <= n
+    (d >= 3) the point set takes the Gram form, which holds no more entries
+    than B: the rows are
     evaluated one chunk of whole row blocks (about _GRAM_CHUNK_BYTES, at
     least _GRAM_CHUNK_ROWS rows) at a time, and each weighted chunk's
     B_c^T B_c is added into the upper triangle of the m x m Gram in place,
@@ -249,12 +272,9 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     array or m x m temporary.  When m > n, where the Gram would be larger
     than B, B is evaluated whole and kept, with head size k; it is the only
     array of that size the call makes.  Points and densities are the same,
-    bit for bit, in either form.  At d = 1 the point set takes the
-    structured form: the density in closed form and the sums E(h) for h up
-    to twice the largest frequency of the m functions, and no basis
-    function is evaluated, so nothing the call makes grows with n faster
-    than O(n) or a row block.  ValueError before any allocation when m
-    exceeds MAX_TRUNCATION or n * m exceeds MAX_POINTS * MAX_TRUNCATION.
+    bit for bit, in every form a d allows.  ValueError before any
+    allocation when m exceeds MAX_TRUNCATION or n * m exceeds
+    MAX_POINTS * MAX_TRUNCATION.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
@@ -279,6 +299,10 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     if d == 1:
         rho = _closed_form_density(params, x[:, 0])
         sums = expsums.exp_sums(x[:, 0], 1.0 / rho, 2 * basis.max_frequency(m))
+        return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, sums=sums, basis=basis)
+    if d == 2 and m <= n:
+        rho = density_values(params, x)
+        sums = expsums.exp_sums_2d(x, 1.0 / rho, 2 * basis.max_frequency(m))
         return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, sums=sums, basis=basis)
     rho = np.empty(n)
     blocks = row_blocks(n, m)

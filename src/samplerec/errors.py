@@ -30,12 +30,15 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     The route follows the factorization.  One without u (the Gram route of
     any d, kappa(G) <= lsq.KAPPA_LIMIT) gives
     W = S^-2 V^T (G^T B_tail) diag(s_t), with the block G^T B_tail from
-    info.gram, a view of the stored Gram in the Gram form; no n-row matrix
-    is formed.  One with u (a fallback draw) takes the dense route above:
-    U^T B_tail is summed over row blocks (row_blocks) of u and of B, whose
-    rows come from info.B or, when B is not stored, are evaluated one block
-    at a time (density.dense_matrix), so the two give the same bits and no
-    n x m array is made.  Both routes end in one lsq.spectral_norm
+    info.gram: a view of the stored Gram in the Gram form (d >= 3), read
+    off the exponential sums in the structured form (d = 1, and d = 2 with
+    m <= n, where samplerec.expsums.gram_block_2d fills it from the
+    two-dimensional sums); no n-row matrix is formed.  One with u (a
+    fallback draw) takes the dense route above: U^T B_tail is summed over
+    row blocks (row_blocks) of u and of B, whose rows come from info.B or,
+    when B is not stored, are evaluated one block at a time
+    (density.dense_matrix), so the two give the same bits and no n x m
+    array is made.  Both routes end in one lsq.spectral_norm
     of the operator x -> W^T (W x) + s_t^2 x, which forms a q x q matrix
     only up to lsq._OPERATOR_DENSE_SIZE and otherwise runs Lanczos on the
     (k, q) matrix W.

@@ -178,10 +178,13 @@ def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> 
     Both norms come from the Gram operator Gamma^T Gamma, the spectral norm
     as the square root of its top eigenvalue, the Frobenius norm from its
     trace, and Gamma is never formed.  Dense form (d >= 2, B kept when
-    m > n): lsq.ViewGram of the view B[:, k:].  Gram form (d >= 2,
-    m <= n): lsq.BlockGram, the sigma-scaled tail block of the stored Gram,
-    read in place.
-    Structured form (d = 1): the Toeplitz Gram operator of the weighted
+    m > n): lsq.ViewGram of the view B[:, k:].  Gram form (d >= 3,
+    m <= n): lsq.BlockGram of the sigma-scaled tail block of the stored
+    Gram, read in place as one whole-width panel.  Structured form at
+    d = 2 (m <= n): lsq.BlockGram of the upper column panels
+    (B^T B)[k:hi, lo:hi] of the tail block, density._GRAM_PANEL wide,
+    filled from the two-dimensional sums, about half the block.
+    Structured form at d = 1: the Toeplitz Gram operator of the weighted
     exponential sums.
     """
     tail = slice(pts.k, pts.m)
@@ -190,6 +193,10 @@ def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> 
         gram = lsq.ViewGram(pts.B[:, tail], sigma)
     elif pts.BtB is not None:
         gram = lsq.BlockGram(pts.gram(tail, tail), sigma)
+    elif pts.sums.ndim == 2:
+        width = density._GRAM_PANEL
+        columns = [slice(lo, min(lo + width, pts.m)) for lo in range(pts.k, pts.m, width)]
+        gram = lsq.BlockGram([pts.gram(slice(pts.k, cols.stop), cols) for cols in columns], sigma)
     else:
         gram = expsums.TailGram(pts.sums, basis.indices[tail, 0], sigma)
     s_gam = math.sqrt(lsq.spectral_norm(gram))

@@ -1,5 +1,5 @@
-"""Weighted exponential sums of a one-dimensional point set, and the Gram
-blocks of the density-weighted basis matrix that they determine.
+"""Weighted exponential sums of a point set in one or two dimensions, and
+the Gram blocks of the density-weighted basis matrix that they determine.
 
 At d = 1 every basis function is a real trigonometric monomial,
 b_j(x) = Re(c_j e^{2 pi i f_j x}) with c_j = 1 for the constant, sqrt(2)
@@ -14,6 +14,14 @@ same Gram matrix is the Hermitian Toeplitz matrix T[f, g] = E(g - f), so a
 product with it is one correlation: one FFT pair.  None of this forms an
 n x m matrix; it is the structure behind the NFFT least squares of
 Kammerer, Ullrich & Volkmer (2021) and Greengard & Lee (2004).
+
+At d = 2 a basis function is a product of two such factors, and the product
+of two factors in one coordinate is a sum of two cosines or two sines, at
+f_j + f_l and f_j - f_l.  So a Gram entry is four terms of the real sums
+sum_i rho_i^-1 t1(2 pi h1 x_i1) t2(2 pi h2 x_i2), t1 and t2 each a cosine
+or a sine, and these are read off the two-dimensional sums
+E(g1, g2) = sum_i rho_i^-1 e^{2 pi i (g1 x_i1 + g2 x_i2)} (exp_sums_2d,
+gram_block_2d).
 """
 
 from __future__ import annotations
@@ -85,10 +93,45 @@ def exp_sums(x, weights, h_max: int) -> np.ndarray:
     return sums.ravel()[: h_max + 1]
 
 
+def exp_sums_2d(x, weights, h_max: int) -> np.ndarray:
+    """E(g1, g2) = sum_i weights_i e^{2 pi i (g1 x_i1 + g2 x_i2)} for
+    0 <= g1 <= h_max and |g2| <= h_max, as an (h_max + 1, 2 h_max + 1)
+    array whose column g2 mod (2 h_max + 1) holds g2, so that E[g1, -g2]
+    reads E(g1, -g2); the other half plane is E(-g) = conj(E(g)).
+
+    From one complex exponential per coordinate and point, the powers
+    z1^g1 and z2^g2, g1, g2 = 0..h_max, are built by multiplication
+    (_powers, by doubling) and the negative g2 are their conjugates, so E is
+    one complex matrix product of the two tables per row block of points
+    (row_blocks), as for exp_sums, in its error class: the rounding of
+    2 pi x scaled by the frequency.  Memory is O(block * h_max).
+    """
+    x = np.asarray(x, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if h_max < 0:
+        raise ValueError(f"need h_max >= 0, got {h_max}")
+    if x.ndim != 2 or x.shape[1] != 2:
+        raise ValueError(f"need an (n, 2) array of points, got shape {x.shape}")
+    if weights.shape != x.shape[:1]:
+        raise ValueError(f"need one weight per point, got shapes {weights.shape} and {x.shape}")
+    width = 2 * h_max + 1
+    sums = np.zeros((h_max + 1, width), dtype=complex)
+    # a complex entry is two floats wide
+    for rows in row_blocks(len(x), 2 * (h_max + 1 + width)):
+        e = np.exp((2j * np.pi) * x[rows].T)
+        first = _powers(e[0], h_max + 1)
+        first *= weights[rows]
+        half = _powers(e[1], h_max + 1)
+        second = np.concatenate((half, half[:0:-1].conj()))
+        del half
+        sums += first @ second.T
+    return sums
+
+
 def _split(flat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frequency f_j, the real factor |c_j| / sqrt(2) (sqrt(1/2) on the
     constant, 1 otherwise) and the sine flag of one-coordinate flat
-    indices."""
+    indices, elementwise, so an (r, 2) array gives them per coordinate."""
     flat = np.asarray(flat, dtype=np.int64)
     return (flat + 1) // 2, np.where(flat == 0, math.sqrt(0.5), 1.0), flat % 2 == 1
 
@@ -134,6 +177,108 @@ def gram_block(sums: np.ndarray, rows, cols) -> np.ndarray:
             else:
                 plus += minus
             block[np.ix_(r, c)] = plus
+    return block
+
+
+def _real_tables(sums: np.ndarray, top: int) -> np.ndarray:
+    """The real sums sum_i w_i t1(2 pi g1 x_i1) t2(2 pi g2 x_i2) for
+    g1, g2 = -top..2 top, as a (4, 3 top + 1, 3 top + 1) array: table
+    2 * (t1 is a sine) + (t2 is a sine), that is CC, CS, SC and SS, from the
+    sums E of exp_sums_2d:
+
+        CC = Re(E(g1, g2) + E(g1, -g2)) / 2,  SS = Re(E(g1, -g2) - E(g1, g2)) / 2,
+        SC = Im(E(g1, g2) + E(g1, -g2)) / 2,  CS = Im(E(g1, g2) - E(g1, -g2)) / 2.
+
+    The rows g1 < 0 are the rows -g1 with the parity in g1 (a sine is
+    odd), so a term at a negative frequency is a plain read.  Only the
+    tables and two real (2 top + 1, 3 top + 1) arrays are made.
+    """
+    g = np.arange(-top, 2 * top + 1)
+    tables = np.empty((4, len(g), len(g)))
+    ahead = tables[:, top:]  # g1 = 0..2 top
+    lead = sums[: 2 * top + 1]
+    plus, minus = lead.real.take(g, axis=1), lead.real.take(-g, axis=1)
+    np.add(plus, minus, out=ahead[0])
+    np.subtract(minus, plus, out=ahead[3])
+    del plus, minus
+    plus, minus = lead.imag.take(g, axis=1), lead.imag.take(-g, axis=1)
+    np.subtract(plus, minus, out=ahead[1])
+    np.add(plus, minus, out=ahead[2])
+    tables *= 0.5
+    # CC and CS are even in g1, SC and SS odd
+    tables[:, :top] = ahead[:, top:0:-1]
+    np.negative(tables[2:, :top], out=tables[2:, :top])
+    return tables
+
+
+def gram_block_2d(sums: np.ndarray, rows, cols) -> np.ndarray:
+    """The block (B^T B)[rows, cols] of a d = 2 instance, for (r, 2) and
+    (c, 2) arrays of flat basis indices rows and cols, from its sums
+    E = exp_sums_2d(x, 1 / rho, h) with h at least twice the largest
+    frequency of rows and cols.
+
+    In each coordinate the product of a row and a column factor is, by
+    product to sum, p (u(f_r + f_c) + v(f_r - f_c)) with p the product of
+    their real factors |c| / sqrt(2) (sqrt(1/2) on a constant, 1
+    otherwise), u and v cosines when both factors are cosines or both
+    sines and sines otherwise: cos cos = cos S + cos D, sin sin =
+    cos D - cos S, sin cos = sin S + sin D and cos sin = sin S - sin D, with
+    S = f_r + f_c and D = f_r - f_c.  So an entry is p_j p_l times four
+    reads of the real tables (_real_tables), one per choice of S or D in
+    each coordinate.  The rows are taken one kind (cosine or sine in each
+    coordinate) at a time: then the table, the sign of a term and the
+    choice of D or -D (a cos sin term reads its sine at f_c - f_r) depend
+    on the column alone, so every read is at a row part plus a column part
+    of a flat index, one outer sum, and every sign is a column weight.  The
+    block is filled one row panel of a kind at a time, with three arrays
+    of the panel's size, an eighth of a row block (row_blocks) each, so the
+    call holds the block, the tables and about half a row block more.
+    """
+    f_r, a_r, sin_r = _split(rows)
+    f_c, a_c, sin_c = _split(cols)
+    top = int(max(f_r.max(initial=0), f_c.max(initial=0)))
+    h = sums.shape[0]
+    if sums.shape != (h, 2 * h - 1) or 2 * top >= h:
+        raise ValueError(f"need E(g1, g2) up to twice the largest frequency, got shape {sums.shape}")
+    tables = _real_tables(sums, top).ravel()
+    width = 3 * top + 1
+    p_r, p_c = a_r[:, 0] * a_r[:, 1], a_c[:, 0] * a_c[:, 1]
+    block = np.empty((len(f_r), len(f_c)))
+    for kind in ((False, False), (False, True), (True, False), (True, True)):
+        at = np.flatnonzero((sin_r == kind).all(axis=1))
+        # per coordinate: the row part, column part and column sign (-1 on
+        # S of sin sin) of the frequencies of its S and D terms, and whether
+        # its terms are sines (the row and column kinds differ)
+        coordinates, sines = [], []
+        for c, row_sine in enumerate(kind):
+            col_sine = sin_c[:, c]
+            toward = 1 if row_sine else -1
+            sines.append(col_sine != row_sine)
+            coordinates.append((
+                (f_r[at, c], f_c[:, c], np.where(col_sine & row_sine, -1.0, 1.0)),
+                (toward * f_r[at, c], -toward * f_c[:, c], 1.0),
+            ))
+        table = (2 * sines[0] + sines[1]) * width * width + top * (width + 1)
+        terms = [
+            (row1 * width + row2, table + col1 * width + col2, p_c * sign1 * sign2)
+            for row1, col1, sign1 in coordinates[0]
+            for row2, col2, sign2 in coordinates[1]
+        ]
+        for panel in row_blocks(len(at), 8 * len(f_c)):
+            rows_at = at[panel]
+            index = np.empty((len(rows_at), len(f_c)), dtype=np.int64)
+            value = np.empty(index.shape)
+            out = np.empty(index.shape)
+            for i, (row_part, col_part, weight) in enumerate(terms):
+                np.add.outer(row_part[panel], col_part, out=index)
+                tables.take(index, out=value, mode="clip")
+                if i == 0:
+                    np.multiply(value, weight, out=out)
+                else:
+                    value *= weight
+                    out += value
+            out *= p_r[rows_at, None]
+            block[rows_at] = out
     return block
 
 

@@ -193,30 +193,58 @@ class ViewGram:
 
 class BlockGram:
     """Gamma^T Gamma = diag(sigma) A diag(sigma) for a symmetric (q, q)
-    block A of a stored Gram, q = len(sigma): the tail Gram of an instance
-    in the Gram form, whose block is (B^T B)[k:, k:].  The block is read in
-    place, often as a strided view, and never scaled into a copy.  A Gram
-    operator for spectral_norm: shape (q, q), matmat and matvec, and trace.
+    matrix A, q = len(sigma), held as its upper column panels A[:hi, lo:hi]
+    in order (lo = 0 first, each panel starting where the last ended, the
+    last ending at q), or as A itself, one whole-width panel.  The tail Gram
+    of an instance in the Gram form (d >= 3) hands over its stored block
+    (B^T B)[k:, k:] as one panel, read in place, often as a strided view,
+    and never scaled into a copy; the structured d = 2 form fills the upper
+    panels from its sums, about q^2 / 2 entries.  A product adds each
+    panel's and, above its diagonal block, its transpose's:
+    y[:hi] += A[:hi, lo:hi] v[lo:hi] and y[lo:hi] += A[:lo, lo:hi]^T v[:lo];
+    one whole-width panel is the one product A v.  A Gram operator for
+    spectral_norm: shape (q, q), matmat and matvec, and trace.
     """
 
-    def __init__(self, block: np.ndarray, sigma: np.ndarray) -> None:
+    def __init__(self, panels, sigma: np.ndarray) -> None:
         q = len(sigma)
-        if block.shape != (q, q):
-            raise ValueError(f"need a ({q}, {q}) block for {q} sigmas, got {block.shape}")
+        panels = [panels] if isinstance(panels, np.ndarray) else list(panels)
+        lo = 0
+        for panel in panels:
+            if panel.ndim != 2 or panel.shape[0] != lo + panel.shape[1] or panel.shape[1] == 0:
+                raise ValueError(f"need upper column panels A[:hi, lo:hi] from lo = {lo}, got {panel.shape}")
+            lo = panel.shape[0]
+        if lo != q:
+            raise ValueError(f"need panels of a ({q}, {q}) matrix for {q} sigmas, ending at {lo}")
         self.shape = (q, q)
-        self._block = block
+        self._panels = panels
         self._sigma = np.asarray(sigma, dtype=float)
 
     def matmat(self, v: np.ndarray) -> np.ndarray:
         """Gamma^T Gamma v for a vector or a (q, p) block v."""
         sigma = self._sigma.reshape((-1,) + (1,) * (v.ndim - 1))
-        return sigma * (self._block @ (sigma * v))
+        u = sigma * v
+        first = self._panels[0]
+        y = first @ u[: first.shape[0]]
+        if len(self._panels) > 1:
+            y = np.concatenate((y, np.zeros((self.shape[0] - len(y),) + v.shape[1:])))
+            for panel in self._panels[1:]:
+                hi = panel.shape[0]
+                lo = hi - panel.shape[1]
+                y[:hi] += panel @ u[lo:hi]
+                y[lo:hi] += panel[:lo].T @ u[:lo]
+        return sigma * y
 
     matvec = matmat
 
     def trace(self) -> float:
         """Squared Frobenius norm of Gamma."""
-        return float(np.diagonal(self._block) @ self._sigma ** 2)
+        total = 0.0
+        for panel in self._panels:
+            hi = panel.shape[0]
+            lo = hi - panel.shape[1]
+            total += np.diagonal(panel[lo:]) @ self._sigma[lo:hi] ** 2
+        return float(total)
 
 
 def spectral_norm(gram) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -429,7 +430,12 @@ def test_cli_run_path_imports_no_numpy_random(tmp_path):
 # The rates digest then moved with the Gram form of d >= 2 instances with
 # m <= n (B^T B summed over row chunks while sampling, its tail block's norm
 # by Lanczos): s_min_G, s_max_Gamma, e_upper and ratio1 by at most 5.6e-16
-# relative, integer columns unchanged.
+# relative, integer columns unchanged.  The rates digest then moved with the
+# structured form of d = 2 draws with m <= n (Gram blocks from the
+# two-dimensional exponential sums, the tail norm on upper column panels),
+# after test_cli_csv_is_the_same_in_every_point_set_form passed on its
+# config: s_min_G by 5.5e-16, s_max_Gamma 5.8e-16, e_trunc 4.1e-16, e_upper
+# 4.3e-16, ratio1 2.5e-16 and ratio2 8.5e-16 relative, the others unchanged.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -439,7 +445,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "c542aa70403a1f6c48030e96887894476647cef05cdd80f552a30f44b705f9e6",
+        "b8afef9bb45ba051b742e596655edb8354b7777b7d14d5b49af07811a728f49b",
     ),
     "beta": (
         "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
@@ -491,12 +497,73 @@ def test_cli_instances_that_keep_b_are_unchanged(tmp_path):
     )
 
 
+# Small rates and claims configs at d = 2 (s = 0.75 and 1.0) and d = 3,
+# whose m <= n draws take the structured form at d = 2 and the Gram form at
+# d = 3; the rates golden config is the first.
+_CROSS_FORM = [
+    ("rates", "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
+              "trials = 2\nseed = 20250814\n"),
+    ("rates", "d = 2\ns = 0.75\nn_grid = 256, 512, 1024\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 2\n"),
+    ("rates", "d = 3\ns = 0.6\nn_grid = 64, 256, 512\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 5\n"),
+    ("claims", "d = 2\ns = 0.75\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\ntrials = 2\nseed = 3\n"),
+    ("claims", "d = 2\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\ntrials = 2\nseed = 4\n"),
+    ("claims", "d = 3\ns = 0.6\nn_grid = 256, 512\nc_head = 0.05\nm_factor = 8\ntrials = 2\nseed = 6\n"),
+]
+
+_INT_COLUMNS = {"n", "k", "m", "trials", "degenerate_trials"}
+
+
+def cross_form_drift(header, drawn, twin):
+    """Largest relative difference of each float column between two CSVs of
+    one config; integer columns must match exactly, and a NaN cell must be
+    NaN in both."""
+    assert len(drawn) == len(twin)
+    drift = {}
+    for j, name in enumerate(header):
+        if name in _INT_COLUMNS:
+            assert [row[j] for row in drawn] == [row[j] for row in twin], name
+            continue
+        worst = 0.0
+        for row_a, row_b in zip(drawn, twin):
+            a, b = float(row_a[j]), float(row_b[j])
+            assert math.isnan(a) == math.isnan(b), name
+            if a != b:
+                worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+        drift[name] = worst
+    return drift
+
+
+@pytest.mark.parametrize("command, config", _CROSS_FORM, ids=[
+    f"{command}-d{config.split()[2]}-s{config.split()[5]}" for command, config in _CROSS_FORM
+])
+def test_cli_csv_is_the_same_in_every_point_set_form(tmp_path, monkeypatch, command, config):
+    # each config run as drawn, then with every point set replaced by its
+    # twin that holds B (dense_matrix of the same points and densities),
+    # whose Gram blocks, tail norm and head factorization all come from B
+    path = write_config(tmp_path, config)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "drawn.csv")]) == 0
+    sample = density.sample_points
+
+    def with_b(params, n, seed):
+        pts = sample(params, n, seed)
+        return dataclasses.replace(pts, B=density.dense_matrix(pts))
+
+    monkeypatch.setattr(density, "sample_points", with_b)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "twin.csv")]) == 0
+    header, *drawn = [line.split(",") for line in (tmp_path / "drawn.csv").read_text().splitlines()]
+    twin_header, *twin = [line.split(",") for line in (tmp_path / "twin.csv").read_text().splitlines()]
+    assert header == twin_header and drawn
+    drift = cross_form_drift(header, drawn, twin)
+    assert max(drift.values()) <= 1e-13, drift
+
+
 @pytest.mark.parametrize("threads", [None, "2"])
 def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     # the perfbench rates-d1 config at seed 2, whose CSV moved in its float
-    # columns at two OpenBLAS threads: the command line pins one thread
-    # itself, so the bytes are the one-thread bytes with the variable unset
-    # (OpenBLAS's default) or set to 2
+    # columns at two OpenBLAS threads, and the rates-d2-s075 one, whose d = 2
+    # draws sum their exponential sums by complex matrix products: the
+    # command line pins one thread itself, so the bytes are the one-thread
+    # bytes with the variable unset (OpenBLAS's default) or set to 2
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -504,17 +571,20 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
         env.pop(var, None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    cfg = write_config(tmp_path, "d = 1\ns = 1.0\nn_grid = 64, 128, 256, 512, 1024, 2048, 4096\n"
-                       "c_head = 0.25\nm_factor = 8\ntrials = 3\nseed = 2\n")
-    out = tmp_path / "rates.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "samplerec", "rates", "--config", cfg, "--out", str(out)],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "cdeaee379dba43fd85eec0641f372521f28f3f001e50dda4f4ed641fd5930681"
-    )
+    for config, digest in (
+        ("d = 1\ns = 1.0\nn_grid = 64, 128, 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
+         "trials = 3\nseed = 2\n", "cdeaee379dba43fd85eec0641f372521f28f3f001e50dda4f4ed641fd5930681"),
+        ("d = 2\ns = 0.75\nn_grid = 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
+         "trials = 1\nseed = 2\n", "dc0c51ab523fa2bfb6eb0f93d60cb35d51e4150b51b3dacc8b52931e03a59408"),
+    ):
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "rates.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "samplerec", "rates", "--config", cfg, "--out", str(out)],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, config
 
 
 def test_cli_gives_blas_threads_back_and_runs_unpinned(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samplerec import density, spectral
+from samplerec import density, experiments, expsums, spectral
 from samplerec.density import (
     MAX_POINTS,
     MAX_TRUNCATION,
@@ -30,6 +30,7 @@ from samplerec.spectral import SpaceParams, basis_matrix, ordered_basis
 
 SP1 = SpaceParams(1, 1.0)
 SP2 = SpaceParams(2, 1.0)
+SP3 = SpaceParams(3, 1.0)
 
 
 def make_density(params, k, m):
@@ -173,8 +174,18 @@ def test_sampled_densities_match_recomputation():
     pts = sample_points(dens, 300, 9)
     assert np.array_equal(pts.densities, density_values(dens, pts.points))
     assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
-    # with m <= n the instance keeps its Gram in place of B, read-only,
-    # since instances share it, and B is evaluated on request
+    # at d = 2 with m <= n the instance keeps its two-dimensional sums in
+    # place of B, and B is evaluated on request
+    top = 2 * dens.basis.max_frequency(20)
+    assert pts.B is None and pts.BtB is None and pts.sums.shape == (top + 1, 2 * top + 1)
+    assert dense_matrix(pts).shape == (300, 20)
+    assert (pts.k, pts.m) == (4, 20)
+    # at d = 3 with m <= n it keeps its Gram in place of B, read-only,
+    # since instances share it
+    dens3 = make_density(SP3, 4, 20)
+    pts = sample_points(dens3, 300, 9)
+    assert np.array_equal(pts.densities, density_values(dens3, pts.points))
+    assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
     assert pts.B is None and pts.BtB.shape == (20, 20) and not pts.BtB.flags.writeable
     assert dense_matrix(pts).shape == (300, 20)
     assert (pts.k, pts.m) == (4, 20)
@@ -375,14 +386,14 @@ def traced_peak_and_held(fn, *args):
 
 
 def test_sample_points_keeps_one_instance_sized_array():
-    # with m <= n the draw keeps the Gram B^T B, summed over chunks of 512
-    # rows, and never makes B: at 2048 x 1712 (q = m - k = 1498) B would be
-    # 26.8 MiB against the Gram's 22.4 MiB, so the Gram and one 6.7 MiB
-    # chunk peak above B's size alone, and at the largest rates-d2-s075
-    # instance (4096 x 984) 30.8 MiB against 7.4 MiB
-    d = 2
+    # with m <= n a d = 3 draw keeps the Gram B^T B, summed over chunks of
+    # 512 rows, and never makes B: at 2048 x 1712 (q = m - k = 1498) B would
+    # be 26.8 MiB against the Gram's 22.4 MiB, so the Gram and one 6.7 MiB
+    # chunk peak above B's size alone, and at 4096 x 984 (the largest
+    # rates-d2-s075 shape) 30.8 MiB against 7.4 MiB
+    d = 3
     for n, k, m in ((2048, 214, 1712), (4096, 123, 984)):
-        dens = make_density(SpaceParams(d, 0.75), k, m)
+        dens = make_density(SpaceParams(d, 0.6), k, m)
         pts, peak, held = traced_peak_and_held(sample_points, dens, n, 3)
         assert pts.B is None and pts.BtB.nbytes == m * m * 8
         assert peak <= m * m * 8 + 512 * m * 8 + (3 << 20)
@@ -397,14 +408,16 @@ def test_sample_points_keeps_one_instance_sized_array():
 
 @pytest.mark.parametrize("params, k, m, n", [(SpaceParams(2, 0.75), 123, 984, 1600), (SpaceParams(3, 0.6), 20, 160, 4000)])
 def test_gram_form_matches_the_b_form(params, k, m, n):
-    # several row chunks of the Gram sum at d = 2 and d = 3 (m <= n), and a
-    # draw of m / 2 points with the same seed (m > n), which keeps B: the
-    # same points, row for row; in either form the densities of
-    # density_values and B the weighted basis matrix, bit for bit; and every
-    # Gram block within rounding of the Gram draw's twin that holds B
+    # the structured form at d = 2 and several row chunks of the Gram sum
+    # at d = 3 (m <= n), and a draw of m / 2 points with the same seed
+    # (m > n), which keeps B: the same points, row for row; in either form
+    # the densities of density_values and B the weighted basis matrix, bit
+    # for bit; and every Gram block within rounding of the m <= n draw's
+    # twin that holds B
     dens = make_density(params, k, m)
     gram_pts = sample_points(dens, n, 7)
     assert gram_pts.B is None and n > density._GRAM_CHUNK_ROWS and n * m * 8 > density._GRAM_CHUNK_BYTES
+    assert (gram_pts.BtB is None) == (params.d == 2)
     b_pts = sample_points(dens, m // 2, 7)
     assert b_pts.BtB is None
     assert np.array_equal(b_pts.points, gram_pts.points[: m // 2])
@@ -422,13 +435,58 @@ def test_gram_form_matches_the_b_form(params, k, m, n):
         assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
+@pytest.mark.parametrize("params, k, m, n", [
+    (SpaceParams(2, 1.0), 3, 24, 64), (SpaceParams(2, 1.0), 13, 104, 256), (SpaceParams(2, 0.75), 36, 288, 1024),
+])
+def test_structured_d2_draw_matches_its_b_twin(params, k, m, n):
+    # d = 2 with m <= n keeps the sums E(g1, g2) and no Gram: the densities
+    # are density_values' bit for bit, the sums those of exp_sums_2d over
+    # the points, and every Gram block, read-only, within rounding of the
+    # twin that holds B, over the five slices of
+    # test_gram_form_matches_the_b_form
+    dens = make_density(params, k, m)
+    pts = sample_points(dens, n, 11)
+    assert pts.B is None and pts.BtB is None
+    assert np.array_equal(pts.densities, density_values(dens, pts.points))
+    top = 2 * dens.basis.max_frequency(m)
+    assert np.array_equal(pts.sums, expsums.exp_sums_2d(pts.points, 1.0 / pts.densities, top))
+    twin = dataclasses.replace(pts, B=dense_matrix(pts))
+    assert np.array_equal(pts.G, twin.G)
+    head, tail, every = slice(0, k), slice(k, m), slice(0, m)
+    for rows, cols in ((head, head), (head, tail), (tail, tail), (every, every), (slice(5, 6), slice(3, m - 7))):
+        block = pts.gram(rows, cols)
+        dense = twin.gram(rows, cols)
+        assert block.shape == dense.shape and not block.flags.writeable
+        assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_structured_d2_draw_and_tail_norm_hold_no_instance_sized_array():
+    # the largest rates-d2-s075 instance: sampling makes no n x m array
+    # (B, 30.8 MiB) and no m x m one (the Gram, 7.4 MiB), only row-block
+    # temporaries and the sums; the tail norm holds the upper column panels
+    # of the tail block, 3.6 MiB where the whole block is 5.7 MiB, and under
+    # 2 MiB more: the real tables, one panel's fill, the Lanczos basis
+    n, k, m = 4096, 123, 984
+    dens = make_density(SpaceParams(2, 0.75), k, m)
+    pts, peak = traced_peak(sample_points, dens, n, 3)
+    assert pts.B is None and pts.BtB is None
+    assert peak < m * m * 8 < n * m * 8
+    width = density._GRAM_PANEL
+    panels = sum(8 * (min(lo + width, m) - k) * (min(lo + width, m) - lo) for lo in range(k, m, width))
+    assert panels < 0.65 * 8 * (m - k) ** 2
+    s_gam, peak = traced_peak(experiments._checked_gamma_norm, pts, dens.basis)
+    assert s_gam > 0
+    assert peak <= panels + (2 << 20)
+
+
 def test_gram_sum_holds_the_gram_and_one_chunk():
-    # the largest rates-d2-s075 instance: the Gram is summed in place by
-    # column panels, so the peak is the 7.4 MiB Gram, one 3.8 MiB chunk of
-    # 512 weighted rows (four row blocks of 128) and a few MiB of row-block
-    # and per-point temporaries, with no m x m product and no second chunk
+    # the largest rates-d2-s075 shape at d = 3: the Gram is summed in place
+    # by column panels, so the peak is the 7.4 MiB Gram, one 3.8 MiB chunk
+    # of 512 weighted rows (four row blocks of 128) and a few MiB of
+    # row-block and per-point temporaries, with no m x m product and no
+    # second chunk
     n, m = 4096, 984
-    dens = make_density(SpaceParams(2, 0.75), 123, m)
+    dens = make_density(SpaceParams(3, 0.6), 123, m)
     assert spectral.row_blocks(n, m)[0].stop * 4 == 512 and m > density._GRAM_PANEL
     pts, peak = traced_peak(sample_points, dens, n, 2)
     assert pts.BtB is not None
@@ -445,19 +503,19 @@ def gram_of_one_product(monkeypatch, dens, n, seed):
 
 @pytest.mark.parametrize("n, k", [(1024, 36), (2048, 67), (4096, 123)])
 def test_panelled_gram_is_the_one_product_gram_on_the_benchmark_shapes(monkeypatch, n, k):
-    # the rates-d2-s075 instances (m = 8k) with more than one panel, whose
-    # products keep every bit of the one product's entries
-    dens = make_density(SpaceParams(2, 0.75), k, 8 * k)
+    # the rates-d2-s075 shapes (m = 8k) with more than one panel, at d = 3,
+    # whose products keep every bit of the one product's entries
+    dens = make_density(SpaceParams(3, 0.6), k, 8 * k)
     assert 8 * k > density._GRAM_PANEL
     panelled = sample_points(dens, n, 2).BtB
     assert np.array_equal(panelled, gram_of_one_product(monkeypatch, dens, n, 2))
     assert np.array_equal(panelled, panelled.T)
 
 
-@pytest.mark.parametrize("params, k, m, n", [(SpaceParams(2, 0.75), 100, 800, 3000), (SpaceParams(3, 0.6), 67, 536, 2048)])
+@pytest.mark.parametrize("params, k, m, n", [(SpaceParams(3, 0.6), 100, 800, 3000), (SpaceParams(3, 0.6), 67, 536, 2048)])
 def test_panelled_gram_matches_the_one_product_gram(monkeypatch, params, k, m, n):
-    # a last chunk shorter than the others, and d = 3: within rounding of
-    # the one product, exactly symmetric
+    # a last chunk shorter than the others: within rounding of the one
+    # product, exactly symmetric
     dens = make_density(params, k, m)
     panelled = sample_points(dens, n, 5).BtB
     one = gram_of_one_product(monkeypatch, dens, n, 5)

@@ -1,6 +1,6 @@
-"""The structured d = 1 path against its dense oracle: the exponential sums,
-the Gram blocks and Toeplitz products they give, and the norms and e_trunc
-read off them."""
+"""The structured d = 1 and d = 2 paths against their dense oracles: the
+exponential sums, the Gram blocks and Toeplitz products they give, and the
+norms and e_trunc read off them."""
 
 import dataclasses
 import math
@@ -15,7 +15,7 @@ from samplerec import density, lsq, spectral
 from samplerec.density import dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, run_claims, run_rates
-from samplerec.expsums import TailGram, exp_sums, gram_block
+from samplerec.expsums import TailGram, exp_sums, exp_sums_2d, gram_block, gram_block_2d
 from samplerec.lsq import head_factor, head_svd
 from samplerec.spectral import SpaceParams, ordered_basis
 
@@ -43,6 +43,40 @@ def test_exp_sums_match_direct_sums():
         direct = np.array([np.sum(w * np.exp(2j * np.pi * h * x)) for h in range(h_max + 1)])
         assert np.max(np.abs(sums - direct)) <= 1e-12 * np.sum(w)
     assert exp_sums(x, w, 5)[0] == pytest.approx(np.sum(w), rel=1e-14)
+
+
+def test_exp_sums_2d_match_direct_sums():
+    # against a sum of np.exp over the points, in exp_sums's error class;
+    # column g2 mod (2 h_max + 1) holds g2, so E[g1, -g2] is E(g1, -g2)
+    rng = np.random.Generator(np.random.Philox(key=7))
+    x = rng.random((300, 2))
+    w = rng.random(300) + 0.5
+    for h_max in (0, 1, 7, 64, 118):
+        sums = exp_sums_2d(x, w, h_max)
+        assert sums.shape == (h_max + 1, 2 * h_max + 1)
+        g1 = np.arange(h_max + 1)
+        g2 = np.concatenate((np.arange(h_max + 1), np.arange(-h_max, 0)))
+        direct = (w * np.exp(2j * np.pi * g1[:, None] * x[:, 0])) @ np.exp(2j * np.pi * g2[:, None] * x[:, 1]).T
+        assert np.max(np.abs(sums - direct)) <= 1e-12 * np.sum(w)
+        if h_max:
+            assert sums[1, -1] == pytest.approx(np.sum(w * np.exp(2j * np.pi * (x[:, 0] - x[:, 1]))), rel=1e-13)
+    assert exp_sums_2d(x, w, 5)[0, 0] == pytest.approx(np.sum(w), rel=1e-14)
+
+
+def test_exp_sums_2d_and_gram_block_2d_reject_bad_input():
+    x = np.linspace(0.0, 1.0, 8, endpoint=False).reshape(4, 2)
+    w = np.ones(4)
+    with pytest.raises(ValueError, match="h_max"):
+        exp_sums_2d(x, w, -1)
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        exp_sums_2d(x.ravel(), np.ones(8), 5)
+    with pytest.raises(ValueError, match="one weight per point"):
+        exp_sums_2d(x, w[:3], 5)
+    # a block whose frequencies need sums past h_max = 4
+    sums = exp_sums_2d(x, w, 4)
+    assert gram_block_2d(sums, [[0, 4]], [[3, 0]]).shape == (1, 1)
+    with pytest.raises(ValueError, match="twice the largest frequency"):
+        gram_block_2d(sums, [[0, 5]], [[0, 0]])
 
 
 def one_shot_powers(z, count):
@@ -162,7 +196,7 @@ def test_gram_block_matches_dense_gram():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_point_set_gram_matches_the_dense_matrix(d):
-    # at d = 2 in both dense forms: n = 96 < m keeps B, and n = 256 the Gram
+    # at d = 2 in both forms: n = 96 < m keeps B, and n = 256 the sums
     instances = [make_instance(13, 104, 256, 5, SpaceParams(d, 1.0))]
     if d == 2:
         instances.append(make_instance(13, 104, 96, 5, SpaceParams(d, 1.0)))
@@ -278,12 +312,13 @@ def test_toeplitz_matvec_matches_dense_gamma(k, m, n):
 def test_structured_norms_and_e_trunc_match_dense(d, s, k, m_factor, n_extra, seed):
     # instances in the runners' domain (n >= 2k), with tails from one column
     # to 280, so both the dense solve of small operators and Lanczos run: at
-    # d = 1 in the structured form, at d = 2 and 3 with n >= m in the Gram
-    # form, each against its twin that holds B
+    # d = 1 and 2 in the structured form (d = 2 with n >= m, whose tail norm
+    # takes the upper column panels), at d = 3 with n >= m in the Gram form,
+    # each against its twin that holds B
     m = m_factor * k
     n = (2 * k if d == 1 else max(2 * k, m)) + n_extra
     basis, pts = make_instance(k, m, n, seed, SpaceParams(d, s))
-    assert pts.B is None and (d == 1) == (pts.BtB is None)
+    assert pts.B is None and (d == 3) == (pts.BtB is not None)
     dense = with_dense_matrix(pts, basis)
     assert _checked_gamma_norm(pts, basis) == pytest.approx(_checked_gamma_norm(dense, basis), rel=1e-12, abs=0)
     gamma = dense.B[:, k:] * basis.sigma[k:m]

@@ -105,7 +105,8 @@ def test_point_set_matrix_is_the_sampling_matrix():
 
 def test_gamma_norm_allocates_no_tail_sized_array():
     # the largest rates-d2-s075 instance: Gamma would be n x (m - k), 26.9 MiB;
-    # its Gram is the tail block of the stored Gram, read in place
+    # its Gram is held as the upper column panels of the tail block, filled
+    # from the instance's sums
     basis, _, pts = make_instance(SpaceParams(2, 0.75), 123, 984, 4096, 3)
     tracemalloc.start()
     try:
@@ -568,9 +569,9 @@ def test_spectral_norm_path_selection(monkeypatch):
 
 
 def test_formed_tail_gram_takes_lanczos(monkeypatch):
-    # the largest rates-d2-s075 instance keeps its Gram; the sigma-scaled
-    # tail block (q = 861) is read in place by Lanczos, and no eigvalsh
-    # copies it
+    # the tail block (q = 861) of the largest rates-d2-s075 instance, formed
+    # from its sums and held whole: the sigma-scaled block is read in place
+    # by Lanczos, and no eigvalsh copies it
     basis, _, pts = make_instance(SpaceParams(2, 0.75), 123, 984, 4096, 3)
     tail = slice(123, 984)
     gram = BlockGram(pts.gram(tail, tail), basis.sigma[tail])
@@ -738,9 +739,9 @@ def test_spectral_norm_bounded_by_frobenius():
 
 
 def test_view_gram_forms_no_gamma():
-    # both Gram operators of Gamma = B[:, k:] diag(sigma), from the stored
-    # Gram's tail block and from the view B[:, k:], agree with Gamma formed
-    # explicitly, in norm and trace
+    # both Gram operators of Gamma = B[:, k:] diag(sigma), from the Gram's
+    # tail block (structured, at d = 2 with n >= m) and from the view
+    # B[:, k:], agree with Gamma formed explicitly, in norm and trace
     basis, _, pts = make_instance(SpaceParams(2, 0.75), 12, 96, 256, 8)
     view, sigma = dense_matrix(pts)[:, 12:], basis.sigma[12:96]
     gamma = view * sigma
@@ -759,6 +760,30 @@ def test_view_gram_forms_no_gamma():
         ViewGram(view, sigma[1:])
     with pytest.raises(ValueError):
         BlockGram(pts.gram(slice(12, 96), slice(12, 96)), sigma[1:])
+
+
+@pytest.mark.parametrize("q, width", [(300, 256), (600, 256), (97, 40), (5, 1)])
+def test_block_gram_of_upper_panels_is_the_whole_block(q, width):
+    # the upper column panels A[:hi, lo:hi] give the products and trace of
+    # the whole symmetric block, which is one whole-width panel
+    rng = np.random.Generator(np.random.Philox(key=q))
+    mat = rng.standard_normal((q + 3, q))
+    block = mat.T @ mat
+    sigma = rng.random(q) + 0.5
+    whole = BlockGram(block, sigma)
+    panels = BlockGram([block[: min(lo + width, q), lo : lo + width] for lo in range(0, q, width)], sigma)
+    scale = np.max(np.abs(block)) * q
+    for v in (rng.standard_normal(q), rng.standard_normal((q, 3)), np.eye(q)):
+        expected = sigma.reshape((-1,) + (1,) * (v.ndim - 1)) * (block @ (sigma.reshape((-1,) + (1,) * (v.ndim - 1)) * v))
+        assert np.array_equal(whole.matmat(v), expected)
+        assert np.max(np.abs(panels.matmat(v) - expected)) <= 1e-14 * scale
+    assert whole.trace() == float(np.diagonal(block) @ sigma ** 2)
+    assert panels.trace() == pytest.approx(whole.trace(), rel=1e-14)
+    # panels that stop short of q, skip a row of the diagonal block, or
+    # start past column 0
+    for bad in ([block[:, : q - 1]], [block[: q - 1, :]], [block[1:, 1:]]):
+        with pytest.raises(ValueError):
+            BlockGram(bad, sigma)
 
 
 @given(
