@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expsums
+from . import expsums, lsq
 from .rng import uniform_block
 from .spectral import ROW_BLOCK_BYTES, OrderedBasis, basis_matrix, row_blocks
 
@@ -51,9 +51,9 @@ _GRAM_CHUNK_ROWS = 512
 # largest.  CPU time of sample_points at n = 4096, m = 984 (d = 2,
 # s = 0.75, one BLAS thread, medians of 21 interleaved draws, two runs):
 # 180-202 ms at width 256, 185-198 ms with one product, 220-227 ms at
-# width 128.  At d = 2 those shapes take the structured form, whose tail
-# norm holds the upper column panels of its tail block at this width
-# (experiments._checked_gamma_norm).
+# width 128.  Those timings are of d = 2 shapes, now in the structured
+# form; the width serves the Gram sum at d >= 3 in sample_points and the
+# upper column panels of the d = 2 tail block in PointSet.tail_gram.
 _GRAM_PANEL = math.isqrt(ROW_BLOCK_BYTES // 16)
 
 
@@ -127,30 +127,36 @@ def _invert_factor_cdf(sign, freq, u):
 @dataclass(frozen=True)
 class PointSet:
     """One sampling instance: n points drawn from the density, their density
-    values, the seed that made them, the head size k and the width m, and
-    the weighted basis matrix B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over
-    the density's m functions in one of three forms, read alike at every d
-    through gram (its Gram blocks) and G (its (n, k) head block).
+    values, the head size k, the width m, and the weighted basis matrix
+    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over the density's m functions
+    in one of four forms, described here alone.  Every reader takes B
+    through gram (its Gram blocks), G (its (n, k) head block, read-only)
+    and tail_gram (the Gram operator of Gamma = B[:, k:] diag(sigma_k..m),
+    which is never formed), alike in each form:
 
-    Dense (d >= 2, B given; sample_points keeps it when m > n): B itself,
-    read-only; G is a view of its first k columns, and m defaults to its
-    width.  Gram (d >= 3, BtB given; sample_points keeps it when m <= n):
-    the m x m Gram B^T B, read-only, whose blocks gram gives as views;
-    sample_points sums it in place by row chunks and column panels.
-    Structured (d = 1, and d = 2 when m <= n; sums given): the weighted
-    exponential sums, at d = 1 E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
-    h = 0..2 f_max, and at d = 2 the (2 f_max + 1, 4 f_max + 1) array of
-    E(g1, g2) of samplerec.expsums.exp_sums_2d, f_max the largest
-    frequency in either coordinate.  In the Gram and structured forms
-    basis is the ordered basis of the density, no n-row matrix is stored,
-    and G is evaluated from the basis on each access.  A given B takes
-    precedence over the other fields.  The tail block B[:, k:] scaled by
-    sigma_k..m is Gamma, which is not stored.
+    - Dense (B given; d >= 2 with m > n): B itself, read-only, and m
+      defaults to its width; G is a view, gram a product of two views, and
+      tail_gram lsq.ViewGram of the view B[:, k:].  A given B takes
+      precedence over the other fields.
+    - Gram (BtB given; d >= 3 with m <= n): the m x m Gram B^T B,
+      read-only; gram gives views of it, and tail_gram is lsq.BlockGram of
+      the stored tail block (B^T B)[k:, k:] as one whole-width panel.
+    - Structured at d = 1 (1-D sums): the weighted exponential sums
+      E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}, h = 0..2 f_max; gram is
+      samplerec.expsums.gram_block, and tail_gram samplerec.expsums.TailGram.
+    - Structured at d = 2 (2-D sums; m <= n): the (2 f_max + 1,
+      4 f_max + 1) array of E(g1, g2) of samplerec.expsums.exp_sums_2d,
+      f_max the largest frequency in either coordinate; gram is a new
+      read-only array from samplerec.expsums.gram_block_2d, and tail_gram
+      lsq.BlockGram of the upper column panels (B^T B)[k:hi, lo:hi] of the
+      tail block, _GRAM_PANEL wide, about half the block.
+
+    In all but the dense form basis is the density's ordered basis, no
+    n-row matrix is stored, and G is evaluated on each access.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
     densities: np.ndarray  # (n,), strictly positive
-    seed: int
     B: np.ndarray | None  # (n, m) weighted basis matrix, None in the Gram and structured forms
     k: int  # head size, 1 <= k < m
     m: int | None = None  # width, B.shape[1] when B is given
@@ -164,20 +170,14 @@ class PointSet:
 
     @property
     def G(self) -> np.ndarray:
-        """The (n, k) head block: a view of B, or in the Gram and structured
-        forms a new read-only array evaluated from the basis on each access."""
-        if self.B is not None:
-            return self.B[:, : self.k]
-        g = basis_matrix(self.basis, self.points, self.k)
-        g /= np.sqrt(self.densities)[:, None]
+        """The (n, k) head block, read-only: dense_matrix of width k."""
+        g = dense_matrix(self, width=self.k)
         g.flags.writeable = False
         return g
 
     def gram(self, rows: slice, cols: slice) -> np.ndarray:
-        """(B^T B)[rows, cols] for slices of basis positions: from two views of
-        B, a read-only view of the stored Gram, or structured from the sums
-        (samplerec.expsums.gram_block at d = 1, a new read-only array from
-        samplerec.expsums.gram_block_2d at d = 2)."""
+        """(B^T B)[rows, cols] for slices of basis positions, as the form
+        gives it (see the class docstring)."""
         if self.B is not None:
             return self.B[:, rows].T @ self.B[:, cols]
         if self.BtB is not None:
@@ -189,6 +189,20 @@ class PointSet:
         block = expsums.gram_block_2d(self.sums, indices[rows], indices[cols])
         block.flags.writeable = False
         return block
+
+    def tail_gram(self, sigma: np.ndarray):
+        """Gamma^T Gamma for Gamma = B[:, k:] diag(sigma), sigma the m - k
+        tail weights, as the Gram operator of the form (see the class
+        docstring): shape, matmat, matvec and trace, for lsq.spectral_norm."""
+        tail = slice(self.k, self.m)
+        if self.B is not None:
+            return lsq.ViewGram(self.B[:, tail], sigma)
+        if self.BtB is not None:
+            return lsq.BlockGram(self.gram(tail, tail), sigma)
+        if self.sums.ndim == 1:
+            return expsums.TailGram(self.sums, self.basis.indices[tail, 0], sigma)
+        columns = [slice(lo, min(lo + _GRAM_PANEL, self.m)) for lo in range(self.k, self.m, _GRAM_PANEL)]
+        return lsq.BlockGram([self.gram(slice(self.k, cols.stop), cols) for cols in columns], sigma)
 
     def __post_init__(self) -> None:
         if self.B is not None:
@@ -207,14 +221,18 @@ class PointSet:
             raise ValueError("density values must be strictly positive")
 
 
-def dense_matrix(pts: PointSet, rows: slice = slice(None)) -> np.ndarray:
-    """Rows of the instance's weighted n x m matrix B, all of them by
-    default: a view of pts.B when it is stored, otherwise the first m
-    functions of its basis evaluated at those points and divided by
-    sqrt(rho), the same values bit for bit whatever rows are asked for."""
+def dense_matrix(pts: PointSet, rows: slice = slice(None), width: int | None = None) -> np.ndarray:
+    """Rows of the first width columns (all m by default) of the instance's
+    weighted n x m matrix B, all rows by default: a view of pts.B when it is
+    stored, otherwise the first width functions of its basis evaluated at
+    those points and divided by sqrt(rho) in place, the same values bit for
+    bit whatever rows are asked for."""
+    width = pts.m if width is None else width
     if pts.B is not None:
-        return pts.B[rows]
-    return basis_matrix(pts.basis, pts.points[rows], pts.m) / np.sqrt(pts.densities[rows])[:, None]
+        return pts.B[rows, :width]
+    b = basis_matrix(pts.basis, pts.points[rows], width)
+    b /= np.sqrt(pts.densities[rows])[:, None]
+    return b
 
 
 def _closed_form_density(params: DensityParams, x: np.ndarray) -> np.ndarray:
@@ -246,35 +264,27 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     stream keyed by the seed, bit for bit, without loading numpy.random;
     ValueError for a seed below 0 or at least 2^128.
 
-    At d = 1 the point set takes the structured form: the density in closed
-    form and the sums E(h) for h up to twice the largest frequency of the m
-    functions, and no basis function is evaluated, so nothing the call
-    makes grows with n faster than O(n) or a row block.  At d = 2 with
-    m <= n it takes the structured form too: the densities are
-    density_values', bit for bit, from the basis evaluated one row block at
-    a time and dropped, and the point set keeps the sums E(g1, g2)
-    (samplerec.expsums.exp_sums_2d) for g1, |g2| up to twice the largest
-    frequency, one complex product of two power tables per row block of
-    points; so it makes no n x m or m x m array either.
+    The point set takes the form (see PointSet) that d and whether m > n
+    pick.  At d = 1 the density is in closed form and no basis function is
+    evaluated; at d = 2 with m <= n the densities are density_values', bit
+    for bit, and the basis rows behind them are dropped; so neither makes
+    an n x m or m x m array.
 
-    Otherwise, at d >= 2, the basis is evaluated once at every point, row
+    Otherwise (d >= 2) the basis is evaluated once at every point, row
     block by row block (row_blocks): the squares of a block give its
-    densities, and the block is divided by sqrt(rho) in place.  When m <= n
-    (d >= 3) the point set takes the Gram form, which holds no more entries
-    than B: the rows are
-    evaluated one chunk of whole row blocks (about _GRAM_CHUNK_BYTES, at
-    least _GRAM_CHUNK_ROWS rows) at a time, and each weighted chunk's
-    B_c^T B_c is added into the upper triangle of the m x m Gram in place,
-    one pair of column panels (_GRAM_PANEL wide) at a time; the lower
-    triangle is copied from the upper once at the end.  A chunk is freed
-    before the next is evaluated, so the call holds the Gram, one chunk and
-    temporaries of a row block or a panel product at most, and no n x m
-    array or m x m temporary.  When m > n, where the Gram would be larger
-    than B, B is evaluated whole and kept, with head size k; it is the only
-    array of that size the call makes.  Points and densities are the same,
-    bit for bit, in every form a d allows.  ValueError before any
-    allocation when m exceeds MAX_TRUNCATION or n * m exceeds
-    MAX_POINTS * MAX_TRUNCATION.
+    densities, and the block is divided by sqrt(rho) in place.  In the Gram
+    form the rows come one chunk of whole row blocks (about
+    _GRAM_CHUNK_BYTES, at least _GRAM_CHUNK_ROWS rows) at a time, and each
+    weighted chunk's B_c^T B_c is added into the upper triangle of the Gram
+    in place, one pair of column panels (_GRAM_PANEL wide) at a time; the
+    lower triangle is copied from the upper once at the end.  A chunk is
+    freed before the next is evaluated, so the call holds the Gram, one
+    chunk and temporaries of a row block or a panel product at most, and no
+    n x m array or m x m temporary.  In the dense form B is evaluated
+    whole; it is the only array of that size the call makes.  Points and
+    densities are the same, bit for bit, in every form a d allows.
+    ValueError before any allocation when m exceeds MAX_TRUNCATION or
+    n * m exceeds MAX_POINTS * MAX_TRUNCATION.
     """
     if n < 1:
         raise ValueError(f"need at least one point, got n={n}")
@@ -299,18 +309,24 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     if d == 1:
         rho = _closed_form_density(params, x[:, 0])
         sums = expsums.exp_sums(x[:, 0], 1.0 / rho, 2 * basis.max_frequency(m))
-        return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, sums=sums, basis=basis)
+        return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)
+    # At d = 2 with m > n, B is faster and the structured form smaller: at
+    # s = 0.75, m_factor 8, seed 2 (2-core box, four alternating runs),
+    # claims at n_grid 512, 2048, c_head 0.05, 2 trials took 2.7-3.4 s,
+    # 149 MiB peak RSS with B against 3.3-4.7 s, 104 MiB structured; rates
+    # at n_grid 256, 512, 1024, c_head 2.0, 1 trial: 0.73-0.96 s, 69 MiB
+    # against 0.91-0.94 s, 64.5 MiB.
     if d == 2 and m <= n:
         rho = density_values(params, x)
         sums = expsums.exp_sums_2d(x, 1.0 / rho, 2 * basis.max_frequency(m))
-        return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, sums=sums, basis=basis)
+        return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)
     rho = np.empty(n)
     blocks = row_blocks(n, m)
     if m > n:
         b = basis_matrix(basis, x, m)
         _weigh_rows(params, b, blocks, rho)
         b.flags.writeable = False
-        return PointSet(points=x, densities=rho, seed=int(seed), B=b, k=k)
+        return PointSet(points=x, densities=rho, B=b, k=k)
     height = blocks[0].stop
     per_chunk = max(1, max(_GRAM_CHUNK_ROWS, _GRAM_CHUNK_BYTES // (8 * m)) // height)
     gram = np.zeros((m, m))
@@ -328,7 +344,7 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
         for b in panels[i + 1 :]:
             gram[b, a] = gram[a, b].T
     gram.flags.writeable = False
-    return PointSet(points=x, densities=rho, seed=int(seed), B=None, k=k, m=m, basis=basis, BtB=gram)
+    return PointSet(points=x, densities=rho, B=None, k=k, m=m, basis=basis, BtB=gram)
 
 
 def _weigh_rows(params: DensityParams, values: np.ndarray, blocks: list[slice], rho: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import density, errors, expsums, lsq, spectral
+from . import density, errors, lsq, spectral
 from .rng import seed_words
 
 DEFAULT_GRID = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -175,30 +175,12 @@ def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> 
     """Spectral norm of the point set's scaled tail block
     Gamma = B[:, k:] diag(sigma_k..m), validated against its Frobenius norm.
 
-    Both norms come from the Gram operator Gamma^T Gamma, the spectral norm
-    as the square root of its top eigenvalue, the Frobenius norm from its
-    trace, and Gamma is never formed.  Dense form (d >= 2, B kept when
-    m > n): lsq.ViewGram of the view B[:, k:].  Gram form (d >= 3,
-    m <= n): lsq.BlockGram of the sigma-scaled tail block of the stored
-    Gram, read in place as one whole-width panel.  Structured form at
-    d = 2 (m <= n): lsq.BlockGram of the upper column panels
-    (B^T B)[k:hi, lo:hi] of the tail block, density._GRAM_PANEL wide,
-    filled from the two-dimensional sums, about half the block.
-    Structured form at d = 1: the Toeplitz Gram operator of the weighted
-    exponential sums.
+    Both norms come from the Gram operator Gamma^T Gamma of the point set's
+    form (pts.tail_gram; the PointSet docstring describes the forms), the
+    spectral norm as the square root of its top eigenvalue, the Frobenius
+    norm from its trace, and Gamma is never formed.
     """
-    tail = slice(pts.k, pts.m)
-    sigma = basis.sigma[tail]
-    if pts.B is not None:
-        gram = lsq.ViewGram(pts.B[:, tail], sigma)
-    elif pts.BtB is not None:
-        gram = lsq.BlockGram(pts.gram(tail, tail), sigma)
-    elif pts.sums.ndim == 2:
-        width = density._GRAM_PANEL
-        columns = [slice(lo, min(lo + width, pts.m)) for lo in range(pts.k, pts.m, width)]
-        gram = lsq.BlockGram([pts.gram(slice(pts.k, cols.stop), cols) for cols in columns], sigma)
-    else:
-        gram = expsums.TailGram(pts.sums, basis.indices[tail, 0], sigma)
+    gram = pts.tail_gram(basis.sigma[pts.k : pts.m])
     s_gam = math.sqrt(lsq.spectral_norm(gram))
     fro = math.sqrt(gram.trace())
     if s_gam > fro * (1.0 + 1e-9) + 1e-12:

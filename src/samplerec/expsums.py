@@ -204,7 +204,7 @@ def _real_tables(sums: np.ndarray, top: int) -> np.ndarray:
     plus, minus = lead.imag.take(g, axis=1), lead.imag.take(-g, axis=1)
     np.subtract(plus, minus, out=ahead[1])
     np.add(plus, minus, out=ahead[2])
-    tables *= 0.5
+    ahead *= 0.5  # the rows g1 < 0 are not filled yet
     # CC and CS are even in g1, SC and SS odd
     tables[:, :top] = ahead[:, top:0:-1]
     np.negative(tables[2:, :top], out=tables[2:, :top])

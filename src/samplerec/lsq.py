@@ -7,11 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .density import PointSet
 from .spectral import row_blocks
+
+if TYPE_CHECKING:
+    from .density import PointSet
 
 # Relative singular-value cutoff below which a draw counts as degenerate.
 RANK_RTOL = 1e-10
@@ -160,11 +163,11 @@ class ConvergenceError(RuntimeError):
 
 class ViewGram:
     """Gamma^T Gamma for Gamma = view diag(sigma), q = len(sigma), read from
-    the (n, q) view alone: the tail Gram of an instance that keeps B (d >= 2
-    with m > n), whose view is B[:, k:].  Gamma is never formed, and
-    nothing of the view's size is allocated: a product applies the view and
-    its transpose.  A Gram operator for spectral_norm: shape (q, q), matmat
-    and matvec, and trace.
+    the (n, q) view alone: the tail Gram of the dense point-set form
+    (samplerec.density.PointSet.tail_gram, whose docstring describes the
+    forms).  Gamma is never formed, and nothing of the view's size is
+    allocated: a product applies the view and its transpose.  A Gram
+    operator for spectral_norm: shape (q, q), matmat and matvec, and trace.
     """
 
     def __init__(self, view: np.ndarray, sigma: np.ndarray) -> None:
@@ -195,15 +198,15 @@ class BlockGram:
     """Gamma^T Gamma = diag(sigma) A diag(sigma) for a symmetric (q, q)
     matrix A, q = len(sigma), held as its upper column panels A[:hi, lo:hi]
     in order (lo = 0 first, each panel starting where the last ended, the
-    last ending at q), or as A itself, one whole-width panel.  The tail Gram
-    of an instance in the Gram form (d >= 3) hands over its stored block
-    (B^T B)[k:, k:] as one panel, read in place, often as a strided view,
-    and never scaled into a copy; the structured d = 2 form fills the upper
-    panels from its sums, about q^2 / 2 entries.  A product adds each
-    panel's and, above its diagonal block, its transpose's:
-    y[:hi] += A[:hi, lo:hi] v[lo:hi] and y[lo:hi] += A[:lo, lo:hi]^T v[:lo];
-    one whole-width panel is the one product A v.  A Gram operator for
-    spectral_norm: shape (q, q), matmat and matvec, and trace.
+    last ending at q), or as A itself, one whole-width panel, read in place
+    (often as a strided view) and never scaled into a copy: the tail Gram
+    of the Gram and structured d = 2 point-set forms
+    (samplerec.density.PointSet.tail_gram, whose docstring describes the
+    forms).  A product adds each panel's and, above its diagonal block,
+    its transpose's: y[:hi] += A[:hi, lo:hi] v[lo:hi] and
+    y[lo:hi] += A[:lo, lo:hi]^T v[:lo]; one whole-width panel is the one
+    product A v.  A Gram operator for spectral_norm: shape (q, q), matmat
+    and matvec, and trace.
     """
 
     def __init__(self, panels, sigma: np.ndarray) -> None:
@@ -250,8 +253,8 @@ class BlockGram:
 def spectral_norm(gram) -> float:
     """Top eigenvalue, clamped at 0, of a symmetric positive semidefinite
     operator: the squared spectral norm of any matrix whose Gram operator it
-    is (a ViewGram or BlockGram at d >= 2, the d = 1
-    samplerec.expsums.TailGram or the e_trunc operator of samplerec.errors).
+    is (one from PointSet.tail_gram, or the e_trunc operator of
+    samplerec.errors).
 
     A Gram operator has shape (q, q), matmat and matvec.  Up to
     _OPERATOR_DENSE_SIZE the top eigenvalue comes from np.linalg.eigvalsh

@@ -508,6 +508,9 @@ _CROSS_FORM = [
     ("claims", "d = 2\ns = 0.75\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\ntrials = 2\nseed = 3\n"),
     ("claims", "d = 2\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\ntrials = 2\nseed = 4\n"),
     ("claims", "d = 3\ns = 0.6\nn_grid = 256, 512\nc_head = 0.05\nm_factor = 8\ntrials = 2\nseed = 6\n"),
+    ("rates", "d = 1\ns = 1.0\nn_grid = 64, 256, 1024\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 7\n"),
+    ("rates", "d = 1\ns = 2.5\nn_grid = 64, 256, 1024\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 8\n"),
+    ("claims", "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\ntrials = 2\nseed = 9\n"),
 ]
 
 _INT_COLUMNS = {"n", "k", "m", "trials", "degenerate_trials"}

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -52,3 +53,24 @@ def test_readme_names_resolve():
         for part in parts[parts[0] == "samplerec" :]:
             assert hasattr(obj, part), f"README quotes `{name}`, which does not resolve"
             obj = getattr(obj, part)
+
+
+def test_only_density_reads_the_point_set_form():
+    # the form of a point set (B, its Gram or its sums, and the panel width
+    # of its d = 2 tail) is read in samplerec.density alone: other modules
+    # go through PointSet.gram, G and tail_gram; and lsq, which density
+    # imports, imports density at module level only for type checking
+    import samplerec
+
+    src = Path(samplerec.__file__).parent
+    readers = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if path.name != "density.py"
+        and re.search(r"\.(?:B|BtB|sums)\b|_GRAM_PANEL", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == [], f"{readers} read the point-set form"
+    for node in ast.parse((src / "lsq.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
+            assert all(name.split(".")[-1] != "density" for name in names), f"lsq.py line {node.lineno}"

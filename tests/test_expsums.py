@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from samplerec import density, lsq, spectral
+from samplerec import density, expsums, lsq, spectral
 from samplerec.density import dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, run_claims, run_rates
@@ -77,6 +77,28 @@ def test_exp_sums_2d_and_gram_block_2d_reject_bad_input():
     assert gram_block_2d(sums, [[0, 4]], [[3, 0]]).shape == (1, 1)
     with pytest.raises(ValueError, match="twice the largest frequency"):
         gram_block_2d(sums, [[0, 5]], [[0, 0]])
+
+
+def test_real_tables_scale_only_written_entries(monkeypatch):
+    # the rows g1 < 0 are copied from the rows g1 > 0 after those are
+    # scaled, so no arithmetic reads an entry before it is written: with
+    # every new float array full of signaling NaNs no invalid operation is
+    # raised, and the tables keep their bits
+    rng = np.random.Generator(np.random.Philox(key=5))
+    sums = exp_sums_2d(rng.random((200, 2)), rng.random(200) + 0.5, 12)
+    expected = expsums._real_tables(sums, 6)
+    empty = np.empty
+
+    def signaling_empty(shape, dtype=float, *args, **kwargs):
+        out = empty(shape, dtype, *args, **kwargs)
+        if out.dtype == np.float64:
+            out.view(np.uint64)[...] = 0x7FF0000000000001
+        return out
+
+    monkeypatch.setattr(np, "empty", signaling_empty)
+    with np.errstate(invalid="raise"):
+        tables = expsums._real_tables(sums, 6)
+    assert np.array_equal(tables.view(np.uint64), expected.view(np.uint64))
 
 
 def one_shot_powers(z, count):
@@ -322,10 +344,7 @@ def test_structured_norms_and_e_trunc_match_dense(d, s, k, m_factor, n_extra, se
     dense = with_dense_matrix(pts, basis)
     assert _checked_gamma_norm(pts, basis) == pytest.approx(_checked_gamma_norm(dense, basis), rel=1e-12, abs=0)
     gamma = dense.B[:, k:] * basis.sigma[k:m]
-    if d == 1:
-        tail_gram = TailGram(pts.sums, basis.indices[k:m, 0], basis.sigma[k:m])
-    else:
-        tail_gram = lsq.BlockGram(pts.gram(slice(k, m), slice(k, m)), basis.sigma[k:m])
+    tail_gram = pts.tail_gram(basis.sigma[k:m])
     assert math.sqrt(tail_gram.trace()) == pytest.approx(np.linalg.norm(gamma), rel=1e-12, abs=0)
     # the run path's factorization (the Gram route, or its dense fallback)
     # against the SVD of the dense instance's G

@@ -14,7 +14,7 @@ from samplerec import density, lsq
 from samplerec.density import PointSet, dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, csv_text, run_claims, run_rates
-from samplerec.expsums import TailGram, exp_sums
+from samplerec.expsums import exp_sums
 from samplerec.lsq import (
     RANK_RTOL,
     BlockGram,
@@ -127,7 +127,7 @@ def test_wide_head_block_is_not_rank_ok():
     head = head_svd(g)
     assert len(head.sv) == 2 and head.sv[-1] > RANK_RTOL * head.sv[0]
     assert not head.rank_ok
-    pts = PointSet(points=np.zeros((2, 1)), densities=np.ones(2), seed=0, B=np.hstack([g, g]), k=3)
+    pts = PointSet(points=np.zeros((2, 1)), densities=np.ones(2), B=np.hstack([g, g]), k=3)
     assert head_factor(pts).u is not None
     coefficients = fit(pts, head, np.ones(2))
     assert coefficients.shape == (3,) and np.all(np.isfinite(coefficients))
@@ -322,7 +322,7 @@ def test_head_svd_rank_cutoff():
     assert not head_svd(g).rank_ok
     # the fit's map is G^+ with singular values at or below the cutoff
     # treated as zero; its columns are the fits of unit sample vectors
-    pts = PointSet(points=np.zeros((3, 1)), densities=np.ones(3), seed=0, B=np.hstack([g, g]), k=3)
+    pts = PointSet(points=np.zeros((3, 1)), densities=np.ones(3), B=np.hstack([g, g]), k=3)
     head = head_factor(pts)
     assert head.u is not None
     gp = np.column_stack([fit(pts, head, e) for e in np.eye(3)])
@@ -392,7 +392,7 @@ def test_values_only_head_of_a_wide_block_is_not_rank_ok():
     # G is 2 x 3: its Gram is singular, the fallback's two singular values
     # are padded with a zero to k = 3
     g = np.random.Generator(np.random.Philox(key=41)).standard_normal((2, 3))
-    pts = PointSet(points=np.zeros((2, 1)), densities=np.ones(2), seed=0, B=np.hstack([g, g]), k=3)
+    pts = PointSet(points=np.zeros((2, 1)), densities=np.ones(2), B=np.hstack([g, g]), k=3)
     head = head_factor(pts, compute_uv=False)
     assert head.sv.shape == (3,) and head.s_min == 0.0 and head.s_max > 0.0
     assert not head.rank_ok
@@ -650,7 +650,7 @@ def test_lanczos_on_claims_tail_grams():
     # of 91 to 917 columns), against the dense Gram of Gamma
     for k, m, n in ((13, 104, 512), (65, 520, 512), (131, 1048, 2048)):
         basis, _, pts = make_instance(SP1, k, m, n, 11)
-        gram = TailGram(pts.sums, basis.indices[k:m, 0], basis.sigma[k:m])
+        gram = pts.tail_gram(basis.sigma[k:m])
         gamma = dense_matrix(pts)[:, k:] * basis.sigma[k:m]
         dense = gamma.T @ gamma
         top = lsq._lanczos_top(gram)
@@ -700,7 +700,7 @@ def test_lanczos_takes_a_ritz_pair_every_stride(monkeypatch):
     # a claims-d1 tail Gram shape (k = 131, m = 1048): one dense eigh per
     # _RITZ_STRIDE products, plus one at a breakdown or the last step
     basis, _, pts = make_instance(SP1, 131, 1048, 2048, 11)
-    gram = CountedGram(TailGram(pts.sums, basis.indices[131:1048, 0], basis.sigma[131:1048]))
+    gram = CountedGram(pts.tail_gram(basis.sigma[131:1048]))
     eighs = []
     eigh = np.linalg.eigh
 
