@@ -4,7 +4,11 @@ The density on [0, 1)^d averages two mixtures of squared basis functions: a
 uniform mixture over the k head functions and a sigma^2-weighted mixture over
 the truncated tail (basis positions k+1 .. m, renormalized).  Because each
 squared basis function integrates to 1, the density integrates to 1 and is
-bounded below by 1 / (2k).
+bounded below by 1 / (2k).  It is computed in closed form at every d: a
+squared factor is 1 +- cos(4 pi f x), and all sign patterns of one frequency
+vector share one mixture weight, so only the tie classes cut at positions k
+and m leave terms, and rho = 1 plus a few cosine products (DensityParams
+holds them; density_values evaluates them).
 
 A point is drawn by picking a component, then inverting each coordinate's
 factor CDF by bisection.  All uniforms for point i come from row i of one
@@ -14,8 +18,9 @@ seed) and independent of evaluation order.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,12 +64,21 @@ _GRAM_PANEL = math.isqrt(ROW_BLOCK_BYTES // 16)
 
 @dataclass(frozen=True)
 class DensityParams:
-    """Head size k, truncation m and tail mixture weights over a basis."""
+    """Head size k, truncation m and tail mixture weights over a basis, and
+    the density's closed form: rho(x) = 1 + sum_t coefs[t] *
+    prod_c cos(4 pi freqs[t, c] x_c), the terms derived once (_density_terms)."""
 
     basis: OrderedBasis
     k: int
     m: int
     tail_weights: np.ndarray  # (m - k,), nonnegative, sums to 1
+    freqs: np.ndarray = field(init=False, repr=False, compare=False)  # (terms, d) int64, ascending
+    coefs: np.ndarray = field(init=False, repr=False, compare=False)  # (terms,), none zero
+
+    def __post_init__(self) -> None:
+        freqs, coefs = _density_terms(self)
+        object.__setattr__(self, "freqs", freqs)
+        object.__setattr__(self, "coefs", coefs)
 
 
 def truncated_density(basis: OrderedBasis, k: int, m: int) -> DensityParams:
@@ -75,31 +89,83 @@ def truncated_density(basis: OrderedBasis, k: int, m: int) -> DensityParams:
     return DensityParams(basis=basis, k=k, m=m, tail_weights=a_sq / np.sum(a_sq))
 
 
-def _mixture(params: DensityParams, values: np.ndarray) -> np.ndarray:
-    """Density from the unweighted basis matrix at some points, (rows, m).
+def _density_terms(params: DensityParams) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency vectors g and coefficients alpha_g of the closed form
+    rho(x) = 1 + sum_g alpha_g prod_{c: g_c > 0} cos(4 pi g_c x_c).
 
-    It squares all of values at once, so callers hand it one row block at a
-    time; each row's density depends on that row alone, bit for bit.
+    A squared factor is 1 + cos(4 pi f x) for a cosine, 1 - cos(4 pi f x)
+    for a sine and 1 for the constant, so b_j^2 expands into one cosine
+    product per subset S of its nonconstant coordinates, with sign
+    prod_{c in S} (+1 cosine, -1 sine) and g the frequencies of S.  The
+    mixture weights mu_j (1/(2k) in the head, tail_weights / 2 in the
+    tail) sum to 1, the empty subsets' constant.  Every sign pattern of a
+    frequency vector has the same norm weight, so a vector whose patterns
+    all carry one mu cancels from every term; only those in the tie classes
+    cut at positions k and m (the positions whose weight is that of
+    position k or m - 1) can leave a term.  The signs are summed as
+    integers per (g, mu), so a complete group gives exactly 0, and alpha_g
+    is the sum of mu * count over its mixture weights, in ascending mu;
+    terms whose alpha is 0 are dropped, and g ascends lexicographically.
     """
-    bsq = values ** 2
-    head = bsq[:, : params.k].sum(axis=1) / params.k
-    tail = bsq[:, params.k :] @ params.tail_weights
-    return 0.5 * (head + tail)
+    basis, k, m = params.basis, params.k, params.m
+    d = basis.params.d
+    weight = basis.weights[:m]
+    cut = np.flatnonzero((weight == weight[k]) | (weight == weight[m - 1]))
+    mu = np.concatenate((np.full(k, 0.5 / k), 0.5 * params.tail_weights))[cut]
+    flat = basis.indices[cut]
+    freq = (flat + 1) // 2
+    sign = np.where(flat % 2 == 0, 1, -1)
+    subsets = np.array(list(itertools.product((0, 1), repeat=d))[1:], dtype=bool)  # (2^d - 1, d)
+    # (positions, subsets): the subsets of each position's nonconstant coordinates
+    valid = np.all((freq[:, None, :] > 0) | ~subsets, axis=2)
+    pos, sub = np.nonzero(valid)
+    g = np.where(subsets[sub], freq[pos], 0)
+    signs = np.prod(np.where(subsets[sub], sign[pos], 1), axis=1)
+    mu = mu[pos]
+    # sorted by (g, mu), each g and each (g, mu) is a run, mu ascending
+    order = np.lexsort([mu] + [g[:, c] for c in reversed(range(d))])
+    g, mu, signs = g[order], mu[order], signs[order]
+    new_g = np.append(True, np.any(g[1:] != g[:-1], axis=1))
+    starts = np.flatnonzero(new_g | np.append(True, mu[1:] != mu[:-1]))
+    running = np.append(0, np.cumsum(signs))
+    counts = running[np.append(starts[1:], len(g))] - running[starts]
+    coefs = np.bincount(np.cumsum(new_g[starts]) - 1, weights=mu[starts] * counts)
+    freqs = g[new_g]
+    return freqs[coefs != 0], coefs[coefs != 0]
 
 
 def density_values(params: DensityParams, points) -> np.ndarray:
-    """Density at each row of an (n, d) array of points in [0, 1)^d.
+    """Density at each row of an (n, d) array of points in [0, 1)^d, from
+    its closed form (DensityParams: a constant plus the cosine products of
+    _density_terms).
 
-    The basis is evaluated one row block at a time (row_blocks) and only the
-    density vector is kept, so memory is O(block * m + n), never an n x m
-    matrix.
+    Each term is evaluated in place into one n-vector and added to the
+    result in the order of params.freqs, and cos always reads a contiguous
+    vector, so memory is three n-vectors, no basis function is evaluated,
+    and each point's density depends on that point alone, bit for bit.  At
+    d = 1 a term is coef * cos((4 pi f) * x), added in ascending f.
     """
     x = np.asarray(points, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    rho = np.empty(x.shape[0])
-    for rows in row_blocks(x.shape[0], params.m):
-        rho[rows] = _mixture(params, basis_matrix(params.basis, x[rows], params.m))
+    d = params.basis.params.d
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"points must have shape (n, {d}), got {x.shape}")
+    if np.any(x < 0.0) or np.any(x >= 1.0):
+        raise ValueError("points must lie in [0, 1)^d")
+    rho = np.ones(x.shape[0])
+    term = np.empty_like(rho)
+    factor = np.empty_like(rho) if d > 1 else None
+    for freq, coef in zip(params.freqs, params.coefs):
+        first, *rest = np.flatnonzero(freq)
+        np.multiply(x[:, first], 4.0 * np.pi * freq[first], out=term)
+        np.cos(term, out=term)
+        for c in rest:
+            np.multiply(x[:, c], 4.0 * np.pi * freq[c], out=factor)
+            np.cos(factor, out=factor)
+            term *= factor
+        term *= coef
+        rho += term
     return rho
 
 
@@ -152,7 +218,8 @@ class PointSet:
       tail block, _GRAM_PANEL wide, about half the block.
 
     In all but the dense form basis is the density's ordered basis, no
-    n-row matrix is stored, and G is evaluated on each access.
+    n-row matrix is stored, and G is evaluated on each access.  In every
+    form the densities are density_values' at the points, bit for bit.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
@@ -231,27 +298,8 @@ def dense_matrix(pts: PointSet, rows: slice = slice(None), width: int | None = N
     if pts.B is not None:
         return pts.B[rows, :width]
     b = basis_matrix(pts.basis, pts.points[rows], width)
-    b /= np.sqrt(pts.densities[rows])[:, None]
+    _weigh_rows(b, pts.densities[rows])
     return b
-
-
-def _closed_form_density(params: DensityParams, x: np.ndarray) -> np.ndarray:
-    """The density at d = 1 in closed form, rho(x) = 1 + sum_f alpha_f cos(4 pi f x).
-
-    A squared factor is 1 + cos(4 pi f x) for a cosine, 1 - cos(4 pi f x) for
-    a sine and 1 for the constant, and the sine and cosine of one frequency
-    share their mixture weight in the head and in the tail, so alpha_f
-    cancels exactly except at the frequencies cut at positions k and m: at
-    most two terms.
-    """
-    flat = params.basis.indices[: params.m, 0]
-    sign = np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0))
-    mix = np.concatenate((np.full(params.k, 0.5 / params.k), 0.5 * params.tail_weights))
-    alpha = np.bincount((flat + 1) // 2, weights=sign * mix)
-    rho = np.ones(len(x))
-    for f in np.flatnonzero(alpha):
-        rho += alpha[f] * np.cos((4.0 * np.pi * f) * x)
-    return rho
 
 
 def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
@@ -264,25 +312,23 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     stream keyed by the seed, bit for bit, without loading numpy.random;
     ValueError for a seed below 0 or at least 2^128.
 
-    The point set takes the form (see PointSet) that d and whether m > n
-    pick.  At d = 1 the density is in closed form and no basis function is
-    evaluated; at d = 2 with m <= n the densities are density_values', bit
-    for bit, and the basis rows behind them are dropped; so neither makes
-    an n x m or m x m array.
+    The densities are density_values' at the points, computed before the
+    point set takes the form (see PointSet) that d and whether m > n pick,
+    so they are the same, bit for bit, in every form a d allows.  The
+    structured forms (d = 1, and d = 2 with m <= n) evaluate no basis
+    function and make no n x m or m x m array.
 
-    Otherwise (d >= 2) the basis is evaluated once at every point, row
-    block by row block (row_blocks): the squares of a block give its
-    densities, and the block is divided by sqrt(rho) in place.  In the Gram
-    form the rows come one chunk of whole row blocks (about
-    _GRAM_CHUNK_BYTES, at least _GRAM_CHUNK_ROWS rows) at a time, and each
-    weighted chunk's B_c^T B_c is added into the upper triangle of the Gram
-    in place, one pair of column panels (_GRAM_PANEL wide) at a time; the
-    lower triangle is copied from the upper once at the end.  A chunk is
-    freed before the next is evaluated, so the call holds the Gram, one
-    chunk and temporaries of a row block or a panel product at most, and no
-    n x m array or m x m temporary.  In the dense form B is evaluated
-    whole; it is the only array of that size the call makes.  Points and
-    densities are the same, bit for bit, in every form a d allows.
+    Otherwise (d >= 2) the basis is evaluated once at every point and its
+    rows divided by sqrt(rho) in place (_weigh_rows).  In the dense form B
+    is evaluated whole; it is the only array of that size the call makes.
+    In the Gram form the rows come one chunk of whole row blocks
+    (row_blocks; about _GRAM_CHUNK_BYTES, at least _GRAM_CHUNK_ROWS rows) at
+    a time, and each weighted chunk's B_c^T B_c is added into the upper
+    triangle of the Gram in place, one pair of column panels (_GRAM_PANEL
+    wide) at a time; the lower triangle is copied from the upper once at
+    the end.  A chunk is freed before the next is evaluated, so the call
+    holds the Gram, one chunk and temporaries of a row block or a panel
+    product at most, and no n x m array or m x m temporary.
     ValueError before any allocation when m exceeds MAX_TRUNCATION or
     n * m exceeds MAX_POINTS * MAX_TRUNCATION.
     """
@@ -306,8 +352,8 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     freq = (flat + 1) // 2
     sign = np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0))
     x = _invert_factor_cdf(sign, freq, u[:, 2:])
+    rho = density_values(params, x)
     if d == 1:
-        rho = _closed_form_density(params, x[:, 0])
         sums = expsums.exp_sums(x[:, 0], 1.0 / rho, 2 * basis.max_frequency(m))
         return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)
     # At d = 2 with m > n, B is faster and the structured form smaller: at
@@ -317,25 +363,21 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     # at n_grid 256, 512, 1024, c_head 2.0, 1 trial: 0.73-0.96 s, 69 MiB
     # against 0.91-0.94 s, 64.5 MiB.
     if d == 2 and m <= n:
-        rho = density_values(params, x)
         sums = expsums.exp_sums_2d(x, 1.0 / rho, 2 * basis.max_frequency(m))
         return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)
-    rho = np.empty(n)
-    blocks = row_blocks(n, m)
     if m > n:
         b = basis_matrix(basis, x, m)
-        _weigh_rows(params, b, blocks, rho)
+        _weigh_rows(b, rho)
         b.flags.writeable = False
         return PointSet(points=x, densities=rho, B=b, k=k)
-    height = blocks[0].stop
-    per_chunk = max(1, max(_GRAM_CHUNK_ROWS, _GRAM_CHUNK_BYTES // (8 * m)) // height)
+    blocks = row_blocks(n, m)
+    per_chunk = max(1, max(_GRAM_CHUNK_ROWS, _GRAM_CHUNK_BYTES // (8 * m)) // blocks[0].stop)
     gram = np.zeros((m, m))
     panels = [slice(lo, min(lo + _GRAM_PANEL, m)) for lo in range(0, m, _GRAM_PANEL)]
     for first in range(0, len(blocks), per_chunk):
-        group = blocks[first : first + per_chunk]
-        start = group[0].start
-        chunk = basis_matrix(basis, x[start : group[-1].stop], m)
-        _weigh_rows(params, chunk, [slice(r.start - start, r.stop - start) for r in group], rho[start:])
+        rows = slice(blocks[first].start, blocks[min(first + per_chunk, len(blocks)) - 1].stop)
+        chunk = basis_matrix(basis, x[rows], m)
+        _weigh_rows(chunk, rho[rows])
         for i, a in enumerate(panels):
             for b in panels[i:]:
                 gram[a, b] += chunk[:, a].T @ chunk[:, b]
@@ -347,14 +389,11 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     return PointSet(points=x, densities=rho, B=None, k=k, m=m, basis=basis, BtB=gram)
 
 
-def _weigh_rows(params: DensityParams, values: np.ndarray, blocks: list[slice], rho: np.ndarray) -> None:
-    """Fill rho[rows] from the unweighted basis rows values[rows] and divide
-    those rows by sqrt(rho) in place, one row block at a time, so each
-    density is what density_values gives for its point, bit for bit."""
-    for rows in blocks:
-        block = values[rows]
-        rho[rows] = _mixture(params, block)
-        block /= np.sqrt(rho[rows])[:, None]
+def _weigh_rows(values: np.ndarray, rho: np.ndarray) -> None:
+    """Divide each row of the unweighted basis rows values by sqrt(rho) of
+    its point in place: B's rows from the densities density_values gave,
+    the same bits whatever rows are passed together."""
+    values /= np.sqrt(rho)[:, None]
 
 
 def density_selfcheck(params: DensityParams, resolution: int) -> float:

@@ -44,17 +44,19 @@ SQRT2 = math.sqrt(2.0)
 DEFAULT_INDEX_CAP = 10_000_000
 
 # Bytes of one row block of an (n, width) float matrix: the size of every
-# temporary that basis_matrix, the density and the tail Gram of a dense
-# instance make on top of the matrices they return or read.
+# temporary that basis_matrix and the tail Gram of a dense instance make on
+# top of the matrices they return or read.
 ROW_BLOCK_BYTES = 1 << 20
 
-# A matrix-vector product over rows (the density's tail sum) may round a
-# row differently by where it sits: OpenBLAS's gemv takes rows in groups of
-# four and the rows left over by another kernel, and numpy takes a one-row
-# product by dot.  Row blocks that start on a multiple of this, and a last
-# block no shorter than it, meet each row as the whole matrix does with one
-# BLAS thread.  (With more, gemv splits the rows between threads at points
-# that depend on n, so the whole-matrix product itself moves with n.)
+# A matrix-vector product over rows may round a row differently by where
+# it sits: OpenBLAS's gemv takes rows in groups of four and the rows left
+# over by another kernel, and numpy takes a one-row product by dot.  Row
+# blocks that start on a multiple of this, and a last block no shorter than
+# it, meet each row as the whole matrix does with one BLAS thread.  (With
+# more, gemv splits the rows between threads at points that depend on n,
+# so the whole-matrix product itself moves with n.)  The sums taken over
+# row blocks (the exponential sums, the Gram chunks, U^T B_tail) take their
+# bits from these splits.
 _ROW_ALIGN = 16
 
 

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from samplerec.density import density_selfcheck, sample_points, truncated_density
+from samplerec.density import density_selfcheck, density_values, sample_points, truncated_density
 from samplerec.errors import empirical_error, worst_case_error_trunc
 from samplerec.experiments import (
     ExperimentConfig,
@@ -318,21 +318,31 @@ def test_09_independent_oracles(emit):
     power = block_power_norm(residual * basis.sigma[:128])
     probe_ok = probe_ok and abs(power - e_tr) <= 1e-8 * e_tr
 
-    # density normalization by tensor-grid quadrature
+    # density normalization by tensor-grid quadrature: the self-check's
+    # closed form, and the mixture of squared basis functions it stands
+    # for, evaluated by basis_matrix on the same grid
     quad_err = []
+    form_dev = []
     for d, k, m in ((1, 4, 16), (2, 4, 20)):
         basis = ordered_basis(SpaceParams(d, 1.0), m + 1)
         dens = truncated_density(basis, k, m)
         resolution = max(16, 4 * basis.max_frequency(m))
         quad_err.append(abs(density_selfcheck(dens, resolution) - 1.0))
-    quad_ok = max(quad_err) <= 1e-10
+        axis = np.arange(resolution) / resolution
+        grid = np.array(np.meshgrid(*([axis] * d), indexing="ij")).reshape(d, -1).T
+        bsq = basis_matrix(basis, grid, m) ** 2
+        mixture = 0.5 * (bsq[:, :k].sum(axis=1) / k + bsq[:, k:] @ dens.tail_weights)
+        quad_err.append(abs(float(np.mean(mixture)) - 1.0))
+        form_dev.append(float(np.max(np.abs(density_values(dens, grid) / mixture - 1.0))))
+    quad_ok = max(quad_err) <= 1e-10 and max(form_dev) <= 1e-14
 
     emit(
         9, "independent oracles",
         sums_ok and probe_ok and quad_ok,
         f"series rel dev {rel1:.2e} (d=1) / {rel2:.2e} (d=2); best probe "
         f"{best[0]:.4f}/{best[1]:.4f} of e_trunc, power-iteration dev "
-        f"{abs(power - e_tr) / e_tr:.2e}; quadrature err {max(quad_err):.2e}",
+        f"{abs(power - e_tr) / e_tr:.2e}; quadrature err {max(quad_err):.2e} "
+        f"(closed form and mixture), closed form vs mixture {max(form_dev):.2e}",
     )
 
 

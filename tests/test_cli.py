@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import samplerec
 from samplerec import cli, density, experiments, lsq, spectral
@@ -436,6 +440,14 @@ def test_cli_run_path_imports_no_numpy_random(tmp_path):
 # after test_cli_csv_is_the_same_in_every_point_set_form passed on its
 # config: s_min_G by 5.5e-16, s_max_Gamma 5.8e-16, e_trunc 4.1e-16, e_upper
 # 4.3e-16, ratio1 2.5e-16 and ratio2 8.5e-16 relative, the others unchanged.
+# The rates digest then moved with the closed-form density at every d (a
+# constant plus the cosine products that the tie classes cut at k and m
+# leave, in place of the mixture of m squared basis functions), after the
+# closed form matched the mixture within 1e-14 relative at d = 1 to 4:
+# s_min_G by 3.9e-16, s_max_Gamma 2.7e-16, e_trunc 4.1e-16, e_upper
+# 5.2e-16, ratio1 2.5e-16 and ratio2 8.5e-16 relative, the others
+# unchanged; the claims (d = 1, the same closed form bit for bit), beta and
+# density-check digests did not move.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -445,7 +457,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "b8afef9bb45ba051b742e596655edb8354b7777b7d14d5b49af07811a728f49b",
+        "12f3f6aeaf5c1e727696048fd8ed389a9c755928a30528a329e2064ec71fad5e",
     ),
     "beta": (
         "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
@@ -486,14 +498,16 @@ def test_cli_csv_bytes_match_recorded_digests(tmp_path):
 def test_cli_instances_that_keep_b_are_unchanged(tmp_path):
     # d = 2 with m > n at every grid point (m = 1312 at n = 512, 2360 at
     # n = 1024): the instances keep B, whose Gram would be larger, and the
-    # tail norm is Lanczos on the view B[:, k:]; the CSV is the bytes of
-    # the code before the Gram form
+    # tail norm is Lanczos on the view B[:, k:]; the CSV was the bytes of
+    # the code before the Gram form until the closed-form density moved
+    # s_min_G by 4.7e-16, s_max_Gamma 4.0e-16, e_trunc 1.3e-15, e_upper
+    # 5.1e-16, ratio1 1.1e-15 and ratio2 2.6e-15 relative
     config = "d = 2\ns = 0.75\nn_grid = 512, 1024\nc_head = 2.0\nm_factor = 8\ntrials = 1\nseed = 20250814\n"
     proc, out = _run_cli(tmp_path, "rates", config, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["1312", "2360"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "29430d57075301038cb826d679a560c522463457eb6f38ae7159b78b2cb35c05"
+        "dff48ff0ca90d6afbb973e134dc0c7cc6c0ffa3ae0d2fb162c272c55b9fe7661"
     )
 
 
@@ -566,7 +580,10 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     # columns at two OpenBLAS threads, and the rates-d2-s075 one, whose d = 2
     # draws sum their exponential sums by complex matrix products: the
     # command line pins one thread itself, so the bytes are the one-thread
-    # bytes with the variable unset (OpenBLAS's default) or set to 2
+    # bytes with the variable unset (OpenBLAS's default) or set to 2; the
+    # d = 2 digest moved with the closed-form density (s_min_G by 5.5e-16,
+    # s_max_Gamma 9.9e-16, e_trunc 2.2e-16, e_upper 7.5e-16, ratio1 5.0e-16
+    # and ratio2 3.7e-16 relative), the d = 1 one did not
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -578,7 +595,7 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
         ("d = 1\ns = 1.0\nn_grid = 64, 128, 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
          "trials = 3\nseed = 2\n", "cdeaee379dba43fd85eec0641f372521f28f3f001e50dda4f4ed641fd5930681"),
         ("d = 2\ns = 0.75\nn_grid = 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
-         "trials = 1\nseed = 2\n", "dc0c51ab523fa2bfb6eb0f93d60cb35d51e4150b51b3dacc8b52931e03a59408"),
+         "trials = 1\nseed = 2\n", "d3fe6c39863d92f1148cb72234e31339bae5d0cd6c7db1bdca278cc1a3e3b0f4"),
     ):
         cfg = write_config(tmp_path, config)
         out = tmp_path / "rates.csv"
@@ -732,3 +749,62 @@ def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def check_emitted_csv(text, command, n_grid, m_factor):
+    """What the theory fixes on one emitted CSV, read back from its text:
+    integer columns integral, k <= n/2 and m = m_factor k, fractions in
+    [0, 1], a_k and beta_k at most gamma_k, e_trunc <= e_upper, and ratio1
+    at most 1 up to the split bound's slack."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    assert rows, text
+    for row in rows:
+        cell = dict(zip(header, row, strict=True))
+        ints = {name: int(cell[name]) for name in _INT_COLUMNS | {"resolution"} if name in cell}
+        if "n" in ints:
+            assert ints["n"] in n_grid and ints["k"] <= ints["n"] / 2 and ints["m"] == m_factor * ints["k"]
+        elif command == "beta":
+            assert ints["k"] in n_grid
+        for name, value in cell.items():
+            if name.endswith("_frac"):
+                assert 0.0 <= float(value) <= 1.0, name
+        if "gamma_k" in cell:
+            assert max(float(cell["a_k"]), float(cell["beta_k"])) <= float(cell["gamma_k"])
+        if "e_upper" in cell and not math.isnan(float(cell["e_trunc"])):
+            assert float(cell["e_trunc"]) <= float(cell["e_upper"])
+            assert float(cell["ratio1"]) <= 1.0 + experiments._SPLIT_SLACK / float(cell["a_k"])
+
+
+@given(
+    command=st.sampled_from(tuple(cli.RUNNERS)),
+    d=st.integers(1, 4),
+    s=st.one_of(st.floats(0.51, 3.0), st.floats(0.51, 400.0)),
+    n_grid=st.lists(st.integers(2, 256), min_size=1, max_size=3, unique=True),
+    c_head=st.one_of(st.floats(0.01, 1.0), st.floats(0.01, 8.0), st.just(1e308)),
+    m_factor=st.integers(2, 8),
+    trials=st.integers(1, 2),
+    seed=st.integers(0, (1 << 64) - 1),
+)
+@settings(max_examples=300)
+def test_cli_emits_a_checked_csv_or_one_error_line(tmp_path_factory, command, d, s, n_grid, c_head, m_factor, trials, seed):
+    # any config that passes the parser, run in process: exit 0 with a CSV
+    # whose invariants hold, or exit 2 or 3 with one stderr line and no
+    # CSV; a quadrature grid above 2^16 points (the subcommand's own cap is
+    # 2^22) exits 2, so that each example takes at most about a second
+    tmp = tmp_path_factory.mktemp("property")
+    path = write_config(tmp, f"d = {d}\ns = {s!r}\nn_grid = {', '.join(map(str, n_grid))}\n"
+                             f"c_head = {c_head!r}\nm_factor = {m_factor}\ntrials = {trials}\nseed = {seed}\n")
+    out = tmp / "out.csv"
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(experiments, "_DENSITY_GRID_CAP", 1 << 16)
+        code = cli.main([command, "--config", path, "--out", str(out)])
+    assert code in (0, 2, 3), stderr.getvalue()
+    if code:
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+        assert "Traceback" not in stderr.getvalue()
+        assert not out.exists()
+    else:
+        check_emitted_csv(out.read_text(), command, n_grid, m_factor)
+

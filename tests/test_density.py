@@ -81,8 +81,25 @@ def test_density_integrates_to_one_by_quadrature():
         assert abs(value - 1.0) <= 1e-10
 
 
+def cut_class_tuples(dens):
+    """Tuples among the first m in the tie classes at positions k and m - 1,
+    the only ones whose squares can leave a cosine term."""
+    weights = dens.basis.weights[: dens.m]
+    return int(np.count_nonzero((weights == weights[dens.k]) | (weights == weights[dens.m - 1])))
+
+
+def assert_closed_form_is_the_mixture(dens, points):
+    """density_values against the density's definition, the mixture of the
+    squared basis functions of basis_matrix, and its term count."""
+    d = dens.basis.params.d
+    mixture = one_shot_mixture(dens, basis_matrix(dens.basis, points, dens.m))
+    assert np.max(np.abs(density_values(dens, points) / mixture - 1.0)) <= 1e-14
+    assert dens.freqs.shape == (len(dens.coefs), d) and np.all(dens.coefs != 0)
+    assert len(dens.coefs) <= 2 ** d * cut_class_tuples(dens)
+
+
 @given(
-    d=st.integers(1, 3),
+    d=st.integers(1, 4),
     s=st.sampled_from((0.6, 0.75, 1.0, 1.3, 2.0)),
     k=st.integers(1, 8),
     m_extra=st.integers(1, 40),
@@ -95,12 +112,39 @@ def test_density_unit_mass_property(d, s, k, m_extra):
     dens = make_density(SpaceParams(d, s), k, m)
     resolution = max(16, 4 * dens.basis.max_frequency(m))
     assert abs(density_selfcheck(dens, resolution) - 1.0) <= 1e-10
-    if d == 1:
-        # the closed form that sample_points uses at d = 1, against the mixture
-        grid = np.arange(resolution) / resolution
-        mixture = density._mixture(dens, basis_matrix(dens.basis, grid[:, None], m))
-        closed = density._closed_form_density(dens, grid)
-        assert np.max(np.abs(closed / mixture - 1.0)) <= 1e-14
+    # the closed form, against the mixture on the grid's first coordinate
+    # line and at random points
+    line = np.zeros((resolution, d))
+    line[:, 0] = np.arange(resolution) / resolution
+    points = np.random.Generator(np.random.Philox(key=d)).random((256, d))
+    assert_closed_form_is_the_mixture(dens, np.vstack((line, points)))
+
+
+@pytest.mark.parametrize("k, m", [(103, 160), (107, 300), (20, 106), (20, 110), (102, 111), (112, 113)])
+def test_closed_form_at_cuts_inside_a_tie_class(k, m):
+    # at d = 2, s = 1 the weight-100 class is the sign patterns of the
+    # frequency vectors (1, 7), (3, 3) and (7, 1), positions 101-112: a
+    # cut at k or m inside it leaves the split groups' cosine terms
+    dens = truncated_density(ordered_basis(SP2, 320), k, m)
+    assert list(np.flatnonzero(dens.basis.weights == 100.0)) == list(range(101, 113))
+    assert len(dens.coefs) > 0 and cut_class_tuples(dens) >= 2
+    points = np.random.Generator(np.random.Philox(key=k)).random((512, 2))
+    assert_closed_form_is_the_mixture(dens, points)
+
+
+def test_closed_form_of_whole_groups_is_the_constant():
+    # cuts between tie classes leave no term: k = 1, m = 3 at d = 1 is the
+    # uniform density, at d = 2 the head 0..4 and tail 5..8 hold whole
+    # classes, and at d = 3 the tail 1..24 holds whole classes (the last
+    # the 4 sign patterns of each of (1, 1, 0), (1, 0, 1) and (0, 1, 1)),
+    # whose +-mu summed in floating point would leave terms of 1e-18 where
+    # their integer sums leave none
+    for params, k, m in ((SP1, 1, 3), (SP2, 5, 9), (SpaceParams(3, 0.6), 1, 25)):
+        dens = make_density(params, k, m)
+        weights = dens.basis.weights
+        assert weights[k - 1] < weights[k] and weights[m - 1] < weights[m]
+        assert len(dens.coefs) == 0
+        assert np.array_equal(density_values(dens, np.random.default_rng(0).random((64, params.d))), np.ones(64))
 
 
 def test_density_selfcheck_rejects_coarse_grid():
@@ -192,12 +236,11 @@ def test_sampled_densities_match_recomputation():
     # with m > n the weighted matrix itself is kept, read-only
     pts = sample_points(dens, 16, 9)
     assert pts.B.shape == (16, 20) and not pts.B.flags.writeable and pts.BtB is None
-    # at d = 1 the densities come from the closed form, and G is evaluated
+    # at d = 1 the densities are density_values' too, and G is evaluated
     # on access
     dens = make_density(SP1, 4, 16)
     pts = sample_points(dens, 300, 9)
-    assert np.array_equal(pts.densities, density._closed_form_density(dens, pts.points[:, 0]))
-    assert np.allclose(pts.densities, density_values(dens, pts.points), rtol=1e-14, atol=0)
+    assert np.array_equal(pts.densities, density_values(dens, pts.points))
     assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
     assert pts.B is None and pts.G.shape == (300, 4) and not pts.G.flags.writeable
     assert (pts.k, pts.m) == (4, 16)
@@ -309,8 +352,8 @@ def one_shot_basis_matrix(basis, points, m):
 
 
 def one_shot_mixture(params, values):
-    """The density from the whole n x m basis matrix at once: the oracle for
-    the row-blocked mixture."""
+    """The density from the whole n x m basis matrix at once: the mixture
+    of squared basis functions that defines it."""
     bsq = values ** 2
     head = bsq[:, : params.k].sum(axis=1) / params.k
     tail = bsq[:, params.k :] @ params.tail_weights
@@ -319,7 +362,9 @@ def one_shot_mixture(params, values):
 
 def block_boundary_mismatches():
     """The (d, n, what) cases where row-blocked evaluation differs in any bit
-    from the one-shot oracles, at n around the row block of each width."""
+    from the one-shot oracles, or density_values on a row split from its
+    whole-array values, or by more than 1e-14 relative from the one-shot
+    mixture, at n around the row block of each width."""
     bad = []
     for params, k, m in ((SP1, 8, 64), (SpaceParams(2, 0.75), 123, 984), (SpaceParams(3, 0.6), 20, 160)):
         dens = make_density(params, k, m)
@@ -331,11 +376,12 @@ def block_boundary_mismatches():
             blocked = basis_matrix(dens.basis, x, m)
             if not (np.array_equal(blocked, full) and blocked.flags.c_contiguous):
                 bad.append((params.d, n, "basis_matrix"))
-            rho = one_shot_mixture(dens, full)
-            if not np.array_equal(density_values(dens, x), rho):
-                bad.append((params.d, n, "density_values"))
-            if params.d == 1:
-                continue
+            rho = density_values(dens, x)
+            for cut in sorted({1, 7, n // 2, block, n - 1} & set(range(1, n))):
+                if not np.array_equal(np.concatenate((density_values(dens, x[:cut]), density_values(dens, x[cut:]))), rho):
+                    bad.append((params.d, n, f"density_values split at {cut}"))
+            if not np.max(np.abs(rho / one_shot_mixture(dens, full) - 1.0)) <= 1e-14:
+                bad.append((params.d, n, "density_values against the mixture"))
             full /= np.sqrt(rho)[:, None]
             if not np.array_equal(pts.densities, rho):
                 bad.append((params.d, n, "densities"))
