@@ -288,7 +288,8 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
     e_trunc <= a_k + s_max(Gamma) / s_min(G) (absolute slack 1e-10) and
     e_trunc <= e_upper; the report carries the fitted log-log slope of the
     median e_trunc against n.  Every grid point is checked for feasibility
-    before the first draw.
+    before the first draw, and one basis of the grid's largest m serves
+    them all.
     """
     header = (
         "n", "k", "m", "a_k", "beta_k", "gamma_k",
@@ -301,8 +302,18 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
     fit_logn: list[float] = []
     fit_loge: list[float] = []
     full_rank = fallbacks = 0
-    for i_n, (n, k, m) in enumerate(_grid_sizes(config, "configuration")):
-        basis, summary = _prepare(space, m)
+    sizes = _grid_sizes(config, "configuration")
+    # the first m + 1 entries of the longest basis are the ordered basis of
+    # length m + 1, and the head sums of its summary are those of that basis
+    try:
+        basis, summary = _prepare(space, max(m for _, _, m in sizes))
+    except (spectral.EnumerationLimitError, spectral.PrecisionError):
+        # the limit message names the basis length: raise it as the first
+        # grid point, in grid order, whose own basis reaches the limit
+        for _, _, m in sizes:
+            _prepare(space, m)
+        raise
+    for i_n, (n, k, m) in enumerate(sizes):
         dens = density.truncated_density(basis, k, m)
         a_k = float(basis.sigma[k])
         beta_k, gamma_k = spectral.beta_gamma(summary, basis, k)

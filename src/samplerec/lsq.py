@@ -141,18 +141,21 @@ def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
 _OPERATOR_DENSE_SIZE = 160
 
 # Step cap of the Lanczos solver, which stores one vector of the operator's
-# size per step, so at most _LANCZOS_STEPS of them.  The Gram operators of
-# the benchmark workloads converged in 23 to 79 steps (and stop on the
-# Ritz schedule below, after 32 to 80 on both config seeds), random Gaussian
-# Grams M^T M of size up to 2000 in at most 145, and a top pair clustered
-# to 1e-12 over a uniform spectrum in at most 100.
+# size per step, so at most _LANCZOS_STEPS of them.  With a Ritz pair every
+# step, the Gram operators of the benchmark workloads converge in 22 to 57
+# steps (on the Ritz schedule below they stop after 24 to 64, on both
+# config seeds), random Gaussian Grams M^T M of size up to 2000 in at most
+# 92, and a top pair clustered to 1e-12 over a uniform spectrum in at most
+# 33.  The largest paper-scale operator (d = 2, s = 0.75, n = 16384, the
+# e_trunc operator of size 2954) stops after 128.
 _LANCZOS_STEPS = 300
 
 # Lanczos takes the top Ritz pair of T_j by a dense eigh only every this
 # many steps (and at a possible breakdown or the last step): an eigh of
-# the j x j T_j costs O(j^3), 0.1 ms at j = 30 and 0.9 ms at j = 80, more
-# than a product with a cheap operator.  A run whose residual rule holds
-# from some step on stops at most _RITZ_STRIDE - 1 products after it.
+# the j x j T_j costs O(j^3), 0.05 ms at j = 30 and 0.3 ms at j = 64 (one
+# BLAS thread), more than a product with a cheap operator.  A run whose
+# stop rules hold from some step on stops at most _RITZ_STRIDE - 1
+# products after it.
 _RITZ_STRIDE = 8
 
 
@@ -279,18 +282,35 @@ def _lanczos_top(gram) -> float:
     Gram-Schmidt passes; the first also takes off the three-term recurrence,
     and alpha_j is the sum of both passes' coefficients on the last vector.
 
-    The top Ritz pair (theta, y) of the j x j tridiagonal T_j comes from
-    np.linalg.eigh, taken only on a schedule: when j is a multiple of
-    _RITZ_STRIDE, at the last step (j = q or the cap), and whenever
-    beta_j <= eps g_j, where g_j = max over i <= j of
+    The Ritz values theta_2 <= theta of T_j (the j x j tridiagonal) and the
+    top one's vector y come from np.linalg.eigh, taken only on a schedule:
+    when j is a multiple of _RITZ_STRIDE, at the last step (j = q or the
+    cap), and whenever beta_j <= eps g_j, where g_j = max over i <= j of
     |alpha_i| + beta_(i-1) + beta_i (beta_0 = 0) is a Gershgorin bound on
-    ||T_j||, kept up to date in O(1) per step.  At each such step the run
-    stops when the residual beta_j |y_last| <= eps theta (ARPACK's rule at
-    tol = 0); on breakdown, beta_j <= eps ||T_j||, where the Krylov space is
-    invariant and theta is exact; or at j = q.  Since g_j >= ||T_j||, every
-    breakdown gets this exact test at its own step, before w is divided by
-    beta_j; a run whose residual rule holds from some step on stops at most
-    _RITZ_STRIDE - 1 products after it.
+    ||T_j||, kept up to date in O(1) per step.  At each such step, with the
+    residual r = beta_j |y_last|, the run stops when
+      - r <= eps theta (ARPACK's rule at tol = 0: the Ritz vector has
+        converged);
+      - r^2 <= eps theta (theta - theta_2): the Ritz value has converged
+        though its vector has not, since theta is within r^2 / gap of the
+        top eigenvalue, gap its distance to the rest of the spectrum
+        (Kato-Temple; Parlett, The Symmetric Eigenvalue Problem, 1998,
+        sec. 11.7), and theta - theta_2 stands in for the gap;
+      - on breakdown, beta_j <= eps ||T_j||, where the Krylov space is
+        invariant and theta is exact;
+      - or at j = q.
+    Since g_j >= ||T_j||, every breakdown gets its exact test at its own
+    step, before w is divided by beta_j; a run whose stop rules hold from
+    some step on stops at most _RITZ_STRIDE - 1 products after it.
+
+    The value rule takes a quarter to a third fewer products on the
+    benchmark workloads' runs, with every top value within 7e-15 relative
+    of a dense eigvalsh.  Its worst case is a top pair closer than the
+    Krylov space has yet resolved: theta_2 then lies well below both,
+    theta - theta_2 overstates the gap, and only r <= sqrt(eps) theta
+    (theta - theta_2 <= theta) bounds the error.  A pair 1e-10 apart came
+    out up to 7e-11 relative off, where the residual rule alone gives
+    rounding.
     """
     q = gram.shape[0]
     steps = min(q, _LANCZOS_STEPS)
@@ -314,7 +334,9 @@ def _lanczos_top(gram) -> float:
         if (j + 1) % _RITZ_STRIDE == 0 or j + 1 == steps or beta <= eps * bound:
             theta, y = np.linalg.eigh(tri[: j + 1, : j + 1])
             top = theta[-1]
-            if (beta * abs(y[-1, -1]) <= eps * abs(top)
+            resid = beta * abs(y[-1, -1])
+            gap = top - theta[-2] if j else 0.0
+            if (resid <= eps * abs(top) or resid * resid <= eps * abs(top) * gap
                     or beta <= eps * max(abs(theta[0]), abs(top)) or j + 1 == q):
                 return float(top)
         if j + 1 == steps:
@@ -327,5 +349,5 @@ def _lanczos_top(gram) -> float:
         tri[j, j + 1] = tri[j + 1, j] = beta
     raise ConvergenceError(
         f"Lanczos reached its cap of {_LANCZOS_STEPS} steps on a Gram operator of size {q}: "
-        f"residual {beta * abs(y[-1, -1]):.3g} of top Ritz value {top:.17g}"
+        f"residual {resid:.3g} of top Ritz value {top:.17g}"
     )

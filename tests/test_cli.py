@@ -185,6 +185,30 @@ def test_run_rates_rows_and_invariants():
     assert csv_text(result) == csv_text(run_rates(config))
 
 
+def test_run_rates_prepares_one_basis(monkeypatch):
+    # one ordered basis, of the grid's largest m (not its last), serves
+    # every grid point
+    lengths = []
+    ordered_basis = spectral.ordered_basis
+
+    def counted(params, m, *args, **kwargs):
+        lengths.append(m)
+        return ordered_basis(params, m, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "ordered_basis", counted)
+    run_rates(ExperimentConfig(n_grid=(128, 256, 64), c_head=0.25, m_factor=8, trials=1, seed=3))
+    assert lengths == [8 * head_size(256, 0.25) + 1]
+
+
+def test_run_rates_limit_error_names_the_first_grid_point_to_reach_it():
+    # at s = 5 the tail past the basis of n = 256 (m = 88) is below the
+    # float resolution of the total, and past those of n = 64 and 128 it is
+    # not: the error names the 89-term head, as it did when each grid point
+    # prepared its own basis, and not the 513-term head of n = 1024
+    with pytest.raises(spectral.PrecisionError, match="past the 89-term head"):
+        run_rates(ExperimentConfig(s=5.0, n_grid=(64, 128, 256, 1024), c_head=0.25, trials=1))
+
+
 def test_run_beta_reads_grid_as_head_sizes():
     config = ExperimentConfig(n_grid=(8, 16, 32), seed=2)
     result = run_beta(config)
@@ -447,12 +471,17 @@ def test_cli_run_path_imports_no_numpy_random(tmp_path):
 # s_min_G by 3.9e-16, s_max_Gamma 2.7e-16, e_trunc 4.1e-16, e_upper
 # 5.2e-16, ratio1 2.5e-16 and ratio2 8.5e-16 relative, the others
 # unchanged; the claims (d = 1, the same closed form bit for bit), beta and
-# density-check digests did not move.
+# density-check digests did not move.  The claims digest then moved with
+# Lanczos's second stop rule (the top Ritz value converged, r^2 <= eps theta
+# (theta - theta_2)), after every Lanczos run of the benchmark workloads
+# matched a dense eigvalsh within 1e-14 relative: tail_ratio_median by
+# 3.9e-16 relative, the fraction and integer columns unchanged; the rates
+# golden, whose tails all have q <= 160 and take eigvalsh, did not move.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "cece0b41cc83e369b6f04750fff72f20a04b65ed6eb6483aadedf453c23ad1a9",
+        "7f70b3329bb5f1a39eee0f1cc3f09fa6234276951a03a44697abcf97422d25ac",
     ),
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
@@ -501,13 +530,15 @@ def test_cli_instances_that_keep_b_are_unchanged(tmp_path):
     # tail norm is Lanczos on the view B[:, k:]; the CSV was the bytes of
     # the code before the Gram form until the closed-form density moved
     # s_min_G by 4.7e-16, s_max_Gamma 4.0e-16, e_trunc 1.3e-15, e_upper
-    # 5.1e-16, ratio1 1.1e-15 and ratio2 2.6e-15 relative
+    # 5.1e-16, ratio1 1.1e-15 and ratio2 2.6e-15 relative, and Lanczos's
+    # Ritz-value stop rule moved e_trunc by 1.4e-16, ratio1 2.1e-16 and
+    # ratio2 2.2e-16 relative
     config = "d = 2\ns = 0.75\nn_grid = 512, 1024\nc_head = 2.0\nm_factor = 8\ntrials = 1\nseed = 20250814\n"
     proc, out = _run_cli(tmp_path, "rates", config, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["1312", "2360"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "dff48ff0ca90d6afbb973e134dc0c7cc6c0ffa3ae0d2fb162c272c55b9fe7661"
+        "4bd3bb307a52f3f33b4b3b9be749b69a8f598bb08120a10d87ea9847112d6f2a"
     )
 
 
@@ -583,7 +614,10 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     # bytes with the variable unset (OpenBLAS's default) or set to 2; the
     # d = 2 digest moved with the closed-form density (s_min_G by 5.5e-16,
     # s_max_Gamma 9.9e-16, e_trunc 2.2e-16, e_upper 7.5e-16, ratio1 5.0e-16
-    # and ratio2 3.7e-16 relative), the d = 1 one did not
+    # and ratio2 3.7e-16 relative), the d = 1 one did not; both then moved
+    # with Lanczos's Ritz-value stop rule: d = 1 s_max_Gamma by 2.0e-16,
+    # e_trunc 2.1e-16, ratio1 3.7e-16 and ratio2 4.3e-16, d = 2 s_max_Gamma
+    # 1.8e-16, e_trunc 1.9e-16, ratio1 2.6e-16 and ratio2 2.9e-16 relative
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -593,9 +627,9 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
         env["OPENBLAS_NUM_THREADS"] = threads
     for config, digest in (
         ("d = 1\ns = 1.0\nn_grid = 64, 128, 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
-         "trials = 3\nseed = 2\n", "cdeaee379dba43fd85eec0641f372521f28f3f001e50dda4f4ed641fd5930681"),
+         "trials = 3\nseed = 2\n", "6c8270a068a12fb9af04d200fa390c66b0bace5276ccace01f0dc207b8d18e3d"),
         ("d = 2\ns = 0.75\nn_grid = 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
-         "trials = 1\nseed = 2\n", "d3fe6c39863d92f1148cb72234e31339bae5d0cd6c7db1bdca278cc1a3e3b0f4"),
+         "trials = 1\nseed = 2\n", "01b4f62bdbcaf9264786ddbc1a4b180ff74dfa1c2dbfea31ed711b7edf15c6ba"),
     ):
         cfg = write_config(tmp_path, config)
         out = tmp_path / "rates.csv"

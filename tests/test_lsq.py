@@ -727,6 +727,84 @@ def test_lanczos_step_cap_off_the_ritz_schedule(monkeypatch):
     assert float(residual[2]) == pytest.approx(svd_norm(m) ** 2, rel=1e-3)
 
 
+# The benchmark workloads' configs (claims-d1, rates-d1, rates-d2-s075)
+_WORKLOADS = {
+    "claims-d1": (run_claims, dict(d=1, s=1.0, n_grid=(512, 2048), c_head=0.05, trials=2)),
+    "rates-d1": (run_rates, dict(d=1, s=1.0, n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
+                                 c_head=0.25, trials=3)),
+    "rates-d2-s075": (run_rates, dict(d=2, s=0.75, n_grid=(256, 512, 1024, 2048, 4096),
+                                      c_head=0.25, trials=1)),
+}
+
+
+def operator_matrix(gram, block=256):
+    """The matrix of a Gram operator, from its products with blocks of
+    identity columns."""
+    q = gram.shape[0]
+    dense = np.empty((q, q))
+    for lo in range(0, q, block):
+        cols = np.arange(lo, min(lo + block, q))
+        unit = np.zeros((q, len(cols)))
+        unit[cols, np.arange(len(cols))] = 1.0
+        dense[:, cols] = gram.matmat(unit)
+    return dense
+
+
+@pytest.fixture(scope="module")
+def workload_lanczos_runs():
+    """(workload, products, top, dense top) of every _lanczos_top run on the
+    workload configs at config seeds 20250814 and 2."""
+    runs = []
+    lanczos = lsq._lanczos_top
+
+    def recorded(gram):
+        counted = CountedGram(gram)
+        top = lanczos(counted)
+        runs.append((name, counted.products, top, np.linalg.eigvalsh(operator_matrix(gram))[-1]))
+        return top
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lsq, "_lanczos_top", recorded)
+        for name, (runner, params) in _WORKLOADS.items():
+            for seed in (20250814, 2):
+                runner(ExperimentConfig(m_factor=8, seed=seed, **params))
+    assert {run[0] for run in runs} == set(_WORKLOADS)
+    return runs
+
+
+def test_lanczos_matches_dense_on_every_workload_run(workload_lanczos_runs):
+    # the Ritz-value rule stops where the top eigenvalue is exact to
+    # rounding on every workload operator (largest deviation 6.6e-15)
+    for name, _, top, dense in workload_lanczos_runs:
+        assert top == pytest.approx(dense, rel=1e-14, abs=0), name
+
+
+def test_lanczos_on_claims_workload_keeps_its_basis_within_64_vectors(workload_lanczos_runs):
+    # the residual rule alone took up to 80 products here, and the basis
+    # grows from 64 to 128 rows at the 65th
+    products = [run[1] for run in workload_lanczos_runs if run[0] == "claims-d1"]
+    assert len(products) == 32
+    assert max(products) <= 64
+
+
+def test_lanczos_unsplit_top_pair_within_sqrt_eps():
+    # a top pair 1e-10 apart that the Krylov space has not split when the
+    # Ritz-value rule holds: theta - theta_2 is the gap to the rest of the
+    # spectrum, not to the second eigenvalue, so the error is bounded only
+    # by r <= sqrt(eps) theta (measured: 1.8e-11 to 7.2e-11 relative,
+    # where the residual rule alone gave at most 1.2e-15)
+    eps = np.finfo(float).eps
+    rng = np.random.Generator(np.random.Philox(key=5))
+    for q in (100, 300, 1000):
+        ev = rng.uniform(0.0, 0.9, q)
+        ev[:2] = 1.0, 1.0 - 1e-10
+        basis, _ = np.linalg.qr(rng.standard_normal((q, q)))
+        a = (basis * ev) @ basis.T
+        a = (a + a.T) / 2
+        top = lsq._lanczos_top(aslinearoperator(a))
+        assert abs(top - np.linalg.eigvalsh(a)[-1]) <= math.sqrt(eps) * top
+
+
 def test_spectral_norm_bounded_by_frobenius():
     basis, _, pts = make_instance(SP1, 8, 64, 128, 19)
     b = weighted_matrix(pts, basis)
