@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -477,16 +478,24 @@ def test_cli_run_path_imports_no_numpy_random(tmp_path):
 # matched a dense eigvalsh within 1e-14 relative: tail_ratio_median by
 # 3.9e-16 relative, the fraction and integer columns unchanged; the rates
 # golden, whose tails all have q <= 160 and take eigvalsh, did not move.
+# The claims and rates digests then moved with the factor CDFs inverted by
+# a per-period reduction and four Newton steps in place of 48 bisection
+# steps, after test_cli_csv_moves_within_roundoff_from_the_bisection_inverse
+# passed on both configs: claims tail_ratio_median by 2.2e-14 relative;
+# rates s_min_G by 1.2e-15, s_max_Gamma 1.1e-15, e_trunc 8.2e-16, e_upper
+# 9.1e-16, ratio1 1.1e-15 and ratio2 1.9e-15 relative; integer and
+# fraction columns unchanged.  The beta and density-check digests, which
+# draw no points, did not move.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "7f70b3329bb5f1a39eee0f1cc3f09fa6234276951a03a44697abcf97422d25ac",
+        "7247a643834c2ee078a884033215279db1f06b0c6cad54eff345116ab491b70a",
     ),
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "12f3f6aeaf5c1e727696048fd8ed389a9c755928a30528a329e2064ec71fad5e",
+        "b7c3c773d52ccd6614d819e2e404a28619e84fa0a682e62c8af4689072d2dc0c",
     ),
     "beta": (
         "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
@@ -532,13 +541,15 @@ def test_cli_instances_that_keep_b_are_unchanged(tmp_path):
     # s_min_G by 4.7e-16, s_max_Gamma 4.0e-16, e_trunc 1.3e-15, e_upper
     # 5.1e-16, ratio1 1.1e-15 and ratio2 2.6e-15 relative, and Lanczos's
     # Ritz-value stop rule moved e_trunc by 1.4e-16, ratio1 2.1e-16 and
-    # ratio2 2.2e-16 relative
+    # ratio2 2.2e-16 relative, and the reduced Newton inverse of the factor
+    # CDFs moved s_min_G by 1.5e-14, s_max_Gamma 2.6e-15, e_trunc 3.5e-14,
+    # e_upper 1.6e-14, ratio1 2.2e-14 and ratio2 6.9e-14 relative
     config = "d = 2\ns = 0.75\nn_grid = 512, 1024\nc_head = 2.0\nm_factor = 8\ntrials = 1\nseed = 20250814\n"
     proc, out = _run_cli(tmp_path, "rates", config, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert [row.split(",")[2] for row in out.read_text().splitlines()[1:]] == ["1312", "2360"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "4bd3bb307a52f3f33b4b3b9be749b69a8f598bb08120a10d87ea9847112d6f2a"
+        "85e65ae482c34fddb9f0f4a217b73fd9516d61c87e3740d85e992787a06e3d10"
     )
 
 
@@ -559,16 +570,17 @@ _CROSS_FORM = [
 ]
 
 _INT_COLUMNS = {"n", "k", "m", "trials", "degenerate_trials"}
+_FRACTION_COLUMNS = {"smin_success_frac", "tail_success_frac", "degenerate_frac"}
 
 
-def cross_form_drift(header, drawn, twin):
+def cross_form_drift(header, drawn, twin, exact=_INT_COLUMNS):
     """Largest relative difference of each float column between two CSVs of
-    one config; integer columns must match exactly, and a NaN cell must be
-    NaN in both."""
+    one config; the exact columns (the integer ones by default) must match
+    exactly, and a NaN cell must be NaN in both."""
     assert len(drawn) == len(twin)
     drift = {}
     for j, name in enumerate(header):
-        if name in _INT_COLUMNS:
+        if name in exact:
             assert [row[j] for row in drawn] == [row[j] for row in twin], name
             continue
         worst = 0.0
@@ -605,6 +617,59 @@ def test_cli_csv_is_the_same_in_every_point_set_form(tmp_path, monkeypatch, comm
     assert max(drift.values()) <= 1e-13, drift
 
 
+def bisection_inverse(sign, freq, u):
+    """The 48-step bisection inverse of the factor CDFs that the reduced
+    Newton inverse replaced, kept as its oracle: final bracket 2^-48, so
+    |F(x) - u| <= 2^-47."""
+    lo = np.zeros_like(u)
+    hi = np.ones_like(u)
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        below = density._factor_cdf(sign, freq, mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# The claims and rates golden configs, the config that keeps B, and the
+# three perfbench workload configs at seeds 20250814 and 2 (the rates ones
+# at seed 2 are the BLAS-thread configs).
+_INVERSE_ORACLE = [
+    ("claims", _GOLDEN["claims"][0]),
+    ("rates", _GOLDEN["rates"][0]),
+    ("rates", "d = 2\ns = 0.75\nn_grid = 512, 1024\nc_head = 2.0\nm_factor = 8\ntrials = 1\nseed = 20250814\n"),
+] + [
+    (command, f"d = {d}\ns = {s}\nn_grid = {grid}\nc_head = {c_head}\nm_factor = 8\ntrials = {trials}\n"
+              f"seed = {seed}\n")
+    for seed in (20250814, 2)
+    for command, d, s, grid, c_head, trials in (
+        ("claims", 1, 1.0, "512, 2048", 0.05, 2),
+        ("rates", 1, 1.0, "64, 128, 256, 512, 1024, 2048, 4096", 0.25, 3),
+        ("rates", 2, 0.75, "256, 512, 1024, 2048, 4096", 0.25, 1),
+    )
+]
+
+
+@pytest.mark.parametrize("command, config", _INVERSE_ORACLE, ids=[
+    f"{command}-d{config.split()[2]}-s{config.split()[5]}-n{config.split()[8].rstrip(',')}-seed{config.split()[-1]}"
+    for command, config in _INVERSE_ORACLE
+])
+def test_cli_csv_moves_within_roundoff_from_the_bisection_inverse(tmp_path, monkeypatch, command, config):
+    # each config run as drawn, then with the bisection inverse in place of
+    # the reduced Newton one: the same components and uniforms, points that
+    # differ by roundoff, so every decision (integer and fraction columns)
+    # is the same and the float columns agree within 1e-12 relative
+    path = write_config(tmp_path, config)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "newton.csv")]) == 0
+    monkeypatch.setattr(density, "_invert_factor_cdf", bisection_inverse)
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "bisection.csv")]) == 0
+    header, *newton = [line.split(",") for line in (tmp_path / "newton.csv").read_text().splitlines()]
+    oracle_header, *bisected = [line.split(",") for line in (tmp_path / "bisection.csv").read_text().splitlines()]
+    assert header == oracle_header and newton
+    drift = cross_form_drift(header, newton, bisected, exact=_INT_COLUMNS | _FRACTION_COLUMNS)
+    assert max(drift.values()) <= 1e-12, drift
+
+
 @pytest.mark.parametrize("threads", [None, "2"])
 def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     # the perfbench rates-d1 config at seed 2, whose CSV moved in its float
@@ -617,7 +682,12 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     # and ratio2 3.7e-16 relative), the d = 1 one did not; both then moved
     # with Lanczos's Ritz-value stop rule: d = 1 s_max_Gamma by 2.0e-16,
     # e_trunc 2.1e-16, ratio1 3.7e-16 and ratio2 4.3e-16, d = 2 s_max_Gamma
-    # 1.8e-16, e_trunc 1.9e-16, ratio1 2.6e-16 and ratio2 2.9e-16 relative
+    # 1.8e-16, e_trunc 1.9e-16, ratio1 2.6e-16 and ratio2 2.9e-16 relative;
+    # both then moved with the reduced Newton inverse of the factor CDFs:
+    # d = 1 s_min_G by 2.0e-14, s_max_Gamma 3.3e-15, e_trunc 2.3e-15,
+    # e_upper 1.7e-14, ratio1 1.5e-14 and ratio2 4.5e-15, d = 2 s_min_G
+    # 1.6e-15, s_max_Gamma 6.8e-16, e_trunc 1.2e-15, e_upper 1.6e-15, ratio1
+    # 8.9e-16 and ratio2 2.4e-15 relative, integer columns unchanged
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -627,9 +697,9 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
         env["OPENBLAS_NUM_THREADS"] = threads
     for config, digest in (
         ("d = 1\ns = 1.0\nn_grid = 64, 128, 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
-         "trials = 3\nseed = 2\n", "6c8270a068a12fb9af04d200fa390c66b0bace5276ccace01f0dc207b8d18e3d"),
+         "trials = 3\nseed = 2\n", "5556a56154344d800503bf7f0bf3edf3bbd7d13c9d7ed736089bcaa9e1cd882f"),
         ("d = 2\ns = 0.75\nn_grid = 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
-         "trials = 1\nseed = 2\n", "01b4f62bdbcaf9264786ddbc1a4b180ff74dfa1c2dbfea31ed711b7edf15c6ba"),
+         "trials = 1\nseed = 2\n", "97a79bb0427b01e46a4eed0984c490dfb6414215998a052210569c30a740df3f"),
     ):
         cfg = write_config(tmp_path, config)
         out = tmp_path / "rates.csv"
