@@ -325,7 +325,7 @@ class PointSet:
     def tail_gram(self, sigma: np.ndarray):
         """Gamma^T Gamma for Gamma = B[:, k:] diag(sigma), sigma the m - k
         tail weights, as the Gram operator of the form (see the class
-        docstring): shape, matmat, matvec and trace, for lsq.spectral_norm."""
+        docstring): shape, matvec and trace, for lsq.spectral_norm."""
         tail = slice(self.k, self.m)
         if self.B is not None:
             return lsq.ViewGram(self.B[:, tail], sigma)

@@ -36,9 +36,8 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     u and of B, whose rows density.dense_matrix gives, views of a stored B
     or evaluated one block at a time with the same bits, so no n x m array
     is made.  Both routes end in one lsq.spectral_norm of the operator
-    x -> W^T (W x) + s_t^2 x, which forms a q x q matrix only up to
-    lsq._OPERATOR_DENSE_SIZE and otherwise runs Lanczos on the (k, q)
-    matrix W.
+    x -> W^T (W x) + s_t^2 x, Lanczos on the (k, q) matrix W, so no q x q
+    matrix is formed.
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
@@ -71,12 +70,9 @@ class _TruncGram:
         self._squares = tail_sigma ** 2
         self.shape = (len(tail_sigma), len(tail_sigma))
 
-    def matmat(self, v: np.ndarray) -> np.ndarray:
-        """(W^T W + diag(s_t)^2) v for a vector or a (q, p) block v."""
-        squares = self._squares.reshape((-1,) + (1,) * (v.ndim - 1))
-        return self._w.T @ (self._w @ v) + squares * v
-
-    matvec = matmat
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """(W^T W + diag(s_t)^2) v for a vector v of length q."""
+        return self._w.T @ (self._w @ v) + self._squares * v
 
 
 def certified_upper_bound(

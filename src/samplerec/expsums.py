@@ -287,9 +287,8 @@ class TailGram:
     instance, with Gamma = B[:, tail] diag(sigma) for the distinct
     nonconstant flat basis indices tail (positions k..m-1 of the basis), as
     a symmetric positive semidefinite operator of size len(tail): a Gram
-    operator for samplerec.lsq.spectral_norm, with shape, matmat and matvec
-    (one method, for a vector or a block), diagonal and trace, and no
-    matrix.
+    operator for samplerec.lsq.spectral_norm, with shape and matvec (the
+    product with one vector), diagonal and trace, and no matrix.
 
     A product maps the tail coefficients to the exponentials |f| <= F (F the
     largest tail frequency), multiplies by the Toeplitz matrix
@@ -320,23 +319,19 @@ class TailGram:
         self._cos_freq, self._sin_freq = self._freq[self._cos_at], self._freq[self._sin_at]
         self.shape = (len(tail), len(tail))
 
-    def matmat(self, v: np.ndarray) -> np.ndarray:
-        """Gamma^T Gamma v for a vector or a (q, p) block v."""
-        column = (-1,) + (1,) * (v.ndim - 1)
-        sigma = self._sigma.reshape(column)
-        u = math.sqrt(0.5) * sigma * v
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Gamma^T Gamma v for a vector v of length q."""
+        u = math.sqrt(0.5) * self._sigma * v
         # coefficients c(f) on e^{2 pi i f x}, |f| <= F, at f mod L:
         # sqrt(2) cos = (e_f + e_-f) / sqrt(2), sqrt(2) sin = -i (e_f - e_-f) / sqrt(2),
         # so c(-f) = conj c(f); hfft takes c(0..L/2) and gives the real transform
-        c = np.zeros((self._length // 2 + 1,) + v.shape[1:], dtype=complex)
+        c = np.zeros(self._length // 2 + 1, dtype=complex)
         c.real[self._cos_freq] = u[self._cos_at]
         c.imag[self._sin_freq] = -u[self._sin_at]
         # the correlation y(f) = sum_g E(g - f) c(g) is Hermitian as well
-        y = np.fft.ihfft(self._kernel.reshape(column) * np.fft.hfft(c, self._length, axis=0), axis=0)
+        y = np.fft.ihfft(self._kernel * np.fft.hfft(c, self._length))
         y = y[self._freq]
-        return math.sqrt(2.0) * sigma * np.where(self._cos.reshape(column), y.real, -y.imag)
-
-    matvec = matmat
+        return math.sqrt(2.0) * self._sigma * np.where(self._cos, y.real, -y.imag)
 
     def diagonal(self) -> np.ndarray:
         """Squared column norms of Gamma: sigma^2 (E(0) +- Re E(2 f))."""

@@ -122,32 +122,15 @@ def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
     return head.vt.T @ (inv * uty)
 
 
-# Up to this size a symmetric operator is applied to the identity and its
-# top eigenvalue taken by np.linalg.eigvalsh; above it, Lanczos, also for
-# an operator that holds its matrix.  Timed on d = 1 tail Grams and
-# e_trunc operators at one BLAS thread, best of five on two draws each,
-# with a Ritz pair every _RITZ_STRIDE steps: at q = 112 the two break even
-# (tail Gram 2.3-2.5 ms either way, e_trunc 0.70-0.85 ms dense against
-# 0.75-0.95 ms), at q = 140 Lanczos is faster (tail Gram 1.8-2.1 against
-# 3.1-3.4 ms, e_trunc 0.84-0.86 against 0.96-0.99 ms), and at q = 182
-# faster by 1.3 to 2.5 times.  The cut stays above 140 all the same: the
-# only operators of the benchmark workloads between 112 and 160 have
-# q = 140 (six per rates-d1 run, one per rates-d2-s075 run), and a cut at
-# 128 moved the in-process norm time by less than its run-to-run spread
-# (median of ten runs: rates-d1 0.157 -> 0.137 s, rates-d2-s075 0.135 ->
-# 0.145 s, claims-d1 untouched).  On the tail block of a stored d = 2,
-# s = 0.75 Gram at n = 4096, m = 984 (q = 861), Lanczos took 28-32 ms
-# against 71-81 ms for eigvalsh of the scaled copy (two draws).
-_OPERATOR_DENSE_SIZE = 160
-
 # Step cap of the Lanczos solver, which stores one vector of the operator's
 # size per step, so at most _LANCZOS_STEPS of them.  With a Ritz pair every
 # step, the Gram operators of the benchmark workloads converge in 22 to 57
-# steps (on the Ritz schedule below they stop after 24 to 64, on both
-# config seeds), random Gaussian Grams M^T M of size up to 2000 in at most
-# 92, and a top pair clustered to 1e-12 over a uniform spectrum in at most
-# 33.  The largest paper-scale operator (d = 2, s = 0.75, n = 16384, the
-# e_trunc operator of size 2954) stops after 128.
+# steps (on the Ritz schedule below they stop after 16 to 64, on both
+# config seeds; those of size 21 to 160 after at most 40), random Gaussian
+# Grams M^T M of size up to 2000 in at most 92, and a top pair clustered to
+# 1e-12 over a uniform spectrum in at most 33.  The largest paper-scale
+# operator (d = 2, s = 0.75, n = 16384, the e_trunc operator of size 2954)
+# stops after 128.
 _LANCZOS_STEPS = 300
 
 # Lanczos takes the top Ritz pair of T_j by a dense eigh only every this
@@ -170,7 +153,7 @@ class ViewGram:
     (samplerec.density.PointSet.tail_gram, whose docstring describes the
     forms).  Gamma is never formed, and nothing of the view's size is
     allocated: a product applies the view and its transpose.  A Gram
-    operator for spectral_norm: shape (q, q), matmat and matvec, and trace.
+    operator for spectral_norm: shape (q, q) and matvec, and trace.
     """
 
     def __init__(self, view: np.ndarray, sigma: np.ndarray) -> None:
@@ -181,12 +164,9 @@ class ViewGram:
         self._view = view
         self._sigma = np.asarray(sigma, dtype=float)
 
-    def matmat(self, v: np.ndarray) -> np.ndarray:
-        """Gamma^T Gamma v for a vector or a (q, p) block v."""
-        sigma = self._sigma.reshape((-1,) + (1,) * (v.ndim - 1))
-        return sigma * (self._view.T @ (self._view @ (sigma * v)))
-
-    matvec = matmat
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Gamma^T Gamma v for a vector v of length q."""
+        return self._sigma * (self._view.T @ (self._view @ (self._sigma * v)))
 
     def trace(self) -> float:
         """Squared Frobenius norm of Gamma."""
@@ -208,8 +188,8 @@ class BlockGram:
     forms).  A product adds each panel's and, above its diagonal block,
     its transpose's: y[:hi] += A[:hi, lo:hi] v[lo:hi] and
     y[lo:hi] += A[:lo, lo:hi]^T v[:lo]; one whole-width panel is the one
-    product A v.  A Gram operator for spectral_norm: shape (q, q), matmat
-    and matvec, and trace.
+    product A v.  A Gram operator for spectral_norm: shape (q, q) and
+    matvec, and trace.
     """
 
     def __init__(self, panels, sigma: np.ndarray) -> None:
@@ -226,22 +206,19 @@ class BlockGram:
         self._panels = panels
         self._sigma = np.asarray(sigma, dtype=float)
 
-    def matmat(self, v: np.ndarray) -> np.ndarray:
-        """Gamma^T Gamma v for a vector or a (q, p) block v."""
-        sigma = self._sigma.reshape((-1,) + (1,) * (v.ndim - 1))
-        u = sigma * v
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Gamma^T Gamma v for a vector v of length q."""
+        u = self._sigma * v
         first = self._panels[0]
         y = first @ u[: first.shape[0]]
         if len(self._panels) > 1:
-            y = np.concatenate((y, np.zeros((self.shape[0] - len(y),) + v.shape[1:])))
+            y = np.concatenate((y, np.zeros(self.shape[0] - len(y))))
             for panel in self._panels[1:]:
                 hi = panel.shape[0]
                 lo = hi - panel.shape[1]
                 y[:hi] += panel @ u[lo:hi]
                 y[lo:hi] += panel[:lo].T @ u[:lo]
-        return sigma * y
-
-    matvec = matmat
+        return self._sigma * y
 
     def trace(self) -> float:
         """Squared Frobenius norm of Gamma."""
@@ -259,20 +236,15 @@ def spectral_norm(gram) -> float:
     is (one from PointSet.tail_gram, or the e_trunc operator of
     samplerec.errors).
 
-    A Gram operator has shape (q, q), matmat and matvec.  Up to
-    _OPERATOR_DENSE_SIZE the top eigenvalue comes from np.linalg.eigvalsh
-    of the operator's product with the identity; above it from Lanczos with
-    a fixed start vector, so runs are reproducible.  Raises ConvergenceError
-    when Lanczos reaches its step cap first.
+    A Gram operator is any object with shape (q, q) and matvec, the
+    product with one vector of length q.  The top eigenvalue comes from
+    Lanczos (_lanczos_top) with a fixed start vector, so runs are
+    reproducible, at every size.  Raises ConvergenceError when Lanczos
+    reaches its step cap first.
     """
-    if not (callable(getattr(gram, "matmat", None)) and callable(getattr(gram, "matvec", None))):
+    if not callable(getattr(gram, "matvec", None)):
         raise TypeError(f"spectral_norm takes a Gram operator, got {type(gram).__name__}")
-    q = gram.shape[0]
-    if q <= _OPERATOR_DENSE_SIZE:
-        top = np.linalg.eigvalsh(gram.matmat(np.eye(q)))[-1]
-    else:
-        top = _lanczos_top(gram)
-    return max(float(top), 0.0)
+    return max(_lanczos_top(gram), 0.0)
 
 
 def _lanczos_top(gram) -> float:
@@ -301,7 +273,10 @@ def _lanczos_top(gram) -> float:
       - or at j = q.
     Since g_j >= ||T_j||, every breakdown gets its exact test at its own
     step, before w is divided by beta_j; a run whose stop rules hold from
-    some step on stops at most _RITZ_STRIDE - 1 products after it.
+    some step on stops at most _RITZ_STRIDE - 1 products after it.  A small
+    operator needs no other route: a run that reaches j = q has spanned the
+    whole space, and under full reorthogonalization the top eigenvalue of
+    T_q is the operator's to rounding.
 
     The value rule takes a quarter to a third fewer products on the
     benchmark workloads' runs, with every top value within 7e-15 relative

@@ -518,8 +518,8 @@ def test_spectral_norm_paths_agree():
 
 
 def test_spectral_norm_of_a_gram_operator():
-    # a symmetric PSD operator M^T M has spectral norm ||M||^2: densely up to
-    # size 160, by Lanczos above
+    # a symmetric PSD operator M^T M has spectral norm ||M||^2, by Lanczos at
+    # every size
     rng = np.random.Generator(np.random.Philox(key=43))
     for shape in ((80, 1), (80, 64), (300, 160), (300, 161), (300, 200)):
         mat = rng.standard_normal(shape)
@@ -527,6 +527,24 @@ def test_spectral_norm_of_a_gram_operator():
             (shape[1], shape[1]), matvec=lambda v, mat=mat: mat.T @ (mat @ v), dtype=float
         )
         assert spectral_norm(op) == pytest.approx(svd_norm(mat) ** 2, rel=1e-12)
+
+
+class VectorGram:
+    """A Gram operator with shape and matvec alone: M^T M for a matrix M."""
+
+    def __init__(self, mat):
+        self.shape = (mat.shape[1], mat.shape[1])
+        self.matvec = lambda v: mat.T @ (mat @ v)
+
+
+def test_spectral_norm_takes_any_object_with_shape_and_matvec():
+    # the protocol is shape and matvec of one vector: no matmat, no trace
+    rng = np.random.Generator(np.random.Philox(key=41))
+    for shape in ((30, 1), (30, 2), (50, 20), (300, 200)):
+        mat = rng.standard_normal(shape)
+        gram = VectorGram(mat)
+        assert not hasattr(gram, "matmat")
+        assert spectral_norm(gram) == pytest.approx(svd_norm(mat) ** 2, rel=1e-12)
 
 
 def test_spectral_norm_thin_shapes():
@@ -552,20 +570,18 @@ def test_spectral_norm_path_selection(monkeypatch):
 
     counting(np.linalg, "eigvalsh", "eigvalsh")
     counting(lsq, "_lanczos_top", "lanczos")
-    # q = 161 is the narrowest Lanczos shape, for a formed Gram as for a
-    # view, tall or wide (q > n), with the same norm; at q = 160 the formed
-    # Gram's eigenvalue runs
-    q = lsq._OPERATOR_DENSE_SIZE + 1
+    # one route at every size, either side of the old dense cut at 160: a
+    # formed Gram and a view, tall or wide (q > n), each take Lanczos once
+    # and no eigvalsh, with the same norm
     rng = np.random.Generator(np.random.Philox(key=37))
-    mat = rng.standard_normal((400, q))
-    exact = svd_norm(mat) ** 2
-    assert spectral_norm(BlockGram(mat.T @ mat, np.ones(q))) == pytest.approx(exact, rel=1e-11)
-    assert spectral_norm(ViewGram(mat.T, np.ones(400))) == pytest.approx(exact, rel=1e-9)
-    assert spectral_norm(ViewGram(mat, np.ones(q))) == pytest.approx(exact, rel=1e-9)
-    assert calls == {"eigvalsh": 0, "lanczos": 3}
-    narrow = mat[:, :-1]
-    assert spectral_norm(BlockGram(narrow.T @ narrow, np.ones(q - 1))) == pytest.approx(svd_norm(narrow) ** 2, rel=1e-11)
-    assert calls == {"eigvalsh": 1, "lanczos": 3}
+    for q in (1, 2, 160, 161):
+        mat = rng.standard_normal((400, q))
+        exact = svd_norm(mat) ** 2
+        before = calls["lanczos"]
+        assert spectral_norm(BlockGram(mat.T @ mat, np.ones(q))) == pytest.approx(exact, rel=1e-11)
+        assert spectral_norm(ViewGram(mat.T, np.ones(400))) == pytest.approx(exact, rel=1e-9)
+        assert spectral_norm(ViewGram(mat, np.ones(q))) == pytest.approx(exact, rel=1e-9)
+        assert calls == {"eigvalsh": 0, "lanczos": before + 3}, q
 
 
 def test_formed_tail_gram_takes_lanczos(monkeypatch):
@@ -592,18 +608,24 @@ def test_formed_tail_gram_takes_lanczos(monkeypatch):
 
 
 def lanczos_oracles(a):
-    """Top eigenvalue of a symmetric matrix by dense eigvalsh and by ARPACK."""
+    """Top eigenvalue of a symmetric matrix by dense eigvalsh and, from size
+    3 on (ARPACK needs a Krylov space wider than the one value), by ARPACK."""
     dense = np.linalg.eigvalsh(a)[-1]
+    if len(a) < 3:
+        return (dense,)
     arpack = scipy.sparse.linalg.eigsh(
         a, k=1, which="LA", v0=np.full(len(a), 1.0 / math.sqrt(len(a))), return_eigenvectors=False
     )[0]
     return dense, arpack
 
 
-@pytest.mark.parametrize("q", [65, 100, 333, 1000, 2000])
+# the sizes at the edges of the Ritz stride (1, 2, 3, 7, 8, 9), the smallest
+# workload operator (21) and the old dense cut (160), where a run may stop
+# at j = q, and larger ones where it stops on a converged Ritz value
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 8, 9, 21, 160, 65, 100, 333, 1000, 2000])
 def test_lanczos_matches_oracles_on_random_psd(q):
     rng = np.random.Generator(np.random.Philox(key=q))
-    for rows in (q // 2, 2 * q):
+    for rows in (max(q // 2, 1), 2 * q):
         m = rng.standard_normal((rows, q))
         a = m.T @ m
         top = lsq._lanczos_top(aslinearoperator(a))
@@ -618,7 +640,6 @@ def test_lanczos_breakdown_on_low_rank_views():
     for shape in ((1, 200), (1, 1000), (5, 300), (40, 200)):
         mat = rng.standard_normal(shape)
         gram = ViewGram(mat, np.ones(shape[1]))
-        assert gram.shape[0] > lsq._OPERATOR_DENSE_SIZE
         exact = svd_norm(mat) ** 2
         assert spectral_norm(gram) == pytest.approx(exact, rel=1e-12, abs=0)
         for oracle in lanczos_oracles(mat.T @ mat):
@@ -628,7 +649,7 @@ def test_lanczos_breakdown_on_low_rank_views():
 def test_lanczos_identity_zero_and_clustered_top():
     # the start vector is an eigenvector of the identity, and the zero
     # operator maps it to 0: both break down after one step
-    for q in (65, 500):
+    for q in (1, 65, 500):
         assert lsq._lanczos_top(aslinearoperator(3.0 * np.eye(q))) == pytest.approx(3.0, rel=1e-15)
         assert lsq._lanczos_top(aslinearoperator(np.zeros((q, q)))) == 0.0
     # a top pair 1e-12 apart, over a uniform spectrum below 0.9
@@ -677,8 +698,6 @@ class CountedGram:
     def matvec(self, v):
         self.products += 1
         return self.gram.matvec(v)
-
-    matmat = matvec
 
 
 def test_lanczos_breakdown_off_the_ritz_schedule():
@@ -737,30 +756,23 @@ _WORKLOADS = {
 }
 
 
-def operator_matrix(gram, block=256):
-    """The matrix of a Gram operator, from its products with blocks of
-    identity columns."""
-    q = gram.shape[0]
-    dense = np.empty((q, q))
-    for lo in range(0, q, block):
-        cols = np.arange(lo, min(lo + block, q))
-        unit = np.zeros((q, len(cols)))
-        unit[cols, np.arange(len(cols))] = 1.0
-        dense[:, cols] = gram.matmat(unit)
-    return dense
+def operator_matrix(gram):
+    """The matrix of a Gram operator, its products with the identity
+    columns stacked."""
+    return np.column_stack([gram.matvec(unit) for unit in np.eye(gram.shape[0])])
 
 
 @pytest.fixture(scope="module")
 def workload_lanczos_runs():
-    """(workload, products, top, dense top) of every _lanczos_top run on the
-    workload configs at config seeds 20250814 and 2."""
+    """(workload, products, top, dense top, size) of every _lanczos_top run
+    on the workload configs at config seeds 20250814 and 2."""
     runs = []
     lanczos = lsq._lanczos_top
 
     def recorded(gram):
         counted = CountedGram(gram)
         top = lanczos(counted)
-        runs.append((name, counted.products, top, np.linalg.eigvalsh(operator_matrix(gram))[-1]))
+        runs.append((name, counted.products, top, np.linalg.eigvalsh(operator_matrix(gram))[-1], gram.shape[0]))
         return top
 
     with pytest.MonkeyPatch.context() as patch:
@@ -774,8 +786,10 @@ def workload_lanczos_runs():
 
 def test_lanczos_matches_dense_on_every_workload_run(workload_lanczos_runs):
     # the Ritz-value rule stops where the top eigenvalue is exact to
-    # rounding on every workload operator (largest deviation 6.6e-15)
-    for name, _, top, dense in workload_lanczos_runs:
+    # rounding on every workload operator (largest deviation 6.6e-15), the
+    # small ones (q <= 160, which once took a dense eigvalsh) included
+    assert any(size <= 160 for *_, size in workload_lanczos_runs)
+    for name, _, top, dense, _ in workload_lanczos_runs:
         assert top == pytest.approx(dense, rel=1e-14, abs=0), name
 
 
@@ -783,7 +797,7 @@ def test_lanczos_on_claims_workload_keeps_its_basis_within_64_vectors(workload_l
     # the residual rule alone took up to 80 products here, and the basis
     # grows from 64 to 128 rows at the 65th
     products = [run[1] for run in workload_lanczos_runs if run[0] == "claims-d1"]
-    assert len(products) == 32
+    assert len(products) == 48
     assert max(products) <= 64
 
 
@@ -825,7 +839,7 @@ def test_view_gram_forms_no_gamma():
     gamma = view * sigma
     dense = BlockGram(pts.gram(slice(12, 96), slice(12, 96)), sigma)
     assert dense.shape == (84, 84)
-    formed = dense.matmat(np.eye(84))
+    formed = operator_matrix(dense)
     assert np.allclose(formed, gamma.T @ gamma, rtol=0, atol=1e-13 * np.max(gamma.T @ gamma))
     op = ViewGram(view, sigma)
     v = np.random.Generator(np.random.Philox(key=3)).standard_normal(84)
@@ -851,10 +865,10 @@ def test_block_gram_of_upper_panels_is_the_whole_block(q, width):
     whole = BlockGram(block, sigma)
     panels = BlockGram([block[: min(lo + width, q), lo : lo + width] for lo in range(0, q, width)], sigma)
     scale = np.max(np.abs(block)) * q
-    for v in (rng.standard_normal(q), rng.standard_normal((q, 3)), np.eye(q)):
-        expected = sigma.reshape((-1,) + (1,) * (v.ndim - 1)) * (block @ (sigma.reshape((-1,) + (1,) * (v.ndim - 1)) * v))
-        assert np.array_equal(whole.matmat(v), expected)
-        assert np.max(np.abs(panels.matmat(v) - expected)) <= 1e-14 * scale
+    for v in (*rng.standard_normal((3, q)), *np.eye(q)):
+        expected = sigma * (block @ (sigma * v))
+        assert np.array_equal(whole.matvec(v), expected)
+        assert np.max(np.abs(panels.matvec(v) - expected)) <= 1e-14 * scale
     assert whole.trace() == float(np.diagonal(block) @ sigma ** 2)
     assert panels.trace() == pytest.approx(whole.trace(), rel=1e-14)
     # panels that stop short of q, skip a row of the diagonal block, or
