@@ -35,9 +35,11 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     dense route above: U^T B_tail is summed over row blocks (row_blocks) of
     u and of B, whose rows density.dense_matrix gives, views of a stored B
     or evaluated one block at a time with the same bits, so no n x m array
-    is made.  Both routes end in one lsq.spectral_norm of the operator
-    x -> W^T (W x) + s_t^2 x, Lanczos on the (k, q) matrix W, so no q x q
-    matrix is formed.
+    is made.  Each scales its (k, q) product into W in place, so the call
+    holds W and, on the Gram route, the block it came from, but no third
+    array of that size.  Both routes end in one lsq.spectral_norm of the
+    operator x -> W^T (W x) + s_t^2 x, Lanczos on the (k, q) matrix W, so
+    no q x q matrix is formed.
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
@@ -48,15 +50,17 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
         raise ValueError(f"head factorization must have vt of shape ({k}, {k}), got {head.vt.shape}")
     tail_sigma = basis.sigma[k:m]
     if head.u is None:
-        block = info.gram(slice(0, k), slice(k, m))
-        w = (head.vt @ block) * tail_sigma / head.sv[:, None] ** 2
+        w = head.vt @ info.gram(slice(0, k), slice(k, m))
+        w *= tail_sigma
+        w /= head.sv[:, None] ** 2
     else:
         if head.u.shape != (info.n, k):
             raise ValueError(f"head SVD must have u of shape ({info.n}, {k}), got {head.u.shape}")
-        block = np.zeros((k, m - k))
+        w = np.zeros((k, m - k))
         for rows in row_blocks(info.n, m):
-            block += head.u[rows].T @ dense_matrix(info, rows)[:, k:]
-        w = block * tail_sigma / head.sv[:, None]
+            w += head.u[rows].T @ dense_matrix(info, rows)[:, k:]
+        w *= tail_sigma
+        w /= head.sv[:, None]
     return math.sqrt(lsq.spectral_norm(_TruncGram(w, tail_sigma)))
 
 

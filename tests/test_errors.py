@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from samplerec import lsq
+from samplerec import errors, lsq
 from samplerec.density import sample_points, truncated_density
 from samplerec.errors import (
     certified_upper_bound,
@@ -159,6 +159,29 @@ def test_dense_e_trunc_allocates_no_tail_square():
     w = (head.u.T @ pts.B[:, pts.k:]) * basis.sigma[pts.k:pts.m] / head.sv[:, None]
     gram = w.T @ w + np.diag(basis.sigma[pts.k:pts.m] ** 2)
     assert e_tr == pytest.approx(math.sqrt(np.linalg.eigvalsh(gram)[-1]), rel=1e-12, abs=0)
+
+
+def test_gram_route_e_trunc_forms_w_in_place():
+    # the largest rates-d1 instance (n = 4096, k = 123, m = 984) on the Gram
+    # route: W is the product V^T (G^T B_tail), scaled in place, so e_trunc
+    # holds the head-by-tail block and W, not a third k x q temporary
+    # (measured 2.48 k q floats, 3.08 when W came from one expression), and
+    # its bits are those of that expression
+    basis, pts, _ = make_instance(SP1, 123, 984, 4096, 3)
+    head = head_factor(pts)
+    assert head.u is None
+    k, q = pts.k, pts.m - pts.k
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        e_tr = worst_case_error_trunc(pts, head, basis)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * k * q * 8
+    tail_sigma = basis.sigma[k:pts.m]
+    w = (head.vt @ pts.gram(slice(0, k), slice(k, pts.m))) * tail_sigma / head.sv[:, None] ** 2
+    assert e_tr == math.sqrt(lsq.spectral_norm(errors._TruncGram(w, tail_sigma)))
 
 
 @pytest.mark.parametrize("params", [SP1, SpaceParams(2, 0.75)])
