@@ -238,9 +238,9 @@ def spectral_norm(gram) -> float:
 
     A Gram operator is any object with shape (q, q) and matvec, the
     product with one vector of length q.  The top eigenvalue comes from
-    Lanczos (_lanczos_top) with a fixed start vector, so runs are
-    reproducible, at every size.  Raises ConvergenceError when Lanczos
-    reaches its step cap first.
+    Lanczos (_lanczos_top) at every size, with a fixed start vector, so
+    runs are reproducible.  Raises ConvergenceError when Lanczos reaches
+    its step cap first.
     """
     if not callable(getattr(gram, "matvec", None)):
         raise TypeError(f"spectral_norm takes a Gram operator, got {type(gram).__name__}")
@@ -273,10 +273,10 @@ def _lanczos_top(gram) -> float:
       - or at j = q.
     Since g_j >= ||T_j||, every breakdown gets its exact test at its own
     step, before w is divided by beta_j; a run whose stop rules hold from
-    some step on stops at most _RITZ_STRIDE - 1 products after it.  A small
-    operator needs no other route: a run that reaches j = q has spanned the
-    whole space, and under full reorthogonalization the top eigenvalue of
-    T_q is the operator's to rounding.
+    some step on stops at most _RITZ_STRIDE - 1 products after it.  Small q
+    needs no special case: a run that reaches j = q has spanned the whole
+    space, and under full reorthogonalization the top eigenvalue of T_q is
+    the operator's to rounding.
 
     The value rule takes a quarter to a third fewer products on the
     benchmark workloads' runs, with every top value within 7e-15 relative
