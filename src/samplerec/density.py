@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expsums, lsq
 from .rng import uniform_block
-from .spectral import ROW_BLOCK_BYTES, OrderedBasis, basis_matrix, row_blocks
+from .spectral import ROW_BLOCK_BYTES, OrderedBasis, basis_matrix
 
 # Newton steps of the factor-CDF inverse (_invert_factor_cdf).  On 2M
 # stress inputs (f < 2^14; u = 0, u = 1 - 2^-53, u within 1e-13 of a flat
@@ -48,28 +48,10 @@ _NEWTON_FROM = 2.0**-13
 MAX_POINTS = 1 << 14
 MAX_TRUNCATION = 1 << 13
 
-# Rows of one chunk of the Gram sum: whole row blocks (row_blocks) of about
-# _GRAM_CHUNK_BYTES together, and at least _GRAM_CHUNK_ROWS rows, since a
-# product B_c^T B_c over fewer rows costs more per row and each chunk adds
-# a pass over the m x m Gram.
-_GRAM_CHUNK_BYTES = 4 << 20
-_GRAM_CHUNK_ROWS = 512
-
-# Columns of one panel of the Gram sum: each chunk adds the products
-# B_c[:, a]^T B_c[:, b] of column panels a <= b into the Gram's upper
-# triangle in place (a syrk when a = b), and the lower triangle is copied
-# from it once at the end, so no m x m temporary is made; one product takes
-# 256^2 doubles, half a row block.  With OpenBLAS's Haswell kernels, at
-# one or two threads, the panel products held the bits of one product over
-# all columns on the d = 2 and 3 shapes 4096 x 984, 2048 x 536 and
-# 1024 x 288 at every width tried that is a multiple of 8 from 128 to 512;
-# widths 16, 64, 100 and 362 moved entries by at most 3.1e-16 of the
-# largest.  CPU time of sample_points at n = 4096, m = 984 (d = 2,
-# s = 0.75, one BLAS thread, medians of 21 interleaved draws, two runs):
-# 180-202 ms at width 256, 185-198 ms with one product, 220-227 ms at
-# width 128.  Those timings are of d = 2 shapes, now in the structured
-# form; the width serves the Gram sum at d >= 3 in sample_points and the
-# upper column panels of the d = 2 tail block in PointSet.tail_gram.
+# Columns of one upper column panel of the tail block that
+# PointSet.tail_gram hands to lsq.BlockGram at d >= 2 (m <= n): one panel
+# product takes 256^2 doubles, half a row block, and the panels hold about
+# half the block.
 _GRAM_PANEL = math.isqrt(ROW_BLOCK_BYTES // 16)
 
 
@@ -260,7 +242,7 @@ class PointSet:
     """One sampling instance: n points drawn from the density, their density
     values, the head size k, the width m, and the weighted basis matrix
     B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over the density's m functions
-    in one of four forms, described here alone.  Every reader takes B
+    in one of three forms, described here alone.  Every reader takes B
     through gram (its Gram blocks), G (its (n, k) head block, read-only)
     and tail_gram (the Gram operator of Gamma = B[:, k:] diag(sigma_k..m),
     which is never formed), alike in each form:
@@ -269,32 +251,28 @@ class PointSet:
       defaults to its width; G is a view, gram a product of two views, and
       tail_gram lsq.ViewGram of the view B[:, k:].  A given B takes
       precedence over the other fields.
-    - Gram (BtB given; d >= 3 with m <= n): the m x m Gram B^T B,
-      read-only; gram gives views of it, and tail_gram is lsq.BlockGram of
-      the stored tail block (B^T B)[k:, k:] as one whole-width panel.
     - Structured at d = 1 (1-D sums): the weighted exponential sums
       E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}, h = 0..2 f_max; gram is
       samplerec.expsums.gram_block, and tail_gram samplerec.expsums.TailGram.
-    - Structured at d = 2 (2-D sums; m <= n): the (2 f_max + 1,
-      4 f_max + 1) array of E(g1, g2) of samplerec.expsums.exp_sums_2d,
-      f_max the largest frequency in either coordinate; gram is a new
-      read-only array from samplerec.expsums.gram_block_2d, and tail_gram
-      lsq.BlockGram of the upper column panels (B^T B)[k:hi, lo:hi] of the
-      tail block, _GRAM_PANEL wide, about half the block.
+    - Structured at d >= 2 (staircase; m <= n): the real weighted sums of
+      samplerec.expsums.staircase_sums on the dyadic staircase that the
+      first m basis functions read; gram is a new read-only array from
+      its gram_block, and tail_gram lsq.BlockGram of the upper column
+      panels (B^T B)[k:hi, lo:hi] of the tail block, _GRAM_PANEL wide,
+      about half the block.
 
-    In all but the dense form basis is the density's ordered basis, no
+    In the structured forms basis is the density's ordered basis, no
     n-row matrix is stored, and G is evaluated on each access.  In every
     form the densities are density_values' at the points, bit for bit.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
     densities: np.ndarray  # (n,), strictly positive
-    B: np.ndarray | None  # (n, m) weighted basis matrix, None in the Gram and structured forms
+    B: np.ndarray | None  # (n, m) weighted basis matrix, None in the structured forms
     k: int  # head size, 1 <= k < m
     m: int | None = None  # width, B.shape[1] when B is given
-    sums: np.ndarray | None = None  # complex E of the structured form, 1-D at d = 1 and 2-D at d = 2
-    basis: OrderedBasis | None = None  # the density's basis, in the Gram and structured forms
-    BtB: np.ndarray | None = None  # (m, m) Gram B^T B of the Gram form
+    sums: np.ndarray | expsums.Staircase | None = None  # complex E at d = 1, the staircase at d >= 2
+    basis: OrderedBasis | None = None  # the density's basis, in the structured forms
 
     @property
     def n(self) -> int:
@@ -312,13 +290,11 @@ class PointSet:
         gives it (see the class docstring)."""
         if self.B is not None:
             return self.B[:, rows].T @ self.B[:, cols]
-        if self.BtB is not None:
-            return self.BtB[rows, cols]
-        if self.sums.ndim == 1:
+        if self.basis.params.d == 1:
             flat = self.basis.indices[: self.m, 0]
             return expsums.gram_block(self.sums, flat[rows], flat[cols])
         indices = self.basis.indices[: self.m]
-        block = expsums.gram_block_2d(self.sums, indices[rows], indices[cols])
+        block = self.sums.gram_block(indices[rows], indices[cols])
         block.flags.writeable = False
         return block
 
@@ -329,9 +305,7 @@ class PointSet:
         tail = slice(self.k, self.m)
         if self.B is not None:
             return lsq.ViewGram(self.B[:, tail], sigma)
-        if self.BtB is not None:
-            return lsq.BlockGram(self.gram(tail, tail), sigma)
-        if self.sums.ndim == 1:
+        if self.basis.params.d == 1:
             return expsums.TailGram(self.sums, self.basis.indices[tail, 0], sigma)
         columns = [slice(lo, min(lo + _GRAM_PANEL, self.m)) for lo in range(self.k, self.m, _GRAM_PANEL)]
         return lsq.BlockGram([self.gram(slice(self.k, cols.stop), cols) for cols in columns], sigma)
@@ -341,10 +315,8 @@ class PointSet:
             if self.B.ndim != 2 or self.B.shape[0] != self.n or self.m not in (None, self.B.shape[1]):
                 raise ValueError("inconsistent point-set shapes")
             object.__setattr__(self, "m", int(self.B.shape[1]))
-        elif (self.sums is None and self.BtB is None) or self.basis is None or self.m is None:
-            raise ValueError("a point set needs B, or its sums or Gram, basis and width m")
-        elif self.BtB is not None and self.BtB.shape != (self.m, self.m):
-            raise ValueError("inconsistent point-set shapes")
+        elif self.sums is None or self.basis is None or self.m is None:
+            raise ValueError("a point set needs B, or its sums, basis and width m")
         if not 1 <= self.k < self.m:
             raise ValueError(f"need 1 <= k < m, got k={self.k}, m={self.m}")
         if self.densities.shape != (self.n,):
@@ -382,20 +354,10 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     The densities are density_values' at the points, computed before the
     point set takes the form (see PointSet) that d and whether m > n pick,
     so they are the same, bit for bit, in every form a d allows.  The
-    structured forms (d = 1, and d = 2 with m <= n) evaluate no basis
-    function and make no n x m or m x m array.
-
-    Otherwise (d >= 2) the basis is evaluated once at every point and its
-    rows divided by sqrt(rho) in place (_weigh_rows).  In the dense form B
-    is evaluated whole; it is the only array of that size the call makes.
-    In the Gram form the rows come one chunk of whole row blocks
-    (row_blocks; about _GRAM_CHUNK_BYTES, at least _GRAM_CHUNK_ROWS rows) at
-    a time, and each weighted chunk's B_c^T B_c is added into the upper
-    triangle of the Gram in place, one pair of column panels (_GRAM_PANEL
-    wide) at a time; the lower triangle is copied from the upper once at
-    the end.  A chunk is freed before the next is evaluated, so the call
-    holds the Gram, one chunk and temporaries of a row block or a panel
-    product at most, and no n x m array or m x m temporary.
+    structured forms (d = 1, and d >= 2 with m <= n) evaluate no basis
+    function and make no n x m or m x m array.  In the dense form (d >= 2
+    with m > n) B is evaluated whole, its rows divided by sqrt(rho) in
+    place (_weigh_rows); it is the only array of that size the call makes.
     ValueError before any allocation when m exceeds MAX_TRUNCATION or
     n * m exceeds MAX_POINTS * MAX_TRUNCATION.
     """
@@ -423,37 +385,16 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     if d == 1:
         sums = expsums.exp_sums(x[:, 0], 1.0 / rho, 2 * basis.max_frequency(m))
         return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)
-    # At d = 2 with m > n, B is faster and the structured form smaller: at
-    # s = 0.75, m_factor 8, seed 2 (2-core box, four alternating runs),
-    # claims at n_grid 512, 2048, c_head 0.05, 2 trials took 2.7-3.4 s,
-    # 149 MiB peak RSS with B against 3.3-4.7 s, 104 MiB structured; rates
-    # at n_grid 256, 512, 1024, c_head 2.0, 1 trial: 0.73-0.96 s, 69 MiB
-    # against 0.91-0.94 s, 64.5 MiB.
-    if d == 2 and m <= n:
-        sums = expsums.exp_sums_2d(x, 1.0 / rho, 2 * basis.max_frequency(m))
+    # With m > n the draw keeps B, which took less time than the 2-D box
+    # of sums that the staircase replaced at d = 2, s = 0.75 (claims at
+    # n_grid 512, 2048: 2.7-3.4 s against 3.3-4.7 s; 2-core box, seed 2).
+    if m <= n:
+        sums = expsums.staircase_sums(x, 1.0 / rho, basis.indices[:m])
         return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)
-    if m > n:
-        b = basis_matrix(basis, x, m)
-        _weigh_rows(b, rho)
-        b.flags.writeable = False
-        return PointSet(points=x, densities=rho, B=b, k=k)
-    blocks = row_blocks(n, m)
-    per_chunk = max(1, max(_GRAM_CHUNK_ROWS, _GRAM_CHUNK_BYTES // (8 * m)) // blocks[0].stop)
-    gram = np.zeros((m, m))
-    panels = [slice(lo, min(lo + _GRAM_PANEL, m)) for lo in range(0, m, _GRAM_PANEL)]
-    for first in range(0, len(blocks), per_chunk):
-        rows = slice(blocks[first].start, blocks[min(first + per_chunk, len(blocks)) - 1].stop)
-        chunk = basis_matrix(basis, x[rows], m)
-        _weigh_rows(chunk, rho[rows])
-        for i, a in enumerate(panels):
-            for b in panels[i:]:
-                gram[a, b] += chunk[:, a].T @ chunk[:, b]
-        del chunk  # freed before the next chunk is evaluated
-    for i, a in enumerate(panels):
-        for b in panels[i + 1 :]:
-            gram[b, a] = gram[a, b].T
-    gram.flags.writeable = False
-    return PointSet(points=x, densities=rho, B=None, k=k, m=m, basis=basis, BtB=gram)
+    b = basis_matrix(basis, x, m)
+    _weigh_rows(b, rho)
+    b.flags.writeable = False
+    return PointSet(points=x, densities=rho, B=b, k=k)
 
 
 def _weigh_rows(values: np.ndarray, rho: np.ndarray) -> None:

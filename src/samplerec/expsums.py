@@ -1,5 +1,5 @@
-"""Weighted exponential sums of a point set in one or two dimensions, and
-the Gram blocks of the density-weighted basis matrix that they determine.
+"""Weighted exponential sums of a point set, and the Gram blocks of the
+density-weighted basis matrix that they determine.
 
 At d = 1 every basis function is a real trigonometric monomial,
 b_j(x) = Re(c_j e^{2 pi i f_j x}) with c_j = 1 for the constant, sqrt(2)
@@ -15,17 +15,18 @@ product with it is one correlation: one FFT pair.  None of this forms an
 n x m matrix; it is the structure behind the NFFT least squares of
 Kammerer, Ullrich & Volkmer (2021) and Greengard & Lee (2004).
 
-At d = 2 a basis function is a product of two such factors, and the product
+At d >= 2 a basis function is a product of such factors, and the product
 of two factors in one coordinate is a sum of two cosines or two sines, at
-f_j + f_l and f_j - f_l.  So a Gram entry is four terms of the real sums
-sum_i rho_i^-1 t1(2 pi h1 x_i1) t2(2 pi h2 x_i2), t1 and t2 each a cosine
-or a sine, and these are read off the two-dimensional sums
-E(g1, g2) = sum_i rho_i^-1 e^{2 pi i (g1 x_i1 + g2 x_i2)} (exp_sums_2d,
-gram_block_2d).
+f_j + f_l and f_j - f_l.  So a Gram entry is 2^d terms of the real sums
+sum_i rho_i^-1 prod_c t_c(2 pi g_c x_ic), each t_c a cosine or a sine, read
+off a dyadic staircase that covers the vectors g the basis needs
+(staircase_sums, Staircase.gram_block).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -93,41 +94,6 @@ def exp_sums(x, weights, h_max: int) -> np.ndarray:
     return sums.ravel()[: h_max + 1]
 
 
-def exp_sums_2d(x, weights, h_max: int) -> np.ndarray:
-    """E(g1, g2) = sum_i weights_i e^{2 pi i (g1 x_i1 + g2 x_i2)} for
-    0 <= g1 <= h_max and |g2| <= h_max, as an (h_max + 1, 2 h_max + 1)
-    array whose column g2 mod (2 h_max + 1) holds g2, so that E[g1, -g2]
-    reads E(g1, -g2); the other half plane is E(-g) = conj(E(g)).
-
-    From one complex exponential per coordinate and point, the powers
-    z1^g1 and z2^g2, g1, g2 = 0..h_max, are built by multiplication
-    (_powers, by doubling) and the negative g2 are their conjugates, so E is
-    one complex matrix product of the two tables per row block of points
-    (row_blocks), as for exp_sums, in its error class: the rounding of
-    2 pi x scaled by the frequency.  Memory is O(block * h_max).
-    """
-    x = np.asarray(x, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if h_max < 0:
-        raise ValueError(f"need h_max >= 0, got {h_max}")
-    if x.ndim != 2 or x.shape[1] != 2:
-        raise ValueError(f"need an (n, 2) array of points, got shape {x.shape}")
-    if weights.shape != x.shape[:1]:
-        raise ValueError(f"need one weight per point, got shapes {weights.shape} and {x.shape}")
-    width = 2 * h_max + 1
-    sums = np.zeros((h_max + 1, width), dtype=complex)
-    # a complex entry is two floats wide
-    for rows in row_blocks(len(x), 2 * (h_max + 1 + width)):
-        e = np.exp((2j * np.pi) * x[rows].T)
-        first = _powers(e[0], h_max + 1)
-        first *= weights[rows]
-        half = _powers(e[1], h_max + 1)
-        second = np.concatenate((half, half[:0:-1].conj()))
-        del half
-        sums += first @ second.T
-    return sums
-
-
 def _split(flat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frequency f_j, the real factor |c_j| / sqrt(2) (sqrt(1/2) on the
     constant, 1 otherwise) and the sine flag of one-coordinate flat
@@ -180,106 +146,199 @@ def gram_block(sums: np.ndarray, rows, cols) -> np.ndarray:
     return block
 
 
-def _real_tables(sums: np.ndarray, top: int) -> np.ndarray:
-    """The real sums sum_i w_i t1(2 pi g1 x_i1) t2(2 pi g2 x_i2) for
-    g1, g2 = -top..2 top, as a (4, 3 top + 1, 3 top + 1) array: table
-    2 * (t1 is a sine) + (t2 is a sine), that is CC, CS, SC and SS, from the
-    sums E of exp_sums_2d:
+class Staircase:
+    """The real weighted sums R_tau(g) = sum_i w_i prod_c tau_c(2 pi g_c x_ic)
+    of a point set at d >= 2, tau_c a cosine or a sine and g >= 0, on the
+    dyadic staircase of staircase_sums, and the Gram blocks of its basis
+    that they give (gram_block).
 
-        CC = Re(E(g1, g2) + E(g1, -g2)) / 2,  SS = Re(E(g1, -g2) - E(g1, g2)) / 2,
-        SC = Im(E(g1, g2) + E(g1, -g2)) / 2,  CS = Im(E(g1, g2) - E(g1, -g2)) / 2.
-
-    The rows g1 < 0 are the rows -g1 with the parity in g1 (a sine is
-    odd), so a term at a negative frequency is a plain read.  Only the
-    tables and two real (2 top + 1, 3 top + 1) arrays are made.
+    values[tau, starts[g'] + g_d] is R_tau(g', g_d), g' the first d - 1
+    coordinates and tau = sum_c [tau_c is a sine] 2^(d - 1 - c): each row g'
+    holds the last coordinate from -t to t, t that of its box, the negative
+    half copied with its parity (a sine is odd).  known marks the frequency
+    vectors whose Gram blocks the staircase covers.
     """
-    g = np.arange(-top, 2 * top + 1)
-    tables = np.empty((4, len(g), len(g)))
-    ahead = tables[:, top:]  # g1 = 0..2 top
-    lead = sums[: 2 * top + 1]
-    plus, minus = lead.real.take(g, axis=1), lead.real.take(-g, axis=1)
-    np.add(plus, minus, out=ahead[0])
-    np.subtract(minus, plus, out=ahead[3])
-    del plus, minus
-    plus, minus = lead.imag.take(g, axis=1), lead.imag.take(-g, axis=1)
-    np.subtract(plus, minus, out=ahead[1])
-    np.add(plus, minus, out=ahead[2])
-    ahead *= 0.5  # the rows g1 < 0 are not filled yet
-    # CC and CS are even in g1, SC and SS odd
-    tables[:, :top] = ahead[:, top:0:-1]
-    np.negative(tables[2:, :top], out=tables[2:, :top])
-    return tables
+
+    def __init__(self, starts: np.ndarray, values: np.ndarray, known: np.ndarray) -> None:
+        self.starts, self.values, self.known = starts, values, known
+
+    def gram_block(self, rows, cols) -> np.ndarray:
+        """The block (B^T B)[rows, cols] for (r, d) and (c, d) arrays of flat
+        basis indices rows and cols, whose frequency vectors are known.
+
+        In each coordinate the product of a row and a column factor is, by
+        product to sum, p (u(f_r + f_c) + v(f_r - f_c)) with p the product of
+        their real factors |c| / sqrt(2) (sqrt(1/2) on a constant, 1
+        otherwise), u and v cosines when both factors are cosines or both
+        sines and sines otherwise: cos cos = cos S + cos D, sin sin =
+        cos D - cos S, sin cos = sin S + sin D and cos sin = sin S - sin D,
+        with S = f_r + f_c and D = f_r - f_c.  So an entry is p_j p_l times
+        2^d reads of the sums, one per choice of S or D in each coordinate.
+        The rows are taken one kind (cosine or sine in each coordinate) at a
+        time: then tau, the sign of S and the choice of D or -D (a cos sin
+        term reads its sine at f_c - f_r, with a plus sign) depend on the
+        column alone.  The last coordinate and tau are read at a row part
+        plus a column part, one outer sum; each other coordinate reads |D|,
+        the sign of a sine term turned where D < 0.  The block is filled
+        one row panel of a kind at a time, an eighth of a row block
+        (row_blocks) each, with a few arrays per coordinate of a panel's
+        size.
+        """
+        f_r, a_r, sin_r = _split(rows)
+        f_c, a_c, sin_c = _split(cols)
+        d = self.known.ndim
+        if f_r.ndim != 2 or f_c.ndim != 2 or f_r.shape[1] != d or f_c.shape[1] != d:
+            raise ValueError(f"need (r, {d}) and (c, {d}) arrays of flat indices, got {f_r.shape} and {f_c.shape}")
+        top = np.array(self.known.shape) - 1
+        for f in (f_r, f_c):
+            if not (np.all((f >= 0) & (f <= top)) and np.all(self.known[tuple(f.T)])):
+                raise ValueError("need frequency vectors that the staircase covers")
+        strides = np.cumprod((1,) + self.starts.shape[:0:-1])[::-1]
+        starts, sums, total = self.starts.ravel(), self.values.ravel(), self.values.shape[1]
+        p_r, p_c = np.prod(a_r, axis=1), np.prod(a_c, axis=1)
+        block = np.empty((len(f_r), len(f_c)))
+        for kind in itertools.product((False, True), repeat=d):
+            at = np.flatnonzero((sin_r == kind).all(axis=1))
+            toward = np.where(kind, 1, -1)
+            # per coordinate and column: whether its terms are sines, and
+            # the sign of its S term, -1 on sin sin (None when all are 1)
+            sine = sin_c != kind
+            s_sign = [np.where(sin_c[:, c], -1.0, 1.0) if kind[c] else None for c in range(d)]
+            column = sine @ (1 << np.arange(d - 1, -1, -1)) * total
+            # lifts every D of a cosine term above 0, so that the sign of
+            # D + lift turns a sine term at a negative frequency alone
+            lift = np.where(sine, 0, self.starts.size)
+            for panel in row_blocks(len(at), 8 * len(f_c)):
+                r = at[panel]
+                # per coordinate: the index part (times its stride) and the
+                # factor (a sign, or None) of its S and of its D term
+                terms = []
+                for c in range(d - 1):
+                    s_part = np.add.outer(strides[c] * f_r[r, c], strides[c] * f_c[:, c])
+                    step = strides[c] * toward[c]
+                    d_part = np.subtract.outer(step * f_r[r, c], step * f_c[:, c])
+                    flip = np.copysign(1.0, d_part + lift[:, c]) if sine[:, c].any() else None
+                    terms.append(((s_part, s_sign[c]), (np.abs(d_part, out=d_part), flip)))
+                c = d - 1
+                s_last = np.add.outer(f_r[r, c], column + f_c[:, c])
+                d_last = np.add.outer(toward[c] * f_r[r, c], column - toward[c] * f_c[:, c])
+                out = None
+                for choice in itertools.product(*terms):
+                    start = starts.take(functools.reduce(np.add, [part for part, _ in choice]), mode="clip")
+                    pair = sums.take(start + s_last, mode="clip")
+                    if s_sign[c] is not None:
+                        pair *= s_sign[c]
+                    pair += sums.take(start + d_last, mode="clip")
+                    for _, factor in choice:
+                        if factor is not None:
+                            pair *= factor
+                    if out is None:
+                        out = pair
+                    else:
+                        out += pair
+                out *= p_r[r, None]
+                out *= p_c
+                block[r] = out
+        return block
 
 
-def gram_block_2d(sums: np.ndarray, rows, cols) -> np.ndarray:
-    """The block (B^T B)[rows, cols] of a d = 2 instance, for (r, 2) and
-    (c, 2) arrays of flat basis indices rows and cols, from its sums
-    E = exp_sums_2d(x, 1 / rho, h) with h at least twice the largest
-    frequency of rows and cols.
+def _khatri_rao(tables: list[np.ndarray]) -> np.ndarray:
+    """The row-wise products of (r_c, points) tables, one row of each, the
+    first table's rows outermost: a (prod r_c, points) table."""
+    out = tables[0]
+    for table in tables[1:]:
+        out = (out[:, None] * table).reshape(-1, table.shape[1])
+    return out
 
-    In each coordinate the product of a row and a column factor is, by
-    product to sum, p (u(f_r + f_c) + v(f_r - f_c)) with p the product of
-    their real factors |c| / sqrt(2) (sqrt(1/2) on a constant, 1
-    otherwise), u and v cosines when both factors are cosines or both
-    sines and sines otherwise: cos cos = cos S + cos D, sin sin =
-    cos D - cos S, sin cos = sin S + sin D and cos sin = sin S - sin D, with
-    S = f_r + f_c and D = f_r - f_c.  So an entry is p_j p_l times four
-    reads of the real tables (_real_tables), one per choice of S or D in
-    each coordinate.  The rows are taken one kind (cosine or sine in each
-    coordinate) at a time: then the table, the sign of a term and the
-    choice of D or -D (a cos sin term reads its sine at f_c - f_r) depend
-    on the column alone, so every read is at a row part plus a column part
-    of a flat index, one outer sum, and every sign is a column weight.  The
-    block is filled one row panel of a kind at a time, with three arrays
-    of the panel's size, an eighth of a row block (row_blocks) each, so the
-    call holds the block, the tables and about half a row block more.
+
+def staircase_sums(x, weights, indices) -> Staircase:
+    """The sums R_tau(g) = sum_i weights_i prod_c tau_c(2 pi g_c x_ic) of an
+    (n, d) point set, d >= 2, on the dyadic staircase that covers every
+    vector |f_j +- f_l| (per coordinate) of two frequency vectors of the
+    (m, d) flat basis indices, as a Staircase.
+
+    The staircase cuts the first d - 1 coordinates into dyadic levels
+    {0} and [2^(l-1), 2^l) up to twice the largest frequency, and holds one
+    box per combination of levels that some pair reaches: the product of
+    those levels and the prefix [0, t] of the last coordinate, t the
+    largest f_d + f'_d over those pairs (Doehler, Kunis & Potts, Nonequispaced
+    hyperbolic cross fast Fourier transform, SIAM J. Numer. Anal., 2010).
+    Per row block of points (row_blocks) and coordinate, the powers of
+    e^{2 pi i x_ic} are built by multiplication (_powers) and split into a
+    (g, cos/sin, point) table; each box is then one real product of the
+    Khatri-Rao products of its slices (the last coordinate's prefix
+    weighted) on either side of a split of its coordinates.  So the error
+    is in exp_sums's class, the rounding of 2 pi x scaled by the frequency,
+    and the cost n 2^d times the staircase's size.
     """
-    f_r, a_r, sin_r = _split(rows)
-    f_c, a_c, sin_c = _split(cols)
-    top = int(max(f_r.max(initial=0), f_c.max(initial=0)))
-    h = sums.shape[0]
-    if sums.shape != (h, 2 * h - 1) or 2 * top >= h:
-        raise ValueError(f"need E(g1, g2) up to twice the largest frequency, got shape {sums.shape}")
-    tables = _real_tables(sums, top).ravel()
-    width = 3 * top + 1
-    p_r, p_c = a_r[:, 0] * a_r[:, 1], a_c[:, 0] * a_c[:, 1]
-    block = np.empty((len(f_r), len(f_c)))
-    for kind in ((False, False), (False, True), (True, False), (True, True)):
-        at = np.flatnonzero((sin_r == kind).all(axis=1))
-        # per coordinate: the row part, column part and column sign (-1 on
-        # S of sin sin) of the frequencies of its S and D terms, and whether
-        # its terms are sines (the row and column kinds differ)
-        coordinates, sines = [], []
-        for c, row_sine in enumerate(kind):
-            col_sine = sin_c[:, c]
-            toward = 1 if row_sine else -1
-            sines.append(col_sine != row_sine)
-            coordinates.append((
-                (f_r[at, c], f_c[:, c], np.where(col_sine & row_sine, -1.0, 1.0)),
-                (toward * f_r[at, c], -toward * f_c[:, c], 1.0),
-            ))
-        table = (2 * sines[0] + sines[1]) * width * width + top * (width + 1)
-        terms = [
-            (row1 * width + row2, table + col1 * width + col2, p_c * sign1 * sign2)
-            for row1, col1, sign1 in coordinates[0]
-            for row2, col2, sign2 in coordinates[1]
+    x = np.asarray(x, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    indices = np.asarray(indices, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError(f"need an (n, d) array of points with d >= 2, got shape {x.shape}")
+    d = x.shape[1]
+    if weights.shape != x.shape[:1]:
+        raise ValueError(f"need one weight per point, got shapes {weights.shape} and {x.shape}")
+    if indices.ndim != 2 or indices.shape[1] != d or len(indices) == 0 or np.any(indices < 0):
+        raise ValueError(f"need a nonempty (m, {d}) array of flat indices, got shape {indices.shape}")
+    freq = np.unique((indices + 1) // 2, axis=0)
+    top = 2 * int(freq.max())
+    levels = top.bit_length() + 1
+    # reach[l]: the largest f_d + f'_d over pairs whose S or D falls in the
+    # levels l of the first d - 1 coordinates (bit_length, by frexp)
+    reach = np.full((levels,) * (d - 1), -1, dtype=np.int64)
+    for part in row_blocks(len(freq), 8 * len(freq)):
+        last = np.add.outer(freq[part, -1], freq[:, -1]).ravel()
+        level = [
+            (np.frexp(np.add.outer(freq[part, c], freq[:, c]))[1].ravel(),
+             np.frexp(np.abs(np.subtract.outer(freq[part, c], freq[:, c])))[1].ravel())
+            for c in range(d - 1)
         ]
-        for panel in row_blocks(len(at), 8 * len(f_c)):
-            rows_at = at[panel]
-            index = np.empty((len(rows_at), len(f_c)), dtype=np.int64)
-            value = np.empty(index.shape)
-            out = np.empty(index.shape)
-            for i, (row_part, col_part, weight) in enumerate(terms):
-                np.add.outer(row_part[panel], col_part, out=index)
-                tables.take(index, out=value, mode="clip")
-                if i == 0:
-                    np.multiply(value, weight, out=out)
-                else:
-                    value *= weight
-                    out += value
-            out *= p_r[rows_at, None]
-            block[rows_at] = out
-    return block
+        for choice in itertools.product((0, 1), repeat=d - 1):
+            at = np.ravel_multi_index([level[c][i] for c, i in enumerate(choice)], reach.shape)
+            np.maximum.at(reach.reshape(-1), at, last)
+    bounds = [(0, 1)] + [(1 << (l - 1), min(1 << l, top + 1)) for l in range(1, levels)]
+    boxes = [[bounds[l] for l in box] + [(0, int(reach[box]) + 1)] for box in zip(*np.nonzero(reach >= 0))]
+    counts = [max(box[c][1] for box in boxes) for c in range(d)]
+    # each box's coordinates split in two where the Khatri-Rao products of
+    # the parts are smallest (a part of one coordinate is a slice)
+    splits, partial, widest = [], [], 0
+    for box in boxes:
+        sizes = [2 * (hi - lo) for lo, hi in box]
+        made = [(math.prod(sizes[:j]) if j > 1 else 0) + (math.prod(sizes[j:]) if j < d - 1 else 0) for j in range(1, d)]
+        splits.append(1 + made.index(min(made)))
+        partial.append(np.zeros((math.prod(sizes[: splits[-1]]), math.prod(sizes[splits[-1] :]))))
+        widest = max(widest, min(made))
+    for rows in row_blocks(len(x), 2 * (sum(counts) + max(counts)) + widest):
+        tables = []
+        for c, count in enumerate(counts):
+            powers = _powers(np.exp((2j * np.pi) * x[rows, c]), count)
+            tables.append(np.stack((powers.real, powers.imag), axis=1).reshape(2 * count, -1))
+        tables[-1] *= weights[rows]
+        for box, j, part in zip(boxes, splits, partial):
+            slices = [table[2 * lo : 2 * hi] for table, (lo, hi) in zip(tables, box)]
+            part += _khatri_rao(slices[:j]) @ _khatri_rao(slices[j:]).T
+    # each box as (tau, g', g_d) rows from -t to t, and the starts of its rows
+    starts = np.full((top + 1,) * (d - 1), -1, dtype=np.intp)
+    size = sum(math.prod(hi - lo for lo, hi in box[:-1]) * (2 * box[-1][1] - 1) for box in boxes)
+    sums = np.empty((1 << d, size))
+    offset = 0
+    for box, part in zip(boxes, partial):
+        t = box[-1][1] - 1
+        shape = [hi - lo for lo, hi in box]
+        part = part.reshape([axis for n in shape for axis in (n, 2)])
+        part = part.transpose(list(range(1, 2 * d, 2)) + list(range(0, 2 * d, 2))).reshape(1 << d, -1, t + 1)
+        count = part.shape[1]
+        held = sums[:, offset : offset + count * (2 * t + 1)].reshape(1 << d, count, 2 * t + 1)
+        held[:, :, t:] = part
+        held[:, :, :t] = part[:, :, :0:-1]
+        held[1::2, :, :t] *= -1.0
+        rows = (offset + t + (2 * t + 1) * np.arange(count)).reshape(shape[:-1])
+        starts[tuple(slice(lo, hi) for lo, hi in box[:-1])] = rows
+        offset += count * (2 * t + 1)
+    known = np.zeros((top // 2 + 1,) * d, dtype=bool)
+    known[tuple(freq.T)] = True
+    return Staircase(starts, sums, known)
 
 
 class TailGram:

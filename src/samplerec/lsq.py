@@ -179,22 +179,21 @@ class ViewGram:
 
 class BlockGram:
     """Gamma^T Gamma = diag(sigma) A diag(sigma) for a symmetric (q, q)
-    matrix A, q = len(sigma), held as its upper column panels A[:hi, lo:hi]
-    in order (lo = 0 first, each panel starting where the last ended, the
-    last ending at q), or as A itself, one whole-width panel, read in place
-    (often as a strided view) and never scaled into a copy: the tail Gram
-    of the Gram and structured d = 2 point-set forms
+    matrix A, q = len(sigma), held as a list of its upper column panels
+    A[:hi, lo:hi] in order (lo = 0 first, each panel starting where the
+    last ended, the last ending at q), read in place and never scaled into
+    a copy: the tail Gram of the structured d >= 2 point-set form
     (samplerec.density.PointSet.tail_gram, whose docstring describes the
     forms).  A product adds each panel's and, above its diagonal block,
     its transpose's: y[:hi] += A[:hi, lo:hi] v[lo:hi] and
-    y[lo:hi] += A[:lo, lo:hi]^T v[:lo]; one whole-width panel is the one
-    product A v.  A Gram operator for spectral_norm: shape (q, q) and
+    y[lo:hi] += A[:lo, lo:hi]^T v[:lo]; [A], one whole-width panel, is the
+    one product A v.  A Gram operator for spectral_norm: shape (q, q) and
     matvec, and trace.
     """
 
     def __init__(self, panels, sigma: np.ndarray) -> None:
         q = len(sigma)
-        panels = [panels] if isinstance(panels, np.ndarray) else list(panels)
+        panels = list(panels)
         lo = 0
         for panel in panels:
             if panel.ndim != 2 or panel.shape[0] != lo + panel.shape[1] or panel.shape[1] == 0:
@@ -209,15 +208,12 @@ class BlockGram:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Gamma^T Gamma v for a vector v of length q."""
         u = self._sigma * v
-        first = self._panels[0]
-        y = first @ u[: first.shape[0]]
-        if len(self._panels) > 1:
-            y = np.concatenate((y, np.zeros(self.shape[0] - len(y))))
-            for panel in self._panels[1:]:
-                hi = panel.shape[0]
-                lo = hi - panel.shape[1]
-                y[:hi] += panel @ u[lo:hi]
-                y[lo:hi] += panel[:lo].T @ u[:lo]
+        y = np.zeros(self.shape[0])
+        for panel in self._panels:
+            hi = panel.shape[0]
+            lo = hi - panel.shape[1]
+            y[:hi] += panel @ u[lo:hi]
+            y[lo:hi] += panel[:lo].T @ u[:lo]
         return self._sigma * y
 
     def trace(self) -> float:

@@ -491,7 +491,13 @@ def test_cli_run_path_imports_no_numpy_random(tmp_path):
 # included, matched a dense eigvalsh within 1e-14 relative: claims
 # tail_ratio_median by 4.4e-16 relative; rates s_max_Gamma by 5.5e-16,
 # e_trunc 4.7e-16, e_upper 1.8e-16, ratio1 4.9e-16 and ratio2 1.1e-15
-# relative; integer and fraction columns unchanged.
+# relative; integer and fraction columns unchanged.  The rates digest then
+# moved with the staircase sums at d >= 2 (real sums on a dyadic staircase
+# in place of the two-dimensional box of complex sums), after
+# test_cli_csv_is_the_same_in_every_point_set_form passed on every config:
+# s_min_G by 7.7e-16, s_max_Gamma 2.3e-16, e_trunc 1.7e-16, e_upper
+# 5.2e-16, ratio1 5.0e-16 and ratio2 3.4e-16 relative, the integer and
+# fraction columns unchanged.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -501,7 +507,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "f51346ea4c2db3edce6c9d2247ea20b1c20c8819b5f0ae63a431fe6a45b69433",
+        "b586bdd1449fe82b1204cf1463360c468884db067fb0aa4434222593e809afe0",
     ),
     "beta": (
         "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
@@ -559,9 +565,10 @@ def test_cli_instances_that_keep_b_are_unchanged(tmp_path):
     )
 
 
-# Small rates and claims configs at d = 2 (s = 0.75 and 1.0) and d = 3,
-# whose m <= n draws take the structured form at d = 2 and the Gram form at
-# d = 3; the rates golden config is the first.
+# Small rates and claims configs at d = 1, d = 2 (s = 0.75 and 1.0), d = 3
+# and d = 4, whose m <= n draws take the structured form: the exponential
+# sums at d = 1 and the staircase at d >= 2; the rates golden config is the
+# first.
 _CROSS_FORM = [
     ("rates", "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
               "trials = 2\nseed = 20250814\n"),
@@ -573,6 +580,7 @@ _CROSS_FORM = [
     ("rates", "d = 1\ns = 1.0\nn_grid = 64, 256, 1024\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 7\n"),
     ("rates", "d = 1\ns = 2.5\nn_grid = 64, 256, 1024\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 8\n"),
     ("claims", "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\ntrials = 2\nseed = 9\n"),
+    ("rates", "d = 4\ns = 0.75\nn_grid = 128, 512, 1024\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 10\n"),
 ]
 
 _INT_COLUMNS = {"n", "k", "m", "trials", "degenerate_trials"}
@@ -697,7 +705,10 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     # then moved with Lanczos for the operators up to size 160 (once dense
     # eigvalsh): d = 1 s_max_Gamma by 8.0e-16, e_trunc 6.5e-16, ratio1
     # 4.9e-16 and ratio2 1.3e-15, d = 2 s_max_Gamma 1.9e-16, e_trunc 7.4e-16,
-    # ratio1 7.7e-16 and ratio2 1.4e-15 relative, integer columns unchanged
+    # ratio1 7.7e-16 and ratio2 1.4e-15 relative, integer columns unchanged;
+    # the d = 2 one then moved with the staircase sums: s_min_G by 5.2e-16,
+    # s_max_Gamma 1.9e-16, e_trunc 3.5e-16, e_upper 3.8e-16, ratio1 6.3e-16
+    # and ratio2 8.2e-16 relative, integer columns unchanged
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -709,7 +720,7 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
         ("d = 1\ns = 1.0\nn_grid = 64, 128, 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
          "trials = 3\nseed = 2\n", "976c0540fc205a3d37166a7e21cd6524e639326c3bf53ee7e363800b3c98a3c6"),
         ("d = 2\ns = 0.75\nn_grid = 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
-         "trials = 1\nseed = 2\n", "46f474a68ae486706c016153d28fa54e7229685201ad631b39a7010e94e00d17"),
+         "trials = 1\nseed = 2\n", "2ea86f2a24ed4b08f4e6971304a27a4d4c341858ab5947d8abf8c709b1b898c6"),
     ):
         cfg = write_config(tmp_path, config)
         out = tmp_path / "rates.csv"

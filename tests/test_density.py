@@ -271,24 +271,22 @@ def test_sampled_densities_match_recomputation():
     pts = sample_points(dens, 300, 9)
     assert np.array_equal(pts.densities, density_values(dens, pts.points))
     assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
-    # at d = 2 with m <= n the instance keeps its two-dimensional sums in
-    # place of B, and B is evaluated on request
-    top = 2 * dens.basis.max_frequency(20)
-    assert pts.B is None and pts.BtB is None and pts.sums.shape == (top + 1, 2 * top + 1)
+    # at d = 2 with m <= n the instance keeps its staircase sums in place
+    # of B, and B is evaluated on request
+    assert pts.B is None and isinstance(pts.sums, expsums.Staircase) and pts.sums.values.shape[0] == 4
     assert dense_matrix(pts).shape == (300, 20)
     assert (pts.k, pts.m) == (4, 20)
-    # at d = 3 with m <= n it keeps its Gram in place of B, read-only,
-    # since instances share it
+    # and so at d = 3, with one sum per cos/sin choice in each coordinate
     dens3 = make_density(SP3, 4, 20)
     pts = sample_points(dens3, 300, 9)
     assert np.array_equal(pts.densities, density_values(dens3, pts.points))
     assert np.all(pts.densities >= 1.0 / 8.0 - 1e-12)
-    assert pts.B is None and pts.BtB.shape == (20, 20) and not pts.BtB.flags.writeable
+    assert pts.B is None and isinstance(pts.sums, expsums.Staircase) and pts.sums.values.shape[0] == 8
     assert dense_matrix(pts).shape == (300, 20)
     assert (pts.k, pts.m) == (4, 20)
     # with m > n the weighted matrix itself is kept, read-only
     pts = sample_points(dens, 16, 9)
-    assert pts.B.shape == (16, 20) and not pts.B.flags.writeable and pts.BtB is None
+    assert pts.B.shape == (16, 20) and not pts.B.flags.writeable and pts.sums is None
     # at d = 1 the densities are density_values' too, and G is evaluated
     # on access
     dens = make_density(SP1, 4, 16)
@@ -392,7 +390,7 @@ def test_sampling_d2_marginal_histogram():
 
 
 def test_sampling_d3_marginal_histogram():
-    # a d = 3 draw with m <= n, in the Gram form
+    # a d = 3 draw with m <= n, in the staircase form
     assert_marginal_histograms(make_density(SP3, 4, 40), 200_000, 4242)
 
 
@@ -493,40 +491,38 @@ def traced_peak_and_held(fn, *args):
 
 
 def test_sample_points_keeps_one_instance_sized_array():
-    # with m <= n a d = 3 draw keeps the Gram B^T B, summed over chunks of
-    # 512 rows, and never makes B: at 2048 x 1712 (q = m - k = 1498) B would
-    # be 26.8 MiB against the Gram's 22.4 MiB, so the Gram and one 6.7 MiB
-    # chunk peak above B's size alone, and at 4096 x 984 (the largest
-    # rates-d2-s075 shape) 30.8 MiB against 7.4 MiB
+    # with m <= n a d = 3 draw keeps its staircase sums and makes neither B
+    # nor the Gram B^T B: at 2048 x 1712 (q = m - k = 1498) B would be
+    # 26.8 MiB and the Gram 22.4 MiB; the sums (2.9 MiB) are the most of
+    # what the call holds, under a fifth of the Gram
     d = 3
-    for n, k, m in ((2048, 214, 1712), (4096, 123, 984)):
-        dens = make_density(SpaceParams(d, 0.6), k, m)
-        pts, peak, held = traced_peak_and_held(sample_points, dens, n, 3)
-        assert pts.B is None and pts.BtB.nbytes == m * m * 8
-        assert peak <= m * m * 8 + 512 * m * 8 + (3 << 20)
-        assert held <= m * m * 8 + (1 << 20)
+    n, k, m = 2048, 214, 1712
+    dens = make_density(SpaceParams(d, 0.6), k, m)
+    pts, peak, held = traced_peak_and_held(sample_points, dens, n, 3)
+    assert pts.B is None and pts.sums.values.nbytes < m * m * 8 / 5
+    assert peak < m * m * 8 / 2
+    assert held < m * m * 8 / 5
     # with m > n the draw keeps B, and nothing else it makes is larger than
     # one row block or a few arrays per point
     n = 512
     pts, peak = traced_peak(sample_points, dens, n, 3)
-    assert pts.B.nbytes == n * m * 8 and pts.BtB is None
+    assert pts.B.nbytes == n * m * 8 and pts.sums is None
     assert peak <= pts.B.nbytes + spectral.ROW_BLOCK_BYTES + 16 * 8 * n * (d + 2)
 
 
 @pytest.mark.parametrize("params, k, m, n", [(SpaceParams(2, 0.75), 123, 984, 1600), (SpaceParams(3, 0.6), 20, 160, 4000)])
 def test_gram_form_matches_the_b_form(params, k, m, n):
-    # the structured form at d = 2 and several row chunks of the Gram sum
-    # at d = 3 (m <= n), and a draw of m / 2 points with the same seed
-    # (m > n), which keeps B: the same points, row for row; in either form
-    # the densities of density_values and B the weighted basis matrix, bit
-    # for bit; and every Gram block within rounding of the m <= n draw's
-    # twin that holds B
+    # the staircase form at d = 2 and 3 (m <= n, several row blocks of
+    # points), and a draw of m / 2 points with the same seed (m > n), which
+    # keeps B: the same points, row for row; in either form the densities
+    # of density_values and B the weighted basis matrix, bit for bit; and
+    # every Gram block within rounding of the m <= n draw's twin that
+    # holds B
     dens = make_density(params, k, m)
     gram_pts = sample_points(dens, n, 7)
-    assert gram_pts.B is None and n > density._GRAM_CHUNK_ROWS and n * m * 8 > density._GRAM_CHUNK_BYTES
-    assert (gram_pts.BtB is None) == (params.d == 2)
+    assert gram_pts.B is None and len(spectral.row_blocks(n, m)) > 1
     b_pts = sample_points(dens, m // 2, 7)
-    assert b_pts.BtB is None
+    assert b_pts.sums is None
     assert np.array_equal(b_pts.points, gram_pts.points[: m // 2])
     for pts in (gram_pts, b_pts):
         assert np.array_equal(pts.densities, density_values(dens, pts.points))
@@ -546,17 +542,17 @@ def test_gram_form_matches_the_b_form(params, k, m, n):
     (SpaceParams(2, 1.0), 3, 24, 64), (SpaceParams(2, 1.0), 13, 104, 256), (SpaceParams(2, 0.75), 36, 288, 1024),
 ])
 def test_structured_d2_draw_matches_its_b_twin(params, k, m, n):
-    # d = 2 with m <= n keeps the sums E(g1, g2) and no Gram: the densities
-    # are density_values' bit for bit, the sums those of exp_sums_2d over
-    # the points, and every Gram block, read-only, within rounding of the
-    # twin that holds B, over the five slices of
-    # test_gram_form_matches_the_b_form
+    # d = 2 with m <= n keeps the staircase sums and no Gram: the densities
+    # are density_values' bit for bit, the sums those of staircase_sums
+    # over the points and the first m basis functions, and every Gram
+    # block, read-only, within rounding of the twin that holds B, over the
+    # five slices of test_gram_form_matches_the_b_form
     dens = make_density(params, k, m)
     pts = sample_points(dens, n, 11)
-    assert pts.B is None and pts.BtB is None
+    assert pts.B is None
     assert np.array_equal(pts.densities, density_values(dens, pts.points))
-    top = 2 * dens.basis.max_frequency(m)
-    assert np.array_equal(pts.sums, expsums.exp_sums_2d(pts.points, 1.0 / pts.densities, top))
+    again = expsums.staircase_sums(pts.points, 1.0 / pts.densities, dens.basis.indices[:m])
+    assert np.array_equal(pts.sums.values, again.values) and np.array_equal(pts.sums.starts, again.starts)
     twin = dataclasses.replace(pts, B=dense_matrix(pts))
     assert np.array_equal(pts.G, twin.G)
     head, tail, every = slice(0, k), slice(k, m), slice(0, m)
@@ -572,11 +568,11 @@ def test_structured_d2_draw_and_tail_norm_hold_no_instance_sized_array():
     # (B, 30.8 MiB) and no m x m one (the Gram, 7.4 MiB), only row-block
     # temporaries and the sums; the tail norm holds the upper column panels
     # of the tail block, 3.6 MiB where the whole block is 5.7 MiB, and under
-    # 2 MiB more: the real tables, one panel's fill, the Lanczos basis
+    # 2 MiB more: one panel's fill, the Lanczos basis
     n, k, m = 4096, 123, 984
     dens = make_density(SpaceParams(2, 0.75), k, m)
     pts, peak = traced_peak(sample_points, dens, n, 3)
-    assert pts.B is None and pts.BtB is None
+    assert pts.B is None
     assert peak < m * m * 8 < n * m * 8
     width = density._GRAM_PANEL
     panels = sum(8 * (min(lo + width, m) - k) * (min(lo + width, m) - lo) for lo in range(k, m, width))
@@ -586,48 +582,52 @@ def test_structured_d2_draw_and_tail_norm_hold_no_instance_sized_array():
     assert peak <= panels + (2 << 20)
 
 
-def test_gram_sum_holds_the_gram_and_one_chunk():
-    # the largest rates-d2-s075 shape at d = 3: the Gram is summed in place
-    # by column panels, so the peak is the 7.4 MiB Gram, one 3.8 MiB chunk
-    # of 512 weighted rows (four row blocks of 128) and a few MiB of
-    # row-block and per-point temporaries, with no m x m product and no
-    # second chunk
-    n, m = 4096, 984
-    dens = make_density(SpaceParams(3, 0.6), 123, m)
-    assert spectral.row_blocks(n, m)[0].stop * 4 == 512 and m > density._GRAM_PANEL
+def test_staircase_draw_peaks_below_the_gram():
+    # the largest rates-d2-s075 shape at d = 3: the staircase draw makes
+    # no Gram (7.4 MiB, which the summed Gram form held with one 3.8 MiB
+    # chunk of rows and peaked at 12.9 MiB) and no B (30.8 MiB)
+    n, k, m = 4096, 123, 984
+    dens = make_density(SpaceParams(3, 0.6), k, m)
     pts, peak = traced_peak(sample_points, dens, n, 2)
-    assert pts.BtB is not None
-    assert peak <= m * m * 8 + 512 * m * 8 + (3 << 20)
+    assert pts.B is None and isinstance(pts.sums, expsums.Staircase)
+    assert peak < m * m * 8
 
 
-def gram_of_one_product(monkeypatch, dens, n, seed):
-    """The Gram form's B^T B with one panel as wide as m: one product over
-    all columns per chunk."""
-    with monkeypatch.context() as patch:
-        patch.setattr(density, "_GRAM_PANEL", dens.m)
-        return sample_points(dens, n, seed).BtB
+def upper_panels(pts):
+    """The tail operator's upper column panels A[:hi, lo:hi] of the tail
+    block A, with lo and hi from the tail block's first position."""
+    return [(panel, panel.shape[0] - panel.shape[1]) for panel in pts.tail_gram(np.ones(pts.m - pts.k))._panels]
 
 
 @pytest.mark.parametrize("n, k", [(1024, 36), (2048, 67), (4096, 123)])
-def test_panelled_gram_is_the_one_product_gram_on_the_benchmark_shapes(monkeypatch, n, k):
-    # the rates-d2-s075 shapes (m = 8k) with more than one panel, at d = 3,
-    # whose products keep every bit of the one product's entries
+def test_panelled_gram_is_the_one_product_gram_on_the_benchmark_shapes(n, k):
+    # the rates-d2-s075 shapes (m = 8k) at d = 3, whose tail operators
+    # hold one to four panels: each entry is read off the sums on its own, so
+    # every panel holds the bits of one gram call over the whole tail
+    # block, which is symmetric within rounding
     dens = make_density(SpaceParams(3, 0.6), k, 8 * k)
-    assert 8 * k > density._GRAM_PANEL
-    panelled = sample_points(dens, n, 2).BtB
-    assert np.array_equal(panelled, gram_of_one_product(monkeypatch, dens, n, 2))
-    assert np.array_equal(panelled, panelled.T)
+    pts = sample_points(dens, n, 2)
+    tail = slice(k, 8 * k)
+    whole = pts.gram(tail, tail)
+    assert np.max(np.abs(whole - whole.T)) <= 1e-15 * np.max(np.abs(whole))
+    panels = upper_panels(pts)
+    assert len(panels) == -(-7 * k // density._GRAM_PANEL)
+    for panel, lo in panels:
+        assert np.array_equal(panel, whole[: panel.shape[0], lo : panel.shape[0]])
 
 
 @pytest.mark.parametrize("params, k, m, n", [(SpaceParams(3, 0.6), 100, 800, 3000), (SpaceParams(3, 0.6), 67, 536, 2048)])
-def test_panelled_gram_matches_the_one_product_gram(monkeypatch, params, k, m, n):
-    # a last chunk shorter than the others: within rounding of the one
-    # product, exactly symmetric
-    dens = make_density(params, k, m)
-    panelled = sample_points(dens, n, 5).BtB
-    one = gram_of_one_product(monkeypatch, dens, n, 5)
-    assert m > density._GRAM_PANEL and np.array_equal(panelled, panelled.T)
-    assert np.max(np.abs(panelled - one)) <= 1e-15 * np.max(np.abs(one))
+def test_panelled_gram_matches_the_one_product_gram(params, k, m, n):
+    # a last panel narrower than the others: every panel within rounding
+    # of the same panel of the twin's B^T B, one product of B's views
+    pts = sample_points(make_density(params, k, m), n, 5)
+    twin = dataclasses.replace(pts, B=dense_matrix(pts))
+    dense = twin.gram(slice(k, m), slice(k, m))
+    panels = upper_panels(pts)
+    assert panels[-1][0].shape[1] < panels[0][0].shape[1]
+    for panel, lo in panels:
+        hi = panel.shape[0]
+        assert np.max(np.abs(panel - dense[:hi, lo:hi])) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_sample_points_at_d1_makes_no_head_sized_array():

@@ -1,6 +1,6 @@
-"""The structured d = 1 and d = 2 paths against their dense oracles: the
-exponential sums, the Gram blocks and Toeplitz products they give, and the
-norms and e_trunc read off them."""
+"""The structured paths (the exponential sums at d = 1, the staircase sums
+at d >= 2) against their dense oracles: the sums, the Gram blocks and
+Toeplitz products they give, and the norms and e_trunc read off them."""
 
 import dataclasses
 import math
@@ -15,7 +15,7 @@ from samplerec import density, expsums, lsq, spectral
 from samplerec.density import dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, run_claims, run_rates
-from samplerec.expsums import TailGram, exp_sums, exp_sums_2d, gram_block, gram_block_2d
+from samplerec.expsums import TailGram, exp_sums, gram_block
 from samplerec.lsq import head_factor, head_svd
 from samplerec.spectral import SpaceParams, ordered_basis
 
@@ -45,48 +45,71 @@ def test_exp_sums_match_direct_sums():
     assert exp_sums(x, w, 5)[0] == pytest.approx(np.sum(w), rel=1e-14)
 
 
-def test_exp_sums_2d_match_direct_sums():
-    # against a sum of np.exp over the points, in exp_sums's error class;
-    # column g2 mod (2 h_max + 1) holds g2, so E[g1, -g2] is E(g1, -g2)
-    rng = np.random.Generator(np.random.Philox(key=7))
-    x = rng.random((300, 2))
+def staircase_read(stair, g, sine):
+    """R_tau(g) read off a Staircase as its gram_block reads it, for
+    (N, d) arrays of frequency vectors g of any sign and sine flags tau:
+    |g_c| with the sign of a sine turned at g_c < 0 in all but the last
+    coordinate, and the last coordinate as it is."""
+    d = g.shape[1]
+    sign = np.prod(np.where(sine[:, :-1] & (g[:, :-1] < 0), -1.0, 1.0), axis=1)
+    tau = sine @ (1 << np.arange(d - 1, -1, -1))
+    return sign * stair.values[tau, stair.starts[tuple(np.abs(g[:, :-1]).T)] + g[:, -1]]
+
+
+@pytest.mark.parametrize("d, s, m", [(2, 0.75, 300), (3, 0.6, 300), (4, 0.75, 200)])
+def test_staircase_sums_match_direct_sums(d, s, m):
+    # against a product of np.cos and np.sin over the points, in exp_sums's
+    # error class, at f_j +- f_l (per coordinate) for pairs of the basis's
+    # frequency vectors and every cos/sin choice, sampled
+    rng = np.random.Generator(np.random.Philox(key=7 + d))
+    x = rng.random((300, d))
     w = rng.random(300) + 0.5
-    for h_max in (0, 1, 7, 64, 118):
-        sums = exp_sums_2d(x, w, h_max)
-        assert sums.shape == (h_max + 1, 2 * h_max + 1)
-        g1 = np.arange(h_max + 1)
-        g2 = np.concatenate((np.arange(h_max + 1), np.arange(-h_max, 0)))
-        direct = (w * np.exp(2j * np.pi * g1[:, None] * x[:, 0])) @ np.exp(2j * np.pi * g2[:, None] * x[:, 1]).T
-        assert np.max(np.abs(sums - direct)) <= 1e-12 * np.sum(w)
-        if h_max:
-            assert sums[1, -1] == pytest.approx(np.sum(w * np.exp(2j * np.pi * (x[:, 0] - x[:, 1]))), rel=1e-13)
-    assert exp_sums_2d(x, w, 5)[0, 0] == pytest.approx(np.sum(w), rel=1e-14)
+    indices = ordered_basis(SpaceParams(d, s), m).indices
+    stair = expsums.staircase_sums(x, w, indices)
+    freq = np.unique((indices + 1) // 2, axis=0)
+    pick = rng.integers(0, len(freq), (2, 3000))
+    g = freq[pick[0]] + np.where(rng.random((3000, d)) < 0.5, 1, -1) * freq[pick[1]]
+    sine = rng.random((3000, d)) < 0.5
+    angles = 2.0 * np.pi * g[:, None, :] * x[None, :, :]
+    direct = np.prod(np.where(sine[:, None, :], np.sin(angles), np.cos(angles)), axis=2) @ w
+    assert np.max(np.abs(staircase_read(stair, g, sine) - direct)) <= 1e-12 * np.sum(w)
+    # the zero vector of cosines is the sum of the weights
+    assert stair.values[0, stair.starts[(0,) * (d - 1)]] == pytest.approx(np.sum(w), rel=1e-14)
 
 
-def test_exp_sums_2d_and_gram_block_2d_reject_bad_input():
+def test_staircase_sums_and_gram_block_reject_bad_input():
     x = np.linspace(0.0, 1.0, 8, endpoint=False).reshape(4, 2)
     w = np.ones(4)
-    with pytest.raises(ValueError, match="h_max"):
-        exp_sums_2d(x, w, -1)
-    with pytest.raises(ValueError, match=r"\(n, 2\)"):
-        exp_sums_2d(x.ravel(), np.ones(8), 5)
+    indices = ordered_basis(SpaceParams(2, 1.0), 10).indices
+    with pytest.raises(ValueError, match=r"\(n, d\)"):
+        expsums.staircase_sums(x.ravel(), np.ones(8), indices)
     with pytest.raises(ValueError, match="one weight per point"):
-        exp_sums_2d(x, w[:3], 5)
-    # a block whose frequencies need sums past h_max = 4
-    sums = exp_sums_2d(x, w, 4)
-    assert gram_block_2d(sums, [[0, 4]], [[3, 0]]).shape == (1, 1)
-    with pytest.raises(ValueError, match="twice the largest frequency"):
-        gram_block_2d(sums, [[0, 5]], [[0, 0]])
+        expsums.staircase_sums(x, w[:3], indices)
+    with pytest.raises(ValueError, match="flat indices"):
+        expsums.staircase_sums(x, w, indices[:, :1])
+    with pytest.raises(ValueError, match="flat indices"):
+        expsums.staircase_sums(x, w, -indices)
+    # a block of the basis, and one whose frequency vectors it does not cover
+    stair = expsums.staircase_sums(x, w, indices)
+    assert stair.gram_block(indices[:3], indices).shape == (3, 10)
+    assert ((indices + 1) // 2).max() == 2 and not np.any(np.all(indices >= 3, axis=1))
+    for rows in ([[0, 5]], [[3, 4]], [[0, -3]]):
+        with pytest.raises(ValueError, match="staircase covers"):
+            stair.gram_block(rows, indices)
+    with pytest.raises(ValueError, match=r"\(r, 2\)"):
+        stair.gram_block(indices[:, :1], indices)
 
 
-def test_real_tables_scale_only_written_entries(monkeypatch):
-    # the rows g1 < 0 are copied from the rows g1 > 0 after those are
-    # scaled, so no arithmetic reads an entry before it is written: with
-    # every new float array full of signaling NaNs no invalid operation is
-    # raised, and the tables keep their bits
+def test_staircase_sums_write_every_entry_before_reading_it(monkeypatch):
+    # the negative half of each row is copied from its positive half and
+    # scaled after both are written, so no arithmetic reads an entry before
+    # it is written and no entry is left unwritten: with every new float
+    # array full of signaling NaNs no invalid operation is raised, and the
+    # sums keep their bits
     rng = np.random.Generator(np.random.Philox(key=5))
-    sums = exp_sums_2d(rng.random((200, 2)), rng.random(200) + 0.5, 12)
-    expected = expsums._real_tables(sums, 6)
+    x, w = rng.random((200, 3)), rng.random(200) + 0.5
+    indices = ordered_basis(SpaceParams(3, 0.75), 60).indices
+    expected = expsums.staircase_sums(x, w, indices).values
     empty = np.empty
 
     def signaling_empty(shape, dtype=float, *args, **kwargs):
@@ -97,8 +120,28 @@ def test_real_tables_scale_only_written_entries(monkeypatch):
 
     monkeypatch.setattr(np, "empty", signaling_empty)
     with np.errstate(invalid="raise"):
-        tables = expsums._real_tables(sums, 6)
-    assert np.array_equal(tables.view(np.uint64), expected.view(np.uint64))
+        sums = expsums.staircase_sums(x, w, indices).values
+    assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("d, s, k, m, n", [(2, 0.75, 40, 320, 700), (3, 0.6, 40, 320, 700), (4, 0.75, 40, 320, 700)])
+def test_staircase_gram_block_matches_dense_gram(d, s, k, m, n):
+    # the head block, the head-by-tail block and the upper column panels of
+    # the tail block, against B^T B of the twin that holds B, one product
+    # of its views; the panels are _GRAM_PANEL wide, so m = 8k takes two
+    basis, pts = make_instance(k, m, n, 3, SpaceParams(d, s))
+    assert pts.B is None and isinstance(pts.sums, expsums.Staircase)
+    dense = with_dense_matrix(pts, basis)
+    head, tail = slice(0, k), slice(k, m)
+    blocks = [(head, head), (head, tail)] + [
+        (slice(k, min(lo + density._GRAM_PANEL, m)), slice(lo, min(lo + density._GRAM_PANEL, m)))
+        for lo in range(k, m, density._GRAM_PANEL)
+    ]
+    assert len(blocks) == 4
+    for rows, cols in blocks:
+        block, exact = pts.gram(rows, cols), dense.gram(rows, cols)
+        assert block.shape == exact.shape
+        assert np.max(np.abs(block - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def one_shot_powers(z, count):
@@ -335,13 +378,13 @@ def test_toeplitz_matvec_matches_dense_gamma(k, m, n):
 def test_structured_norms_and_e_trunc_match_dense(d, s, k, m_factor, n_extra, seed):
     # instances in the runners' domain (n >= 2k), with tails from one column
     # to 280, so both the dense solve of small operators and Lanczos run: at
-    # d = 1 and 2 in the structured form (d = 2 with n >= m, whose tail norm
-    # takes the upper column panels), at d = 3 with n >= m in the Gram form,
-    # each against its twin that holds B
+    # d = 1 in the structured form, at d = 2 and 3 with n >= m in the
+    # staircase form, whose tail norm takes the upper column panels, each
+    # against its twin that holds B
     m = m_factor * k
     n = (2 * k if d == 1 else max(2 * k, m)) + n_extra
     basis, pts = make_instance(k, m, n, seed, SpaceParams(d, s))
-    assert pts.B is None and (d == 3) == (pts.BtB is not None)
+    assert pts.B is None and (d == 1) != isinstance(pts.sums, expsums.Staircase)
     dense = with_dense_matrix(pts, basis)
     assert _checked_gamma_norm(pts, basis) == pytest.approx(_checked_gamma_norm(dense, basis), rel=1e-12, abs=0)
     gamma = dense.B[:, k:] * basis.sigma[k:m]

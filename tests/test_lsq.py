@@ -59,7 +59,7 @@ def test_point_set_head_block_is_a_view():
     gamma = pts.B[:, 8:] * basis.sigma[8:32]
     assert gamma.shape == (24, 24)
     assert np.allclose(gamma[:, 3], pts.B[:, 11] * basis.sigma[11], atol=1e-15)
-    # a d = 2 instance in the Gram form (m <= n) keeps no n-row array, and
+    # a d = 2 instance in the staircase form (m <= n) keeps no n-row array, and
     # G is evaluated on access
     basis, _, pts = make_instance(SpaceParams(2, 1.0), 8, 32, 64, 42)
     assert pts.B is None and pts.G.shape == (64, 8)
@@ -504,7 +504,7 @@ def test_spectral_norm_paths_agree():
     rng = np.random.Generator(np.random.Philox(key=29))
     mat = rng.standard_normal((300, 500))
     exact = svd_norm(mat) ** 2
-    formed = BlockGram(mat @ mat.T, np.ones(300))
+    formed = BlockGram([mat @ mat.T], np.ones(300))
     assert spectral_norm(formed) == pytest.approx(exact, rel=1e-11)  # Lanczos on the Gram
     wide = ViewGram(mat, np.ones(500))
     assert spectral_norm(wide) == pytest.approx(exact, rel=1e-9)  # Lanczos
@@ -570,7 +570,7 @@ def test_spectral_norm_path_selection(monkeypatch):
         mat = rng.standard_normal((400, q))
         exact = svd_norm(mat) ** 2
         before = calls["lanczos"]
-        assert spectral_norm(BlockGram(mat.T @ mat, np.ones(q))) == pytest.approx(exact, rel=1e-11)
+        assert spectral_norm(BlockGram([mat.T @ mat], np.ones(q))) == pytest.approx(exact, rel=1e-11)
         assert spectral_norm(ViewGram(mat.T, np.ones(400))) == pytest.approx(exact, rel=1e-9)
         assert spectral_norm(ViewGram(mat, np.ones(q))) == pytest.approx(exact, rel=1e-9)
         assert calls == {"eigvalsh": 0, "lanczos": before + 3}, q
@@ -582,7 +582,7 @@ def test_formed_tail_gram_takes_lanczos(monkeypatch):
     # by Lanczos, and no eigvalsh copies it
     basis, _, pts = make_instance(SpaceParams(2, 0.75), 123, 984, 4096, 3)
     tail = slice(123, 984)
-    gram = BlockGram(pts.gram(tail, tail), basis.sigma[tail])
+    gram = BlockGram([pts.gram(tail, tail)], basis.sigma[tail])
     assert gram.shape == (861, 861)
     eigvalsh = np.linalg.eigvalsh
     calls = []
@@ -829,7 +829,7 @@ def test_view_gram_forms_no_gamma():
     basis, _, pts = make_instance(SpaceParams(2, 0.75), 12, 96, 256, 8)
     view, sigma = dense_matrix(pts)[:, 12:], basis.sigma[12:96]
     gamma = view * sigma
-    dense = BlockGram(pts.gram(slice(12, 96), slice(12, 96)), sigma)
+    dense = BlockGram([pts.gram(slice(12, 96), slice(12, 96))], sigma)
     assert dense.shape == (84, 84)
     formed = operator_matrix(dense)
     assert np.allclose(formed, gamma.T @ gamma, rtol=0, atol=1e-13 * np.max(gamma.T @ gamma))
@@ -843,7 +843,7 @@ def test_view_gram_forms_no_gamma():
     with pytest.raises(ValueError):
         ViewGram(view, sigma[1:])
     with pytest.raises(ValueError):
-        BlockGram(pts.gram(slice(12, 96), slice(12, 96)), sigma[1:])
+        BlockGram([pts.gram(slice(12, 96), slice(12, 96))], sigma[1:])
 
 
 @pytest.mark.parametrize("q, width", [(300, 256), (600, 256), (97, 40), (5, 1)])
@@ -854,7 +854,7 @@ def test_block_gram_of_upper_panels_is_the_whole_block(q, width):
     mat = rng.standard_normal((q + 3, q))
     block = mat.T @ mat
     sigma = rng.random(q) + 0.5
-    whole = BlockGram(block, sigma)
+    whole = BlockGram([block], sigma)
     panels = BlockGram([block[: min(lo + width, q), lo : lo + width] for lo in range(0, q, width)], sigma)
     scale = np.max(np.abs(block)) * q
     for v in (*rng.standard_normal((3, q)), *np.eye(q)):
