@@ -242,7 +242,7 @@ class PointSet:
     """One sampling instance: n points drawn from the density, their density
     values, the head size k, the width m, and the weighted basis matrix
     B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over the density's m functions
-    in one of three forms, described here alone.  Every reader takes B
+    in one of two forms, described here alone.  Every reader takes B
     through gram (its Gram blocks), G (its (n, k) head block, read-only)
     and tail_gram (the Gram operator of Gamma = B[:, k:] diag(sigma_k..m),
     which is never formed), alike in each form:
@@ -251,28 +251,28 @@ class PointSet:
       defaults to its width; G is a view, gram a product of two views, and
       tail_gram lsq.ViewGram of the view B[:, k:].  A given B takes
       precedence over the other fields.
-    - Structured at d = 1 (1-D sums): the weighted exponential sums
-      E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}, h = 0..2 f_max; gram is
-      samplerec.expsums.gram_block, and tail_gram samplerec.expsums.TailGram.
-    - Structured at d >= 2 (staircase; m <= n): the real weighted sums of
-      samplerec.expsums.staircase_sums on the dyadic staircase that the
-      first m basis functions read; gram is a new read-only array from
-      its gram_block, and tail_gram lsq.BlockGram of the upper column
-      panels (B^T B)[k:hi, lo:hi] of the tail block, _GRAM_PANEL wide,
-      about half the block.
+    - Structured (the staircase; d = 1, or m <= n): the real weighted sums
+      of samplerec.expsums.staircase_sums on the dyadic staircase that the
+      first m basis functions read, at d = 1 one box holding the weighted
+      exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
+      |h| <= 2 f_max; gram is a new read-only array from its gram_block.
+      tail_gram is samplerec.expsums.TailGram at d = 1, one FFT pair per
+      product, and at d >= 2 lsq.BlockGram of the upper column panels
+      (B^T B)[k:hi, lo:hi] of the tail block, _GRAM_PANEL wide, about half
+      the block.
 
-    In the structured forms basis is the density's ordered basis, no
-    n-row matrix is stored, and G is evaluated on each access.  In every
-    form the densities are density_values' at the points, bit for bit.
+    In the structured form basis is the density's ordered basis, no n-row
+    matrix is stored, and G is evaluated on each access.  In every form the
+    densities are density_values' at the points, bit for bit.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
     densities: np.ndarray  # (n,), strictly positive
-    B: np.ndarray | None  # (n, m) weighted basis matrix, None in the structured forms
+    B: np.ndarray | None  # (n, m) weighted basis matrix, None in the structured form
     k: int  # head size, 1 <= k < m
     m: int | None = None  # width, B.shape[1] when B is given
-    sums: np.ndarray | expsums.Staircase | None = None  # complex E at d = 1, the staircase at d >= 2
-    basis: OrderedBasis | None = None  # the density's basis, in the structured forms
+    sums: expsums.Staircase | None = None  # the staircase, in the structured form
+    basis: OrderedBasis | None = None  # the density's basis, in the structured form
 
     @property
     def n(self) -> int:
@@ -290,9 +290,6 @@ class PointSet:
         gives it (see the class docstring)."""
         if self.B is not None:
             return self.B[:, rows].T @ self.B[:, cols]
-        if self.basis.params.d == 1:
-            flat = self.basis.indices[: self.m, 0]
-            return expsums.gram_block(self.sums, flat[rows], flat[cols])
         indices = self.basis.indices[: self.m]
         block = self.sums.gram_block(indices[rows], indices[cols])
         block.flags.writeable = False
@@ -305,6 +302,8 @@ class PointSet:
         tail = slice(self.k, self.m)
         if self.B is not None:
             return lsq.ViewGram(self.B[:, tail], sigma)
+        # panels at d = 1 would hold about half the tail block, 36 MB at
+        # claims-d1's q = 3003, where the FFT operator holds a few vectors
         if self.basis.params.d == 1:
             return expsums.TailGram(self.sums, self.basis.indices[tail, 0], sigma)
         columns = [slice(lo, min(lo + _GRAM_PANEL, self.m)) for lo in range(self.k, self.m, _GRAM_PANEL)]
@@ -354,8 +353,8 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     The densities are density_values' at the points, computed before the
     point set takes the form (see PointSet) that d and whether m > n pick,
     so they are the same, bit for bit, in every form a d allows.  The
-    structured forms (d = 1, and d >= 2 with m <= n) evaluate no basis
-    function and make no n x m or m x m array.  In the dense form (d >= 2
+    structured form (d = 1, or m <= n) evaluates no basis function and
+    makes no n x m or m x m array.  In the dense form (d >= 2
     with m > n) B is evaluated whole, its rows divided by sqrt(rho) in
     place (_weigh_rows); it is the only array of that size the call makes.
     ValueError before any allocation when m exceeds MAX_TRUNCATION or
@@ -382,13 +381,10 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     sign = np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0))
     x = _invert_factor_cdf(sign, freq, u[:, 2:])
     rho = density_values(params, x)
-    if d == 1:
-        sums = expsums.exp_sums(x[:, 0], 1.0 / rho, 2 * basis.max_frequency(m))
-        return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)
-    # With m > n the draw keeps B, which took less time than the 2-D box
-    # of sums that the staircase replaced at d = 2, s = 0.75 (claims at
+    # With m > n a d >= 2 draw keeps B, which took less time than the 2-D
+    # box of sums that the staircase replaced at d = 2, s = 0.75 (claims at
     # n_grid 512, 2048: 2.7-3.4 s against 3.3-4.7 s; 2-core box, seed 2).
-    if m <= n:
+    if d == 1 or m <= n:
         sums = expsums.staircase_sums(x, 1.0 / rho, basis.indices[:m])
         return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)
     b = basis_matrix(basis, x, m)

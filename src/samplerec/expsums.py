@@ -1,31 +1,34 @@
-"""Weighted exponential sums of a point set, and the Gram blocks of the
-density-weighted basis matrix that they determine.
+"""Weighted sums of a point set on a dyadic staircase, and the Gram blocks
+of the density-weighted basis matrix that they determine.
 
 At d = 1 every basis function is a real trigonometric monomial,
 b_j(x) = Re(c_j e^{2 pi i f_j x}) with c_j = 1 for the constant, sqrt(2)
 for a cosine and -i sqrt(2) for a sine.  So every entry of the Gram matrix
 B^T B of the weighted matrix B[i, j] = b_j(x_i) / sqrt(rho_i) is read off
-the weighted exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}:
+the weighted exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i}
+(exp_sums):
 
     (B^T B)[j, l] = Re(c_j c_l E(f_j + f_l) + c_j conj(c_l) E(f_j - f_l)) / 2,
 
-with E(-h) = conj(E(h)).  On the exponentials e^{2 pi i f x}, |f| <= F, the
-same Gram matrix is the Hermitian Toeplitz matrix T[f, g] = E(g - f), so a
-product with it is one correlation: one FFT pair.  None of this forms an
-n x m matrix; it is the structure behind the NFFT least squares of
-Kammerer, Ullrich & Volkmer (2021) and Greengard & Lee (2004).
+with E(-h) = conj(E(h)): the real parts of E are the cosine sums, the
+imaginary parts the sine sums.  On the exponentials e^{2 pi i f x},
+|f| <= F, the same Gram matrix is the Hermitian Toeplitz matrix
+T[f, g] = E(g - f), so a product with it is one correlation: one FFT pair
+(TailGram).  None of this forms an n x m matrix; it is the structure
+behind the NFFT least squares of Kammerer, Ullrich & Volkmer (2021) and
+Greengard & Lee (2004).
 
 At d >= 2 a basis function is a product of such factors, and the product
 of two factors in one coordinate is a sum of two cosines or two sines, at
 f_j + f_l and f_j - f_l.  So a Gram entry is 2^d terms of the real sums
-sum_i rho_i^-1 prod_c t_c(2 pi g_c x_ic), each t_c a cosine or a sine, read
-off a dyadic staircase that covers the vectors g the basis needs
-(staircase_sums, Staircase.gram_block).
+sum_i rho_i^-1 prod_c t_c(2 pi g_c x_ic), each t_c a cosine or a sine,
+read off a dyadic staircase that covers the vectors g the basis needs.
+At d = 1 that staircase is one box, the sums of E.  So one form and one
+reader serve every d (staircase_sums, Staircase.gram_block).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -102,61 +105,19 @@ def _split(flat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (flat + 1) // 2, np.where(flat == 0, math.sqrt(0.5), 1.0), flat % 2 == 1
 
 
-def gram_block(sums: np.ndarray, rows, cols) -> np.ndarray:
-    """The block (B^T B)[rows, cols] of a d = 1 instance, for flat basis
-    indices rows and cols, from its sums E(h) up to the largest f_j + f_l.
-
-    With p = |c_j c_l| / 2 and E(-h) = conj(E(h)), the module formula gives
-    each entry as Re E(f_j + f_l) p + Re E(f_j - f_l) p between two cosines,
-    Re E(f_j - f_l) p - Re E(f_j + f_l) p between two sines, and
-    Im E(f_j + f_l) p -+ Im E(f_j - f_l) p between a cosine row and a sine
-    column (-) or a sine row and a cosine column (+); these are the real
-    parts of the complex products term by term, so the block is the same to
-    the bit.  It is filled one cos/sin quadrant at a time from the real or
-    imaginary parts of the sums, so nothing complex of the block's size is
-    made and the call holds under three real blocks at a time.
-    """
-    f_r, a_r, sin_r = _split(rows)
-    f_c, a_c, sin_c = _split(cols)
-    block = np.empty((len(f_r), len(f_c)))
-    for row_sin in (False, True):
-        r = np.flatnonzero(sin_r == row_sin)
-        for col_sin in (False, True):
-            c = np.flatnonzero(sin_c == col_sin)
-            mixed = row_sin != col_sin
-            part = sums.imag if mixed else sums.real
-            p = np.multiply.outer(a_r[r], a_c[c])
-            h = np.add.outer(f_r[r], f_c[c])
-            plus = part[h]
-            plus *= p
-            np.subtract.outer(f_r[r], f_c[c], out=h)
-            negative = h < 0
-            minus = part[np.abs(h, out=h)]
-            if mixed:
-                # Im E(-h) = -Im E(h)
-                np.negative(minus, out=minus, where=negative)
-            minus *= p
-            if row_sin and col_sin:
-                np.subtract(minus, plus, out=plus)
-            elif col_sin:
-                plus -= minus
-            else:
-                plus += minus
-            block[np.ix_(r, c)] = plus
-    return block
-
-
 class Staircase:
     """The real weighted sums R_tau(g) = sum_i w_i prod_c tau_c(2 pi g_c x_ic)
-    of a point set at d >= 2, tau_c a cosine or a sine and g >= 0, on the
-    dyadic staircase of staircase_sums, and the Gram blocks of its basis
-    that they give (gram_block).
+    of a point set, tau_c a cosine or a sine and g >= 0, on the dyadic
+    staircase of staircase_sums, and the Gram blocks of its basis that they
+    give (gram_block).
 
     values[tau, starts[g'] + g_d] is R_tau(g', g_d), g' the first d - 1
     coordinates and tau = sum_c [tau_c is a sine] 2^(d - 1 - c): each row g'
     holds the last coordinate from -t to t, t that of its box, the negative
-    half copied with its parity (a sine is odd).  known marks the frequency
-    vectors whose Gram blocks the staircase covers.
+    half copied with its parity (a sine is odd).  At d = 1 starts is a 0-d
+    array and there is one row: values[0] and values[1] are Re E and Im E
+    of exp_sums from -t to t.  known marks the frequency vectors whose Gram
+    blocks the staircase covers.
     """
 
     def __init__(self, starts: np.ndarray, values: np.ndarray, known: np.ndarray) -> None:
@@ -224,7 +185,7 @@ class Staircase:
                 d_last = np.add.outer(toward[c] * f_r[r, c], column - toward[c] * f_c[:, c])
                 out = None
                 for choice in itertools.product(*terms):
-                    start = starts.take(functools.reduce(np.add, [part for part, _ in choice]), mode="clip")
+                    start = starts.take(sum(part for part, _ in choice), mode="clip")
                     pair = sums.take(start + s_last, mode="clip")
                     if s_sign[c] is not None:
                         pair *= s_sign[c]
@@ -236,8 +197,8 @@ class Staircase:
                         out = pair
                     else:
                         out += pair
-                out *= p_r[r, None]
-                out *= p_c
+                # one rounding of p_j p_l, as the complex formula at d = 1
+                out *= np.multiply.outer(p_r[r], p_c)
                 block[r] = out
         return block
 
@@ -251,38 +212,13 @@ def _khatri_rao(tables: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def staircase_sums(x, weights, indices) -> Staircase:
-    """The sums R_tau(g) = sum_i weights_i prod_c tau_c(2 pi g_c x_ic) of an
-    (n, d) point set, d >= 2, on the dyadic staircase that covers every
-    vector |f_j +- f_l| (per coordinate) of two frequency vectors of the
-    (m, d) flat basis indices, as a Staircase.
-
-    The staircase cuts the first d - 1 coordinates into dyadic levels
-    {0} and [2^(l-1), 2^l) up to twice the largest frequency, and holds one
-    box per combination of levels that some pair reaches: the product of
-    those levels and the prefix [0, t] of the last coordinate, t the
-    largest f_d + f'_d over those pairs (Doehler, Kunis & Potts, Nonequispaced
-    hyperbolic cross fast Fourier transform, SIAM J. Numer. Anal., 2010).
-    Per row block of points (row_blocks) and coordinate, the powers of
-    e^{2 pi i x_ic} are built by multiplication (_powers) and split into a
-    (g, cos/sin, point) table; each box is then one real product of the
-    Khatri-Rao products of its slices (the last coordinate's prefix
-    weighted) on either side of a split of its coordinates.  So the error
-    is in exp_sums's class, the rounding of 2 pi x scaled by the frequency,
-    and the cost n 2^d times the staircase's size.
-    """
-    x = np.asarray(x, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    indices = np.asarray(indices, dtype=np.int64)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ValueError(f"need an (n, d) array of points with d >= 2, got shape {x.shape}")
+def _box_sums(x: np.ndarray, weights: np.ndarray, freq: np.ndarray, top: int) -> tuple[list, list]:
+    """The boxes of the staircase of an (n, d) point set, d >= 2, and the
+    sums on each, for the distinct frequency vectors freq, top twice the
+    largest frequency: each box a list of d (lo, hi) ranges, and its sums
+    an array whose axes interleave each coordinate's (g, cos/sin), the
+    coordinates split between the two axes (see staircase_sums)."""
     d = x.shape[1]
-    if weights.shape != x.shape[:1]:
-        raise ValueError(f"need one weight per point, got shapes {weights.shape} and {x.shape}")
-    if indices.ndim != 2 or indices.shape[1] != d or len(indices) == 0 or np.any(indices < 0):
-        raise ValueError(f"need a nonempty (m, {d}) array of flat indices, got shape {indices.shape}")
-    freq = np.unique((indices + 1) // 2, axis=0)
-    top = 2 * int(freq.max())
     levels = top.bit_length() + 1
     # reach[l]: the largest f_d + f'_d over pairs whose S or D falls in the
     # levels l of the first d - 1 coordinates (bit_length, by frexp)
@@ -318,6 +254,49 @@ def staircase_sums(x, weights, indices) -> Staircase:
         for box, j, part in zip(boxes, splits, partial):
             slices = [table[2 * lo : 2 * hi] for table, (lo, hi) in zip(tables, box)]
             part += _khatri_rao(slices[:j]) @ _khatri_rao(slices[j:]).T
+    return boxes, partial
+
+
+def staircase_sums(x, weights, indices) -> Staircase:
+    """The sums R_tau(g) = sum_i weights_i prod_c tau_c(2 pi g_c x_ic) of an
+    (n, d) point set on the dyadic staircase that covers every vector
+    |f_j +- f_l| (per coordinate) of two frequency vectors of the (m, d)
+    flat basis indices, as a Staircase.
+
+    At d = 1 the staircase is one box, [0, t] with t twice the largest
+    frequency, and its cosine and sine sums are the real and imaginary
+    parts of exp_sums's E(h), h = 0..t.  At d >= 2 it cuts the first d - 1
+    coordinates into dyadic levels {0} and [2^(l-1), 2^l) up to twice the
+    largest frequency, and holds one box per combination of levels that
+    some pair reaches: the product of those levels and the prefix [0, t] of
+    the last coordinate, t the largest f_d + f'_d over those pairs
+    (Doehler, Kunis & Potts, Nonequispaced hyperbolic cross fast Fourier
+    transform, SIAM J. Numer. Anal., 2010).  Per row block of points
+    (row_blocks) and coordinate, the powers of e^{2 pi i x_ic} are built by
+    multiplication (_powers) and split into a (g, cos/sin, point) table;
+    each box is then one real product of the Khatri-Rao products of its
+    slices (the last coordinate's prefix weighted) on either side of a
+    split of its coordinates (_box_sums).  So the error is in exp_sums's
+    class, the rounding of 2 pi x scaled by the frequency, and the cost
+    n 2^d times the staircase's size.
+    """
+    x = np.asarray(x, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    indices = np.asarray(indices, dtype=np.int64)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError(f"need an (n, d) array of points, got shape {x.shape}")
+    d = x.shape[1]
+    if weights.shape != x.shape[:1]:
+        raise ValueError(f"need one weight per point, got shapes {weights.shape} and {x.shape}")
+    if indices.ndim != 2 or indices.shape[1] != d or len(indices) == 0 or np.any(indices < 0):
+        raise ValueError(f"need a nonempty (m, {d}) array of flat indices, got shape {indices.shape}")
+    freq = (indices + 1) // 2
+    top = 2 * int(freq.max())
+    if d == 1:
+        e = exp_sums(x[:, 0], weights, top)
+        boxes, partial = [[(0, top + 1)]], [np.stack((e.real, e.imag), axis=1)]
+    else:
+        boxes, partial = _box_sums(x, weights, np.unique(freq, axis=0), top)
     # each box as (tau, g', g_d) rows from -t to t, and the starts of its rows
     starts = np.full((top + 1,) * (d - 1), -1, dtype=np.intp)
     size = sum(math.prod(hi - lo for lo, hi in box[:-1]) * (2 * box[-1][1] - 1) for box in boxes)
@@ -343,11 +322,12 @@ def staircase_sums(x, weights, indices) -> Staircase:
 
 class TailGram:
     """Gamma^T Gamma = diag(sigma) (B^T B)[tail, tail] diag(sigma) of a d = 1
-    instance, with Gamma = B[:, tail] diag(sigma) for the distinct
-    nonconstant flat basis indices tail (positions k..m-1 of the basis), as
-    a symmetric positive semidefinite operator of size len(tail): a Gram
-    operator for samplerec.lsq.spectral_norm, with shape and matvec (the
-    product with one vector), diagonal and trace, and no matrix.
+    instance, from its one-box staircase (the sums of E), with
+    Gamma = B[:, tail] diag(sigma) for the distinct nonconstant flat basis
+    indices tail (positions k..m-1 of the basis), as a symmetric positive
+    semidefinite operator of size len(tail): a Gram operator for
+    samplerec.lsq.spectral_norm, with shape and matvec (the product with
+    one vector), diagonal and trace, and no matrix.
 
     A product maps the tail coefficients to the exponentials |f| <= F (F the
     largest tail frequency), multiplies by the Toeplitz matrix
@@ -357,7 +337,7 @@ class TailGram:
     transforms are real: one pair of half-length real FFTs (hfft, ihfft).
     """
 
-    def __init__(self, sums: np.ndarray, tail, sigma: np.ndarray) -> None:
+    def __init__(self, sums: Staircase, tail, sigma: np.ndarray) -> None:
         tail = np.asarray(tail, dtype=np.int64)
         if len(tail) == 0 or np.any(tail <= 0) or len(np.unique(tail)) != len(tail) or len(sigma) != len(tail):
             raise ValueError("need distinct nonconstant tail indices, one sigma each")
@@ -365,15 +345,18 @@ class TailGram:
         self._cos = tail % 2 == 0
         self._sigma = np.asarray(sigma, dtype=float)
         top = int(self._freq.max())
-        if len(sums) <= 2 * top:
-            raise ValueError(f"need E(h) up to h={2 * top}, got {len(sums) - 1}")
+        if sums.known.ndim != 1 or top >= len(sums.known) or not np.all(sums.known[self._freq]):
+            raise ValueError("need a d = 1 staircase that covers the tail frequencies")
+        # the staircase's one row holds Re E and Im E from -t to t, t >= 2F
+        origin = int(sums.starts)
         self._length = length = 1 << (4 * top).bit_length()
         # the circular kernel K[t mod L] = E(-t), |t| <= 2F, is Hermitian
         # (K[-t] = conj K[t]), so its transform is real: hfft of its first half
         kernel = np.zeros(length // 2 + 1, dtype=complex)
-        kernel[: 2 * top + 1] = sums[: 2 * top + 1].conj()
+        kernel.real[: 2 * top + 1], kernel.imag[: 2 * top + 1] = sums.values[:, origin - 2 * top : origin + 1][:, ::-1]
         self._kernel = np.fft.hfft(kernel, length)
-        self._diagonal = sums[0].real + np.where(self._cos, 1.0, -1.0) * sums[2 * self._freq].real
+        cosines = sums.values[0, origin:]
+        self._diagonal = cosines[0] + np.where(self._cos, 1.0, -1.0) * cosines[2 * self._freq]
         self._cos_at, self._sin_at = np.flatnonzero(self._cos), np.flatnonzero(~self._cos)
         self._cos_freq, self._sin_freq = self._freq[self._cos_at], self._freq[self._sin_at]
         self.shape = (len(tail), len(tail))

@@ -497,7 +497,13 @@ def test_cli_run_path_imports_no_numpy_random(tmp_path):
 # test_cli_csv_is_the_same_in_every_point_set_form passed on every config:
 # s_min_G by 7.7e-16, s_max_Gamma 2.3e-16, e_trunc 1.7e-16, e_upper
 # 5.2e-16, ratio1 5.0e-16 and ratio2 3.4e-16 relative, the integer and
-# fraction columns unchanged.
+# fraction columns unchanged.  The rates digest then moved with the
+# staircase reader scaling each Gram entry by one rounding of p_j p_l (in
+# place of p_j, then p_l), which gives the d = 1 blocks the bits of the
+# complex formula, after test_cli_csv_is_the_same_in_every_point_set_form
+# passed on every config: s_min_G by 2.7e-16, s_max_Gamma 1.4e-16, e_trunc
+# 2.1e-16, ratio1 2.5e-16 and ratio2 4.2e-16 relative, the others
+# unchanged; the claims digest (d = 1) did not move.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -507,7 +513,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "b586bdd1449fe82b1204cf1463360c468884db067fb0aa4434222593e809afe0",
+        "ad27089b121c1637df15d5ea2f2062523257048b8fdf0dc5ad0a45d4c3900fc5",
     ),
     "beta": (
         "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
@@ -566,9 +572,9 @@ def test_cli_instances_that_keep_b_are_unchanged(tmp_path):
 
 
 # Small rates and claims configs at d = 1, d = 2 (s = 0.75 and 1.0), d = 3
-# and d = 4, whose m <= n draws take the structured form: the exponential
-# sums at d = 1 and the staircase at d >= 2; the rates golden config is the
-# first.
+# and d = 4, whose d = 1 and m <= n draws take the structured form, the
+# staircase (at d = 1 one box of the exponential sums); the rates golden
+# config is the first.
 _CROSS_FORM = [
     ("rates", "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
               "trials = 2\nseed = 20250814\n"),
@@ -688,7 +694,7 @@ def test_cli_csv_moves_within_roundoff_from_the_bisection_inverse(tmp_path, monk
 def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     # the perfbench rates-d1 config at seed 2, whose CSV moved in its float
     # columns at two OpenBLAS threads, and the rates-d2-s075 one, whose d = 2
-    # draws sum their exponential sums by complex matrix products: the
+    # draws sum their staircase sums by real matrix products: the
     # command line pins one thread itself, so the bytes are the one-thread
     # bytes with the variable unset (OpenBLAS's default) or set to 2; the
     # d = 2 digest moved with the closed-form density (s_min_G by 5.5e-16,
@@ -708,7 +714,13 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     # ratio1 7.7e-16 and ratio2 1.4e-15 relative, integer columns unchanged;
     # the d = 2 one then moved with the staircase sums: s_min_G by 5.2e-16,
     # s_max_Gamma 1.9e-16, e_trunc 3.5e-16, e_upper 3.8e-16, ratio1 6.3e-16
-    # and ratio2 8.2e-16 relative, integer columns unchanged
+    # and ratio2 8.2e-16 relative, integer columns unchanged; the d = 1 one
+    # did not move when its draws took the one-box staircase, and the d = 2
+    # one then moved with the staircase reader's one rounding of p_j p_l,
+    # after test_cli_csv_is_the_same_in_every_point_set_form passed at
+    # 1e-13: s_min_G by 3.8e-16, s_max_Gamma 2.0e-16, e_trunc 2.2e-16,
+    # e_upper 4.2e-16, ratio1 5.1e-16 and ratio2 5.8e-16 relative, integer
+    # columns unchanged
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -720,7 +732,7 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
         ("d = 1\ns = 1.0\nn_grid = 64, 128, 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
          "trials = 3\nseed = 2\n", "976c0540fc205a3d37166a7e21cd6524e639326c3bf53ee7e363800b3c98a3c6"),
         ("d = 2\ns = 0.75\nn_grid = 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
-         "trials = 1\nseed = 2\n", "2ea86f2a24ed4b08f4e6971304a27a4d4c341858ab5947d8abf8c709b1b898c6"),
+         "trials = 1\nseed = 2\n", "8fb731e4ff869cf14c233074c89e40f04cc0c0dbb90bd91bb750fd8c27f86499"),
     ):
         cfg = write_config(tmp_path, config)
         out = tmp_path / "rates.csv"
@@ -845,6 +857,19 @@ def test_cli_weight_beyond_float_range_exits_3(tmp_path, s):
     assert "beyond float range" in proc.stderr
     assert not out.exists()
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("d, s, ulps", [(4, 0.6, "the width is 72 ulps of the total, tol 55"),
+                                        (3, 0.51, "the width is 80 ulps of the total, tol 0.859")],
+                         ids=["d4-s0.6", "d3-s0.51"])
+def test_cli_enclosure_wider_than_tol_exits_3(tmp_path, d, s, ulps):
+    # the certified total's enclosure is dozens of ulps wide, so tol = 1e-10
+    # refuses a total of 12561.5 as it does one of 1.0e6; the message says so
+    proc, out = _run_cli(tmp_path, "rates", f"d = {d}\ns = {s}\nn_grid = 64\ntrials = 1\n", timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: enclosure width ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith(f"above tol 1.0e-10: {ulps}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

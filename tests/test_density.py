@@ -297,6 +297,19 @@ def test_sampled_densities_match_recomputation():
     assert (pts.k, pts.m) == (4, 16)
 
 
+@pytest.mark.parametrize("d, n, m", [(1, 300, 16), (1, 12, 16), (2, 300, 20), (3, 300, 20), (2, 16, 20), (3, 16, 20)])
+def test_every_draw_takes_the_form_of_its_d_and_m(d, n, m):
+    # d = 1, whatever n, and m <= n at every d hold the staircase (2^d
+    # cos/sin kinds, at d = 1 one box) and no B; d >= 2 with m > n holds B
+    dens = make_density(SpaceParams(d, 1.0), 4, m)
+    pts = sample_points(dens, n, 9)
+    if d == 1 or m <= n:
+        assert pts.B is None and isinstance(pts.sums, expsums.Staircase) and pts.basis is dens.basis
+        assert pts.sums.values.shape[0] == 2 ** d and pts.sums.starts.ndim == d - 1
+    else:
+        assert pts.sums is None and pts.B.shape == (n, m) and not pts.B.flags.writeable
+
+
 def test_point_set_validation():
     def point_set(densities=np.ones(3), b=np.ones((3, 4)), k=2):
         return PointSet(points=np.zeros((3, 1)), densities=densities, B=b, k=k)
@@ -632,12 +645,13 @@ def test_panelled_gram_matches_the_one_product_gram(params, k, m, n):
 
 def test_sample_points_at_d1_makes_no_head_sized_array():
     # the largest claims-d1 instance: its head block G would be n x k,
-    # 6.7 MiB; the structured draw keeps the sums, evaluates no basis
-    # function and makes its exponential tables one row block at a time
+    # 6.7 MiB; the structured draw keeps the one-box staircase of the sums,
+    # evaluates no basis function and makes its exponential tables one row
+    # block at a time
     n, k, m = 2048, 429, 3432
     dens = make_density(SP1, k, m)
     pts, peak = traced_peak(sample_points, dens, n, 3)
-    assert pts.B is None and len(pts.sums) == 2 * dens.basis.max_frequency(m) + 1
+    assert pts.B is None and pts.sums.values.shape == (2, 4 * dens.basis.max_frequency(m) + 1)
     assert peak < n * k * 8
 
 

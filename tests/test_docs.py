@@ -54,8 +54,8 @@ def test_readme_names_resolve():
 
 
 def test_only_density_reads_the_point_set_form():
-    # the form of a point set (B or its sums, and the panel width of its
-    # d >= 2 tail) is read in samplerec.density alone: other modules
+    # the form of a point set (B or its staircase, and the panel width of
+    # its d >= 2 tail) is read in samplerec.density alone: other modules
     # go through PointSet.gram, G and tail_gram; and lsq, which density
     # imports, imports density at module level only for type checking
     import samplerec
@@ -68,6 +68,13 @@ def test_only_density_reads_the_point_set_form():
         and re.search(r"\.(?:B|sums)\b|_GRAM_PANEL", path.read_text(encoding="utf-8"))
     ]
     assert readers == [], f"{readers} read the point-set form"
+    # the exponential sums are the d = 1 staircase's, made inside expsums
+    makers = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if path.name != "expsums.py" and re.search(r"\bexp_sums\b", path.read_text(encoding="utf-8"))
+    ]
+    assert makers == [], f"{makers} name exp_sums"
     for node in ast.parse((src / "lsq.py").read_text(encoding="utf-8")).body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]

@@ -1,5 +1,5 @@
-"""The structured paths (the exponential sums at d = 1, the staircase sums
-at d >= 2) against their dense oracles: the sums, the Gram blocks and
+"""The structured path (the staircase sums, at d = 1 one box of the
+exponential sums) against its dense oracles: the sums, the Gram blocks and
 Toeplitz products they give, and the norms and e_trunc read off them."""
 
 import dataclasses
@@ -15,7 +15,7 @@ from samplerec import density, expsums, lsq, spectral
 from samplerec.density import dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, run_claims, run_rates
-from samplerec.expsums import TailGram, exp_sums, gram_block
+from samplerec.expsums import TailGram, exp_sums
 from samplerec.lsq import head_factor, head_svd
 from samplerec.spectral import SpaceParams, ordered_basis
 
@@ -56,7 +56,7 @@ def staircase_read(stair, g, sine):
     return sign * stair.values[tau, stair.starts[tuple(np.abs(g[:, :-1]).T)] + g[:, -1]]
 
 
-@pytest.mark.parametrize("d, s, m", [(2, 0.75, 300), (3, 0.6, 300), (4, 0.75, 200)])
+@pytest.mark.parametrize("d, s, m", [(1, 1.0, 300), (2, 0.75, 300), (3, 0.6, 300), (4, 0.75, 200)])
 def test_staircase_sums_match_direct_sums(d, s, m):
     # against a product of np.cos and np.sin over the points, in exp_sums's
     # error class, at f_j +- f_l (per coordinate) for pairs of the basis's
@@ -98,6 +98,14 @@ def test_staircase_sums_and_gram_block_reject_bad_input():
             stair.gram_block(rows, indices)
     with pytest.raises(ValueError, match=r"\(r, 2\)"):
         stair.gram_block(indices[:, :1], indices)
+    # the FFT tail operator reads a d = 1 staircase alone, and only the
+    # frequencies it covers
+    with pytest.raises(ValueError, match="d = 1 staircase"):
+        TailGram(stair, [1, 2], np.ones(2))
+    line = expsums.staircase_sums(x[:, :1], w, np.arange(5)[:, None])
+    assert TailGram(line, [1, 4], np.ones(2)).shape == (2, 2)
+    with pytest.raises(ValueError, match="d = 1 staircase"):
+        TailGram(line, [1, 5], np.ones(2))
 
 
 def test_staircase_sums_write_every_entry_before_reading_it(monkeypatch):
@@ -124,24 +132,32 @@ def test_staircase_sums_write_every_entry_before_reading_it(monkeypatch):
     assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("d, s, k, m, n", [(2, 0.75, 40, 320, 700), (3, 0.6, 40, 320, 700), (4, 0.75, 40, 320, 700)])
+@pytest.mark.parametrize("d, s, k, m, n", [
+    (1, 1.0, 1, 3, 40), (1, 1.0, 6, 40, 90), (1, 1.0, 13, 104, 256),
+    (2, 0.75, 40, 320, 700), (3, 0.6, 40, 320, 700), (4, 0.75, 40, 320, 700),
+])
 def test_staircase_gram_block_matches_dense_gram(d, s, k, m, n):
-    # the head block, the head-by-tail block and the upper column panels of
-    # the tail block, against B^T B of the twin that holds B, one product
-    # of its views; the panels are _GRAM_PANEL wide, so m = 8k takes two
+    # the head block, the head-by-tail block, the whole Gram and the upper
+    # column panels of the tail block, against B^T B of the twin that
+    # holds B, one product of its views; the panels are _GRAM_PANEL wide,
+    # so m = 8k = 320 takes two.  At d = 1 (one box, the sums of E) every
+    # entry is within 1e-13 of E(0), the sum of the weights
     basis, pts = make_instance(k, m, n, 3, SpaceParams(d, s))
     assert pts.B is None and isinstance(pts.sums, expsums.Staircase)
     dense = with_dense_matrix(pts, basis)
-    head, tail = slice(0, k), slice(k, m)
-    blocks = [(head, head), (head, tail)] + [
+    head, tail, every = slice(0, k), slice(k, m), slice(0, m)
+    blocks = [(head, head), (head, tail), (every, every)] + [
         (slice(k, min(lo + density._GRAM_PANEL, m)), slice(lo, min(lo + density._GRAM_PANEL, m)))
         for lo in range(k, m, density._GRAM_PANEL)
     ]
-    assert len(blocks) == 4
+    assert len(blocks) == 3 + -(-(m - k) // density._GRAM_PANEL)
     for rows, cols in blocks:
         block, exact = pts.gram(rows, cols), dense.gram(rows, cols)
         assert block.shape == exact.shape
-        assert np.max(np.abs(block - exact)) <= 1e-12 * np.max(np.abs(exact))
+        if d == 1:
+            assert np.max(np.abs(block - exact)) <= 1e-13 * pts.sums.values[0, int(pts.sums.starts)]
+        else:
+            assert np.max(np.abs(block - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def one_shot_powers(z, count):
@@ -237,26 +253,19 @@ def test_exp_sums_reject_bad_input():
 
 
 def test_sample_points_at_d1_is_structured():
+    # the staircase of one box: Re E and Im E of exp_sums from -t to t,
+    # t = 104 twice the largest frequency, the negative half with a sine's
+    # parity
     basis, pts = make_instance(13, 104, 256, 5)
     assert pts.B is None and (pts.k, pts.m, pts.n) == (13, 104, 256)
     assert pts.G.shape == (256, 13) and not pts.G.flags.writeable
-    assert len(pts.sums) == 2 * basis.max_frequency(104) + 1
+    assert isinstance(pts.sums, expsums.Staircase) and 2 * basis.max_frequency(104) == 104
+    assert pts.sums.starts.shape == () and int(pts.sums.starts) == 104 and pts.sums.values.shape == (2, 209)
     b = dense_matrix(pts)
     assert b.shape == (256, 104)
     assert np.array_equal(pts.G, b[:, :13])
-    assert np.array_equal(pts.sums, exp_sums(pts.points[:, 0], 1.0 / pts.densities, 104))
-
-
-def test_gram_block_matches_dense_gram():
-    for k, m, n, seed in ((1, 3, 40, 1), (6, 40, 90, 2), (13, 104, 256, 5)):
-        basis, pts = make_instance(k, m, n, seed)
-        b = dense_matrix(pts)
-        flat = basis.indices[:m, 0]
-        scale = pts.sums[0].real
-        assert np.max(np.abs(gram_block(pts.sums, flat, flat) - b.T @ b)) <= 1e-13 * scale
-        block = gram_block(pts.sums, flat[:k], flat[k:])
-        assert block.shape == (k, m - k)
-        assert np.max(np.abs(block - pts.G.T @ b[:, k:])) <= 1e-13 * scale
+    sums = exp_sums(pts.points[:, 0], 1.0 / pts.densities, 104)
+    assert np.array_equal(pts.sums.values, one_box(sums).values)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -280,26 +289,34 @@ def test_point_set_gram_matches_the_dense_matrix(d):
 
 
 def test_gram_block_holds_three_blocks_at_a_time():
-    # the claims-d1 head Gram (k = 429) and a rates-d1 head-by-tail block:
-    # the two terms are formed in place, so about three complex arrays of the
-    # block's size are alive at once (the products and their sum took 5.6)
+    # the claims-d1 head Gram (k = 429) and a rates-d1 head-by-tail block,
+    # read off the d = 1 staircase: the terms are formed in place, so about
+    # three complex arrays of the block's size are alive at once (the
+    # products and their sum of the complex reader took 5.6)
     basis, pts = make_instance(429, 3432, 2048, 3)
-    flat = basis.indices[:3432, 0]
-    for rows, cols in ((flat[:429], flat[:429]), (flat[:123], flat[123:984])):
+    for rows, cols in ((slice(0, 429), slice(0, 429)), (slice(0, 123), slice(123, 984))):
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            block = gram_block(pts.sums, rows, cols)
+            block = pts.gram(rows, cols)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert block.shape == (len(rows), len(cols))
+        assert block.shape == (rows.stop - rows.start, cols.stop - cols.start)
         assert peak <= 3.5 * block.size * 16
+
+
+def one_box(sums):
+    """The d = 1 staircase of the complex sums E(0..t), laid out as
+    staircase_sums lays it out: Re E and Im E from -t to t."""
+    t = len(sums) - 1
+    both = np.concatenate((sums[:0:-1].conj(), sums))
+    return expsums.Staircase(np.array(t), np.stack((both.real, both.imag)), np.ones(t // 2 + 1, dtype=bool))
 
 
 def complex_gram_block(sums, rows, cols):
     """The block by the module formula in complex arithmetic, with c_j = 1,
-    sqrt(2) or -i sqrt(2) halved: the reference for gram_block."""
+    sqrt(2) or -i sqrt(2) halved: the reference for the d = 1 gram_block."""
 
     def split(flat):
         flat = np.asarray(flat, dtype=np.int64)
@@ -323,30 +340,36 @@ flat_indices = st.tuples(st.lists(st.integers(0, 300), max_size=40), st.integers
 
 @given(rows=flat_indices, cols=flat_indices, seed=st.integers(0, 2 ** 32 - 1))
 def test_gram_block_is_the_complex_formula_to_the_bit(rows, cols, seed):
-    # each entry is a sum of two real products, the real parts of the
-    # complex ones, so the real-arithmetic block matches bit for bit
+    # the d = 1 staircase reader: each entry is the sum of the two reads
+    # times one rounding of the rows' and columns' real factors, and where
+    # that product is not 1 the two reads are equal, so it is the real part
+    # of the complex formula bit for bit; E(0), the sum of the weights, is
+    # real, as a sine's parity needs
     rng = np.random.Generator(np.random.Philox(key=seed))
     sums = rng.standard_normal(301) + 1j * rng.standard_normal(301)
-    block = gram_block(sums, rows, cols)
+    sums[0] = sums[0].real
+    block = one_box(sums).gram_block(np.array(rows)[:, None], np.array(cols)[:, None])
     assert block.shape == (len(rows), len(cols))
     assert np.array_equal(block.view(np.int64), complex_gram_block(sums, rows, cols).view(np.int64))
 
 
 def test_gram_block_holds_three_real_blocks():
     # the claims-d1 head Gram and e_trunc head-by-tail blocks of the
-    # largest claims-d1 and rates-d1 instances, filled one cos/sin quadrant
-    # at a time from real parts of the sums
+    # largest claims-d1 and rates-d1 instances, read off the d = 1
+    # staircase one row kind and one row panel at a time
     basis, pts = make_instance(429, 3432, 2048, 3)
     flat = basis.indices[:3432, 0]
-    for rows, cols in ((flat[:429], flat[:429]), (flat[:429], flat[429:]), (flat[:123], flat[123:984])):
+    t = int(pts.sums.starts)
+    sums = pts.sums.values[0, t:] + 1j * pts.sums.values[1, t:]
+    for rows, cols in ((slice(0, 429), slice(0, 429)), (slice(0, 429), slice(429, 3432)), (slice(0, 123), slice(123, 984))):
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            block = gram_block(pts.sums, rows, cols)
+            block = pts.gram(rows, cols)
             peak = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert np.array_equal(block, complex_gram_block(pts.sums, rows, cols))
+        assert np.array_equal(block, complex_gram_block(sums, flat[rows], flat[cols]))
         assert peak <= 3 * block.size * 8
 
 
@@ -377,14 +400,14 @@ def test_toeplitz_matvec_matches_dense_gamma(k, m, n):
 )
 def test_structured_norms_and_e_trunc_match_dense(d, s, k, m_factor, n_extra, seed):
     # instances in the runners' domain (n >= 2k), with tails from one column
-    # to 280, so both the dense solve of small operators and Lanczos run: at
-    # d = 1 in the structured form, at d = 2 and 3 with n >= m in the
-    # staircase form, whose tail norm takes the upper column panels, each
-    # against its twin that holds B
+    # to 280, so both the dense solve of small operators and Lanczos run,
+    # in the staircase form: at d = 1, whose tail norm takes the FFT
+    # operator, and at d = 2 and 3 with n >= m, whose tail norm takes the
+    # upper column panels, each against its twin that holds B
     m = m_factor * k
     n = (2 * k if d == 1 else max(2 * k, m)) + n_extra
     basis, pts = make_instance(k, m, n, seed, SpaceParams(d, s))
-    assert pts.B is None and (d == 1) != isinstance(pts.sums, expsums.Staircase)
+    assert pts.B is None and isinstance(pts.sums, expsums.Staircase)
     dense = with_dense_matrix(pts, basis)
     assert _checked_gamma_norm(pts, basis) == pytest.approx(_checked_gamma_norm(dense, basis), rel=1e-12, abs=0)
     gamma = dense.B[:, k:] * basis.sigma[k:m]

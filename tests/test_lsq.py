@@ -14,7 +14,7 @@ from samplerec import density, lsq
 from samplerec.density import PointSet, dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, csv_text, run_claims, run_rates
-from samplerec.expsums import exp_sums
+from samplerec.expsums import staircase_sums
 from samplerec.lsq import (
     RANK_RTOL,
     BlockGram,
@@ -446,7 +446,7 @@ def test_duplicated_points_are_counted_degenerate(monkeypatch):
         few = sample(params, max(1, params.k // 2), seed)
         x = np.resize(few.points, (n, 1))
         rho = np.resize(few.densities, n)
-        sums = exp_sums(x[:, 0], 1.0 / rho, len(few.sums) - 1)
+        sums = staircase_sums(x, 1.0 / rho, params.basis.indices[: params.m])
         return dataclasses.replace(few, points=x, densities=rho, sums=sums)
 
     dup = duplicated(truncated_density(ordered_basis(SP1, 49), 6, 48), 128, 3)

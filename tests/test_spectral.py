@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -322,7 +323,7 @@ def test_spectral_sums_precision_errors():
     with pytest.raises(ValueError):
         spectral_sums(SP1, basis, tol=0.0)
     # one ulp of the total pi coth pi is 4.4e-16
-    with pytest.raises(PrecisionError, match=r"enclosure width .* above tol 1\.0e-18: tol is below"):
+    with pytest.raises(PrecisionError, match=r"enclosure width .* above tol 1\.0e-18: the width is 14 ulps of the total"):
         spectral_sums(SP1, basis, tol=1e-18)
     # the total at d=3, s=0.51 is about 1.0e6, whose ulp is 1.2e-10
     sp = SpaceParams(3, 0.51)
@@ -447,6 +448,17 @@ def test_power_bracket_contains_exact_powers(base, gap, d):
         assert Fraction(lo) <= (1 + 2 * Fraction(s_lo)) ** d
         assert (1 + 2 * Fraction(s_hi)) ** d <= Fraction(hi)
         assert hi - lo <= (d * (2 * gap + 4) + 8) * 2.0 ** -52 * hi
+
+
+@pytest.mark.parametrize("d, s, total, width, tol", [(4, 0.6, "12561.5", "72", "55"), (3, 0.51, "1.00642e+06", "80", "0.859")],
+                         ids=["d4-s0.6", "d3-s0.51"])
+def test_enclosure_error_gives_the_width_in_ulps_of_the_total(d, s, total, width, tol):
+    # the rounding bounds of the partial sum, the tail and the d-th power
+    # make the width dozens of ulps of the total, so tol = 1e-10, 55 ulps of
+    # a total of 12561.5, is refused there though it is far above one ulp
+    message = f"series total {total} above tol 1.0e-10: the width is {width} ulps of the total, tol {tol}"
+    with pytest.raises(PrecisionError, match=re.escape(message) + "$"):
+        spectral._series_enclosure(s, d, 1e-10)
 
 
 def test_series_enclosure_matches_integral_test_oracle():
