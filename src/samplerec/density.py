@@ -381,9 +381,10 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     sign = np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0))
     x = _invert_factor_cdf(sign, freq, u[:, 2:])
     rho = density_values(params, x)
-    # With m > n a d >= 2 draw keeps B, which took less time than the 2-D
-    # box of sums that the staircase replaced at d = 2, s = 0.75 (claims at
-    # n_grid 512, 2048: 2.7-3.4 s against 3.3-4.7 s; 2-core box, seed 2).
+    # With m > n a d >= 2 draw keeps B: faster there than the staircase, at
+    # more memory (claims at n_grid 512, 2048, c_head 0.05, seed 2, one BLAS
+    # thread, 2-core box: 1.6-1.8 s / 146 MiB against 1.9-2.3 s / 78 MiB at
+    # d = 2, s = 0.75; 4.2-4.7 s / 259 MiB against 13.6-14.8 s / 208 MiB at d = 4).
     if d == 1 or m <= n:
         sums = expsums.staircase_sums(x, 1.0 / rho, basis.indices[:m])
         return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)

@@ -27,19 +27,17 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     with W = S^-1 U^T T; so the error squared is the top eigenvalue of
     W^T W + diag(s_t)^2, of size q = m - k.
 
-    The route follows the factorization.  One without u (the Gram route of
-    any d, kappa(G) <= lsq.KAPPA_LIMIT) gives
-    W = S^-2 V^T (G^T B_tail) diag(s_t), with the block G^T B_tail from
-    info.gram in the point set's form (see PointSet), so no n-row matrix is
-    formed unless B is stored.  One with u (a fallback draw) takes the
-    dense route above: U^T B_tail is summed over row blocks (row_blocks) of
-    u and of B, whose rows density.dense_matrix gives, views of a stored B
-    or evaluated one block at a time with the same bits, so no n x m array
-    is made.  Each scales its (k, q) product into W in place, so the call
-    holds W and, on the Gram route, the block it came from, but no third
-    array of that size.  Both routes end in one lsq.spectral_norm of the
-    operator x -> W^T (W x) + s_t^2 x, Lanczos on the (k, q) matrix W, so
-    no q x q matrix is formed.
+    W = L C diag(s_t) is applied as its factors, never formed: C is the
+    (k, q) block the factorization's route reads and L a (k, k) factor.
+    Without u (the Gram route of any d, kappa(G) <= lsq.KAPPA_LIMIT),
+    C = G^T B_tail from info.gram in the point set's form (see PointSet), so
+    no n-row matrix is formed unless B is stored, and L = S^-2 V^T.  With u
+    (a fallback draw) the route is the dense one above: C = U^T B_tail,
+    summed over row blocks (row_blocks) of u and of B, whose rows
+    density.dense_matrix gives, views of a stored B or evaluated one block
+    at a time with the same bits, and L = S^-1.  So the call holds one
+    (k, q) array, and one lsq.spectral_norm of _TruncGram, Lanczos on
+    x -> W^T (W x) + s_t^2 x, forms no q x q matrix.
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
@@ -48,35 +46,37 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
         raise ValueError("head holds singular values only: take head_factor(pts) with compute_uv=True")
     if head.vt.shape != (k, k):
         raise ValueError(f"head factorization must have vt of shape ({k}, {k}), got {head.vt.shape}")
-    tail_sigma = basis.sigma[k:m]
     if head.u is None:
-        w = head.vt @ info.gram(slice(0, k), slice(k, m))
-        w *= tail_sigma
-        w /= head.sv[:, None] ** 2
+        block = info.gram(slice(0, k), slice(k, m))
+        # head.vt is a reversed, transposed view: products with L in that layout took longer
+        left = np.divide(head.vt, head.sv[:, None] ** 2, order="C")
     else:
         if head.u.shape != (info.n, k):
             raise ValueError(f"head SVD must have u of shape ({info.n}, {k}), got {head.u.shape}")
-        w = np.zeros((k, m - k))
+        block = np.zeros((k, m - k))
         for rows in row_blocks(info.n, m):
-            w += head.u[rows].T @ dense_matrix(info, rows)[:, k:]
-        w *= tail_sigma
-        w /= head.sv[:, None]
-    return math.sqrt(lsq.spectral_norm(_TruncGram(w, tail_sigma)))
+            block += head.u[rows].T @ dense_matrix(info, rows)[:, k:]
+        left = np.diag(1.0 / head.sv)
+    return math.sqrt(lsq.spectral_norm(_TruncGram(block, left, basis.sigma[k:m])))
 
 
 class _TruncGram:
-    """W^T W + diag(s_t)^2 for a (k, q) matrix W and the q tail weights s_t,
-    as a Gram operator for lsq.spectral_norm: e_trunc squared is its top
-    eigenvalue.  It holds W alone; a product costs two passes over W."""
+    """W^T W + diag(s_t)^2 for W = L C diag(s_t), a (k, q) block C, a
+    C-contiguous (k, k) factor L and q tail weights s_t, as a Gram operator
+    for lsq.spectral_norm.  A product applies the factors in turn, never
+    L^T L (condition kappa(L)^2): two passes over C."""
 
-    def __init__(self, w: np.ndarray, tail_sigma: np.ndarray) -> None:
-        self._w = w
+    def __init__(self, block: np.ndarray, left: np.ndarray, tail_sigma: np.ndarray) -> None:
+        self._block = block
+        self._left = left
+        self._sigma = tail_sigma
         self._squares = tail_sigma ** 2
         self.shape = (len(tail_sigma), len(tail_sigma))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """(W^T W + diag(s_t)^2) v for a vector v of length q."""
-        return self._w.T @ (self._w @ v) + self._squares * v
+        y = self._left @ (self._block @ (self._sigma * v))
+        return self._sigma * (self._block.T @ (self._left.T @ y)) + self._squares * v
 
 
 def certified_upper_bound(
@@ -85,22 +85,20 @@ def certified_upper_bound(
     summary: SpectrumSummary,
     pts: PointSet,
     s_min_g: float,
-    m: int,
 ) -> float:
-    """e_trunc plus certified addends for what truncation at m discarded.
+    """e_trunc plus certified addends for what truncation at m = pts.m discarded.
 
     Mass beyond position m is controlled through |b|^2 <= 2^d and the
     upper end of the certified tail sum, paid for once in the target (a_m)
     and once in the information (the sqrt addend).  Loose, but a true bound.
     The basis must extend at least one position past m so a_m is available.
     """
-    if not 1 <= m < len(basis):
-        raise ValueError(f"need 1 <= m < {len(basis)} (basis length) for a_m, got m={m}")
+    if pts.m >= len(basis):
+        raise ValueError(f"need the basis (length {len(basis)}) to extend past m={pts.m} for a_m")
     if s_min_g <= 0.0:
         raise ValueError("a degenerate fit has no certified bound")
-    d = basis.params.d
-    addend = math.sqrt(np.sum(1.0 / pts.densities) * 2.0 ** d * summary.tail_upper(m)) / s_min_g
-    return float(e_trunc + basis.sigma[m] + addend)
+    addend = math.sqrt(np.sum(1.0 / pts.densities) * 2.0 ** basis.params.d * summary.tail_upper(pts.m)) / s_min_g
+    return float(e_trunc + basis.sigma[pts.m] + addend)
 
 
 def empirical_error(fitted: CoefVector, f: CoefVector) -> float:

@@ -331,7 +331,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
             full_rank += 1
             fallbacks += head.u is not None
             e_tr = errors.worst_case_error_trunc(pts, head, basis)
-            e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min, m)
+            e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min)
             split = a_k + s_gam / head.s_min
             if e_tr > split + _SPLIT_SLACK:
                 raise ValidationError(

@@ -341,11 +341,10 @@ class TailGram:
         tail = np.asarray(tail, dtype=np.int64)
         if len(tail) == 0 or np.any(tail <= 0) or len(np.unique(tail)) != len(tail) or len(sigma) != len(tail):
             raise ValueError("need distinct nonconstant tail indices, one sigma each")
-        self._freq = (tail + 1) // 2
-        self._cos = tail % 2 == 0
+        freq, sine = (tail + 1) // 2, tail % 2 == 1
         self._sigma = np.asarray(sigma, dtype=float)
-        top = int(self._freq.max())
-        if sums.known.ndim != 1 or top >= len(sums.known) or not np.all(sums.known[self._freq]):
+        top = int(freq.max())
+        if sums.known.ndim != 1 or top >= len(sums.known) or not np.all(sums.known[freq]):
             raise ValueError("need a d = 1 staircase that covers the tail frequencies")
         # the staircase's one row holds Re E and Im E from -t to t, t >= 2F
         origin = int(sums.starts)
@@ -356,24 +355,25 @@ class TailGram:
         kernel.real[: 2 * top + 1], kernel.imag[: 2 * top + 1] = sums.values[:, origin - 2 * top : origin + 1][:, ::-1]
         self._kernel = np.fft.hfft(kernel, length)
         cosines = sums.values[0, origin:]
-        self._diagonal = cosines[0] + np.where(self._cos, 1.0, -1.0) * cosines[2 * self._freq]
-        self._cos_at, self._sin_at = np.flatnonzero(self._cos), np.flatnonzero(~self._cos)
-        self._cos_freq, self._sin_freq = self._freq[self._cos_at], self._freq[self._sin_at]
+        sign = np.where(sine, -1.0, 1.0)
+        self._diagonal = cosines[0] + sign * cosines[2 * freq]
+        # coefficients c(f) on e^{2 pi i f x}, |f| <= F, at f mod L:
+        # sqrt(2) cos = (e_f + e_-f) / sqrt(2), sqrt(2) sin = -i (e_f - e_-f) / sqrt(2),
+        # so c(-f) = conj c(f); a tail coefficient is Re c(f) (a cosine) or
+        # -Im c(f) (a sine), the float at 2 f or 2 f + 1 of c(0..L/2)
+        self._at = 2 * freq + sine
+        self._scale_in = sign * (math.sqrt(0.5) * self._sigma)
+        self._scale_out = sign * (math.sqrt(2.0) * self._sigma)
+        self._spectrum = np.zeros(length // 2 + 1, dtype=complex)
         self.shape = (len(tail), len(tail))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Gamma^T Gamma v for a vector v of length q."""
-        u = math.sqrt(0.5) * self._sigma * v
-        # coefficients c(f) on e^{2 pi i f x}, |f| <= F, at f mod L:
-        # sqrt(2) cos = (e_f + e_-f) / sqrt(2), sqrt(2) sin = -i (e_f - e_-f) / sqrt(2),
-        # so c(-f) = conj c(f); hfft takes c(0..L/2) and gives the real transform
-        c = np.zeros(self._length // 2 + 1, dtype=complex)
-        c.real[self._cos_freq] = u[self._cos_at]
-        c.imag[self._sin_freq] = -u[self._sin_at]
-        # the correlation y(f) = sum_g E(g - f) c(g) is Hermitian as well
-        y = np.fft.ihfft(self._kernel * np.fft.hfft(c, self._length))
-        y = y[self._freq]
-        return math.sqrt(2.0) * self._sigma * np.where(self._cos, y.real, -y.imag)
+        # each product writes the same floats, the rest stay zero; hfft takes
+        # c(0..L/2), and the correlation y(f) = sum_g E(g - f) c(g) is Hermitian
+        self._spectrum.view(float)[self._at] = self._scale_in * v
+        y = np.fft.ihfft(self._kernel * np.fft.hfft(self._spectrum, self._length))
+        return self._scale_out * y.view(float)[self._at]
 
     def diagonal(self) -> np.ndarray:
         """Squared column norms of Gamma: sigma^2 (E(0) +- Re E(2 f))."""

@@ -503,7 +503,13 @@ def test_cli_run_path_imports_no_numpy_random(tmp_path):
 # complex formula, after test_cli_csv_is_the_same_in_every_point_set_form
 # passed on every config: s_min_G by 2.7e-16, s_max_Gamma 1.4e-16, e_trunc
 # 2.1e-16, ratio1 2.5e-16 and ratio2 4.2e-16 relative, the others
-# unchanged; the claims digest (d = 1) did not move.
+# unchanged; the claims digest (d = 1) did not move.  The rates digest then
+# moved with e_trunc applied as the factors of W (the head-by-tail block
+# and S^-2 V^T, never their product), after
+# test_cli_csv_is_the_same_in_every_point_set_form and the 1e-13 oracle
+# against the formed W passed: e_trunc by 2.1e-16, ratio1 1.2e-16 and
+# ratio2 4.2e-16 relative, the others unchanged; the claims digest, which
+# computes no e_trunc, did not move.
 _GOLDEN = {
     "claims": (
         "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\n"
@@ -513,7 +519,7 @@ _GOLDEN = {
     "rates": (
         "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
         "trials = 2\nseed = 20250814\n",
-        "ad27089b121c1637df15d5ea2f2062523257048b8fdf0dc5ad0a45d4c3900fc5",
+        "96ba131739aac0becd5a68837970f1d2acfbca43b1c5bb4b73ef3cd2248f1dae",
     ),
     "beta": (
         "d = 3\ns = 1.3\nn_grid = 16, 64, 256, 1024\nseed = 20250814\n",
@@ -720,7 +726,12 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
     # after test_cli_csv_is_the_same_in_every_point_set_form passed at
     # 1e-13: s_min_G by 3.8e-16, s_max_Gamma 2.0e-16, e_trunc 2.2e-16,
     # e_upper 4.2e-16, ratio1 5.1e-16 and ratio2 5.8e-16 relative, integer
-    # columns unchanged
+    # columns unchanged; both then moved with e_trunc applied as the factors
+    # of W, never formed, after test_cli_csv_is_the_same_in_every_point_set_form
+    # and the 1e-13 oracle against the formed W passed: d = 1 e_trunc by
+    # 3.3e-16, e_upper 2.7e-16, ratio1 1.2e-16 and ratio2 6.4e-16, d = 2
+    # e_trunc 3.0e-16, ratio1 2.6e-16 and ratio2 6.4e-16 relative, the
+    # others unchanged
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -730,9 +741,9 @@ def test_cli_csv_bytes_do_not_depend_on_blas_threads(tmp_path, threads):
         env["OPENBLAS_NUM_THREADS"] = threads
     for config, digest in (
         ("d = 1\ns = 1.0\nn_grid = 64, 128, 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
-         "trials = 3\nseed = 2\n", "976c0540fc205a3d37166a7e21cd6524e639326c3bf53ee7e363800b3c98a3c6"),
+         "trials = 3\nseed = 2\n", "d16f81fde11dfa9729f9d917836fbcd0dd39fb20cfb7647c48b1d03f2e27f902"),
         ("d = 2\ns = 0.75\nn_grid = 256, 512, 1024, 2048, 4096\nc_head = 0.25\nm_factor = 8\n"
-         "trials = 1\nseed = 2\n", "8fb731e4ff869cf14c233074c89e40f04cc0c0dbb90bd91bb750fd8c27f86499"),
+         "trials = 1\nseed = 2\n", "8ff2986ac92d554fd9661eb6766c923f0e892b81f56dd15f78ee1e9c91ba107c"),
     ):
         cfg = write_config(tmp_path, config)
         out = tmp_path / "rates.csv"

@@ -161,16 +161,17 @@ def test_dense_e_trunc_allocates_no_tail_square():
     assert e_tr == pytest.approx(math.sqrt(np.linalg.eigvalsh(gram)[-1]), rel=1e-12, abs=0)
 
 
-def test_gram_route_e_trunc_forms_w_in_place():
+def test_gram_route_e_trunc_applies_w_as_its_factors():
     # the largest rates-d1 instance (n = 4096, k = 123, m = 984) on the Gram
-    # route: W is the product V^T (G^T B_tail), scaled in place, so e_trunc
-    # holds the head-by-tail block and W, not a third k x q temporary
-    # (measured 2.48 k q floats, 3.08 when W came from one expression), and
-    # its bits are those of that expression
+    # route: e_trunc is the Lanczos value of the operator made of the block
+    # C = G^T B_tail and L = S^-2 V^T, bit for bit, and W = L C diag(s_t) is
+    # never formed; the formed W gives the same value to rounding.  Here the
+    # block read sets the traced peak (2.27 k q floats, with W or without)
     basis, pts, _ = make_instance(SP1, 123, 984, 4096, 3)
     head = head_factor(pts)
     assert head.u is None
-    k, q = pts.k, pts.m - pts.k
+    k, m = pts.k, pts.m
+    tail_sigma = basis.sigma[k:m]
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -178,10 +179,32 @@ def test_gram_route_e_trunc_forms_w_in_place():
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * k * q * 8
-    tail_sigma = basis.sigma[k:pts.m]
-    w = (head.vt @ pts.gram(slice(0, k), slice(k, pts.m))) * tail_sigma / head.sv[:, None] ** 2
-    assert e_tr == math.sqrt(lsq.spectral_norm(errors._TruncGram(w, tail_sigma)))
+    assert peak <= 2.6 * k * (m - k) * 8
+    block = pts.gram(slice(0, k), slice(k, m))
+    left = np.ascontiguousarray(head.vt / head.sv[:, None] ** 2)
+    assert e_tr == math.sqrt(lsq.spectral_norm(errors._TruncGram(block, left, tail_sigma)))
+    w = (head.vt @ block) * tail_sigma / head.sv[:, None] ** 2
+    formed = math.sqrt(np.linalg.eigvalsh(w.T @ w + np.diag(tail_sigma ** 2))[-1])
+    assert e_tr == pytest.approx(formed, rel=1e-13, abs=0)
+
+
+def test_gram_route_e_trunc_holds_one_k_by_q_array():
+    # d = 1 at n = 16384, k = 422, m = 3376 (the paper-scale rates point):
+    # e_trunc holds the block pts.gram reads (which peaks at 1.24 k q floats
+    # alone), the k x k factor and the Lanczos vectors, and no W; measured
+    # 1.76 k q floats, 2.00 when W was formed from the block
+    basis, pts, _ = make_instance(SP1, 422, 3376, 16384, 2)
+    head = head_factor(pts)
+    assert head.u is None
+    k, q = pts.k, pts.m - pts.k
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        worst_case_error_trunc(pts, head, basis)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.85 * k * q * 8
 
 
 @pytest.mark.parametrize("params", [SP1, SpaceParams(2, 0.75)])
@@ -233,7 +256,7 @@ def test_certified_bound_reduces_to_trunc_plus_am_on_finite_spectrum():
     head = np.concatenate(([0.0], np.cumsum(basis.sigma ** 2)))
     finite = SpectrumSummary(total_lo=float(head[12]), total_hi=float(head[12]), head=head)
     s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
-    bound = certified_upper_bound(e_tr, basis, finite, pts, s_min, 12)
+    bound = certified_upper_bound(e_tr, basis, finite, pts, s_min)
     assert bound == pytest.approx(e_tr + float(basis.sigma[12]), abs=1e-13)
 
 
@@ -245,7 +268,7 @@ def test_certified_bound_pays_for_the_upper_end_of_the_tail():
     head[12] = 0.5
     wide = SpectrumSummary(total_lo=1.0, total_hi=2.0, head=head)
     s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
-    bound = certified_upper_bound(e_tr, basis, wide, pts, s_min, 12)
+    bound = certified_upper_bound(e_tr, basis, wide, pts, s_min)
     mass = np.sum(1.0 / pts.densities) * 2.0
     expected = e_tr + float(basis.sigma[12]) + math.sqrt(mass * (2.0 - 0.5)) / s_min
     assert bound == pytest.approx(expected, rel=1e-14)
@@ -270,7 +293,7 @@ def test_certified_bound_monotone_tail_addend():
     e_base = None
     for m in m_grid:
         e_tr = full_e_trunc(pts, g_pinv, basis, m)
-        bound = certified_upper_bound(e_tr, basis, summary, pts, s_min, m)
+        bound = certified_upper_bound(e_tr, basis, summary, dataclasses.replace(pts, m=m), s_min)
         addends.append(bound - e_tr - float(basis.sigma[m]))
         if e_base is None:
             e_base = e_tr
@@ -283,12 +306,12 @@ def test_certified_bound_argument_checks():
     basis, pts, head = make_instance(SP1, 4, 12, 32, 5)
     summary = spectral_sums(SP1, basis)
     e_tr = worst_case_error_trunc(pts, head, basis)
-    with pytest.raises(ValueError):
-        certified_upper_bound(e_tr, basis, summary, pts, 0.0, 12)
-    with pytest.raises(ValueError):
-        certified_upper_bound(e_tr, basis, summary, pts, 1.0, 13)
-    with pytest.raises(ValueError):
-        certified_upper_bound(e_tr, basis, summary, pts, 1.0, 0)
+    with pytest.raises(ValueError, match="degenerate"):
+        certified_upper_bound(e_tr, basis, summary, pts, 0.0)
+    # a basis that ends at m has no a_m
+    short = ordered_basis(SP1, 12)
+    with pytest.raises(ValueError, match="extend past m=12"):
+        certified_upper_bound(e_tr, short, spectral_sums(SP1, short), pts, 1.0)
 
 
 def test_certified_bound_scale_equivariance():
@@ -297,7 +320,7 @@ def test_certified_bound_scale_equivariance():
     summary = spectral_sums(SP1, basis)
     s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
     e_tr = worst_case_error_trunc(pts, head, basis)
-    bound = certified_upper_bound(e_tr, basis, summary, pts, s_min, 12)
+    bound = certified_upper_bound(e_tr, basis, summary, pts, s_min)
     lam = 3.5
     scaled_sigma = lam * basis.sigma
     scaled_basis = basis.__class__(
@@ -315,7 +338,7 @@ def test_certified_bound_scale_equivariance():
     e_tr_scaled = worst_case_error_trunc(pts, head, scaled_basis)
     assert e_tr_scaled == pytest.approx(lam * e_tr, rel=1e-12)
     bound_scaled = certified_upper_bound(
-        e_tr_scaled, scaled_basis, scaled_summary, pts, s_min, 12
+        e_tr_scaled, scaled_basis, scaled_summary, pts, s_min
     )
     assert bound_scaled == pytest.approx(lam * bound, rel=1e-12)
 

@@ -390,6 +390,35 @@ def test_toeplitz_matvec_matches_dense_gamma(k, m, n):
     assert gram.trace() == pytest.approx(np.linalg.norm(gamma) ** 2, rel=1e-13)
 
 
+def toeplitz_product(sums, tail, sigma, v):
+    """Gamma^T Gamma v by the circular correlation of TailGram, with the
+    half spectrum filled afresh for each product by where the cosines and
+    sines of the tail sit: the formula that TailGram's precomputed
+    positions, signs and scales must give bit for bit."""
+    freq, cos = (tail + 1) // 2, tail % 2 == 0
+    top, origin = int(freq.max()), int(sums.starts)
+    length = 1 << (4 * top).bit_length()
+    kernel = np.zeros(length // 2 + 1, dtype=complex)
+    kernel.real[: 2 * top + 1], kernel.imag[: 2 * top + 1] = sums.values[:, origin - 2 * top : origin + 1][:, ::-1]
+    u = math.sqrt(0.5) * sigma * v
+    c = np.zeros(length // 2 + 1, dtype=complex)
+    c.real[freq[cos]] = u[cos]
+    c.imag[freq[~cos]] = -u[~cos]
+    y = np.fft.ihfft(np.fft.hfft(kernel, length) * np.fft.hfft(c, length))[freq]
+    return math.sqrt(2.0) * sigma * np.where(cos, y.real, -y.imag)
+
+
+@pytest.mark.parametrize("k, m, n", [(3, 24, 64), (57, 456, 1024), (429, 3432, 2048)])
+def test_toeplitz_matvec_is_the_fresh_spectrum_formula_to_the_bit(k, m, n):
+    basis, pts = make_instance(k, m, n, 2)
+    tail, sigma = basis.indices[k:m, 0], basis.sigma[k:m]
+    gram = TailGram(pts.sums, tail, sigma)
+    rng = np.random.Generator(np.random.Philox(key=n))
+    for _ in range(20):
+        v = rng.standard_normal(m - k)
+        assert np.array_equal(gram.matvec(v), toeplitz_product(pts.sums, tail, sigma, v))
+
+
 @given(
     d=st.integers(1, 3),
     s=st.sampled_from((0.75, 1.0, 2.0)),
