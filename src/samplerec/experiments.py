@@ -198,6 +198,17 @@ def _check_feasible(n: int, k: int, m: int) -> str | None:
     return None
 
 
+def _median(values) -> float:
+    """np.median of a nonempty sequence of floats, bit for bit: the middle
+    value, or the mean of the middle two, and NaN when any value is NaN."""
+    # by sorting: np.median imports numpy.ma (for its NaN check) on first use
+    v = np.sort(np.asarray(values, dtype=float))
+    if np.isnan(v[-1]):
+        return math.nan
+    h = len(v) // 2
+    return float(v[h]) if len(v) % 2 else float((v[h - 1] + v[h]) / 2.0)
+
+
 def _grid_sizes(config: ExperimentConfig, what: str) -> list[tuple[int, int, int]]:
     """(n, k, m) at c_head for each n of the grid, every one checked for
     feasibility first, so an infeasible grid point exits before any work;
@@ -262,15 +273,16 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
                 ratios.append(_checked_gamma_norm(pts, basis) / (gamma_k * sqrt_n))
             frac_smin = float(np.mean(np.array(s_mins) >= 0.5 * sqrt_n))
             frac_tail = float(np.mean(np.array(ratios) <= 3.0))
+            ratio_median = _median(ratios)
             rows.append((
                 n, c, k, m, config.trials,
-                frac_smin, float(np.median(ratios)), frac_tail,
+                frac_smin, ratio_median, frac_tail,
                 degenerate / config.trials,
             ))
             if step == 0:
                 lines.append(
                     f"n={n}: at c={c:g} (k={k}) head success {frac_smin:.2f}, "
-                    f"tail ratio median {float(np.median(ratios)):.3f}, "
+                    f"tail ratio median {ratio_median:.3f}, "
                     f"tail success {frac_tail:.2f}"
                 )
             if frac_smin < 0.5:
@@ -347,11 +359,11 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
             e_up_l.append(e_up)
             ratio1_l.append(e_tr / split)
         if e_tr_l:
-            med_e = float(np.median(e_tr_l))
+            med_e = _median(e_tr_l)
             row = (
                 n, k, m, a_k, beta_k, gamma_k,
-                float(np.median(s_min_l)), float(np.median(s_gam_l)),
-                med_e, float(np.median(e_up_l)),
+                _median(s_min_l), _median(s_gam_l),
+                med_e, _median(e_up_l),
                 float(max(ratio1_l)), med_e ** 2 * k / summary.tail(k),
                 degenerate,
             )

@@ -212,6 +212,14 @@ def _khatri_rao(tables: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _distinct_rows(freq: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D array in lexicographic order, as
+    np.unique(freq, axis=0) gives them."""
+    # by lexsort: np.unique imports numpy.ma (for its masked check) on first use
+    rows = freq[np.lexsort(freq.T[::-1])]
+    return rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
+
+
 def _box_sums(x: np.ndarray, weights: np.ndarray, freq: np.ndarray, top: int) -> tuple[list, list]:
     """The boxes of the staircase of an (n, d) point set, d >= 2, and the
     sums on each, for the distinct frequency vectors freq, top twice the
@@ -296,7 +304,7 @@ def staircase_sums(x, weights, indices) -> Staircase:
         e = exp_sums(x[:, 0], weights, top)
         boxes, partial = [[(0, top + 1)]], [np.stack((e.real, e.imag), axis=1)]
     else:
-        boxes, partial = _box_sums(x, weights, np.unique(freq, axis=0), top)
+        boxes, partial = _box_sums(x, weights, _distinct_rows(freq), top)
     # each box as (tau, g', g_d) rows from -t to t, and the starts of its rows
     starts = np.full((top + 1,) * (d - 1), -1, dtype=np.intp)
     size = sum(math.prod(hi - lo for lo, hi in box[:-1]) * (2 * box[-1][1] - 1) for box in boxes)
@@ -339,7 +347,8 @@ class TailGram:
 
     def __init__(self, sums: Staircase, tail, sigma: np.ndarray) -> None:
         tail = np.asarray(tail, dtype=np.int64)
-        if len(tail) == 0 or np.any(tail <= 0) or len(np.unique(tail)) != len(tail) or len(sigma) != len(tail):
+        # repeats by sorted differences: np.unique imports numpy.ma on first use
+        if len(tail) == 0 or np.any(tail <= 0) or np.any(np.diff(np.sort(tail)) == 0) or len(sigma) != len(tail):
             raise ValueError("need distinct nonconstant tail indices, one sigma each")
         freq, sine = (tail + 1) // 2, tail % 2 == 1
         self._sigma = np.asarray(sigma, dtype=float)

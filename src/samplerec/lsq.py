@@ -314,7 +314,10 @@ def _lanczos_top(gram) -> float:
             break
         if j + 1 == len(basis):
             grow = min(len(basis), steps - len(basis))
-            basis = np.concatenate([basis, np.empty((grow, q))])
+            # into one new array: concatenate would also hold an empty block
+            grown = np.empty((len(basis) + grow, q))
+            grown[: len(basis)] = basis
+            basis = grown
             tri = np.pad(tri, (0, grow))
         basis[j + 1] = w / beta
         tri[j, j + 1] = tri[j + 1, j] = beta

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -424,14 +423,12 @@ _U = 2.0 ** -53
 # alternating series of Hurwitz zeta values at a = _SERIES_HEAD + 1.
 _SERIES_HEAD = 1000
 
-# Euler-Maclaurin coefficients B_2k / (2k)! for k = 1..5; the last one only
-# bounds the remainder.
+# Euler-Maclaurin coefficients B_2k / (2k)! for k = 1..5, from B_2k as
+# num / den; the last one only bounds the remainder.
 _EM_COEFFS = tuple(
-    float(b / math.factorial(2 * k))
-    for k, b in enumerate(
-        (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66)),
-        start=1,
-    )
+    # int / int rounds correctly, as float(Fraction) does, with no fractions import
+    num / (den * math.factorial(2 * k))
+    for k, (num, den) in enumerate(((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66)), start=1)
 )
 
 
@@ -505,6 +502,14 @@ def _partial_sum_bracket(s: float) -> tuple[float, float]:
     return _widen(partial, _gamma(6) * partial + _SERIES_HEAD * 2.0 ** -1073)
 
 
+def _is_exact_multiple(t: float, factor: int, s: float) -> bool:
+    """Whether the finite float t equals factor * s exactly."""
+    # Fraction(t) == factor * Fraction(s), cross-multiplied: no fractions (and decimal) import
+    tn, td = t.as_integer_ratio()
+    sn, sd = s.as_integer_ratio()
+    return tn * sd == factor * sn * td
+
+
 def _tail_bracket(s: float, stop: float) -> tuple[float, float]:
     """Certified (lo, hi) of sum_{f>M} 1/(1 + f^(2s)), M = _SERIES_HEAD.
 
@@ -517,7 +522,7 @@ def _tail_bracket(s: float, stop: float) -> tuple[float, float]:
     hi: list[float] = []
     for j in itertools.count(1):
         t = 2.0 * j * s
-        if math.isinf(t) or Fraction(t) == 2 * j * Fraction(s):
+        if math.isinf(t) or _is_exact_multiple(t, 2 * j, s):
             z_lo, z_hi = _hurwitz_bracket(t)
         else:
             # zeta(t, a) decreases in t; the exact exponent lies within one

@@ -397,23 +397,37 @@ def test_cli_run_path_imports_no_scipy(tmp_path, command, d):
     assert "scipy modules: []" in proc.stdout
 
 
-_NO_NUMPY_RANDOM = """
+_NO_UNUSED_MODULES = """
 import json, sys
-from samplerec import cli
+# modules no run calls for: numpy >= 2 imports numpy.random on first use,
+# np.unique and np.median import numpy.ma, fractions imports decimal, and
+# statistics imports both
+UNUSED = ("numpy.random", "numpy.ma", "fractions", "decimal", "statistics")
+def loaded():
+    return sorted(m for m in sys.modules if any(m == u or m.startswith(u + ".") for u in UNUSED))
+import samplerec
+print("loaded by import samplerec:", loaded())
+from samplerec import cli, lsq
 loaded_after = []
-for argv in json.loads(sys.argv[1]):
+runs, fallback = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+for argv in runs + [fallback]:
+    if argv is fallback:
+        # every draw takes the dense SVD route of e_trunc
+        lsq.KAPPA_LIMIT = 1.0
     if cli.main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
-    if "numpy.random" in sys.modules:
-        loaded_after.append(argv[0])
-print("numpy.random loaded after:", loaded_after)
+    if loaded():
+        loaded_after.append((argv[0], loaded()))
+print("unused modules loaded after:", loaded_after)
 """
 
 
 def test_cli_run_path_imports_no_numpy_random(tmp_path):
     # the draws come from samplerec.rng, which computes numpy's Philox
     # stream and SeedSequence without loading numpy.random (numpy >= 2
-    # imports it on first use)
+    # imports it on first use); no run loads numpy.ma, fractions, decimal or
+    # statistics either, nor does importing the package, and a rates run
+    # with every e_trunc on the kappa fallback loads none of them
     src = str(Path(samplerec.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -421,12 +435,27 @@ def test_cli_run_path_imports_no_numpy_random(tmp_path):
     for command, d in (("claims", 1), ("rates", 1), ("rates", 2), ("beta", 2), ("density-check", 2)):
         cfg = write_config(tmp_path, f"d = {d}\nn_grid = 64, 128\nc_head = 0.25\ntrials = 1\n", f"{command}{d}.cfg")
         runs.append([command, "--config", cfg, "--out", str(tmp_path / f"{command}{d}.csv")])
+    fallback = ["rates", "--config", runs[1][2], "--out", str(tmp_path / "fallback.csv")]
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY_RANDOM, json.dumps(runs)],
+        [sys.executable, "-c", _NO_UNUSED_MODULES, json.dumps(runs), json.dumps(fallback)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "numpy.random loaded after: []" in proc.stdout
+    assert "loaded by import samplerec: []" in proc.stdout
+    assert "dense e_trunc fallback (kappa(G) above 1.0): 2 of 2 full-rank draws" in proc.stdout
+    assert "unused modules loaded after: []" in proc.stdout
+
+
+@given(
+    values=st.lists(st.floats(0.0, 1e300, exclude_min=True), min_size=1, max_size=48),
+    repeats=st.lists(st.integers(0, 47), max_size=16),
+)
+def test_median_is_numpy_median_to_the_bit(values, repeats):
+    # lengths 1 to 64, odd and even, with ties from repeated values, and
+    # NaN as np.median gives it when any value is NaN
+    values = values + [values[i % len(values)] for i in repeats]
+    assert experiments._median(values) == float(np.median(values))
+    assert math.isnan(experiments._median(values[1:] + [math.nan]))
 
 
 # sha256 of the CSVs of small configs, with one BLAS thread (numpy 2.4.6,

@@ -108,6 +108,27 @@ def test_staircase_sums_and_gram_block_reject_bad_input():
         TailGram(line, [1, 5], np.ones(2))
 
 
+def test_tail_gram_rejects_repeated_or_constant_indices():
+    x = np.linspace(0.0, 1.0, 8, endpoint=False)[:, None]
+    line = expsums.staircase_sums(x, np.ones(8), np.arange(5)[:, None])
+    for tail in ([1, 3, 1], [0, 1, 2]):
+        with pytest.raises(ValueError, match="need distinct nonconstant tail indices"):
+            TailGram(line, tail, np.ones(3))
+
+
+@pytest.mark.parametrize("d, s, m", [(2, 0.75, 300), (3, 0.6, 300), (4, 0.75, 200)])
+def test_distinct_rows_are_numpy_unique_rows(d, s, m):
+    # the frequency vectors of a basis, which repeat (cosine and sine share
+    # one), and shuffled rows with repeats, small and negative entries
+    freq = (ordered_basis(SpaceParams(d, s), m).indices + 1) // 2
+    rng = np.random.Generator(np.random.Philox(key=d))
+    drawn = rng.integers(-3, 4, (500, d))
+    for rows in (freq, freq[rng.permutation(len(freq))], drawn, drawn[:1]):
+        distinct = expsums._distinct_rows(rows)
+        assert distinct.dtype == rows.dtype
+        assert np.array_equal(distinct, np.unique(rows, axis=0))
+
+
 def test_staircase_sums_write_every_entry_before_reading_it(monkeypatch):
     # the negative half of each row is copied from its positive half and
     # scaled after both are written, so no arithmetic reads an entry before

@@ -725,6 +725,37 @@ def test_lanczos_takes_a_ritz_pair_every_stride(monkeypatch):
     assert len(eighs) <= -(-gram.products // lsq._RITZ_STRIDE) + 1
 
 
+class DiagonalGram:
+    """The Gram operator diag(values), one vector allocated per product."""
+
+    def __init__(self, values):
+        self.values, self.shape = values, (len(values), len(values))
+
+    def matvec(self, v):
+        return self.values * v
+
+
+def test_lanczos_basis_grows_without_a_spare_block():
+    # a top value 2% above the rest of a spread spectrum takes 80 products:
+    # the stored basis grows from 64 to 128 rows there, and holds the old
+    # rows and the new array alone (192 q-vectors), not also an empty block
+    # as concatenating did (256)
+    q = 20000
+    values = np.linspace(0.0, 1.0, q)
+    values[-1] = 1.02
+    gram = CountedGram(DiagonalGram(values))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        top = lsq._lanczos_top(gram)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert 64 < gram.products <= 128
+    assert top == pytest.approx(1.02, rel=1e-14)
+    assert peak <= 224 * q * 8
+
+
 def test_lanczos_step_cap_off_the_ritz_schedule(monkeypatch):
     # a cap on no multiple of the stride still gets its Ritz pair, which
     # gives the error its residual

@@ -433,6 +433,34 @@ def test_partial_and_tail_brackets_contain_exact_sums(s):
     assert tail_hi - tail_lo <= 1e-14 * max(part_hi, tail_hi)
 
 
+def test_euler_maclaurin_coefficients_are_the_fraction_values():
+    # B_2k / (2k)! as int / int equals float of the exact Fraction, bit for bit
+    bernoulli = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66))
+    expected = tuple(float(b / math.factorial(2 * k)) for k, b in enumerate(bernoulli, start=1))
+    assert spectral._EM_COEFFS == expected
+
+
+@given(s=st.floats(0.5, 1e3, exclude_min=True), j=st.integers(1, 200))
+@settings(max_examples=300)
+def test_exact_multiple_test_is_the_fraction_test(s, j):
+    # the rounded exponent 2 j s against the exact one, as _tail_bracket asks
+    t = 2.0 * j * s
+    assert spectral._is_exact_multiple(t, 2 * j, s) == (Fraction(t) == 2 * j * Fraction(s))
+    # one ulp above the rounded product is never exact
+    off = math.nextafter(t, math.inf)
+    assert Fraction(off) != 2 * j * Fraction(s)
+    assert not spectral._is_exact_multiple(off, 2 * j, s)
+
+
+def test_exact_multiple_test_sees_rounded_products():
+    # 2 j s is exact for a short mantissa, rounded for a full one
+    assert spectral._is_exact_multiple(2.0 * 3 * 0.75, 6, 0.75)
+    s = 1.0 + 2.0 ** -52
+    t = 2.0 * 3 * s
+    assert Fraction(t) != 6 * Fraction(s)
+    assert not spectral._is_exact_multiple(t, 6, s)
+
+
 @given(
     base=st.floats(0.5, 1e6),
     gap=st.integers(0, 8),
