@@ -144,7 +144,7 @@ def density_values(params: DensityParams, points) -> np.ndarray:
     d = params.basis.params.d
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"points must have shape (n, {d}), got {x.shape}")
-    if np.any(x < 0.0) or np.any(x >= 1.0):
+    if not (np.all(x >= 0.0) and np.all(x < 1.0)):
         raise ValueError("points must lie in [0, 1)^d")
     rho = np.ones(x.shape[0])
     term = np.empty_like(rho)
@@ -252,14 +252,15 @@ class PointSet:
       tail_gram lsq.ViewGram of the view B[:, k:].  A given B takes
       precedence over the other fields.
     - Structured (the staircase; d = 1, or m <= n): the real weighted sums
-      of samplerec.expsums.staircase_sums on the dyadic staircase that the
-      first m basis functions read, at d = 1 one box holding the weighted
-      exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
-      |h| <= 2 f_max; gram is a new read-only array from its gram_block.
-      tail_gram is samplerec.expsums.TailGram at d = 1, one FFT pair per
-      product, and at d >= 2 lsq.BlockGram of the upper column panels
-      (B^T B)[k:hi, lo:hi] of the tail block, _GRAM_PANEL wide, about half
-      the block.
+      of samplerec.expsums.staircase_sums, built for the first m basis
+      functions, which it covers by construction; at d = 1 one box holding
+      the weighted exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
+      |h| <= 2 f_max.  Both read it by basis position: gram is a new
+      read-only array from its gram_block of the same slices, and
+      tail_gram is samplerec.expsums.TailGram of the positions k..m-1 at
+      d = 1, one FFT pair per product, and at d >= 2 lsq.BlockGram of the
+      upper column panels (B^T B)[k:hi, lo:hi] of the tail block,
+      _GRAM_PANEL wide, about half the block.
 
     In the structured form basis is the density's ordered basis, no n-row
     matrix is stored, and G is evaluated on each access.  In every form the
@@ -290,8 +291,7 @@ class PointSet:
         gives it (see the class docstring)."""
         if self.B is not None:
             return self.B[:, rows].T @ self.B[:, cols]
-        indices = self.basis.indices[: self.m]
-        block = self.sums.gram_block(indices[rows], indices[cols])
+        block = self.sums.gram_block(rows, cols)
         block.flags.writeable = False
         return block
 
@@ -299,13 +299,12 @@ class PointSet:
         """Gamma^T Gamma for Gamma = B[:, k:] diag(sigma), sigma the m - k
         tail weights, as the Gram operator of the form (see the class
         docstring): shape, matvec and trace, for lsq.spectral_norm."""
-        tail = slice(self.k, self.m)
         if self.B is not None:
-            return lsq.ViewGram(self.B[:, tail], sigma)
+            return lsq.ViewGram(self.B[:, self.k :], sigma)
         # panels at d = 1 would hold about half the tail block, 36 MB at
         # claims-d1's q = 3003, where the FFT operator holds a few vectors
         if self.basis.params.d == 1:
-            return expsums.TailGram(self.sums, self.basis.indices[tail, 0], sigma)
+            return expsums.TailGram(self.sums, self.k, sigma)
         columns = [slice(lo, min(lo + _GRAM_PANEL, self.m)) for lo in range(self.k, self.m, _GRAM_PANEL)]
         return lsq.BlockGram([self.gram(slice(self.k, cols.stop), cols) for cols in columns], sigma)
 
@@ -320,7 +319,7 @@ class PointSet:
             raise ValueError(f"need 1 <= k < m, got k={self.k}, m={self.m}")
         if self.densities.shape != (self.n,):
             raise ValueError("inconsistent point-set shapes")
-        if np.any(self.densities <= 0.0):
+        if not np.all(self.densities > 0.0):
             raise ValueError("density values must be strictly positive")
 
 

@@ -97,35 +97,35 @@ def exp_sums(x, weights, h_max: int) -> np.ndarray:
     return sums.ravel()[: h_max + 1]
 
 
-def _split(flat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequency f_j, the real factor |c_j| / sqrt(2) (sqrt(1/2) on the
-    constant, 1 otherwise) and the sine flag of one-coordinate flat
-    indices, elementwise, so an (r, 2) array gives them per coordinate."""
-    flat = np.asarray(flat, dtype=np.int64)
-    return (flat + 1) // 2, np.where(flat == 0, math.sqrt(0.5), 1.0), flat % 2 == 1
-
-
 class Staircase:
     """The real weighted sums R_tau(g) = sum_i w_i prod_c tau_c(2 pi g_c x_ic)
     of a point set, tau_c a cosine or a sine and g >= 0, on the dyadic
-    staircase of staircase_sums, and the Gram blocks of its basis that they
-    give (gram_block).
+    staircase that staircase_sums builds for a list of flat basis indices,
+    and the Gram blocks of those basis functions that they give, read by
+    position in the list (gram_block).
 
     values[tau, starts[g'] + g_d] is R_tau(g', g_d), g' the first d - 1
     coordinates and tau = sum_c [tau_c is a sine] 2^(d - 1 - c): each row g'
     holds the last coordinate from -t to t, t that of its box, the negative
     half copied with its parity (a sine is odd).  At d = 1 starts is a 0-d
     array and there is one row: values[0] and values[1] are Re E and Im E
-    of exp_sums from -t to t.  known marks the frequency vectors whose Gram
-    blocks the staircase covers.
+    of exp_sums from -t to t.  The indices are decoded once, per position:
+    freq, the (m, d) frequency vectors; factor, the product of the real
+    factors |c| / sqrt(2) (sqrt(1/2) on a constant coordinate, 1
+    otherwise); and sine, the (m, d) sine flags.  The staircase covers the
+    pairs of these positions by construction, so a read checks positions
+    against m alone.
     """
 
-    def __init__(self, starts: np.ndarray, values: np.ndarray, known: np.ndarray) -> None:
-        self.starts, self.values, self.known = starts, values, known
+    def __init__(self, starts: np.ndarray, values: np.ndarray, indices: np.ndarray) -> None:
+        self.starts, self.values = starts, values
+        self.freq = (indices + 1) // 2
+        self.factor = np.prod(np.where(indices == 0, math.sqrt(0.5), 1.0), axis=1)
+        self.sine = indices % 2 == 1
 
-    def gram_block(self, rows, cols) -> np.ndarray:
-        """The block (B^T B)[rows, cols] for (r, d) and (c, d) arrays of flat
-        basis indices rows and cols, whose frequency vectors are known.
+    def gram_block(self, rows: slice, cols: slice) -> np.ndarray:
+        """The block (B^T B)[rows, cols] for slices rows and cols of the
+        positions 0..m-1 of the staircase's basis functions.
 
         In each coordinate the product of a row and a column factor is, by
         product to sum, p (u(f_r + f_c) + v(f_r - f_c)) with p the product of
@@ -145,18 +145,16 @@ class Staircase:
         (row_blocks) each, with a few arrays per coordinate of a panel's
         size.
         """
-        f_r, a_r, sin_r = _split(rows)
-        f_c, a_c, sin_c = _split(cols)
-        d = self.known.ndim
-        if f_r.ndim != 2 or f_c.ndim != 2 or f_r.shape[1] != d or f_c.shape[1] != d:
-            raise ValueError(f"need (r, {d}) and (c, {d}) arrays of flat indices, got {f_r.shape} and {f_c.shape}")
-        top = np.array(self.known.shape) - 1
-        for f in (f_r, f_c):
-            if not (np.all((f >= 0) & (f <= top)) and np.all(self.known[tuple(f.T)])):
-                raise ValueError("need frequency vectors that the staircase covers")
+        m = len(self.factor)
+        for part in (rows, cols):
+            start, stop = part.start or 0, m if part.stop is None else part.stop
+            if part.step not in (None, 1) or not 0 <= start <= stop <= m:
+                raise ValueError(f"need slices of positions 0..{m - 1}, got {part}")
+        f_r, p_r, sin_r = self.freq[rows], self.factor[rows], self.sine[rows]
+        f_c, p_c, sin_c = self.freq[cols], self.factor[cols], self.sine[cols]
+        d = f_r.shape[1]
         strides = np.cumprod((1,) + self.starts.shape[:0:-1])[::-1]
         starts, sums, total = self.starts.ravel(), self.values.ravel(), self.values.shape[1]
-        p_r, p_c = np.prod(a_r, axis=1), np.prod(a_c, axis=1)
         block = np.empty((len(f_r), len(f_c)))
         for kind in itertools.product((False, True), repeat=d):
             at = np.flatnonzero((sin_r == kind).all(axis=1))
@@ -323,17 +321,15 @@ def staircase_sums(x, weights, indices) -> Staircase:
         rows = (offset + t + (2 * t + 1) * np.arange(count)).reshape(shape[:-1])
         starts[tuple(slice(lo, hi) for lo, hi in box[:-1])] = rows
         offset += count * (2 * t + 1)
-    known = np.zeros((top // 2 + 1,) * d, dtype=bool)
-    known[tuple(freq.T)] = True
-    return Staircase(starts, sums, known)
+    return Staircase(starts, sums, indices)
 
 
 class TailGram:
-    """Gamma^T Gamma = diag(sigma) (B^T B)[tail, tail] diag(sigma) of a d = 1
+    """Gamma^T Gamma = diag(sigma) (B^T B)[k:m, k:m] diag(sigma) of a d = 1
     instance, from its one-box staircase (the sums of E), with
-    Gamma = B[:, tail] diag(sigma) for the distinct nonconstant flat basis
-    indices tail (positions k..m-1 of the basis), as a symmetric positive
-    semidefinite operator of size len(tail): a Gram operator for
+    Gamma = B[:, k:m] diag(sigma) for the tail positions k..m-1 of the
+    staircase's basis functions (distinct and nonconstant), as a symmetric
+    positive semidefinite operator of size m - k: a Gram operator for
     samplerec.lsq.spectral_norm, with shape and matvec (the product with
     one vector), diagonal and trace, and no matrix.
 
@@ -345,16 +341,23 @@ class TailGram:
     transforms are real: one pair of half-length real FFTs (hfft, ihfft).
     """
 
-    def __init__(self, sums: Staircase, tail, sigma: np.ndarray) -> None:
-        tail = np.asarray(tail, dtype=np.int64)
+    def __init__(self, sums: Staircase, k: int, sigma: np.ndarray) -> None:
+        m = len(sums.factor)
+        if sums.freq.shape[1] != 1:
+            raise ValueError("need a d = 1 staircase")
+        if not 0 <= k < m or len(sigma) != m - k:
+            raise ValueError(f"need tail positions k..{m - 1} with 0 <= k < {m}, one sigma each, got k={k}")
+        freq, sine = sums.freq[k:, 0], sums.sine[k:, 0]
+        # coefficients c(f) on e^{2 pi i f x}, |f| <= F, at f mod L:
+        # sqrt(2) cos = (e_f + e_-f) / sqrt(2), sqrt(2) sin = -i (e_f - e_-f) / sqrt(2),
+        # so c(-f) = conj c(f); a tail coefficient is Re c(f) (a cosine) or
+        # -Im c(f) (a sine), the float at 2 f or 2 f + 1 of c(0..L/2)
+        self._at = 2 * freq + sine
         # repeats by sorted differences: np.unique imports numpy.ma on first use
-        if len(tail) == 0 or np.any(tail <= 0) or np.any(np.diff(np.sort(tail)) == 0) or len(sigma) != len(tail):
-            raise ValueError("need distinct nonconstant tail indices, one sigma each")
-        freq, sine = (tail + 1) // 2, tail % 2 == 1
+        if np.any(freq == 0) or np.any(np.diff(np.sort(self._at)) == 0):
+            raise ValueError("need distinct nonconstant tail indices")
         self._sigma = np.asarray(sigma, dtype=float)
         top = int(freq.max())
-        if sums.known.ndim != 1 or top >= len(sums.known) or not np.all(sums.known[freq]):
-            raise ValueError("need a d = 1 staircase that covers the tail frequencies")
         # the staircase's one row holds Re E and Im E from -t to t, t >= 2F
         origin = int(sums.starts)
         self._length = length = 1 << (4 * top).bit_length()
@@ -366,15 +369,10 @@ class TailGram:
         cosines = sums.values[0, origin:]
         sign = np.where(sine, -1.0, 1.0)
         self._diagonal = cosines[0] + sign * cosines[2 * freq]
-        # coefficients c(f) on e^{2 pi i f x}, |f| <= F, at f mod L:
-        # sqrt(2) cos = (e_f + e_-f) / sqrt(2), sqrt(2) sin = -i (e_f - e_-f) / sqrt(2),
-        # so c(-f) = conj c(f); a tail coefficient is Re c(f) (a cosine) or
-        # -Im c(f) (a sine), the float at 2 f or 2 f + 1 of c(0..L/2)
-        self._at = 2 * freq + sine
         self._scale_in = sign * (math.sqrt(0.5) * self._sigma)
         self._scale_out = sign * (math.sqrt(2.0) * self._sigma)
         self._spectrum = np.zeros(length // 2 + 1, dtype=complex)
-        self.shape = (len(tail), len(tail))
+        self.shape = (m - k, m - k)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Gamma^T Gamma v for a vector v of length q."""

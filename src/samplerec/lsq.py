@@ -235,12 +235,13 @@ def spectral_norm(gram) -> float:
     A Gram operator is any object with shape (q, q) and matvec, the
     product with one vector of length q.  The top eigenvalue comes from
     Lanczos (_lanczos_top) at every size, with a fixed start vector, so
-    runs are reproducible.  Raises ConvergenceError when Lanczos reaches
-    its step cap first.
+    runs are reproducible; at q = 0 it is 0.0, the squared norm of a matrix
+    with no columns.  Raises ConvergenceError when Lanczos reaches its step
+    cap first.
     """
     if not callable(getattr(gram, "matvec", None)):
         raise TypeError(f"spectral_norm takes a Gram operator, got {type(gram).__name__}")
-    return max(_lanczos_top(gram), 0.0)
+    return max(_lanczos_top(gram), 0.0) if gram.shape[0] else 0.0
 
 
 def _lanczos_top(gram) -> float:

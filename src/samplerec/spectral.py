@@ -289,7 +289,7 @@ def basis_matrix(basis: OrderedBasis, points, m: int | None = None) -> np.ndarra
         x = x[:, None]
     if x.ndim != 2 or x.shape[1] != basis.params.d:
         raise ValueError(f"points must have shape (n, {basis.params.d}), got {x.shape}")
-    if np.any(x < 0.0) or np.any(x >= 1.0):
+    if not (np.all(x >= 0.0) and np.all(x < 1.0)):
         raise ValueError("points must lie in [0, 1)^d")
     if m is None:
         m = len(basis)

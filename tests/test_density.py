@@ -310,6 +310,15 @@ def test_every_draw_takes_the_form_of_its_d_and_m(d, n, m):
         assert pts.sums is None and pts.B.shape == (n, m) and not pts.B.flags.writeable
 
 
+def test_density_values_rejects_points_outside_the_cube():
+    dens = make_density(SP2, 4, 16)
+    for bad in (1.0, -0.25, np.nan):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\)\^d"):
+            density_values(dens, np.array([[0.5, 0.5], [0.25, bad]]))
+    with pytest.raises(ValueError, match=r"shape \(n, 2\)"):
+        density_values(dens, np.array([[0.5]]))
+
+
 def test_point_set_validation():
     def point_set(densities=np.ones(3), b=np.ones((3, 4)), k=2):
         return PointSet(points=np.zeros((3, 1)), densities=densities, B=b, k=k)
@@ -317,6 +326,8 @@ def test_point_set_validation():
     assert (point_set().n, point_set().m) == (3, 4)
     with pytest.raises(ValueError):
         point_set(densities=np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="strictly positive"):
+        point_set(densities=np.array([1.0, np.nan, 1.0]))
     with pytest.raises(ValueError):
         point_set(densities=np.ones(2))
     with pytest.raises(ValueError):

@@ -79,3 +79,20 @@ def test_only_density_reads_the_point_set_form():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
             assert all(name.split(".")[-1] != "density" for name in names), f"lsq.py line {node.lineno}"
+
+
+def test_only_expsums_reads_the_staircase_layout():
+    # a staircase's layout (values, starts) and its per-position arrays
+    # (freq, factor, sine) are read in samplerec.expsums alone: other
+    # modules go through Staircase.gram_block and TailGram, by basis
+    # position, so a new layout stays behind that boundary
+    import samplerec
+
+    src = Path(samplerec.__file__).parent
+    readers = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if path.name != "expsums.py"
+        and re.search(r"\.(?:values|starts|freq|factor|sine)\b(?!\s*\()", path.read_text(encoding="utf-8"))
+    ]
+    assert readers == [], f"{readers} read the staircase layout"

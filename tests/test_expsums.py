@@ -89,31 +89,36 @@ def test_staircase_sums_and_gram_block_reject_bad_input():
         expsums.staircase_sums(x, w, indices[:, :1])
     with pytest.raises(ValueError, match="flat indices"):
         expsums.staircase_sums(x, w, -indices)
-    # a block of the basis, and one whose frequency vectors it does not cover
+    # a block of the basis by positions, and slices past its m = 10
+    # positions, from a negative start or with a step
     stair = expsums.staircase_sums(x, w, indices)
-    assert stair.gram_block(indices[:3], indices).shape == (3, 10)
-    assert ((indices + 1) // 2).max() == 2 and not np.any(np.all(indices >= 3, axis=1))
-    for rows in ([[0, 5]], [[3, 4]], [[0, -3]]):
-        with pytest.raises(ValueError, match="staircase covers"):
-            stair.gram_block(rows, indices)
-    with pytest.raises(ValueError, match=r"\(r, 2\)"):
-        stair.gram_block(indices[:, :1], indices)
-    # the FFT tail operator reads a d = 1 staircase alone, and only the
-    # frequencies it covers
+    assert stair.gram_block(slice(0, 3), slice(None)).shape == (3, 10)
+    assert stair.gram_block(slice(4, 4), slice(9, 10)).shape == (0, 1)
+    for rows in (slice(0, 11), slice(9, 12), slice(-1, None), slice(0, 4, 2)):
+        with pytest.raises(ValueError, match="slices of positions"):
+            stair.gram_block(rows, slice(None))
+        with pytest.raises(ValueError, match="slices of positions"):
+            stair.gram_block(slice(None), rows)
+    # the FFT tail operator reads a d = 1 staircase alone, and the tail
+    # positions k..m-1 of it, one sigma each
     with pytest.raises(ValueError, match="d = 1 staircase"):
-        TailGram(stair, [1, 2], np.ones(2))
+        TailGram(stair, 1, np.ones(9))
     line = expsums.staircase_sums(x[:, :1], w, np.arange(5)[:, None])
-    assert TailGram(line, [1, 4], np.ones(2)).shape == (2, 2)
-    with pytest.raises(ValueError, match="d = 1 staircase"):
-        TailGram(line, [1, 5], np.ones(2))
+    assert TailGram(line, 1, np.ones(4)).shape == (4, 4)
+    assert TailGram(line, 4, np.ones(1)).shape == (1, 1)
+    for k, q in ((5, 0), (-1, 6), (1, 3), (1, 5)):
+        with pytest.raises(ValueError, match="tail positions"):
+            TailGram(line, k, np.ones(q))
 
 
 def test_tail_gram_rejects_repeated_or_constant_indices():
+    # staircases built over index lists whose tail positions repeat an
+    # index or hold the constant
     x = np.linspace(0.0, 1.0, 8, endpoint=False)[:, None]
-    line = expsums.staircase_sums(x, np.ones(8), np.arange(5)[:, None])
-    for tail in ([1, 3, 1], [0, 1, 2]):
+    for indices, k in (([0, 1, 3, 1], 1), ([0, 1, 2], 0), ([2, 1, 0], 1)):
+        line = expsums.staircase_sums(x, np.ones(8), np.array(indices)[:, None])
         with pytest.raises(ValueError, match="need distinct nonconstant tail indices"):
-            TailGram(line, tail, np.ones(3))
+            TailGram(line, k, np.ones(len(indices) - k))
 
 
 @pytest.mark.parametrize("d, s, m", [(2, 0.75, 300), (3, 0.6, 300), (4, 0.75, 200)])
@@ -286,7 +291,7 @@ def test_sample_points_at_d1_is_structured():
     assert b.shape == (256, 104)
     assert np.array_equal(pts.G, b[:, :13])
     sums = exp_sums(pts.points[:, 0], 1.0 / pts.densities, 104)
-    assert np.array_equal(pts.sums.values, one_box(sums).values)
+    assert np.array_equal(pts.sums.values, one_box(sums, basis.indices[:104]).values)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -327,12 +332,13 @@ def test_gram_block_holds_three_blocks_at_a_time():
         assert peak <= 3.5 * block.size * 16
 
 
-def one_box(sums):
-    """The d = 1 staircase of the complex sums E(0..t), laid out as
-    staircase_sums lays it out: Re E and Im E from -t to t."""
+def one_box(sums, flat):
+    """The d = 1 staircase of the complex sums E(0..t) over the flat
+    indices flat, laid out as staircase_sums lays it out: Re E and Im E
+    from -t to t."""
     t = len(sums) - 1
     both = np.concatenate((sums[:0:-1].conj(), sums))
-    return expsums.Staircase(np.array(t), np.stack((both.real, both.imag)), np.ones(t // 2 + 1, dtype=bool))
+    return expsums.Staircase(np.array(t), np.stack((both.real, both.imag)), np.asarray(flat)[:, None])
 
 
 def complex_gram_block(sums, rows, cols):
@@ -365,11 +371,14 @@ def test_gram_block_is_the_complex_formula_to_the_bit(rows, cols, seed):
     # times one rounding of the rows' and columns' real factors, and where
     # that product is not 1 the two reads are equal, so it is the real part
     # of the complex formula bit for bit; E(0), the sum of the weights, is
-    # real, as a sine's parity needs
+    # real, as a sine's parity needs.  The staircase is built over the
+    # drawn rows and then the drawn columns, repeats included, and read at
+    # those two slices of positions
     rng = np.random.Generator(np.random.Philox(key=seed))
     sums = rng.standard_normal(301) + 1j * rng.standard_normal(301)
     sums[0] = sums[0].real
-    block = one_box(sums).gram_block(np.array(rows)[:, None], np.array(cols)[:, None])
+    stair = one_box(sums, rows + cols)
+    block = stair.gram_block(slice(0, len(rows)), slice(len(rows), len(rows) + len(cols)))
     assert block.shape == (len(rows), len(cols))
     assert np.array_equal(block.view(np.int64), complex_gram_block(sums, rows, cols).view(np.int64))
 
@@ -398,7 +407,7 @@ def test_gram_block_holds_three_real_blocks():
 def test_toeplitz_matvec_matches_dense_gamma(k, m, n):
     basis, pts = make_instance(k, m, n, 11)
     gamma = dense_matrix(pts)[:, k:] * basis.sigma[k:m]
-    gram = TailGram(pts.sums, basis.indices[k:m, 0], basis.sigma[k:m])
+    gram = TailGram(pts.sums, k, basis.sigma[k:m])
     assert gram.shape == (m - k, m - k)
     rng = np.random.Generator(np.random.Philox(key=k))
     scale = np.linalg.norm(gamma) ** 2
@@ -433,7 +442,7 @@ def toeplitz_product(sums, tail, sigma, v):
 def test_toeplitz_matvec_is_the_fresh_spectrum_formula_to_the_bit(k, m, n):
     basis, pts = make_instance(k, m, n, 2)
     tail, sigma = basis.indices[k:m, 0], basis.sigma[k:m]
-    gram = TailGram(pts.sums, tail, sigma)
+    gram = TailGram(pts.sums, k, sigma)
     rng = np.random.Generator(np.random.Philox(key=n))
     for _ in range(20):
         v = rng.standard_normal(m - k)

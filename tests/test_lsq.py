@@ -548,6 +548,14 @@ def test_spectral_norm_thin_shapes():
     assert math.sqrt(spectral_norm(ViewGram(np.array([[3.0, -4.0]]), np.ones(2)))) == pytest.approx(5.0, rel=1e-15)
 
 
+def test_spectral_norm_of_a_view_with_no_columns_is_zero():
+    assert spectral_norm(ViewGram(np.zeros((3, 0)), np.zeros(0))) == 0.0
+
+
+def test_spectral_norm_of_empty_panels_is_zero():
+    assert spectral_norm(BlockGram([], np.zeros(0))) == 0.0
+
+
 def test_spectral_norm_path_selection(monkeypatch):
     calls = {"eigvalsh": 0, "lanczos": 0}
 

@@ -278,6 +278,10 @@ def test_basis_matrix_rejects_bad_points():
     basis = ordered_basis(SP1, 4)
     with pytest.raises(ValueError):
         basis_matrix(basis, np.array([[1.0]]))
+    # NaN fails both comparisons, so it is refused as outside [0, 1)
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\)"):
+            basis_matrix(basis, np.array([[0.5], [bad]]))
     with pytest.raises(ValueError):
         basis_matrix(basis, np.array([[0.5, 0.5]]))
 
