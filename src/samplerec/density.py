@@ -240,44 +240,47 @@ def _invert_factor_cdf(sign, freq, u):
 @dataclass(frozen=True)
 class PointSet:
     """One sampling instance: n points drawn from the density, their density
-    values, the head size k, the width m, and the weighted basis matrix
-    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over the density's m functions
-    in one of two forms, described here alone.  Every reader takes B
-    through gram (its Gram blocks), G (its (n, k) head block, read-only)
-    and tail_gram (the Gram operator of Gamma = B[:, k:] diag(sigma_k..m),
-    which is never formed), alike in each form:
+    values, the head size k, and the weighted basis matrix
+    B[i, j] = b_{j+1}(x_i) / sqrt(rho(x_i)) over the density's first m
+    functions in one of two forms, described here alone and the one record
+    of m and the basis.  Every reader takes B through gram (its Gram
+    blocks), G (its (n, k) head block, read-only) and tail_gram (the Gram
+    operator of Gamma = B[:, k:] diag(sigma_k..m), which is never formed),
+    alike in each form:
 
-    - Dense (B given; d >= 2 with m > n): B itself, read-only, and m
-      defaults to its width; G is a view, gram a product of two views, and
-      tail_gram lsq.ViewGram of the view B[:, k:].  A given B takes
-      precedence over the other fields.
-    - Structured (the staircase; d = 1, or m <= n): the real weighted sums
-      of samplerec.expsums.staircase_sums, built for the first m basis
-      functions, which it covers by construction; at d = 1 one box holding
+    - Dense (B given; d >= 2 with m > n): B itself, read-only, m its width;
+      G is a view, gram a product of two views, and tail_gram lsq.ViewGram
+      of the view B[:, k:].  A given B takes precedence over sums.
+    - Structured (the staircase; d = 1, or m <= n): the Staircase of
+      samplerec.expsums.staircase_sums for the first m positions of the
+      density's basis, which keeps that basis and m; at d = 1 one box of
       the weighted exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
-      |h| <= 2 f_max.  Both read it by basis position: gram is a new
-      read-only array from its gram_block of the same slices, and
+      |h| <= 2 f_max.  gram is its gram_block of the same slices, and
       tail_gram is samplerec.expsums.TailGram of the positions k..m-1 at
       d = 1, one FFT pair per product, and at d >= 2 lsq.BlockGram of the
       upper column panels (B^T B)[k:hi, lo:hi] of the tail block,
-      _GRAM_PANEL wide, about half the block.
+      _GRAM_PANEL wide, about half the block.  No n-row matrix is stored,
+      and G is evaluated on each access.
 
-    In the structured form basis is the density's ordered basis, no n-row
-    matrix is stored, and G is evaluated on each access.  In every form the
-    densities are density_values' at the points, bit for bit.
+    gram checks its slices one way for both forms and hands out a new
+    read-only block.  In every form the densities are density_values' at
+    the points, bit for bit.
     """
 
     points: np.ndarray  # (n, d) in [0, 1)^d
     densities: np.ndarray  # (n,), strictly positive
     B: np.ndarray | None  # (n, m) weighted basis matrix, None in the structured form
     k: int  # head size, 1 <= k < m
-    m: int | None = None  # width, B.shape[1] when B is given
     sums: expsums.Staircase | None = None  # the staircase, in the structured form
-    basis: OrderedBasis | None = None  # the density's basis, in the structured form
 
     @property
     def n(self) -> int:
         return int(self.points.shape[0])
+
+    @property
+    def m(self) -> int:
+        """The width: B's in the dense form, the staircase's prefix otherwise."""
+        return int(self.B.shape[1]) if self.B is not None else self.sums.m
 
     @property
     def G(self) -> np.ndarray:
@@ -287,11 +290,15 @@ class PointSet:
         return g
 
     def gram(self, rows: slice, cols: slice) -> np.ndarray:
-        """(B^T B)[rows, cols] for slices of basis positions, as the form
-        gives it (see the class docstring)."""
-        if self.B is not None:
-            return self.B[:, rows].T @ self.B[:, cols]
-        block = self.sums.gram_block(rows, cols)
+        """(B^T B)[rows, cols], read-only, for slices of the basis positions
+        0..m-1 with no step, as the form gives it (see the class
+        docstring); ValueError for any other slice, in either form."""
+        m = self.m
+        for part in (rows, cols):
+            start, stop = part.start or 0, m if part.stop is None else part.stop
+            if part.step not in (None, 1) or not 0 <= start <= stop <= m:
+                raise ValueError(f"need slices of positions 0..{m - 1}, got {part}")
+        block = self.B[:, rows].T @ self.B[:, cols] if self.B is not None else self.sums.gram_block(rows, cols)
         block.flags.writeable = False
         return block
 
@@ -303,18 +310,17 @@ class PointSet:
             return lsq.ViewGram(self.B[:, self.k :], sigma)
         # panels at d = 1 would hold about half the tail block, 36 MB at
         # claims-d1's q = 3003, where the FFT operator holds a few vectors
-        if self.basis.params.d == 1:
+        if self.points.shape[1] == 1:
             return expsums.TailGram(self.sums, self.k, sigma)
         columns = [slice(lo, min(lo + _GRAM_PANEL, self.m)) for lo in range(self.k, self.m, _GRAM_PANEL)]
         return lsq.BlockGram([self.gram(slice(self.k, cols.stop), cols) for cols in columns], sigma)
 
     def __post_init__(self) -> None:
         if self.B is not None:
-            if self.B.ndim != 2 or self.B.shape[0] != self.n or self.m not in (None, self.B.shape[1]):
+            if self.B.ndim != 2 or self.B.shape[0] != self.n:
                 raise ValueError("inconsistent point-set shapes")
-            object.__setattr__(self, "m", int(self.B.shape[1]))
-        elif self.sums is None or self.basis is None or self.m is None:
-            raise ValueError("a point set needs B, or its sums, basis and width m")
+        elif self.sums is None:
+            raise ValueError("a point set needs B or its sums")
         if not 1 <= self.k < self.m:
             raise ValueError(f"need 1 <= k < m, got k={self.k}, m={self.m}")
         if self.densities.shape != (self.n,):
@@ -332,7 +338,7 @@ def dense_matrix(pts: PointSet, rows: slice = slice(None), width: int | None = N
     width = pts.m if width is None else width
     if pts.B is not None:
         return pts.B[rows, :width]
-    b = basis_matrix(pts.basis, pts.points[rows], width)
+    b = basis_matrix(pts.sums.basis, pts.points[rows], width)
     _weigh_rows(b, pts.densities[rows])
     return b
 
@@ -380,13 +386,11 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     sign = np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0))
     x = _invert_factor_cdf(sign, freq, u[:, 2:])
     rho = density_values(params, x)
-    # With m > n a d >= 2 draw keeps B: faster there than the staircase, at
-    # more memory (claims at n_grid 512, 2048, c_head 0.05, seed 2, one BLAS
-    # thread, 2-core box: 1.6-1.8 s / 146 MiB against 1.9-2.3 s / 78 MiB at
-    # d = 2, s = 0.75; 4.2-4.7 s / 259 MiB against 13.6-14.8 s / 208 MiB at d = 4).
+    # With m > n a d >= 2 draw keeps B: faster there than the staircase from
+    # d = 3 on, at more memory (the README's "Dense" paragraph has timings).
     if d == 1 or m <= n:
-        sums = expsums.staircase_sums(x, 1.0 / rho, basis.indices[:m])
-        return PointSet(points=x, densities=rho, B=None, k=k, m=m, sums=sums, basis=basis)
+        sums = expsums.staircase_sums(x, 1.0 / rho, basis, m)
+        return PointSet(points=x, densities=rho, B=None, k=k, sums=sums)
     b = basis_matrix(basis, x, m)
     _weigh_rows(b, rho)
     b.flags.writeable = False

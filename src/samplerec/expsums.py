@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .spectral import row_blocks
+from .spectral import OrderedBasis, row_blocks
 
 # E(64 b + j) = sum_i w_i e^{2 pi i 64 b x_i} e^{2 pi i j x_i}: one complex
 # matrix product of a (#blocks, rows) and a (64, rows) table of powers per
@@ -100,32 +100,32 @@ def exp_sums(x, weights, h_max: int) -> np.ndarray:
 class Staircase:
     """The real weighted sums R_tau(g) = sum_i w_i prod_c tau_c(2 pi g_c x_ic)
     of a point set, tau_c a cosine or a sine and g >= 0, on the dyadic
-    staircase that staircase_sums builds for a list of flat basis indices,
-    and the Gram blocks of those basis functions that they give, read by
-    position in the list (gram_block).
+    staircase that staircase_sums builds for the basis prefix it keeps (the
+    first m positions of basis), and the Gram blocks of those basis
+    functions that they give, read by position (gram_block).
 
     values[tau, starts[g'] + g_d] is R_tau(g', g_d), g' the first d - 1
     coordinates and tau = sum_c [tau_c is a sine] 2^(d - 1 - c): each row g'
     holds the last coordinate from -t to t, t that of its box, the negative
     half copied with its parity (a sine is odd).  At d = 1 starts is a 0-d
     array and there is one row: values[0] and values[1] are Re E and Im E
-    of exp_sums from -t to t.  The indices are decoded once, per position:
-    freq, the (m, d) frequency vectors; factor, the product of the real
-    factors |c| / sqrt(2) (sqrt(1/2) on a constant coordinate, 1
-    otherwise); and sine, the (m, d) sine flags.  The staircase covers the
-    pairs of these positions by construction, so a read checks positions
-    against m alone.
+    of exp_sums from -t to t.  The flat indices basis.indices[:m] are
+    decoded once, per position: freq, the (m, d) frequency vectors; factor,
+    the product of the real factors |c| / sqrt(2) (sqrt(1/2) on a constant
+    coordinate, 1 otherwise); and sine, the (m, d) sine flags.  The
+    staircase covers the pairs of these positions by construction.
     """
 
-    def __init__(self, starts: np.ndarray, values: np.ndarray, indices: np.ndarray) -> None:
-        self.starts, self.values = starts, values
+    def __init__(self, starts: np.ndarray, values: np.ndarray, basis: OrderedBasis, m: int) -> None:
+        self.starts, self.values, self.basis, self.m = starts, values, basis, m
+        indices = basis.indices[:m]
         self.freq = (indices + 1) // 2
         self.factor = np.prod(np.where(indices == 0, math.sqrt(0.5), 1.0), axis=1)
         self.sine = indices % 2 == 1
 
     def gram_block(self, rows: slice, cols: slice) -> np.ndarray:
         """The block (B^T B)[rows, cols] for slices rows and cols of the
-        positions 0..m-1 of the staircase's basis functions.
+        positions 0..m-1 of its basis functions, checked by PointSet.gram.
 
         In each coordinate the product of a row and a column factor is, by
         product to sum, p (u(f_r + f_c) + v(f_r - f_c)) with p the product of
@@ -145,11 +145,6 @@ class Staircase:
         (row_blocks) each, with a few arrays per coordinate of a panel's
         size.
         """
-        m = len(self.factor)
-        for part in (rows, cols):
-            start, stop = part.start or 0, m if part.stop is None else part.stop
-            if part.step not in (None, 1) or not 0 <= start <= stop <= m:
-                raise ValueError(f"need slices of positions 0..{m - 1}, got {part}")
         f_r, p_r, sin_r = self.freq[rows], self.factor[rows], self.sine[rows]
         f_c, p_c, sin_c = self.freq[cols], self.factor[cols], self.sine[cols]
         d = f_r.shape[1]
@@ -263,11 +258,11 @@ def _box_sums(x: np.ndarray, weights: np.ndarray, freq: np.ndarray, top: int) ->
     return boxes, partial
 
 
-def staircase_sums(x, weights, indices) -> Staircase:
+def staircase_sums(x, weights, basis: OrderedBasis, m: int) -> Staircase:
     """The sums R_tau(g) = sum_i weights_i prod_c tau_c(2 pi g_c x_ic) of an
     (n, d) point set on the dyadic staircase that covers every vector
-    |f_j +- f_l| (per coordinate) of two frequency vectors of the (m, d)
-    flat basis indices, as a Staircase.
+    |f_j +- f_l| (per coordinate) of two frequency vectors of the first m
+    positions of an ordered basis, as the Staircase of that prefix.
 
     At d = 1 the staircase is one box, [0, t] with t twice the largest
     frequency, and its cosine and sine sums are the real and imaginary
@@ -288,15 +283,14 @@ def staircase_sums(x, weights, indices) -> Staircase:
     """
     x = np.asarray(x, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    indices = np.asarray(indices, dtype=np.int64)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"need an (n, d) array of points, got shape {x.shape}")
     d = x.shape[1]
     if weights.shape != x.shape[:1]:
         raise ValueError(f"need one weight per point, got shapes {weights.shape} and {x.shape}")
-    if indices.ndim != 2 or indices.shape[1] != d or len(indices) == 0 or np.any(indices < 0):
-        raise ValueError(f"need a nonempty (m, {d}) array of flat indices, got shape {indices.shape}")
-    freq = (indices + 1) // 2
+    if basis.params.d != d or not 1 <= m <= len(basis):
+        raise ValueError(f"need the first 1..{len(basis)} positions of a d = {d} basis, got m={m} at d = {basis.params.d}")
+    freq = (basis.indices[:m] + 1) // 2
     top = 2 * int(freq.max())
     if d == 1:
         e = exp_sums(x[:, 0], weights, top)
@@ -321,7 +315,7 @@ def staircase_sums(x, weights, indices) -> Staircase:
         rows = (offset + t + (2 * t + 1) * np.arange(count)).reshape(shape[:-1])
         starts[tuple(slice(lo, hi) for lo, hi in box[:-1])] = rows
         offset += count * (2 * t + 1)
-    return Staircase(starts, sums, indices)
+    return Staircase(starts, sums, basis, m)
 
 
 class TailGram:
@@ -342,8 +336,8 @@ class TailGram:
     """
 
     def __init__(self, sums: Staircase, k: int, sigma: np.ndarray) -> None:
-        m = len(sums.factor)
-        if sums.freq.shape[1] != 1:
+        m = sums.m
+        if sums.basis.params.d != 1:
             raise ValueError("need a d = 1 staircase")
         if not 0 <= k < m or len(sigma) != m - k:
             raise ValueError(f"need tail positions k..{m - 1} with 0 <= k < {m}, one sigma each, got k={k}")
@@ -353,7 +347,8 @@ class TailGram:
         # so c(-f) = conj c(f); a tail coefficient is Re c(f) (a cosine) or
         # -Im c(f) (a sine), the float at 2 f or 2 f + 1 of c(0..L/2)
         self._at = 2 * freq + sine
-        # repeats by sorted differences: np.unique imports numpy.ma on first use
+        # a hand-made OrderedBasis may repeat an index or hold the constant in
+        # its tail; repeats by sorted differences (np.unique imports numpy.ma)
         if np.any(freq == 0) or np.any(np.diff(np.sort(self._at)) == 0):
             raise ValueError("need distinct nonconstant tail indices")
         self._sigma = np.asarray(sigma, dtype=float)

@@ -304,7 +304,7 @@ def test_every_draw_takes_the_form_of_its_d_and_m(d, n, m):
     dens = make_density(SpaceParams(d, 1.0), 4, m)
     pts = sample_points(dens, n, 9)
     if d == 1 or m <= n:
-        assert pts.B is None and isinstance(pts.sums, expsums.Staircase) and pts.basis is dens.basis
+        assert pts.B is None and isinstance(pts.sums, expsums.Staircase) and pts.sums.basis is dens.basis
         assert pts.sums.values.shape[0] == 2 ** d and pts.sums.starts.ndim == d - 1
     else:
         assert pts.sums is None and pts.B.shape == (n, m) and not pts.B.flags.writeable
@@ -575,7 +575,7 @@ def test_structured_d2_draw_matches_its_b_twin(params, k, m, n):
     pts = sample_points(dens, n, 11)
     assert pts.B is None
     assert np.array_equal(pts.densities, density_values(dens, pts.points))
-    again = expsums.staircase_sums(pts.points, 1.0 / pts.densities, dens.basis.indices[:m])
+    again = expsums.staircase_sums(pts.points, 1.0 / pts.densities, dens.basis, m)
     assert np.array_equal(pts.sums.values, again.values) and np.array_equal(pts.sums.starts, again.starts)
     twin = dataclasses.replace(pts, B=dense_matrix(pts))
     assert np.array_equal(pts.G, twin.G)
@@ -585,6 +585,28 @@ def test_structured_d2_draw_matches_its_b_twin(params, k, m, n):
         dense = twin.gram(rows, cols)
         assert block.shape == dense.shape and not block.flags.writeable
         assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_both_forms_keep_one_contract():
+    # a d = 2 staircase draw and its twin that holds B: gram refuses the
+    # same slices with the same message, hands out read-only blocks that
+    # agree, and m is the form's, not a field to replace
+    k, m = 13, 104
+    pts = sample_points(make_density(SP2, k, m), 256, 11)
+    twin = dataclasses.replace(pts, B=dense_matrix(pts))
+    assert pts.B is None and twin.B is not None and pts.m == twin.m == m
+    for form in (pts, twin):
+        for bad in (slice(0, m + 1), slice(-1, None), slice(0, 4, 2)):
+            for rows, cols in ((bad, slice(0, k)), (slice(0, k), bad)):
+                with pytest.raises(ValueError, match=rf"^need slices of positions 0\.\.{m - 1}, got"):
+                    form.gram(rows, cols)
+        with pytest.raises(TypeError):
+            dataclasses.replace(form, m=m // 2)
+    for rows, cols in ((slice(0, k), slice(k, m)), (slice(3, 40), slice(None)), (slice(m, m), slice(0, 1))):
+        block, dense = pts.gram(rows, cols), twin.gram(rows, cols)
+        assert not block.flags.writeable and not dense.flags.writeable
+        assert block.shape == dense.shape
+        assert np.max(np.abs(block - dense), initial=0.0) <= 1e-13 * np.max(np.abs(dense), initial=1.0)
 
 
 def test_structured_d2_draw_and_tail_norm_hold_no_instance_sized_array():

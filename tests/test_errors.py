@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from samplerec import errors, lsq
-from samplerec.density import sample_points, truncated_density
+from samplerec.density import dense_matrix, sample_points, truncated_density
 from samplerec.errors import (
     certified_upper_bound,
     empirical_error,
@@ -294,7 +294,8 @@ def test_certified_bound_monotone_tail_addend():
     e_base = None
     for m in m_grid:
         e_tr = full_e_trunc(pts, g_pinv, basis, m)
-        bound = certified_upper_bound(e_tr, basis, summary, dataclasses.replace(pts, m=m), s_min)
+        narrow = dataclasses.replace(pts, B=dense_matrix(pts, width=m))
+        bound = certified_upper_bound(e_tr, basis, summary, narrow, s_min)
         addends.append(bound - e_tr - float(basis.sigma[m]))
         if e_base is None:
             e_base = e_tr

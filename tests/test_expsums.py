@@ -28,6 +28,13 @@ def make_instance(k, m, n, seed, params=SP1):
     return basis, pts
 
 
+def hand_basis(flat):
+    """A d = 1 OrderedBasis over a hand-made list of flat indices, repeats
+    and constants included, with unit weights."""
+    ones = np.ones(len(flat))
+    return spectral.OrderedBasis(SP1, np.asarray(flat, dtype=np.int64)[:, None], ones, ones)
+
+
 def with_dense_matrix(pts, basis):
     """The same instance in the dense form, B evaluated at its points."""
     return dataclasses.replace(pts, B=dense_matrix(pts))
@@ -64,9 +71,9 @@ def test_staircase_sums_match_direct_sums(d, s, m):
     rng = np.random.Generator(np.random.Philox(key=7 + d))
     x = rng.random((300, d))
     w = rng.random(300) + 0.5
-    indices = ordered_basis(SpaceParams(d, s), m).indices
-    stair = expsums.staircase_sums(x, w, indices)
-    freq = np.unique((indices + 1) // 2, axis=0)
+    basis = ordered_basis(SpaceParams(d, s), m)
+    stair = expsums.staircase_sums(x, w, basis, m)
+    freq = np.unique((basis.indices + 1) // 2, axis=0)
     pick = rng.integers(0, len(freq), (2, 3000))
     g = freq[pick[0]] + np.where(rng.random((3000, d)) < 0.5, 1, -1) * freq[pick[1]]
     sine = rng.random((3000, d)) < 0.5
@@ -80,30 +87,33 @@ def test_staircase_sums_match_direct_sums(d, s, m):
 def test_staircase_sums_and_gram_block_reject_bad_input():
     x = np.linspace(0.0, 1.0, 8, endpoint=False).reshape(4, 2)
     w = np.ones(4)
-    indices = ordered_basis(SpaceParams(2, 1.0), 10).indices
+    basis = ordered_basis(SpaceParams(2, 1.0), 12)
     with pytest.raises(ValueError, match=r"\(n, d\)"):
-        expsums.staircase_sums(x.ravel(), np.ones(8), indices)
+        expsums.staircase_sums(x.ravel(), np.ones(8), basis, 10)
     with pytest.raises(ValueError, match="one weight per point"):
-        expsums.staircase_sums(x, w[:3], indices)
-    with pytest.raises(ValueError, match="flat indices"):
-        expsums.staircase_sums(x, w, indices[:, :1])
-    with pytest.raises(ValueError, match="flat indices"):
-        expsums.staircase_sums(x, w, -indices)
-    # a block of the basis by positions, and slices past its m = 10
-    # positions, from a negative start or with a step
-    stair = expsums.staircase_sums(x, w, indices)
-    assert stair.gram_block(slice(0, 3), slice(None)).shape == (3, 10)
-    assert stair.gram_block(slice(4, 4), slice(9, 10)).shape == (0, 1)
+        expsums.staircase_sums(x, w[:3], basis, 10)
+    # a prefix of 1..12 positions of a basis of the points' d
+    for bad, m in ((basis, 0), (basis, 13), (ordered_basis(SP1, 12), 10)):
+        with pytest.raises(ValueError, match="positions of a d = 2 basis"):
+            expsums.staircase_sums(x, w, bad, m)
+    # a block of the basis by positions through the point set's gram,
+    # which refuses slices past its m = 10 positions, from a negative
+    # start or with a step
+    stair = expsums.staircase_sums(x, w, basis, 10)
+    assert stair.basis is basis and stair.m == 10
+    pts = density.PointSet(points=x, densities=1.0 / w, B=None, k=1, sums=stair)
+    assert stair.gram_block(slice(0, 3), slice(None)).shape == pts.gram(slice(0, 3), slice(None)).shape == (3, 10)
+    assert pts.gram(slice(4, 4), slice(9, 10)).shape == (0, 1)
     for rows in (slice(0, 11), slice(9, 12), slice(-1, None), slice(0, 4, 2)):
         with pytest.raises(ValueError, match="slices of positions"):
-            stair.gram_block(rows, slice(None))
+            pts.gram(rows, slice(None))
         with pytest.raises(ValueError, match="slices of positions"):
-            stair.gram_block(slice(None), rows)
+            pts.gram(slice(None), rows)
     # the FFT tail operator reads a d = 1 staircase alone, and the tail
     # positions k..m-1 of it, one sigma each
     with pytest.raises(ValueError, match="d = 1 staircase"):
         TailGram(stair, 1, np.ones(9))
-    line = expsums.staircase_sums(x[:, :1], w, np.arange(5)[:, None])
+    line = expsums.staircase_sums(x[:, :1], w, ordered_basis(SP1, 5), 5)
     assert TailGram(line, 1, np.ones(4)).shape == (4, 4)
     assert TailGram(line, 4, np.ones(1)).shape == (1, 1)
     for k, q in ((5, 0), (-1, 6), (1, 3), (1, 5)):
@@ -112,11 +122,11 @@ def test_staircase_sums_and_gram_block_reject_bad_input():
 
 
 def test_tail_gram_rejects_repeated_or_constant_indices():
-    # staircases built over index lists whose tail positions repeat an
+    # staircases built over hand-made bases whose tail positions repeat an
     # index or hold the constant
     x = np.linspace(0.0, 1.0, 8, endpoint=False)[:, None]
     for indices, k in (([0, 1, 3, 1], 1), ([0, 1, 2], 0), ([2, 1, 0], 1)):
-        line = expsums.staircase_sums(x, np.ones(8), np.array(indices)[:, None])
+        line = expsums.staircase_sums(x, np.ones(8), hand_basis(indices), len(indices))
         with pytest.raises(ValueError, match="need distinct nonconstant tail indices"):
             TailGram(line, k, np.ones(len(indices) - k))
 
@@ -142,8 +152,8 @@ def test_staircase_sums_write_every_entry_before_reading_it(monkeypatch):
     # sums keep their bits
     rng = np.random.Generator(np.random.Philox(key=5))
     x, w = rng.random((200, 3)), rng.random(200) + 0.5
-    indices = ordered_basis(SpaceParams(3, 0.75), 60).indices
-    expected = expsums.staircase_sums(x, w, indices).values
+    basis = ordered_basis(SpaceParams(3, 0.75), 60)
+    expected = expsums.staircase_sums(x, w, basis, 60).values
     empty = np.empty
 
     def signaling_empty(shape, dtype=float, *args, **kwargs):
@@ -154,7 +164,7 @@ def test_staircase_sums_write_every_entry_before_reading_it(monkeypatch):
 
     monkeypatch.setattr(np, "empty", signaling_empty)
     with np.errstate(invalid="raise"):
-        sums = expsums.staircase_sums(x, w, indices).values
+        sums = expsums.staircase_sums(x, w, basis, 60).values
     assert np.array_equal(sums.view(np.uint64), expected.view(np.uint64))
 
 
@@ -291,7 +301,7 @@ def test_sample_points_at_d1_is_structured():
     assert b.shape == (256, 104)
     assert np.array_equal(pts.G, b[:, :13])
     sums = exp_sums(pts.points[:, 0], 1.0 / pts.densities, 104)
-    assert np.array_equal(pts.sums.values, one_box(sums, basis.indices[:104]).values)
+    assert np.array_equal(pts.sums.values, one_box(sums, basis, 104).values)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -332,13 +342,13 @@ def test_gram_block_holds_three_blocks_at_a_time():
         assert peak <= 3.5 * block.size * 16
 
 
-def one_box(sums, flat):
-    """The d = 1 staircase of the complex sums E(0..t) over the flat
-    indices flat, laid out as staircase_sums lays it out: Re E and Im E
-    from -t to t."""
+def one_box(sums, basis, m):
+    """The d = 1 staircase of the complex sums E(0..t) over the first m
+    positions of basis, laid out as staircase_sums lays it out: Re E and
+    Im E from -t to t."""
     t = len(sums) - 1
     both = np.concatenate((sums[:0:-1].conj(), sums))
-    return expsums.Staircase(np.array(t), np.stack((both.real, both.imag)), np.asarray(flat)[:, None])
+    return expsums.Staircase(np.array(t), np.stack((both.real, both.imag)), basis, m)
 
 
 def complex_gram_block(sums, rows, cols):
@@ -371,13 +381,13 @@ def test_gram_block_is_the_complex_formula_to_the_bit(rows, cols, seed):
     # times one rounding of the rows' and columns' real factors, and where
     # that product is not 1 the two reads are equal, so it is the real part
     # of the complex formula bit for bit; E(0), the sum of the weights, is
-    # real, as a sine's parity needs.  The staircase is built over the
-    # drawn rows and then the drawn columns, repeats included, and read at
-    # those two slices of positions
+    # real, as a sine's parity needs.  The staircase is built over a
+    # hand-made basis of the drawn rows and then the drawn columns, repeats
+    # included, and read at those two slices of positions
     rng = np.random.Generator(np.random.Philox(key=seed))
     sums = rng.standard_normal(301) + 1j * rng.standard_normal(301)
     sums[0] = sums[0].real
-    stair = one_box(sums, rows + cols)
+    stair = one_box(sums, hand_basis(rows + cols), len(rows + cols))
     block = stair.gram_block(slice(0, len(rows)), slice(len(rows), len(rows) + len(cols)))
     assert block.shape == (len(rows), len(cols))
     assert np.array_equal(block.view(np.int64), complex_gram_block(sums, rows, cols).view(np.int64))

@@ -446,7 +446,7 @@ def test_duplicated_points_are_counted_degenerate(monkeypatch):
         few = sample(params, max(1, params.k // 2), seed)
         x = np.resize(few.points, (n, 1))
         rho = np.resize(few.densities, n)
-        sums = staircase_sums(x, 1.0 / rho, params.basis.indices[: params.m])
+        sums = staircase_sums(x, 1.0 / rho, params.basis, params.m)
         return dataclasses.replace(few, points=x, densities=rho, sums=sums)
 
     dup = duplicated(truncated_density(ordered_basis(SP1, 49), 6, 48), 128, 3)
