@@ -57,18 +57,22 @@ _GRAM_PANEL = math.isqrt(ROW_BLOCK_BYTES // 16)
 
 @dataclass(frozen=True)
 class DensityParams:
-    """Head size k, truncation m and tail mixture weights over a basis, and
-    the density's closed form: rho(x) = 1 + sum_t coefs[t] *
-    prod_c cos(4 pi freqs[t, c] x_c), the terms derived once (_density_terms)."""
+    """Head size k and truncation m over a basis, 1 <= k < m <= len(basis),
+    and what they fix, derived once: the tail mixture weights and the closed
+    form rho(x) = 1 + sum_t coefs[t] * prod_c cos(4 pi freqs[t, c] x_c)."""
 
     basis: OrderedBasis
     k: int
     m: int
-    tail_weights: np.ndarray  # (m - k,), nonnegative, sums to 1
+    tail_weights: np.ndarray = field(init=False, repr=False, compare=False)  # (m - k,), sigma^2, sums to 1
     freqs: np.ndarray = field(init=False, repr=False, compare=False)  # (terms, d) int64, ascending
     coefs: np.ndarray = field(init=False, repr=False, compare=False)  # (terms,), none zero
 
     def __post_init__(self) -> None:
+        if not 1 <= self.k < self.m <= len(self.basis):
+            raise ValueError(f"need 1 <= k < m <= {len(self.basis)}, got k={self.k}, m={self.m}")
+        a_sq = self.basis.sigma[self.k : self.m] ** 2
+        object.__setattr__(self, "tail_weights", a_sq / np.sum(a_sq))
         freqs, coefs = _density_terms(self)
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "coefs", coefs)
@@ -76,10 +80,7 @@ class DensityParams:
 
 def truncated_density(basis: OrderedBasis, k: int, m: int) -> DensityParams:
     """Build the density with head size k and tail truncated at m."""
-    if not 1 <= k < m <= len(basis):
-        raise ValueError(f"need 1 <= k < m <= {len(basis)}, got k={k}, m={m}")
-    a_sq = basis.sigma[k:m] ** 2
-    return DensityParams(basis=basis, k=k, m=m, tail_weights=a_sq / np.sum(a_sq))
+    return DensityParams(basis, k, m)
 
 
 def _density_terms(params: DensityParams) -> tuple[np.ndarray, np.ndarray]:
@@ -105,9 +106,8 @@ def _density_terms(params: DensityParams) -> tuple[np.ndarray, np.ndarray]:
     weight = basis.weights[:m]
     cut = np.flatnonzero((weight == weight[k]) | (weight == weight[m - 1]))
     mu = np.concatenate((np.full(k, 0.5 / k), 0.5 * params.tail_weights))[cut]
-    flat = basis.indices[cut]
-    freq = (flat + 1) // 2
-    sign = np.where(flat % 2 == 0, 1, -1)
+    freq = basis.frequencies[cut]
+    sign = np.where(basis.sines[cut], -1, 1)
     subsets = np.array(list(itertools.product((0, 1), repeat=d))[1:], dtype=bool)  # (2^d - 1, d)
     # (positions, subsets): the subsets of each position's nonconstant coordinates
     valid = np.all((freq[:, None, :] > 0) | ~subsets, axis=2)
@@ -334,8 +334,10 @@ def dense_matrix(pts: PointSet, rows: slice = slice(None), width: int | None = N
     weighted n x m matrix B, all rows by default: a view of pts.B when it is
     stored, otherwise the first width functions of its basis evaluated at
     those points and divided by sqrt(rho) in place, the same values bit for
-    bit whatever rows are asked for."""
+    bit whatever rows are asked for; ValueError for a width outside 1..m."""
     width = pts.m if width is None else width
+    if not 1 <= width <= pts.m:
+        raise ValueError(f"need a width in [1, {pts.m}], got {width}")
     if pts.B is not None:
         return pts.B[rows, :width]
     b = basis_matrix(pts.sums.basis, pts.points[rows], width)
@@ -381,9 +383,8 @@ def sample_points(params: DensityParams, n: int, seed: int) -> PointSet:
     comp[~head] = k + np.minimum(
         np.searchsorted(cum, u[~head, 1], side="right"), m - k - 1
     )
-    flat = basis.indices[comp]  # (n, d)
-    freq = (flat + 1) // 2
-    sign = np.where(flat == 0, 0.0, np.where(flat % 2 == 0, 1.0, -1.0))
+    freq = basis.frequencies[comp]  # (n, d)
+    sign = np.where(freq == 0, 0.0, np.where(basis.sines[comp], -1.0, 1.0))
     x = _invert_factor_cdf(sign, freq, u[:, 2:])
     rho = density_values(params, x)
     # With m > n a d >= 2 draw keeps B: faster there than the staircase from

@@ -79,20 +79,15 @@ class _TruncGram:
         return self._sigma * (self._block.T @ (self._left.T @ y)) + self._squares * v
 
 
-def certified_upper_bound(
-    e_trunc: float,
-    basis: OrderedBasis,
-    summary: SpectrumSummary,
-    pts: PointSet,
-    s_min_g: float,
-) -> float:
+def certified_upper_bound(e_trunc: float, summary: SpectrumSummary, pts: PointSet, s_min_g: float) -> float:
     """e_trunc plus certified addends for what truncation at m = pts.m discarded.
 
     Mass beyond position m is controlled through |b|^2 <= 2^d and the
     upper end of the certified tail sum, paid for once in the target (a_m)
     and once in the information (the sqrt addend).  Loose, but a true bound.
-    The basis must extend at least one position past m so a_m is available.
+    summary.basis gives a_m and d; it must extend past m.
     """
+    basis = summary.basis
     if pts.m >= len(basis):
         raise ValueError(f"need the basis (length {len(basis)}) to extend past m={pts.m} for a_m")
     if s_min_g <= 0.0:

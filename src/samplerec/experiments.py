@@ -51,10 +51,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ConfigError(f"d must be at least 1, got {self.d}")
-        if not (math.isfinite(self.s) and self.s > 0.5):
-            raise ConfigError(f"s must be finite and exceed 0.5, got {self.s}")
+        try:
+            self.space()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.n_grid:
             raise ConfigError("n_grid must not be empty")
         for n in self.n_grid:
@@ -167,7 +167,7 @@ def write_result(result: ExperimentResult, path: str) -> None:
 def _prepare(space: spectral.SpaceParams, m: int):
     """Basis of length m + 1 (so a_m exists) and its spectrum summary."""
     basis = spectral.ordered_basis(space, m + 1)
-    summary = spectral.spectral_sums(space, basis)
+    summary = spectral.spectral_sums(basis)
     return basis, summary
 
 
@@ -259,7 +259,7 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
             if basis is None or m + 1 > len(basis):
                 basis, summary = _prepare(space, m)
             dens = density.truncated_density(basis, k, m)
-            _, gamma_k = spectral.beta_gamma(summary, basis, k)
+            _, gamma_k = spectral.beta_gamma(summary, k)
             sqrt_n = math.sqrt(n)
             s_mins, ratios = [], []
             degenerate = 0
@@ -328,7 +328,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
     for i_n, (n, k, m) in enumerate(sizes):
         dens = density.truncated_density(basis, k, m)
         a_k = float(basis.sigma[k])
-        beta_k, gamma_k = spectral.beta_gamma(summary, basis, k)
+        beta_k, gamma_k = spectral.beta_gamma(summary, k)
         s_min_l, s_gam_l, e_tr_l, e_up_l, ratio1_l = [], [], [], [], []
         degenerate = 0
         for t in range(config.trials):
@@ -343,7 +343,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
             full_rank += 1
             fallbacks += head.u is not None
             e_tr = errors.worst_case_error_trunc(pts, head, basis)
-            e_up = errors.certified_upper_bound(e_tr, basis, summary, pts, head.s_min)
+            e_up = errors.certified_upper_bound(e_tr, summary, pts, head.s_min)
             split = a_k + s_gam / head.s_min
             if e_tr > split + _SPLIT_SLACK:
                 raise ValidationError(
@@ -404,8 +404,8 @@ def run_beta(config: ExperimentConfig) -> ExperimentResult:
     ratios = []
     for k in config.n_grid:
         a_k = float(basis.sigma[k])
-        beta_k, gamma_k = spectral.beta_gamma(summary, basis, k)
-        beta_half, _ = spectral.beta_gamma(summary, basis, k // 2)
+        beta_k, gamma_k = spectral.beta_gamma(summary, k)
+        beta_half, _ = spectral.beta_gamma(summary, k // 2)
         over = gamma_k / beta_half
         if over > 1.0 + _TAIL_ORDER_RTOL:
             raise ValidationError(

@@ -109,19 +109,17 @@ class Staircase:
     holds the last coordinate from -t to t, t that of its box, the negative
     half copied with its parity (a sine is odd).  At d = 1 starts is a 0-d
     array and there is one row: values[0] and values[1] are Re E and Im E
-    of exp_sums from -t to t.  The flat indices basis.indices[:m] are
-    decoded once, per position: freq, the (m, d) frequency vectors; factor,
-    the product of the real factors |c| / sqrt(2) (sqrt(1/2) on a constant
-    coordinate, 1 otherwise); and sine, the (m, d) sine flags.  The
-    staircase covers the pairs of these positions by construction.
+    of exp_sums from -t to t.  Per position: freq and sine, views of the
+    basis's frequencies and sines, and factor, the product of the real
+    factors |c| / sqrt(2) (sqrt(1/2) on a constant coordinate, 1
+    otherwise).  The staircase covers their pairs by construction.
     """
 
     def __init__(self, starts: np.ndarray, values: np.ndarray, basis: OrderedBasis, m: int) -> None:
         self.starts, self.values, self.basis, self.m = starts, values, basis, m
-        indices = basis.indices[:m]
-        self.freq = (indices + 1) // 2
-        self.factor = np.prod(np.where(indices == 0, math.sqrt(0.5), 1.0), axis=1)
-        self.sine = indices % 2 == 1
+        self.freq = basis.frequencies[:m]
+        self.factor = np.prod(np.where(self.freq == 0, math.sqrt(0.5), 1.0), axis=1)
+        self.sine = basis.sines[:m]
 
     def gram_block(self, rows: slice, cols: slice) -> np.ndarray:
         """The block (B^T B)[rows, cols] for slices rows and cols of the
@@ -290,13 +288,12 @@ def staircase_sums(x, weights, basis: OrderedBasis, m: int) -> Staircase:
         raise ValueError(f"need one weight per point, got shapes {weights.shape} and {x.shape}")
     if basis.params.d != d or not 1 <= m <= len(basis):
         raise ValueError(f"need the first 1..{len(basis)} positions of a d = {d} basis, got m={m} at d = {basis.params.d}")
-    freq = (basis.indices[:m] + 1) // 2
-    top = 2 * int(freq.max())
+    top = 2 * basis.max_frequency(m)
     if d == 1:
         e = exp_sums(x[:, 0], weights, top)
         boxes, partial = [[(0, top + 1)]], [np.stack((e.real, e.imag), axis=1)]
     else:
-        boxes, partial = _box_sums(x, weights, _distinct_rows(freq), top)
+        boxes, partial = _box_sums(x, weights, _distinct_rows(basis.frequencies[:m]), top)
     # each box as (tau, g', g_d) rows from -t to t, and the starts of its rows
     starts = np.full((top + 1,) * (d - 1), -1, dtype=np.intp)
     size = sum(math.prod(hi - lo for lo, hi in box[:-1]) * (2 * box[-1][1] - 1) for box in boxes)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,24 +138,31 @@ def basis_eval(idx, x) -> float:
 
 @dataclass(frozen=True)
 class OrderedBasis:
-    """The m basis functions of smallest weight, sorted (weight, then index).
+    """The m basis functions of smallest weight, sorted (weight, then index):
+    the one record of the space, which spectral_sums and DensityParams read.
 
     sigma[n] = weights[n] ** -0.5 is simultaneously the reciprocal norm of
     basis function n+1 and the n-th decay value of the embedding into L2.
+    frequencies and sines decode the flat indices once, for every reader.
     """
 
     params: SpaceParams
     indices: np.ndarray  # (m, d) int64 flat indices
     weights: np.ndarray  # (m,) nondecreasing
     sigma: np.ndarray  # (m,) = weights ** -0.5
+    frequencies: np.ndarray = field(init=False, repr=False, compare=False)  # (m, d) frequency() of each index
+    sines: np.ndarray = field(init=False, repr=False, compare=False)  # (m, d) bool: the index is odd
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "frequencies", (self.indices + 1) // 2)
+        object.__setattr__(self, "sines", self.indices % 2 == 1)
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
 
     def max_frequency(self, m: int | None = None) -> int:
         """Largest per-coordinate frequency among the first m entries."""
-        k = self.indices if m is None else self.indices[:m]
-        return int(((k + 1) // 2).max())
+        return int(self.frequencies[:m].max())
 
 
 def _sublevel_set(threshold: float, d: int, s: float, max_indices: int) -> tuple[np.ndarray, np.ndarray]:
@@ -368,13 +375,14 @@ def random_unit_function(basis: OrderedBasis, support: tuple[int, int], seed: in
 
 @dataclass(frozen=True)
 class SpectrumSummary:
-    """Certified total of sum_j sigma_j^2 plus prefix sums.
+    """Certified total of sum_j sigma_j^2 plus prefix sums, of one basis.
 
-    head[j] holds the float sum of the first j values sigma^2 of an ordered
-    basis, within head_err[j] of the exact sum (head_err None for a head
-    given exactly); the full series total lies in [total_lo, total_hi].
+    head[j] holds the float sum of the first j values sigma^2 of basis,
+    within head_err[j] of the exact sum (head_err None for a head given
+    exactly); the full series of its space lies in [total_lo, total_hi].
     """
 
+    basis: OrderedBasis
     total_lo: float
     total_hi: float
     head: np.ndarray  # length m + 1, head[0] = 0
@@ -418,6 +426,8 @@ class SpectrumSummary:
 # recursive sum of terms of one sign, stay within _gamma(n) relative
 # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4).
 _U = 2.0 ** -53
+
+_TOL = 1e-10  # the widest series enclosure that spectral_sums accepts
 
 # Terms of the one-coordinate series summed directly; the rest is a short
 # alternating series of Hurwitz zeta values at a = _SERIES_HEAD + 1.
@@ -579,19 +589,23 @@ def _series_enclosure(s: float, d: int, tol: float) -> tuple[float, float]:
     return total_lo, total_hi
 
 
-def spectral_sums(params: SpaceParams, basis: OrderedBasis, tol: float = 1e-10) -> SpectrumSummary:
-    """Head sums over the basis and a certified enclosure of the full series.
+def spectral_sums(basis: OrderedBasis, *_space_then_basis: OrderedBasis) -> SpectrumSummary:
+    """Head sums over a basis and a certified enclosure of the full series
+    of its space.  spectral_sums(space, basis), the call of perfbench's
+    set-up probe, is taken with the basis's own space alone.
 
     The enclosure comes from _series_enclosure in closed form, in about half
     a millisecond.  Its width depends only on rounding, some dozens of ulps
-    of the total; PrecisionError if it exceeds tol.  head
+    of the total; PrecisionError if it exceeds _TOL.  head
     carries its own rounding bound, head_err; PrecisionError also if the
     certified total does not exceed the upper end of the head sum, i.e. the
     tail past the basis is below the float resolution of the total.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    total_lo, total_hi = _series_enclosure(float(params.s), int(params.d), float(tol))
+    if _space_then_basis:
+        space, (basis,) = basis, _space_then_basis
+        if space != basis.params:
+            raise ValueError(f"the space {space} is not the basis's own, {basis.params}")
+    total_lo, total_hi = _series_enclosure(float(basis.params.s), int(basis.params.d), _TOL)
     sq = basis.sigma ** 2
     head = np.concatenate(([0.0], np.cumsum(sq)))
     # The cumsum's own rounding, exactly: np.cumsum adds in order, so TwoSum
@@ -604,8 +618,8 @@ def spectral_sums(params: SpaceParams, basis: OrderedBasis, tol: float = 1e-10) 
     # error is below m^2 u^2 of the head) and of head_err itself.
     step = head[1:] - head[:-1]
     e = (head[:-1] - (head[1:] - step)) + (sq - step)
-    head_err = np.abs(np.concatenate(([0.0], np.cumsum(e)))) + _gamma(4 * params.d + 18) * head
-    summary = SpectrumSummary(total_lo=total_lo, total_hi=total_hi, head=head, head_err=head_err)
+    head_err = np.abs(np.concatenate(([0.0], np.cumsum(e)))) + _gamma(4 * basis.params.d + 18) * head
+    summary = SpectrumSummary(basis, total_lo=total_lo, total_hi=total_hi, head=head, head_err=head_err)
     head_hi = summary.head_bounds(len(basis))[1]
     if total_lo <= head_hi:
         raise PrecisionError(
@@ -615,15 +629,14 @@ def spectral_sums(params: SpaceParams, basis: OrderedBasis, tol: float = 1e-10) 
     return summary
 
 
-def beta_gamma(summary: SpectrumSummary, basis: OrderedBasis, k: int) -> tuple[float, float]:
+def beta_gamma(summary: SpectrumSummary, k: int) -> tuple[float, float]:
     """Tail statistics beta_k = sqrt(tail(k) / k) and gamma_k = max(a_k, beta_k).
 
-    a_k = basis.sigma[k] requires the basis to extend at least one position
-    past k.
+    a_k = summary.basis.sigma[k] requires the basis to extend at least one
+    position past k.
     """
+    basis = summary.basis
     if not 1 <= k < len(basis):
         raise ValueError(f"k must be in [1, {len(basis) - 1}], got {k}")
-    if k >= len(summary.head):
-        raise ValueError(f"summary head covers {len(summary.head) - 1} positions, need {k}")
     beta = math.sqrt(summary.tail(k) / k)
     return beta, max(float(basis.sigma[k]), beta)

@@ -236,16 +236,16 @@ def test_07_singular_value_decay_band(emit):
 def test_08_tail_statistics(emit):
     params = SpaceParams(1, 1.0)
     basis = ordered_basis(params, 2050)
-    summary = spectral_sums(params, basis)
+    summary = spectral_sums(basis)
     over_a = []
     for k in range(8, 2049):
-        beta, _ = beta_gamma(summary, basis, k)
+        beta, _ = beta_gamma(summary, k)
         over_a.append(beta / float(basis.sigma[k]))
     band_ok = 0.5 <= min(over_a) and max(over_a) <= 4.0
     order_ok = True
     for k in range(2, 2049):
-        _, gamma = beta_gamma(summary, basis, k)
-        beta_half, _ = beta_gamma(summary, basis, k // 2)
+        _, gamma = beta_gamma(summary, k)
+        beta_half, _ = beta_gamma(summary, k // 2)
         order_ok = order_ok and gamma <= beta_half * (1.0 + 1e-12)
 
     # synthetic geometric spectrum sigma_j = 2^-j: beta_k = sqrt(4/3)*2^-k/sqrt(k)
@@ -260,6 +260,7 @@ def test_08_tail_statistics(emit):
         sigma=2.0 ** -j.astype(float),
     )
     geo_summary = SpectrumSummary(
+        basis=geo,
         total_lo=4.0 / 3.0,
         total_hi=4.0 / 3.0,
         head=np.concatenate(([0.0], np.cumsum(geo.sigma ** 2))),
@@ -267,7 +268,7 @@ def test_08_tail_statistics(emit):
     hook_ok = True
     worst_abs = 0.0
     for k in range(1, 15):
-        beta, _ = beta_gamma(geo_summary, geo, k)
+        beta, _ = beta_gamma(geo_summary, k)
         closed = math.sqrt(4.0 / 3.0) * 2.0 ** -k / math.sqrt(k)
         worst_abs = max(worst_abs, abs(beta - closed))
         hook_ok = hook_ok and abs(beta - closed) <= 1e-12
@@ -289,8 +290,8 @@ def test_09_independent_oracles(emit):
     params1, params2 = SpaceParams(1, 1.0), SpaceParams(2, 1.0)
     basis1 = ordered_basis(params1, 16)
     basis2 = ordered_basis(params2, 16)
-    total1 = spectral_sums(params1, basis1).total
-    total2 = spectral_sums(params2, basis2).total
+    total1 = spectral_sums(basis1).total
+    total2 = spectral_sums(basis2).total
     brute1 = brute_flat_total(1.0, 10 ** 9)
     rel1 = abs(brute1 - total1) / total1
     rel2 = abs(brute1 ** 2 - total2) / total2

@@ -84,9 +84,11 @@ def test_load_config_overrides(tmp_path):
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
+    # d and s are checked by SpaceParams alone, its ValueError raised again
+    # as a ConfigError with the same words
+    with pytest.raises(ConfigError, match=r"^dimension must be at least 1, got 0$"):
         ExperimentConfig(d=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^smoothness must be finite and exceed 0\.5, got 0\.5$"):
         ExperimentConfig(s=0.5)
     with pytest.raises(ConfigError):
         ExperimentConfig(n_grid=())
@@ -315,6 +317,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     path2 = write_config(tmp_path, "n_grid = 4096\nc_head = 8.0\n", "big.cfg")
     assert cli.main(["rates", "--config", path2]) == 2
     assert "infeasible" in capsys.readouterr().err
+    path3 = write_config(tmp_path, "d = 0\n", "flat.cfg")
+    assert cli.main(["rates", "--config", path3]) == 2
+    assert capsys.readouterr().err == "error: dimension must be at least 1, got 0\n"
 
 
 def test_cli_validation_failures_exit_1(monkeypatch, capsys):

@@ -56,6 +56,16 @@ def test_truncated_density_weights():
         truncated_density(ordered_basis(SP1, 4), 3, 3)
     with pytest.raises(ValueError):
         truncated_density(ordered_basis(SP1, 4), 1, 5)
+    # the density derives its tail weights from sigma, sigma_j^2 over
+    # positions k..m-1 renormalized, and checks k and m itself
+    basis = ordered_basis(SP1, 64)
+    with pytest.raises(TypeError):
+        DensityParams(basis, 4, 16, tail_weights=np.ones(12))
+    for k, m in ((0, 16), (8, 4), (4, 80)):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k < m <= 64, got k={k}, m={m}$"):
+            DensityParams(basis, k, m)
+    a_sq = basis.sigma[4:16] ** 2
+    assert np.array_equal(truncated_density(basis, 4, 16).tail_weights, a_sq / np.sum(a_sq))
 
 
 def test_density_uniform_case():
@@ -607,6 +617,20 @@ def test_both_forms_keep_one_contract():
         assert not block.flags.writeable and not dense.flags.writeable
         assert block.shape == dense.shape
         assert np.max(np.abs(block - dense), initial=0.0) <= 1e-13 * np.max(np.abs(dense), initial=1.0)
+
+
+def test_dense_matrix_refuses_a_width_outside_the_instance():
+    # the staircase's basis runs past m = 104, and B's twin holds 104
+    # columns: both forms refuse a width outside 1..m the same way
+    k, m = 13, 104
+    pts = sample_points(truncated_density(ordered_basis(SP2, 200), k, m), 256, 11)
+    twin = dataclasses.replace(pts, B=dense_matrix(pts))
+    for form in (pts, twin):
+        for width in (150, m + 1, 0, -1):
+            with pytest.raises(ValueError, match=rf"^need a width in \[1, {m}\], got {width}$"):
+                dense_matrix(form, width=width)
+        assert dense_matrix(form, width=1).shape == (256, 1)
+        assert dense_matrix(form, width=m).shape == (256, m)
 
 
 def test_structured_d2_draw_and_tail_norm_hold_no_instance_sized_array():

@@ -81,6 +81,34 @@ def test_only_density_reads_the_point_set_form():
             assert all(name.split(".")[-1] != "density" for name in names), f"lsq.py line {node.lineno}"
 
 
+def test_only_spectral_decodes_flat_indices():
+    # the flat-index code (0 the constant, odd a sine, even a cosine,
+    # frequency (i + 1) // 2) is decoded in samplerec.spectral alone, once
+    # per basis (OrderedBasis.frequencies and sines): no other module reads
+    # .indices, so none can take // 2, % 2 or == 0 of them; the one reader
+    # allowed is the identity check of two bases in errors.empirical_error
+    import samplerec
+
+    src = Path(samplerec.__file__).parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "spectral.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        compared = {
+            id(arg)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.array_equal"
+            for arg in node.args
+        }
+        readers += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "indices" and id(node) not in compared
+        ]
+    assert readers == [], f"{readers} read flat indices"
+
+
 def test_only_expsums_reads_the_staircase_layout():
     # a staircase's layout (values, starts) and its per-position arrays
     # (freq, factor, sine) are read in samplerec.expsums alone: other

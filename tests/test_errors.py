@@ -255,9 +255,9 @@ def test_certified_bound_reduces_to_trunc_plus_am_on_finite_spectrum():
     basis, pts, g_head = make_instance(SP1, 4, 12, 32, 5)
     e_tr = worst_case_error_trunc(pts, g_head, basis)
     head = np.concatenate(([0.0], np.cumsum(basis.sigma ** 2)))
-    finite = SpectrumSummary(total_lo=float(head[12]), total_hi=float(head[12]), head=head)
+    finite = SpectrumSummary(basis, total_lo=float(head[12]), total_hi=float(head[12]), head=head)
     s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
-    bound = certified_upper_bound(e_tr, basis, finite, pts, s_min)
+    bound = certified_upper_bound(e_tr, finite, pts, s_min)
     assert bound == pytest.approx(e_tr + float(basis.sigma[12]), abs=1e-13)
 
 
@@ -267,9 +267,9 @@ def test_certified_bound_pays_for_the_upper_end_of_the_tail():
     e_tr = worst_case_error_trunc(pts, g_head, basis)
     head = np.concatenate(([0.0], np.cumsum(basis.sigma ** 2)))
     head[12] = 0.5
-    wide = SpectrumSummary(total_lo=1.0, total_hi=2.0, head=head)
+    wide = SpectrumSummary(basis, total_lo=1.0, total_hi=2.0, head=head)
     s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
-    bound = certified_upper_bound(e_tr, basis, wide, pts, s_min)
+    bound = certified_upper_bound(e_tr, wide, pts, s_min)
     mass = np.sum(1.0 / pts.densities) * 2.0
     expected = e_tr + float(basis.sigma[12]) + math.sqrt(mass * (2.0 - 0.5)) / s_min
     assert bound == pytest.approx(expected, rel=1e-14)
@@ -284,7 +284,7 @@ def test_certified_bound_monotone_tail_addend():
     m_grid = (16, 32, 64, 128, 256, 512)
     m_max = m_grid[-1]
     basis = ordered_basis(sp, m_max + 1)
-    summary = spectral_sums(sp, basis)
+    summary = spectral_sums(basis)
     k = 8
     dens = truncated_density(basis, k, m_max)
     pts = sample_points(dens, 128, 9)
@@ -295,7 +295,7 @@ def test_certified_bound_monotone_tail_addend():
     for m in m_grid:
         e_tr = full_e_trunc(pts, g_pinv, basis, m)
         narrow = dataclasses.replace(pts, B=dense_matrix(pts, width=m))
-        bound = certified_upper_bound(e_tr, basis, summary, narrow, s_min)
+        bound = certified_upper_bound(e_tr, summary, narrow, s_min)
         addends.append(bound - e_tr - float(basis.sigma[m]))
         if e_base is None:
             e_base = e_tr
@@ -306,23 +306,23 @@ def test_certified_bound_monotone_tail_addend():
 
 def test_certified_bound_argument_checks():
     basis, pts, head = make_instance(SP1, 4, 12, 32, 5)
-    summary = spectral_sums(SP1, basis)
+    summary = spectral_sums(basis)
     e_tr = worst_case_error_trunc(pts, head, basis)
     with pytest.raises(ValueError, match="degenerate"):
-        certified_upper_bound(e_tr, basis, summary, pts, 0.0)
+        certified_upper_bound(e_tr, summary, pts, 0.0)
     # a basis that ends at m has no a_m
     short = ordered_basis(SP1, 12)
     with pytest.raises(ValueError, match="extend past m=12"):
-        certified_upper_bound(e_tr, short, spectral_sums(SP1, short), pts, 1.0)
+        certified_upper_bound(e_tr, spectral_sums(short), pts, 1.0)
 
 
 def test_certified_bound_scale_equivariance():
     # scaling every coefficient-space quantity by lam scales both error terms
     basis, pts, head = make_instance(SP1, 4, 12, 32, 5)
-    summary = spectral_sums(SP1, basis)
+    summary = spectral_sums(basis)
     s_min = np.linalg.svd(pts.G, compute_uv=False)[-1]
     e_tr = worst_case_error_trunc(pts, head, basis)
-    bound = certified_upper_bound(e_tr, basis, summary, pts, s_min)
+    bound = certified_upper_bound(e_tr, summary, pts, s_min)
     lam = 3.5
     scaled_sigma = lam * basis.sigma
     scaled_basis = basis.__class__(
@@ -332,6 +332,7 @@ def test_certified_bound_scale_equivariance():
         sigma=scaled_sigma,
     )
     scaled_summary = SpectrumSummary(
+        basis=scaled_basis,
         total_lo=lam ** 2 * summary.total_lo,
         total_hi=lam ** 2 * summary.total_hi,
         head=lam ** 2 * summary.head,
@@ -339,9 +340,7 @@ def test_certified_bound_scale_equivariance():
     # Gamma scaling does not enter here; e_trunc scales linearly
     e_tr_scaled = worst_case_error_trunc(pts, head, scaled_basis)
     assert e_tr_scaled == pytest.approx(lam * e_tr, rel=1e-12)
-    bound_scaled = certified_upper_bound(
-        e_tr_scaled, scaled_basis, scaled_summary, pts, s_min
-    )
+    bound_scaled = certified_upper_bound(e_tr_scaled, scaled_summary, pts, s_min)
     assert bound_scaled == pytest.approx(lam * bound, rel=1e-12)
 
 

@@ -19,6 +19,7 @@ from samplerec.spectral import (
     basis_eval,
     basis_matrix,
     beta_gamma,
+    frequency,
     hnorm_weight,
     ordered_basis,
     project,
@@ -288,7 +289,7 @@ def test_basis_matrix_rejects_bad_points():
 
 def test_spectral_sums_certified_against_closed_form():
     basis = ordered_basis(SP1, 64)
-    summ = spectral_sums(SP1, basis)
+    summ = spectral_sums(basis)
     assert summ.enclosure_width <= 1e-10
     assert summ.total_lo <= TOTAL_1D <= summ.total_hi
     assert summ.total == pytest.approx(TOTAL_1D, abs=1e-10)
@@ -307,7 +308,7 @@ def test_spectral_sums_brute_grid_consistency():
     rem_hi = 2.0 / f_edge  # covers 2 * int_{f_edge}^inf x^-2 dx and the split pair
     for params in (SP1, SP2):
         basis = ordered_basis(params, 16)
-        summ = spectral_sums(params, basis)
+        summ = spectral_sums(basis)
         brute = s_grid ** params.d
         upper = (s_grid + rem_hi) ** params.d
         assert brute <= summ.total_hi
@@ -316,34 +317,33 @@ def test_spectral_sums_brute_grid_consistency():
 
 def test_spectral_sums_head_monotone_and_tail_decreasing():
     basis = ordered_basis(SP1, 128)
-    summ = spectral_sums(SP1, basis)
+    summ = spectral_sums(basis)
     tails = np.array([summ.tail(k) for k in range(129)])
     assert np.all(tails > 0)
     assert np.all(np.diff(tails) < 0)
 
 
 def test_spectral_sums_precision_errors():
-    basis = ordered_basis(SP1, 8)
-    with pytest.raises(ValueError):
-        spectral_sums(SP1, basis, tol=0.0)
-    # one ulp of the total pi coth pi is 4.4e-16
-    with pytest.raises(PrecisionError, match=r"enclosure width .* above tol 1\.0e-18: the width is 14 ulps of the total"):
-        spectral_sums(SP1, basis, tol=1e-18)
+    # one ulp of the total 12561.5 at d=4, s=0.6 is 1.8e-12, and the fixed
+    # tol 1e-10 is 55 of them
+    sp = SpaceParams(4, 0.6)
+    with pytest.raises(PrecisionError, match=r"enclosure width .* above tol 1\.0e-10: the width is 72 ulps of the total"):
+        spectral_sums(ordered_basis(sp, 8))
     # the total at d=3, s=0.51 is about 1.0e6, whose ulp is 1.2e-10
     sp = SpaceParams(3, 0.51)
     with pytest.raises(PrecisionError, match=r"enclosure width \d\.\d+e-\d+ of the series total 1\.00642e\+06"):
-        spectral_sums(sp, ordered_basis(sp, 64), tol=1e-10)
+        spectral_sums(ordered_basis(sp, 64))
     # at s = 100 the sigma^2 tail past the first nine functions is below one
     # ulp of the total 2, so the head sum reaches it in floats
     sp = SpaceParams(1, 100.0)
     with pytest.raises(PrecisionError, match="tail past the 9-term head is below the float resolution"):
-        spectral_sums(sp, ordered_basis(sp, 9))
+        spectral_sums(ordered_basis(sp, 9))
 
 
 def test_spectral_sums_enclosure_depends_on_space_only():
     sp = SpaceParams(2, 1.7)
-    first = spectral_sums(sp, ordered_basis(sp, 10))
-    second = spectral_sums(sp, ordered_basis(sp, 40))
+    first = spectral_sums(ordered_basis(sp, 10))
+    second = spectral_sums(ordered_basis(sp, 40))
     assert (second.total_lo, second.total_hi) == (first.total_lo, first.total_hi)
     assert len(second.head) == 41
 
@@ -523,7 +523,7 @@ def test_series_enclosure_property(s, d, tol):
 def test_spectral_sums_reach_small_smoothness(s, d):
     # the regime d > 2s + 1 where the paper's rate beats Smolyak's algorithm
     sp = SpaceParams(d, s)
-    summ = spectral_sums(sp, ordered_basis(sp, 64), tol=1e-10)
+    summ = spectral_sums(ordered_basis(sp, 64))
     assert summ.enclosure_width <= 1e-10
     assert summ.total_lo <= mp_total(s, d) <= summ.total_hi
 
@@ -534,7 +534,7 @@ def test_spectral_sums_reach_small_smoothness(s, d):
 def test_head_bounds_contain_exact_prefix_sums(params, m):
     mpmath = pytest.importorskip("mpmath")
     basis = ordered_basis(params, m)
-    summ = spectral_sums(params, basis)
+    summ = spectral_sums(basis)
     with mpmath.workdps(40):
         s2 = 2 * mpmath.mpf(params.s)
         exact = mpmath.mpf(0)
@@ -554,19 +554,20 @@ def test_spectral_sums_head_bound_tracks_actual_rounding():
     # m ulps on that loss, 2.2e-13, would refuse this basis
     sp = SpaceParams(1, 3.0)
     basis = ordered_basis(sp, 985)
-    summ = spectral_sums(sp, basis)
+    summ = spectral_sums(basis)
     assert summ.head_bounds(985)[1] < summ.total_lo
     assert summ.total - math.fsum(basis.sigma ** 2) <= summ.tail_upper(985) < 1e-13
 
 
 def test_tail_upper_uses_upper_ends():
     head = np.array([0.0, 1.0, 1.5])
-    summ = SpectrumSummary(total_lo=1.75, total_hi=2.0, head=head, head_err=np.array([0.0, 1e-3, 2e-3]))
+    basis = ordered_basis(SP1, 2)
+    summ = SpectrumSummary(basis, total_lo=1.75, total_hi=2.0, head=head, head_err=np.array([0.0, 1e-3, 2e-3]))
     assert summ.head_bounds(2)[0] < 1.498 < 1.502 < summ.head_bounds(2)[1]
     assert summ.tail_upper(2) == pytest.approx(2.0 - 1.498, rel=1e-15)
     assert summ.tail_upper(2) > 2.0 - 1.498
     # an exact head: no widening, and total_hi - head[k] is exact here
-    exact = SpectrumSummary(total_lo=1.75, total_hi=2.0, head=head)
+    exact = SpectrumSummary(basis, total_lo=1.75, total_hi=2.0, head=head)
     assert exact.head_bounds(1) == (1.0, 1.0)
     assert exact.tail_upper(1) == 1.0
     assert exact.tail(1) == 0.875
@@ -576,31 +577,31 @@ def test_tail_upper_uses_upper_ends():
 
 def test_beta_gamma_small_values():
     basis = ordered_basis(SP1, 8)
-    summ = spectral_sums(SP1, basis)
-    beta1, gamma1 = beta_gamma(summ, basis, 1)
+    summ = spectral_sums(basis)
+    beta1, gamma1 = beta_gamma(summ, 1)
     assert beta1 == pytest.approx(math.sqrt(TOTAL_1D - 1.0), abs=1e-10)
     assert gamma1 == pytest.approx(beta1)  # beta_1 > a_1 = 1/sqrt(2)
     for k in (1, 2, 5):
-        beta, gamma = beta_gamma(summ, basis, k)
+        beta, gamma = beta_gamma(summ, k)
         assert gamma >= float(basis.sigma[k])
         assert gamma >= beta
 
 
 def test_beta_gamma_argument_errors():
     basis = ordered_basis(SP1, 8)
-    summ = spectral_sums(SP1, basis)
+    summ = spectral_sums(basis)
     with pytest.raises(ValueError):
-        beta_gamma(summ, basis, 0)
+        beta_gamma(summ, 0)
     with pytest.raises(ValueError):
-        beta_gamma(summ, basis, 8)
+        beta_gamma(summ, 8)
 
 
 def test_beta_gamma_dominated_by_half_index():
     basis = ordered_basis(SP1, 300)
-    summ = spectral_sums(SP1, basis)
+    summ = spectral_sums(basis)
     for k in range(2, 256):
-        _, gamma = beta_gamma(summ, basis, k)
-        beta_half, _ = beta_gamma(summ, basis, k // 2)
+        _, gamma = beta_gamma(summ, k)
+        beta_half, _ = beta_gamma(summ, k // 2)
         assert gamma <= beta_half * (1 + 1e-12)
 
 
@@ -615,13 +616,46 @@ def geometric_summary(m):
         weights=4.0 ** np.arange(m, dtype=float),
         sigma=2.0 ** -np.arange(m, dtype=float),
     )
-    return SpectrumSummary(total_lo=total, total_hi=total, head=head), basis
+    return SpectrumSummary(basis, total_lo=total, total_hi=total, head=head), basis
+
+
+def test_summary_is_of_its_basis():
+    # the summary keeps the basis it sums, and beta_gamma reads a_k there:
+    # this is the d = 1 space's own beta_10, where the d = 2 space passed
+    # beside this basis read 0.848
+    basis = ordered_basis(SP1, 64)
+    summ = spectral_sums(basis)
+    assert summ.basis is basis
+    head = 1.0 + 2 * (1 / 2 + 1 / 5 + 1 / 10 + 1 / 17) + 1 / 26  # weights 1, 2, 2, 5, 5, ..., 26
+    beta, gamma = beta_gamma(summ, 10)
+    assert beta == pytest.approx(math.sqrt((TOTAL_1D - head) / 10), abs=1e-12)
+    assert round(beta, 3) == 0.199 and gamma == max(beta, float(basis.sigma[10]))
+    # the older form spectral_sums(space, basis) holds with the basis's own
+    # space alone
+    older = spectral_sums(SP1, basis)
+    assert older.basis is basis and (older.total_lo, older.total_hi) == (summ.total_lo, summ.total_hi)
+    for space in (SP2, SpaceParams(1, 2.0)):
+        with pytest.raises(ValueError, match=r"is not the basis's own"):
+            spectral_sums(space, basis)
+
+
+def test_basis_decodes_its_indices_once():
+    # frequencies and sines are the flat indices decoded, as frequency()
+    # and the parity of the index give them, on generated bases and on a
+    # hand-made one out of weight order
+    hand = OrderedBasis(SP2, np.array([[0, 1], [1, 0], [2, 2], [7, 4]], dtype=np.int64), np.ones(4), np.ones(4))
+    for basis in [ordered_basis(SpaceParams(d, 1.0), 200) for d in (1, 2, 3, 4)] + [hand]:
+        flat = basis.indices.tolist()
+        assert basis.frequencies.dtype == np.int64 and basis.sines.dtype == bool
+        assert basis.frequencies.tolist() == [[frequency(k) for k in row] for row in flat]
+        assert basis.sines.tolist() == [[k % 2 == 1 for k in row] for row in flat]
+        assert basis.max_frequency() == max(map(max, basis.frequencies.tolist()))
 
 
 def test_beta_gamma_geometric_closed_form():
     summ, basis = geometric_summary(24)
     for k in range(1, 15):
-        beta, _ = beta_gamma(summ, basis, k)
+        beta, _ = beta_gamma(summ, k)
         closed = 2.0 ** -k * math.sqrt(4.0 / (3.0 * k))
         assert beta == pytest.approx(closed, abs=1e-12)
         if k <= 6:
