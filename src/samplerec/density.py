@@ -20,7 +20,6 @@ every step of the inverse is elementwise, so a sample is fully determined by
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -108,12 +107,16 @@ def _density_terms(params: DensityParams) -> tuple[np.ndarray, np.ndarray]:
     mu = np.concatenate((np.full(k, 0.5 / k), 0.5 * params.tail_weights))[cut]
     freq = basis.frequencies[cut]
     sign = np.where(basis.sines[cut], -1, 1)
-    subsets = np.array(list(itertools.product((0, 1), repeat=d))[1:], dtype=bool)  # (2^d - 1, d)
-    # (positions, subsets): the subsets of each position's nonconstant coordinates
-    valid = np.all((freq[:, None, :] > 0) | ~subsets, axis=2)
-    pos, sub = np.nonzero(valid)
-    g = np.where(subsets[sub], freq[pos], 0)
-    signs = np.prod(np.where(subsets[sub], sign[pos], 1), axis=1)
+    # the 2^r - 1 nonempty subsets of each position's r nonconstant
+    # coordinates, numbered 1 .. 2^r - 1: bit b picks its b-th one
+    nonconstant = freq > 0
+    sizes = (1 << nonconstant.sum(axis=1)) - 1
+    pos = np.repeat(np.arange(len(cut)), sizes)
+    sub = np.arange(1, len(pos) + 1) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    bit = (np.cumsum(nonconstant, axis=1) - nonconstant)[pos]
+    chosen = nonconstant[pos] & ((sub[:, None] >> bit) & 1).astype(bool)
+    g = np.where(chosen, freq[pos], 0)
+    signs = np.prod(np.where(chosen, sign[pos], 1), axis=1)
     mu = mu[pos]
     # sorted by (g, mu), each g and each (g, mu) is a run, mu ascending
     order = np.lexsort([mu] + [g[:, c] for c in reversed(range(d))])

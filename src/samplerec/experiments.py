@@ -382,11 +382,11 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
         f"dense e_trunc fallback (kappa(G) above {lsq.KAPPA_LIMIT:.1f}): "
         f"{fallbacks} of {full_rank} full-rank draws"
     )
-    if len(fit_logn) >= 2:
+    if len(set(fit_logn)) >= 2:
         slope = float(np.polyfit(fit_logn, fit_loge, 1)[0])
         lines.append(f"log-log slope of median e_trunc vs n: {slope:.4f} (reference -s = {-config.s:g})")
     else:
-        lines.append("log-log slope unavailable: fewer than two clean rows")
+        lines.append("log-log slope unavailable: clean rows at fewer than two distinct n")
     return ExperimentResult(header, tuple(rows), "\n".join(lines))
 
 

@@ -122,23 +122,23 @@ def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
     return head.vt.T @ (inv * uty)
 
 
-# Step cap of the Lanczos solver, which stores one vector of the operator's
-# size per step, so at most _LANCZOS_STEPS of them.  With a Ritz pair every
-# step, the Gram operators of the benchmark workloads converge in 22 to 57
-# steps (on the Ritz schedule below they stop after 16 to 64, on both
-# config seeds; those of size 21 to 160 after at most 40), random Gaussian
-# Grams M^T M of size up to 2000 in at most 92, and a top pair clustered to
-# 1e-12 over a uniform spectrum in at most 33.  The largest paper-scale
-# operator (d = 2, s = 0.75, n = 16384, the e_trunc operator of size 2954)
-# stops after 128.
+# Step cap of the Lanczos solver, which holds O(1) vectors of the
+# operator's size whatever the step count.  With a Ritz pair every step,
+# the Gram operators of the benchmark workloads converge in 11 to 57 steps
+# (on the Ritz schedule below they stop after 16 to 64, on both config
+# seeds; those of size 21 to 160 after at most 40), random Gaussian Grams
+# M^T M of size up to 2000 in at most 92, and a top pair clustered to 1e-12
+# over a uniform spectrum in at most 33.  The largest paper-scale runs (the
+# e_trunc operators of size 2954 at d = 3, s = 0.6 and d = 4, s = 0.75,
+# n = 16384) stop after 120.
 _LANCZOS_STEPS = 300
 
 # Lanczos takes the top Ritz pair of T_j by a dense eigh only every this
 # many steps (and at a possible breakdown or the last step): an eigh of
 # the j x j T_j costs O(j^3), 0.05 ms at j = 30 and 0.3 ms at j = 64 (one
-# BLAS thread), more than a product with a cheap operator.  A run whose
-# stop rules hold from some step on stops at most _RITZ_STRIDE - 1
-# products after it.
+# BLAS thread), more than a recurrence step, 14 us besides the product at
+# q = 100 and 1000.  A run whose stop rules hold from some step on stops at
+# most _RITZ_STRIDE - 1 products after it.
 _RITZ_STRIDE = 8
 
 
@@ -245,16 +245,25 @@ def spectral_norm(gram) -> float:
 
 
 def _lanczos_top(gram) -> float:
-    """Top eigenvalue of a symmetric operator of size q by Lanczos from the
-    vector 1/sqrt(q), with full reorthogonalization: each new vector is
-    orthogonalized against the whole stored basis by two classical
-    Gram-Schmidt passes; the first also takes off the three-term recurrence,
-    and alpha_j is the sum of both passes' coefficients on the last vector.
+    """Top eigenvalue of a symmetric operator of size q by the Lanczos
+    three-term recurrence from the vector 1/sqrt(q).  A step takes
+    w = A v_j - beta_(j-1) v_(j-1), alpha_j = v_j . w and w -= alpha_j v_j,
+    so the run holds the current and previous Lanczos vectors, w, and the
+    alpha and beta of T_j (the j x j tridiagonal): O(1) vectors of size q.
 
-    The Ritz values theta_2 <= theta of T_j (the j x j tridiagonal) and the
-    top one's vector y come from np.linalg.eigh, taken only on a schedule:
-    when j is a multiple of _RITZ_STRIDE, at the last step (j = q or the
-    cap), and whenever beta_j <= eps g_j, where g_j = max over i <= j of
+    No vector is reorthogonalized.  In floating point the Lanczos vectors
+    lose orthogonality only along Ritz vectors that have converged, and a
+    converged Ritz value then comes back as a ghost copy; every Ritz value
+    with a small residual is still within it, up to rounding, of an
+    eigenvalue (Paige, 1980; Parlett, The Symmetric Eigenvalue Problem,
+    1998, ch. 13).  An extreme eigenvalue therefore needs no full
+    reorthogonalization, and a ghost of theta only shrinks theta - theta_2,
+    which makes the value rule below conservative.
+
+    The Ritz values theta_2 <= theta of T_j and the top one's vector y come
+    from np.linalg.eigh, taken only on a schedule: when j is a multiple of
+    _RITZ_STRIDE, at the last step (j = q or the cap), and whenever
+    beta_j <= eps g_j, where g_j = max over i <= j of
     |alpha_i| + beta_(i-1) + beta_i (beta_0 = 0) is a Gershgorin bound on
     ||T_j||, kept up to date in O(1) per step.  At each such step, with the
     residual r = beta_j |y_last|, the run stops when
@@ -263,65 +272,55 @@ def _lanczos_top(gram) -> float:
       - r^2 <= eps theta (theta - theta_2): the Ritz value has converged
         though its vector has not, since theta is within r^2 / gap of the
         top eigenvalue, gap its distance to the rest of the spectrum
-        (Kato-Temple; Parlett, The Symmetric Eigenvalue Problem, 1998,
-        sec. 11.7), and theta - theta_2 stands in for the gap;
+        (Kato-Temple; Parlett, sec. 11.7), and theta - theta_2 stands in
+        for the gap;
       - on breakdown, beta_j <= eps ||T_j||, where the Krylov space is
         invariant and theta is exact;
-      - or at j = q.
+      - or at j = q, a measured guard rather than a convergence test.  An
+        operator of rank below q - 1 nears breakdown with beta_j at
+        rounding but above eps ||T_j||; the next vector is then rounding
+        noise, a ghost of theta appears beside theta, and neither rule above
+        need hold by j = q, though theta is exact to rounding.  Of 10000
+        random M^T M of size 1 to 25, half of rank q/2, 854 stopped on
+        this rule, all within 2.2e-15 relative of a dense eigvalsh.
     Since g_j >= ||T_j||, every breakdown gets its exact test at its own
     step, before w is divided by beta_j; a run whose stop rules hold from
-    some step on stops at most _RITZ_STRIDE - 1 products after it.  Small q
-    needs no special case: a run that reaches j = q has spanned the whole
-    space, and under full reorthogonalization the top eigenvalue of T_q is
-    the operator's to rounding.
+    some step on stops at most _RITZ_STRIDE - 1 products after it.
 
-    The value rule takes a quarter to a third fewer products on the
-    benchmark workloads' runs, with every top value within 7e-15 relative
-    of a dense eigvalsh.  Its worst case is a top pair closer than the
-    Krylov space has yet resolved: theta_2 then lies well below both,
-    theta - theta_2 overstates the gap, and only r <= sqrt(eps) theta
-    (theta - theta_2 <= theta) bounds the error.  A pair 1e-10 apart came
-    out up to 7e-11 relative off, where the residual rule alone gives
-    rounding.
+    The value rule takes two fifths fewer products on the benchmark
+    workloads' runs than the residual rule alone, with every top value
+    within 4.2e-15 relative of a dense eigvalsh.  Its worst case is a top
+    pair closer than the Krylov space has yet resolved: theta_2 then lies
+    well below both, theta - theta_2 overstates the gap, and only
+    r <= sqrt(eps) theta (theta - theta_2 <= theta) bounds the error.  A
+    pair 1e-10 apart came out up to 7.2e-11 relative off, where the
+    residual rule alone gives rounding.
     """
     q = gram.shape[0]
     steps = min(q, _LANCZOS_STEPS)
     eps = np.finfo(float).eps
-    basis = np.empty((min(steps, 32), q))
-    basis[0] = 1.0 / np.sqrt(q)
-    tri = np.zeros((len(basis), len(basis)))
-    beta = bound = 0.0
+    v = np.full(q, 1.0 / np.sqrt(q))
+    prev = beta = bound = 0.0
+    alphas, betas = [], []
     for j in range(steps):
-        stored = basis[: j + 1]
         # a copy: an operator may hand back its argument or its own data
-        w = np.array(gram.matvec(stored[j]), dtype=float)
-        coef = stored @ w
-        w -= coef @ stored
-        again = stored @ w
-        w -= again @ stored
-        tri[j, j] = coef[j] + again[j]
-        radius = abs(tri[j, j]) + beta
+        w = np.array(gram.matvec(v), dtype=float)
+        w -= beta * prev
+        alphas.append(float(v @ w))
+        w -= alphas[j] * v
+        radius = abs(alphas[j]) + beta
         beta = float(np.linalg.norm(w))
         bound = max(bound, radius + beta)
         if (j + 1) % _RITZ_STRIDE == 0 or j + 1 == steps or beta <= eps * bound:
-            theta, y = np.linalg.eigh(tri[: j + 1, : j + 1])
+            theta, y = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
             top = theta[-1]
             resid = beta * abs(y[-1, -1])
             gap = top - theta[-2] if j else 0.0
             if (resid <= eps * abs(top) or resid * resid <= eps * abs(top) * gap
                     or beta <= eps * max(abs(theta[0]), abs(top)) or j + 1 == q):
                 return float(top)
-        if j + 1 == steps:
-            break
-        if j + 1 == len(basis):
-            grow = min(len(basis), steps - len(basis))
-            # into one new array: concatenate would also hold an empty block
-            grown = np.empty((len(basis) + grow, q))
-            grown[: len(basis)] = basis
-            basis = grown
-            tri = np.pad(tri, (0, grow))
-        basis[j + 1] = w / beta
-        tri[j, j + 1] = tri[j + 1, j] = beta
+        betas.append(beta)
+        prev, v = v, w / beta
     raise ConvergenceError(
         f"Lanczos reached its cap of {_LANCZOS_STEPS} steps on a Gram operator of size {q}: "
         f"residual {resid:.3g} of top Ritz value {top:.17g}"

@@ -701,15 +701,25 @@ class CountedGram:
 
 
 def test_lanczos_breakdown_off_the_ritz_schedule():
-    # M^T M of rank r: with these draws the Krylov space is invariant to
-    # rounding after r + 2 products, on no multiple of the Ritz stride, and
-    # there beta_j <= eps ||T_j||; the Gershgorin guard takes the exact
-    # breakdown test at that step, so the run stops where it would with a
-    # Ritz pair every step
-    rng = np.random.Generator(np.random.Philox(key=3))
-    for rows, products in ((5, 7), (12, 14), (21, 23)):
-        mat = rng.standard_normal((rows, 300))
+    # the Gershgorin guard takes an exact breakdown at its own step, off the
+    # Ritz stride: the zero operator after one product, and diag of 2 or 3
+    # distinct values over q = 256 (start vector exact) after 2 or 3
+    for values, products in ((np.zeros(65), 1), (np.repeat([1.0, 2.0], 128), 2),
+                             (np.repeat([1.0, 2.0, 3.0], 86)[:256], 3)):
         assert products % lsq._RITZ_STRIDE != 0
+        gram = CountedGram(DiagonalGram(values))
+        assert lsq._lanczos_top(gram) == values.max()
+        assert gram.products == products
+    # M^T M of rank r: the Krylov space is invariant to rounding after
+    # r + 1 products.  With a stored orthogonal basis these runs broke down
+    # exactly after r + 2 (7, 14 and 23 products), because the second
+    # Gram-Schmidt pass took w down to beta_j <= eps ||T_j||; the three-term
+    # recurrence orthogonalizes only against the last two vectors, so beta
+    # stays at rounding above that test, and the runs stop on a converged
+    # Ritz value at the next Ritz check
+    rng = np.random.Generator(np.random.Philox(key=3))
+    for rows, products in ((5, 8), (12, 16), (21, 24)):
+        mat = rng.standard_normal((rows, 300))
         gram = CountedGram(aslinearoperator(mat.T @ mat))
         assert lsq._lanczos_top(gram) == pytest.approx(svd_norm(mat) ** 2, rel=1e-12, abs=0)
         assert gram.products == products
@@ -743,11 +753,11 @@ class DiagonalGram:
         return self.values * v
 
 
-def test_lanczos_basis_grows_without_a_spare_block():
-    # a top value 2% above the rest of a spread spectrum takes 80 products:
-    # the stored basis grows from 64 to 128 rows there, and holds the old
-    # rows and the new array alone (192 q-vectors), not also an empty block
-    # as concatenating did (256)
+def test_lanczos_holds_a_few_vectors():
+    # a top value 2% above the rest of a spread spectrum takes 80 products;
+    # the recurrence holds the current and previous Lanczos vectors, the
+    # residual and a product at a time, 5.3 q-vectors traced (the
+    # stored basis held 192 here, growing from 64 to 128 rows)
     q = 20000
     values = np.linspace(0.0, 1.0, q)
     values[-1] = 1.02
@@ -761,7 +771,7 @@ def test_lanczos_basis_grows_without_a_spare_block():
         tracemalloc.stop()
     assert 64 < gram.products <= 128
     assert top == pytest.approx(1.02, rel=1e-14)
-    assert peak <= 224 * q * 8
+    assert peak <= 8 * q * 8
 
 
 def test_lanczos_step_cap_off_the_ritz_schedule(monkeypatch):
@@ -824,9 +834,8 @@ def test_lanczos_matches_dense_on_every_workload_run(workload_lanczos_runs):
         assert top == pytest.approx(dense, rel=1e-14, abs=0), name
 
 
-def test_lanczos_on_claims_workload_keeps_its_basis_within_64_vectors(workload_lanczos_runs):
-    # the residual rule alone took up to 80 products here, and the basis
-    # grows from 64 to 128 rows at the 65th
+def test_lanczos_on_claims_workload_stops_within_64_products(workload_lanczos_runs):
+    # the residual rule alone took up to 96 products here
     products = [run[1] for run in workload_lanczos_runs if run[0] == "claims-d1"]
     assert len(products) == 48
     assert max(products) <= 64
