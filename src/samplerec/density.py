@@ -27,7 +27,7 @@ import numpy as np
 
 from . import expsums, lsq
 from .rng import uniform_block
-from .spectral import ROW_BLOCK_BYTES, OrderedBasis, basis_matrix
+from .spectral import ROW_BLOCK_BYTES, OrderedBasis, basis_matrix, points_array
 
 # Newton steps of the factor-CDF inverse (_invert_factor_cdf).  On 2M
 # stress inputs (f < 2^14; u = 0, u = 1 - 2^-53, u within 1e-13 of a flat
@@ -131,9 +131,9 @@ def _density_terms(params: DensityParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def density_values(params: DensityParams, points) -> np.ndarray:
-    """Density at each row of an (n, d) array of points in [0, 1)^d, from
-    its closed form (DensityParams: a constant plus the cosine products of
-    _density_terms).
+    """Density at each row of an (n, d) array of points in [0, 1)^d (the
+    check of spectral.points_array), from its closed form (DensityParams: a
+    constant plus the cosine products of _density_terms).
 
     Each term is evaluated in place into one n-vector and added to the
     result in the order of params.freqs, and cos always reads a contiguous
@@ -141,14 +141,8 @@ def density_values(params: DensityParams, points) -> np.ndarray:
     and each point's density depends on that point alone, bit for bit.  At
     d = 1 a term is coef * cos((4 pi f) * x), added in ascending f.
     """
-    x = np.asarray(points, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     d = params.basis.params.d
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ValueError(f"points must have shape (n, {d}), got {x.shape}")
-    if not (np.all(x >= 0.0) and np.all(x < 1.0)):
-        raise ValueError("points must lie in [0, 1)^d")
+    x = points_array(points, d)
     rho = np.ones(x.shape[0])
     term = np.empty_like(rho)
     factor = np.empty_like(rho) if d > 1 else None
@@ -253,7 +247,7 @@ class PointSet:
 
     - Dense (B given; d >= 2 with m > n): B itself, read-only, m its width;
       G is a view, gram a product of two views, and tail_gram lsq.ViewGram
-      of the view B[:, k:].  A given B takes precedence over sums.
+      of the view B[:, k:].  sums is None: a point set holds one form.
     - Structured (the staircase; d = 1, or m <= n): the Staircase of
       samplerec.expsums.staircase_sums for the first m positions of the
       density's basis, which keeps that basis and m; at d = 1 one box of
@@ -262,8 +256,8 @@ class PointSet:
       tail_gram is samplerec.expsums.TailGram of the positions k..m-1 at
       d = 1, one FFT pair per product, and at d >= 2 lsq.BlockGram of the
       upper column panels (B^T B)[k:hi, lo:hi] of the tail block,
-      _GRAM_PANEL wide, about half the block.  No n-row matrix is stored,
-      and G is evaluated on each access.
+      _GRAM_PANEL wide, about half the block.  B is None: no n-row matrix
+      is stored, and G is evaluated on each access.
 
     gram checks its slices one way for both forms and hands out a new
     read-only block.  In every form the densities are density_values' at
@@ -319,11 +313,10 @@ class PointSet:
         return lsq.BlockGram([self.gram(slice(self.k, cols.stop), cols) for cols in columns], sigma)
 
     def __post_init__(self) -> None:
-        if self.B is not None:
-            if self.B.ndim != 2 or self.B.shape[0] != self.n:
-                raise ValueError("inconsistent point-set shapes")
-        elif self.sums is None:
-            raise ValueError("a point set needs B or its sums")
+        if (self.B is None) == (self.sums is None):
+            raise ValueError("a point set needs B or its sums, not both")
+        if self.B is not None and (self.B.ndim != 2 or self.B.shape[0] != self.n):
+            raise ValueError("inconsistent point-set shapes")
         if not 1 <= self.k < self.m:
             raise ValueError(f"need 1 <= k < m, got k={self.k}, m={self.m}")
         if self.densities.shape != (self.n,):

@@ -15,9 +15,10 @@ from .spectral import CoefVector, OrderedBasis, SpectrumSummary, row_blocks
 def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -> float:
     """Exact worst-case L2 error over the unit ball of the first m basis
     functions, for a full-rank draw whose head block G has the factorization
-    head (samplerec.lsq.head_factor, with its vectors: ValueError for a
-    values-only head or a degenerate draw).  info is the PointSet of the
-    instance: its Gram blocks, head size k and width m.
+    head (samplerec.lsq.head_factor, with its vectors).  ValueError for a
+    degenerate draw, tested first, and for a head that lsq.check_vectors
+    refuses.  info is the PointSet of the instance: its Gram blocks, head
+    size k and width m.
 
     The ball is c = diag(sigma) x, ||x|| <= 1, and the residual on
     coefficients is E = I - pad(G^+ B), so the error is ||E diag(sigma)||.
@@ -41,18 +42,12 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
+    lsq.check_vectors(info, head)
     k, m = info.k, info.m
-    if head.vt is None:
-        raise ValueError("head holds singular values only: take head_factor(pts) with compute_uv=True")
-    if head.vt.shape != (k, k):
-        raise ValueError(f"head factorization must have vt of shape ({k}, {k}), got {head.vt.shape}")
     if head.u is None:
         block = info.gram(slice(0, k), slice(k, m))
-        # head.vt is a reversed, transposed view: products with L in that layout took longer
-        left = np.divide(head.vt, head.sv[:, None] ** 2, order="C")
+        left = head.vt / head.sv[:, None] ** 2
     else:
-        if head.u.shape != (info.n, k):
-            raise ValueError(f"head SVD must have u of shape ({info.n}, {k}), got {head.u.shape}")
         block = np.zeros((k, m - k))
         for rows in row_blocks(info.n, m):
             block += head.u[rows].T @ dense_matrix(info, rows)[:, k:]

@@ -11,8 +11,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .spectral import row_blocks
-
 if TYPE_CHECKING:
     from .density import PointSet
 
@@ -73,11 +71,11 @@ def head_factor(pts: PointSet, compute_uv: bool = True) -> HeadSVD:
     """The one factorization of the instance's head block G, at every d.
 
     The eigendecomposition G^T G = V diag(lambda) V^T of the k x k head Gram
-    pts.gram(head, head) gives sv = sqrt(lambda) descending, vt = V^T and
-    u None; no n-row array is made.  When some lambda <= 0 or
-    kappa = sv[0] / sv[-1] exceeds KAPPA_LIMIT, the result is head_svd of
-    pts.G instead, so a rank-deficient draw gets the exact test at
-    RANK_RTOL: the one fallback of the Gram route.
+    pts.gram(head, head) gives sv = sqrt(lambda) descending, vt = V^T
+    C-ordered, as the SVD's, and u None; no n-row array is made.  When some
+    lambda <= 0 or kappa = sv[0] / sv[-1] exceeds KAPPA_LIMIT, the result is
+    head_svd of pts.G instead, so a rank-deficient draw gets the exact test
+    at RANK_RTOL: the one fallback of the Gram route.
 
     With compute_uv False, as in numpy's svd, only the singular values are
     computed, by np.linalg.eigvalsh of the head Gram and on the fallback
@@ -91,11 +89,22 @@ def head_factor(pts: PointSet, compute_uv: bool = True) -> HeadSVD:
     if lam[0] > 0.0:
         sv = np.sqrt(lam[::-1])
         if sv[0] <= KAPPA_LIMIT * sv[-1]:
-            return HeadSVD(None, sv, None if v is None else v[:, ::-1].T)
+            return HeadSVD(None, sv, None if v is None else np.ascontiguousarray(v[:, ::-1].T))
     if compute_uv:
         return head_svd(pts.G)
     sv = np.linalg.svd(pts.G, compute_uv=False)
     return HeadSVD(None, np.pad(sv, (0, pts.k - len(sv))), None)
+
+
+def check_vectors(pts: PointSet, head: HeadSVD) -> None:
+    """The one check of a head against its point set, for the fit and e_trunc:
+    ValueError for a values-only head (head_factor with compute_uv False), a
+    vt not of shape (len(sv), k) or a u not of shape (n, len(sv))."""
+    if head.vt is None:
+        raise ValueError("head holds singular values only: take head_factor(pts) with compute_uv=True")
+    r = len(head.sv)
+    if head.vt.shape != (r, pts.k) or (head.u is not None and head.u.shape != (pts.n, r)):
+        raise ValueError(f"head is not the head factorization of this point set (n={pts.n}, k={pts.k})")
 
 
 def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
@@ -105,17 +114,13 @@ def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
     and S^-1 V^T (G^T y) on the Gram route (u None), whose rounding is
     kappa^2 u, as for e_trunc.  Singular values at or below RANK_RTOL times
     the largest are treated as zero; a degenerate draw is flagged by
-    head.rank_ok rather than rejected.  Raises ValueError when head is not
-    shaped as a factorization of this point set's G, or holds no vectors
-    (head_factor with compute_uv False).
+    head.rank_ok rather than rejected.  Raises ValueError for samples not
+    one per point, and for a head that check_vectors refuses.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (pts.n,):
         raise ValueError(f"expected {pts.n} samples, got shape {samples.shape}")
-    if head.vt is None:
-        raise ValueError("head holds singular values only: take head_factor(pts) with compute_uv=True")
-    if head.vt.shape[1] != pts.k or (head.u is not None and head.u.shape[0] != pts.n):
-        raise ValueError("head is not the head factorization of this point set")
+    check_vectors(pts, head)
     y = samples / np.sqrt(pts.densities)
     uty = head.u.T @ y if head.u is not None else (head.vt @ (pts.G.T @ y)) / head.sv
     inv = np.divide(1.0, head.sv, out=np.zeros_like(head.sv), where=head.sv > RANK_RTOL * head.s_max)
@@ -170,11 +175,7 @@ class ViewGram:
 
     def trace(self) -> float:
         """Squared Frobenius norm of Gamma."""
-        columns = np.zeros(self.shape[0])
-        for rows in row_blocks(self._view.shape[0], self.shape[0]):
-            block = self._view[rows]
-            columns += np.einsum("ij,ij->j", block, block)
-        return float(columns @ self._sigma ** 2)
+        return float(np.einsum("ij,ij->j", self._view, self._view) @ self._sigma ** 2)
 
 
 class BlockGram:

@@ -212,7 +212,7 @@ def _sublevel_set(threshold: float, d: int, s: float, max_indices: int) -> tuple
     return product[keep], indices[keep]
 
 
-def ordered_basis(params: SpaceParams, m: int, max_indices: int = DEFAULT_INDEX_CAP) -> OrderedBasis:
+def ordered_basis(params: SpaceParams, m: int) -> OrderedBasis:
     """Enumerate the m basis functions of smallest weight.
 
     Doubles a weight threshold until its sublevel set, walked exactly once
@@ -220,12 +220,12 @@ def ordered_basis(params: SpaceParams, m: int, max_indices: int = DEFAULT_INDEX_
     index tuple) and keeps the first m.  Any index outside the set weighs
     more than every index in it, so nothing it leaves out belongs among the
     m smallest.  Raises EnumerationLimitError if a sublevel set would exceed
-    max_indices before reaching m entries.
+    DEFAULT_INDEX_CAP, read at call time, before reaching m entries.
     """
     if m < 1:
         raise ValueError(f"basis size must be at least 1, got {m}")
     threshold = 2.0
-    while len((found := _sublevel_set(threshold, params.d, params.s, max_indices))[0]) < m:
+    while len((found := _sublevel_set(threshold, params.d, params.s, DEFAULT_INDEX_CAP))[0]) < m:
         threshold *= 2.0
     weights, indices = found
     order = np.lexsort([indices[:, c] for c in reversed(range(params.d))] + [weights])[:m]
@@ -276,8 +276,22 @@ def row_blocks(n: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
+def points_array(points, d: int) -> np.ndarray:
+    """The points as an (n, d) float array, a 1-D array as one column: the one
+    check of points.  ValueError for another shape, or a coordinate outside
+    [0, 1) (NaN too)."""
+    x = np.asarray(points, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"points must have shape (n, {d}), got {x.shape}")
+    if not (np.all(x >= 0.0) and np.all(x < 1.0)):
+        raise ValueError("points must lie in [0, 1)^d")
+    return x
+
+
 def basis_matrix(basis: OrderedBasis, points, m: int | None = None) -> np.ndarray:
-    """Evaluate the first m basis functions at an (n, d) array of points.
+    """Evaluate the first m basis functions at points (see points_array).
 
     The (n, m) result is allocated once and filled row block by row block
     (row_blocks): per coordinate, sin/cos of the block's points is evaluated
@@ -291,13 +305,7 @@ def basis_matrix(basis: OrderedBasis, points, m: int | None = None) -> np.ndarra
     over such an array add in a different order, which changes low bits of
     everything downstream.
     """
-    x = np.asarray(points, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != basis.params.d:
-        raise ValueError(f"points must have shape (n, {basis.params.d}), got {x.shape}")
-    if not (np.all(x >= 0.0) and np.all(x < 1.0)):
-        raise ValueError("points must lie in [0, 1)^d")
+    x = points_array(points, basis.params.d)
     if m is None:
         m = len(basis)
     if not 1 <= m <= len(basis):

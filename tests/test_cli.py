@@ -188,6 +188,26 @@ def test_run_rates_rows_and_invariants():
     assert csv_text(result) == csv_text(run_rates(config))
 
 
+def test_rates_report_states_the_papers_rate():
+    # on a clean grid the fitted slope is followed by the slope of the
+    # paper's rate n^-s log^(sd) n at the same n, fitted the same way, and
+    # by the range of the CSV's ratio2 column over the clean rows
+    config = ExperimentConfig(d=2, s=0.75, n_grid=(64, 128, 256), c_head=0.25, m_factor=8, trials=2, seed=3)
+    result = run_rates(config)
+    lines = result.report.splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("log-log slope of median e_trunc"))
+    logn = [math.log(row[0]) for row in result.rows]
+    rate = float(np.polyfit(logn, [-0.75 * x + 1.5 * math.log(x) for x in logn], 1)[0])
+    assert lines[first + 1] == f"log-log slope of the paper's rate n^-s log^(sd) n over the same n: {rate:.4f}"
+    ratio2 = [row[11] for row in result.rows]
+    assert all(row[12] == 0 for row in result.rows)
+    assert lines[first + 2] == (
+        "ratio2 = e_trunc^2 k / tail(k) over the clean rows (the paper's constant): "
+        f"{min(ratio2):.3g} to {max(ratio2):.3g}"
+    )
+    assert first + 3 == len(lines)
+
+
 def test_run_rates_prepares_one_basis(monkeypatch):
     # one ordered basis, of the grid's largest m (not its last), serves
     # every grid point
@@ -630,6 +650,7 @@ def test_cli_rates_on_a_repeated_grid_fits_no_slope(tmp_path):
     assert proc.returncode == 0 and proc.stderr == ""
     assert "log-log slope unavailable: clean rows at fewer than two distinct n" in proc.stdout
     assert "log-log slope of" not in proc.stdout
+    assert "paper's rate" not in proc.stdout and "ratio2" not in proc.stdout
     assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["64", "64"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "4aaefff6e2ca4c94215a84142601fc706115c80075953795a1cd16c2efd93f50"
@@ -691,7 +712,7 @@ def test_cli_csv_is_the_same_in_every_point_set_form(tmp_path, monkeypatch, comm
 
     def with_b(params, n, seed):
         pts = sample(params, n, seed)
-        return dataclasses.replace(pts, B=density.dense_matrix(pts))
+        return dataclasses.replace(pts, B=density.dense_matrix(pts), sums=None)
 
     monkeypatch.setattr(density, "sample_points", with_b)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "twin.csv")]) == 0

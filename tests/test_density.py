@@ -606,7 +606,7 @@ def test_gram_form_matches_the_b_form(params, k, m, n):
         assert np.array_equal(pts.densities, density_values(dens, pts.points))
     weighted = basis_matrix(dens.basis, b_pts.points, m) / np.sqrt(b_pts.densities)[:, None]
     assert np.array_equal(b_pts.B, weighted)
-    twin = dataclasses.replace(gram_pts, B=dense_matrix(gram_pts))
+    twin = dataclasses.replace(gram_pts, B=dense_matrix(gram_pts), sums=None)
     assert np.array_equal(gram_pts.G, twin.G)
     head, tail, every = slice(0, k), slice(k, m), slice(0, m)
     for rows, cols in ((head, head), (head, tail), (tail, tail), (every, every), (slice(5, 6), slice(3, m - 7))):
@@ -631,7 +631,7 @@ def test_structured_d2_draw_matches_its_b_twin(params, k, m, n):
     assert np.array_equal(pts.densities, density_values(dens, pts.points))
     again = expsums.staircase_sums(pts.points, 1.0 / pts.densities, dens.basis, m)
     assert np.array_equal(pts.sums.values, again.values) and np.array_equal(pts.sums.starts, again.starts)
-    twin = dataclasses.replace(pts, B=dense_matrix(pts))
+    twin = dataclasses.replace(pts, B=dense_matrix(pts), sums=None)
     assert np.array_equal(pts.G, twin.G)
     head, tail, every = slice(0, k), slice(k, m), slice(0, m)
     for rows, cols in ((head, head), (head, tail), (tail, tail), (every, every), (slice(5, 6), slice(3, m - 7))):
@@ -647,7 +647,7 @@ def test_both_forms_keep_one_contract():
     # agree, and m is the form's, not a field to replace
     k, m = 13, 104
     pts = sample_points(make_density(SP2, k, m), 256, 11)
-    twin = dataclasses.replace(pts, B=dense_matrix(pts))
+    twin = dataclasses.replace(pts, B=dense_matrix(pts), sums=None)
     assert pts.B is None and twin.B is not None and pts.m == twin.m == m
     for form in (pts, twin):
         for bad in (slice(0, m + 1), slice(-1, None), slice(0, 4, 2)):
@@ -668,7 +668,7 @@ def test_dense_matrix_refuses_a_width_outside_the_instance():
     # columns: both forms refuse a width outside 1..m the same way
     k, m = 13, 104
     pts = sample_points(truncated_density(ordered_basis(SP2, 200), k, m), 256, 11)
-    twin = dataclasses.replace(pts, B=dense_matrix(pts))
+    twin = dataclasses.replace(pts, B=dense_matrix(pts), sums=None)
     for form in (pts, twin):
         for width in (150, m + 1, 0, -1):
             with pytest.raises(ValueError, match=rf"^need a width in \[1, {m}\], got {width}$"):
@@ -736,7 +736,7 @@ def test_panelled_gram_matches_the_one_product_gram(params, k, m, n):
     # a last panel narrower than the others: every panel within rounding
     # of the same panel of the twin's B^T B, one product of B's views
     pts = sample_points(make_density(params, k, m), n, 5)
-    twin = dataclasses.replace(pts, B=dense_matrix(pts))
+    twin = dataclasses.replace(pts, B=dense_matrix(pts), sums=None)
     dense = twin.gram(slice(k, m), slice(k, m))
     panels = upper_panels(pts)
     assert panels[-1][0].shape[1] < panels[0][0].shape[1]
@@ -767,3 +767,33 @@ def test_density_selfcheck_memory_stays_within_blocks():
     value, peak = traced_peak(density_selfcheck, dens, resolution)
     assert abs(value - 1.0) <= 1e-10
     assert peak <= 2 * spectral.ROW_BLOCK_BYTES + 4 * 8 * points * 3
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.full((4, 3), 0.5), r"^points must have shape \(n, 2\), got \(4, 3\)$"),
+    (np.full((2, 2, 2), 0.5), r"^points must have shape \(n, 2\), got \(2, 2, 2\)$"),
+    (np.array([[0.5, 0.5], [0.25, -0.1]]), r"^points must lie in \[0, 1\)\^d$"),
+    (np.array([[0.5, 0.5], [1.0, 0.25]]), r"^points must lie in \[0, 1\)\^d$"),
+    (np.array([[0.5, np.nan], [0.25, 0.5]]), r"^points must lie in \[0, 1\)\^d$"),
+])
+def test_basis_matrix_and_density_values_refuse_the_same_points(bad, message):
+    # the one points check (spectral.points_array) behind both readers
+    dens = make_density(SP2, 2, 8)
+    with pytest.raises(ValueError, match=message):
+        basis_matrix(dens.basis, bad)
+    with pytest.raises(ValueError, match=message):
+        density_values(dens, bad)
+
+
+def test_point_set_holds_one_form():
+    # a staircase draw given B as well, and a dense draw given sums as well,
+    # are refused as a point set with neither form is
+    pts = sample_points(make_density(SP2, 13, 104), 256, 11)
+    with pytest.raises(ValueError, match="needs B or its sums, not both"):
+        dataclasses.replace(pts, B=dense_matrix(pts))
+    dense = sample_points(make_density(SP2, 8, 32), 24, 11)
+    assert dense.B is not None and dense.sums is None
+    with pytest.raises(ValueError, match="needs B or its sums, not both"):
+        dataclasses.replace(dense, sums=pts.sums)
+    with pytest.raises(ValueError, match="needs B or its sums, not both"):
+        dataclasses.replace(pts, sums=None)

@@ -81,6 +81,26 @@ def test_only_density_reads_the_point_set_form():
             assert all(name.split(".")[-1] != "density" for name in names), f"lsq.py line {node.lineno}"
 
 
+def test_each_instance_input_is_checked_in_one_module():
+    # the range check of points ([0, 1)^d) is made in samplerec.spectral
+    # alone (points_array, and basis_eval's one point), and whether a head
+    # holds vectors is tested in samplerec.lsq alone (check_vectors, and
+    # HeadSVD.rank_ok): every other reader calls those
+    import samplerec
+
+    src = Path(samplerec.__file__).parent
+    checks = ((r"<\s*1\.0\b|must lie in \[0, 1\)", "spectral.py"), (r"\.vt is (?:not )?None", "lsq.py"))
+    for pattern, owner in checks:
+        readers = [
+            path.name
+            for path in sorted(src.glob("*.py"))
+            if path.name != owner and re.search(pattern, path.read_text(encoding="utf-8"))
+        ]
+        assert readers == [], f"{readers} match {pattern!r}, which belongs to {owner}"
+    assert (src / "spectral.py").read_text(encoding="utf-8").count('"points must lie in [0, 1)^d"') == 1
+    assert (src / "lsq.py").read_text(encoding="utf-8").count("head.vt is None") == 1
+
+
 def test_only_spectral_decodes_flat_indices():
     # the flat-index code (0 the constant, odd a sine, even a cosine,
     # frequency (i + 1) // 2) is decoded in samplerec.spectral alone, once

@@ -124,11 +124,37 @@ def test_worst_case_error_argument_checks():
     # a rank-deficient head block: the second column duplicates the first
     b = weighted_matrix(pts, basis)
     b[:, 1] = b[:, 0]
-    dup = dataclasses.replace(pts, B=b)
+    dup = dataclasses.replace(pts, B=b, sums=None)
     dup_head = head_svd(dup.G)
     assert not dup_head.rank_ok
     with pytest.raises(ValueError):
         worst_case_error_trunc(dup, dup_head, basis)
+
+
+def test_fit_and_e_trunc_refuse_the_same_heads():
+    # the one head check (lsq.check_vectors) behind both: a values-only
+    # head, heads of another k on either route, and an SVD-route head of
+    # another n, each of a full-rank draw, so rank_ok lets them through
+    basis, pts, head = make_instance(SP1, 4, 12, 32, 3)
+    other_k = make_instance(SP1, 3, 12, 32, 3)[1]
+    other_n = make_instance(SP1, 4, 12, 33, 3)[1]
+    bad_heads = {
+        "singular values only": [head_factor(pts, compute_uv=False)],
+        "not the head factorization of this point set": [
+            head_svd(other_k.G), head_factor(other_k), head_svd(other_n.G)
+        ],
+    }
+    samples = np.ones(pts.n)
+    for message, heads in bad_heads.items():
+        for bad in heads:
+            assert bad.rank_ok
+            with pytest.raises(ValueError, match=message):
+                lsq.fit(pts, bad, samples)
+            with pytest.raises(ValueError, match=message):
+                worst_case_error_trunc(pts, bad, basis)
+    for good in (head, head_factor(pts)):
+        assert lsq.fit(pts, good, samples).shape == (4,)
+        assert worst_case_error_trunc(pts, good, basis) > 0.0
 
 
 @pytest.mark.parametrize(
@@ -294,7 +320,7 @@ def test_certified_bound_monotone_tail_addend():
     e_base = None
     for m in m_grid:
         e_tr = full_e_trunc(pts, g_pinv, basis, m)
-        narrow = dataclasses.replace(pts, B=dense_matrix(pts, width=m))
+        narrow = dataclasses.replace(pts, B=dense_matrix(pts, width=m), sums=None)
         bound = certified_upper_bound(e_tr, summary, narrow, s_min)
         addends.append(bound - e_tr - float(basis.sigma[m]))
         if e_base is None:

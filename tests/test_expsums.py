@@ -37,7 +37,7 @@ def hand_basis(flat):
 
 def with_dense_matrix(pts, basis):
     """The same instance in the dense form, B evaluated at its points."""
-    return dataclasses.replace(pts, B=dense_matrix(pts))
+    return dataclasses.replace(pts, B=dense_matrix(pts), sums=None)
 
 
 def test_exp_sums_match_direct_sums():

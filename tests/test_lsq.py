@@ -211,7 +211,7 @@ def test_fit_flags_rank_deficiency_without_rejecting():
     basis = ordered_basis(SP1, 7)
     dens = truncated_density(basis, 3, 6)
     pts = sample_points(dens, 2, 1)
-    ones = dataclasses.replace(pts, densities=np.ones(2), B=np.ones((2, 6)))
+    ones = dataclasses.replace(pts, densities=np.ones(2), B=np.ones((2, 6)), sums=None)
     head = head_factor(ones)
     assert head.u is not None and not head.rank_ok
     coefficients = fit(ones, head, np.ones(2))
@@ -358,7 +358,7 @@ def test_head_factor_matches_the_dense_svd(d, s, k, m_factor, n_extra, seed):
     assert head.s_min == pytest.approx(dense.s_min, rel=1e-12, abs=0)
     assert head.s_max == pytest.approx(dense.s_max, rel=1e-12, abs=0)
     assert np.all(np.diff(head.sv) <= 0.0)
-    dense_pts = dataclasses.replace(pts, B=weighted_matrix(pts, basis))
+    dense_pts = dataclasses.replace(pts, B=weighted_matrix(pts, basis), sums=None)
     assert worst_case_error_trunc(pts, head, basis) == pytest.approx(
         worst_case_error_trunc(dense_pts, dense, basis), rel=1e-12, abs=0
     )

@@ -199,9 +199,11 @@ def test_ordered_basis_weights_nondecreasing_and_sigma_consistent():
         assert np.array_equal(basis.sigma, basis.weights ** -0.5)
 
 
-def test_ordered_basis_enumeration_cap():
+def test_ordered_basis_enumeration_cap(monkeypatch):
+    # ordered_basis reads the cap at call time
+    monkeypatch.setattr(spectral, "DEFAULT_INDEX_CAP", 1000)
     with pytest.raises(EnumerationLimitError):
-        ordered_basis(SP2, 100_000, max_indices=1000)
+        ordered_basis(SP2, 100_000)
 
 
 def test_basis_matrix_matches_pointwise_eval():
