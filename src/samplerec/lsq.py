@@ -11,6 +11,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import rounding
+
 if TYPE_CHECKING:
     from .density import PointSet
 
@@ -30,7 +32,7 @@ RANK_RTOL = 1e-10
 # draw above it takes the SVD of G.  The bound is safe rather than tight:
 # on d = 1 draws with kappa up to 436 the e_trunc routes agreed to 2.4e-14;
 # 38 d = 2 and 3 rates draws (benchmark and golden configs) had 1.15-1.53.
-KAPPA_LIMIT = math.sqrt(1e-13 / 2.0 ** -53)
+KAPPA_LIMIT = math.sqrt(1e-13 / rounding.U)
 
 
 @dataclass(frozen=True)
@@ -299,7 +301,7 @@ def _lanczos_top(gram) -> float:
     """
     q = gram.shape[0]
     steps = min(q, _LANCZOS_STEPS)
-    eps = np.finfo(float).eps
+    eps = 2 * rounding.U
     v = np.full(q, 1.0 / np.sqrt(q))
     prev = beta = bound = 0.0
     alphas, betas = [], []

@@ -15,13 +15,8 @@ slack and then keeps the tuples whose weight is at most the threshold, so
 the set it returns is exactly the float sublevel set.  Sorting it by
 weight (ties broken lexicographically on the index tuple) makes
 sigma[n] = weight[n] ** -0.5 the n-th decay value of the embedding into
-L2, and head/tail sums of sigma^2 are available with a
-certified enclosure of the full series in closed form: a partial sum of the
-one-coordinate series plus its tail as a short alternating series of Hurwitz
-zeta values, each bracketed by Euler-Maclaurin, with every floating-point
-step widened by its rounding-error bound.  It takes about half a
-millisecond for any s > 1/2, and its width is limited only by the float
-resolution of the total.
+L2.  spectral_sums gives head sums of sigma^2 and the certified enclosure
+of the full series from samplerec.rounding.
 
 basis_matrix evaluates each coordinate's sin/cos once per distinct flat
 index into a factor table and gathers it out to the columns, so a d-variate
@@ -32,15 +27,19 @@ with n * m.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rounding
+from .rounding import PrecisionError
+
 SQRT2 = math.sqrt(2.0)
 
 DEFAULT_INDEX_CAP = 10_000_000
+
+_TOL = 1e-10  # the widest series enclosure that spectral_sums accepts
 
 # Bytes of one row block of an (n, width) float matrix: the size of every
 # temporary that basis_matrix and the tail Gram of a dense instance make on
@@ -61,10 +60,6 @@ _ROW_ALIGN = 16
 
 class EnumerationLimitError(RuntimeError):
     """Basis enumeration would exceed the configured index cap."""
-
-
-class PrecisionError(RuntimeError):
-    """A certified enclosure cannot reach the requested width."""
 
 
 @dataclass(frozen=True)
@@ -176,11 +171,11 @@ def _sublevel_set(threshold: float, d: int, s: float, max_indices: int) -> tuple
     constant, then sine and cosine of each frequency below c).  A tuple's
     weight is the product in ascending order, as hnorm_weight takes it, so
     permuted tuples weigh the same bits; it is computed once the walk
-    ends.  Each product of d factors is within _gamma(d - 1)
+    ends.  Each product of d factors is within gamma(d - 1)
     relative of the exact one, a running product of fewer factors is at
     most the exact whole (factor weights are at least 1), and the division
     that counts the factors adds one rounding, so the limit
-    threshold (1 + 2 _gamma(d + 1)) loses no tuple whose weight is at most
+    threshold (1 + 2 gamma(d + 1)) loses no tuple whose weight is at most
     the threshold: the set is exactly the float sublevel set once filtered
     on that weight.  Index 0 extends a tuple at its own weight, so no
     coordinate holds more tuples than the last; EnumerationLimitError as
@@ -190,7 +185,7 @@ def _sublevel_set(threshold: float, d: int, s: float, max_indices: int) -> tuple
     while (wf := _factor_weight(len(factors), s)) <= threshold:
         factors.append(wf)
     weights = np.array(factors)
-    limit = math.nextafter(threshold * (1.0 + 2.0 * _gamma(d + 1)), math.inf)
+    limit = rounding.up(threshold * (1.0 + 2.0 * rounding.gamma(d + 1)))
     running = np.ones(1)
     indices = np.zeros((1, 0), dtype=np.int64)
     for _ in range(d):
@@ -414,7 +409,7 @@ class SpectrumSummary:
         h = float(self.head[k])
         if self.head_err is None:
             return h, h
-        return _widen(h, float(self.head_err[k]))
+        return rounding.widen(h, float(self.head_err[k]))
 
     def tail(self, k: int) -> float:
         """Sum of sigma_j^2 over positions beyond the k-th (midpoint value)."""
@@ -424,177 +419,7 @@ class SpectrumSummary:
     def tail_upper(self, k: int) -> float:
         """Certified upper bound on the sum of sigma_j^2 beyond position k:
         total_hi less the lower end of head[k], rounded up."""
-        return _sub_up(self.total_hi, self.head_bounds(k)[0])
-
-
-# Rounding model: IEEE double arithmetic rounds to nearest with unit
-# roundoff _U, math.fsum rounds its exact sum once, and C pow (behind
-# Python's float **) is faithful, within one ulp (2 _U relative) of the
-# exact power.  n roundings in a chain of products and quotients, or in a
-# recursive sum of terms of one sign, stay within _gamma(n) relative
-# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3-4).
-_U = 2.0 ** -53
-
-_TOL = 1e-10  # the widest series enclosure that spectral_sums accepts
-
-# Terms of the one-coordinate series summed directly; the rest is a short
-# alternating series of Hurwitz zeta values at a = _SERIES_HEAD + 1.
-_SERIES_HEAD = 1000
-
-# Euler-Maclaurin coefficients B_2k / (2k)! for k = 1..5, from B_2k as
-# num / den; the last one only bounds the remainder.
-_EM_COEFFS = tuple(
-    # int / int rounds correctly, as float(Fraction) does, with no fractions import
-    num / (den * math.factorial(2 * k))
-    for k, (num, den) in enumerate(((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66)), start=1)
-)
-
-
-def _gamma(n: int) -> float:
-    """Relative error bound n u / (1 - n u) of n roundings."""
-    return n * _U / (1.0 - n * _U)
-
-
-def _widen(x: float, err: float) -> tuple[float, float]:
-    """Enclosure of the exact value of a computed x with |error| <= err.
-
-    The one step outward also covers the rounding of x -+ err itself.
-    """
-    return math.nextafter(x - err, -math.inf), math.nextafter(x + err, math.inf)
-
-
-def _sub_up(a: float, b: float) -> float:
-    """a - b rounded up: exact by Sterbenz's lemma when 0 <= b <= a <= 2b."""
-    diff = a - b
-    return diff if 0.0 <= b <= a <= 2.0 * b else math.nextafter(diff, math.inf)
-
-
-def _hurwitz_bracket(t: float) -> tuple[float, float]:
-    """Certified (lo, hi) of zeta(t, a) = sum_{n>=0} (a + n)^-t at
-    a = _SERIES_HEAD + 1, for t > 1.
-
-    Euler-Maclaurin at a gives
-
-        zeta(t, a) = a^-t (a / (t-1) + 1/2 + sum_{k=1}^{p} c_k (t)_{2k-1} a^{1-2k}) + R_p
-
-    with c_k = B_2k / (2k)! and the rising factorial (t)_j.  Every even
-    derivative of x^-t is positive (it is completely monotone), so R_p is
-    theta times the k = p+1 term for some theta in [0, 1] (Graham, Knuth &
-    Patashnik, Concrete Mathematics, (9.78); Johansson, "Rigorous
-    high-precision computation of the Hurwitz zeta function and its
-    derivatives", 2015).
-    """
-    a = _SERIES_HEAD + 1
-    if t * math.log2(a) > 1000.0:
-        # a^-t < 2^-999 with room for the rounding of the test, and
-        # zeta(t, a) <= a^-t + int_a^inf x^-t dx
-        return 0.0, math.nextafter(2.0 ** -999 * (1.0 + a / (t - 1.0)), math.inf)
-    rising = t / a  # (t)_{2k-1} / a^{2k-1}
-    corrections = [_EM_COEFFS[0] * rising]
-    for k in range(1, len(_EM_COEFFS)):
-        rising *= (t + (2 * k - 1)) / a * ((t + 2 * k) / a)
-        corrections.append(_EM_COEFFS[k] * rising)
-    rem = corrections.pop()
-    scale = a ** -t  # at least 2^-1000, a normal number
-    value = scale * math.fsum([a / (t - 1.0), 0.5] + corrections)
-    # the leading term takes two roundings, fsum one, a^-t two (ulps count
-    # double) and the product one, and the sums below two beyond the final
-    # step outward: gamma(8) of the value; correction term k takes at most
-    # 6k - 3 roundings, 27 at k = 5
-    err = _gamma(8) * value + _gamma(27) * scale * math.fsum(abs(c) for c in corrections + [rem])
-    rem *= scale
-    return (
-        math.nextafter(value - err + min(rem, 0.0), -math.inf),
-        math.nextafter(value + err + max(rem, 0.0), math.inf),
-    )
-
-
-def _partial_sum_bracket(s: float) -> tuple[float, float]:
-    """Certified (lo, hi) of sum_{f=1}^{M} 1/(1 + f^(2s)), M = _SERIES_HEAD."""
-    # terms x / (1 + x) with x = f^(-2s), so no power can overflow; each term
-    # takes four roundings (pow counting two) and fsum one more, which
-    # gamma(6) covers with the second-order terms; a subnormal term errs by
-    # at most 2^-1073 absolute instead
-    terms = [x / (1.0 + x) for x in (float(f) ** (-2.0 * s) for f in range(1, _SERIES_HEAD + 1))]
-    partial = math.fsum(terms)
-    return _widen(partial, _gamma(6) * partial + _SERIES_HEAD * 2.0 ** -1073)
-
-
-def _is_exact_multiple(t: float, factor: int, s: float) -> bool:
-    """Whether the finite float t equals factor * s exactly."""
-    # Fraction(t) == factor * Fraction(s), cross-multiplied: no fractions (and decimal) import
-    tn, td = t.as_integer_ratio()
-    sn, sd = s.as_integer_ratio()
-    return tn * sd == factor * sn * td
-
-
-def _tail_bracket(s: float, stop: float) -> tuple[float, float]:
-    """Certified (lo, hi) of sum_{f>M} 1/(1 + f^(2s)), M = _SERIES_HEAD.
-
-    With x = f^(-2s) < 1 the tail expands as sum_{f>M} (x - x^2 + x^3 - ...)
-    = sum_{j>=1} (-1)^(j+1) zeta(2js, M+1).  Its terms decrease in j, so the
-    rest after any partial sum lies between 0 and the next term; the
-    expansion ends at the first term at most stop.
-    """
-    lo: list[float] = []
-    hi: list[float] = []
-    for j in itertools.count(1):
-        t = 2.0 * j * s
-        if math.isinf(t) or _is_exact_multiple(t, 2 * j, s):
-            z_lo, z_hi = _hurwitz_bracket(t)
-        else:
-            # zeta(t, a) decreases in t; the exact exponent lies within one
-            # step of the rounded one
-            z_lo = _hurwitz_bracket(math.nextafter(t, math.inf))[0]
-            z_hi = _hurwitz_bracket(math.nextafter(t, -math.inf))[1]
-        odd = j % 2 == 1
-        if z_hi <= stop:
-            if odd:
-                hi.append(z_hi)
-            else:
-                lo.append(-z_hi)
-            break
-        lo.append(z_lo if odd else -z_hi)
-        hi.append(z_hi if odd else -z_lo)
-    return math.nextafter(math.fsum(lo), -math.inf), math.nextafter(math.fsum(hi), math.inf)
-
-
-def _power_bracket(s_lo: float, s_hi: float, d: int) -> tuple[float, float]:
-    """Certified (lo, hi) of (1 + 2 S)^d for S in [s_lo, s_hi]."""
-    # d - 1 products of a base rounded outward
-    power_lo = math.prod(itertools.repeat(math.nextafter(1.0 + 2.0 * s_lo, -math.inf), d))
-    power_hi = math.prod(itertools.repeat(math.nextafter(1.0 + 2.0 * s_hi, math.inf), d))
-    return _widen(power_lo, _gamma(d - 1) * power_lo)[0], _widen(power_hi, _gamma(d - 1) * power_hi)[1]
-
-
-def _series_enclosure(s: float, d: int, tol: float) -> tuple[float, float]:
-    """Certified (total_lo, total_hi) of the full series sum_j sigma_j^2.
-
-    The one-coordinate series S = sum_{f>=1} 1/(1 + f^(2s)) is a partial sum
-    to f = _SERIES_HEAD plus the tail as an alternating Hurwitz zeta series,
-    cut at the first term below the float resolution of the partial sum.  The
-    total over d coordinates is (1 + 2 S)^d.  Every step is widened by its
-    rounding-error bound, so the width is some dozens of ulps of the total
-    (14 at d = 1, s = 1; 72 at d = 4, s = 0.6).  PrecisionError if the
-    width exceeds tol, which happens when tol is below that many ulps of
-    the total (for tol = 1e-10, from totals of about 1e4), or if the total
-    is beyond float range.
-    """
-    part_lo, part_hi = _partial_sum_bracket(s)
-    tail_lo, tail_hi = _tail_bracket(s, _U * part_lo)
-    total_lo, total_hi = _power_bracket(
-        math.nextafter(part_lo + tail_lo, -math.inf), math.nextafter(part_hi + tail_hi, math.inf), d
-    )
-    if not math.isfinite(total_hi):
-        raise PrecisionError(f"series total (1 + 2 S)^{d} at s={s:g} is beyond float range")
-    width = total_hi - total_lo
-    if width > tol:
-        ulp = math.ulp(total_hi)
-        raise PrecisionError(
-            f"enclosure width {width:.3e} of the series total {total_hi:.6g} above tol {tol:.1e}: "
-            f"the width is {width / ulp:.3g} ulps of the total, tol {tol / ulp:.3g}"
-        )
-    return total_lo, total_hi
+        return rounding.sub_up(self.total_hi, self.head_bounds(k)[0])
 
 
 def spectral_sums(basis: OrderedBasis, *_space_then_basis: OrderedBasis) -> SpectrumSummary:
@@ -602,9 +427,9 @@ def spectral_sums(basis: OrderedBasis, *_space_then_basis: OrderedBasis) -> Spec
     of its space.  spectral_sums(space, basis), the call of perfbench's
     set-up probe, is taken with the basis's own space alone.
 
-    The enclosure comes from _series_enclosure in closed form, in about half
-    a millisecond.  Its width depends only on rounding, some dozens of ulps
-    of the total; PrecisionError if it exceeds _TOL.  head
+    The enclosure comes from rounding.series_enclosure in closed form, in
+    about half a millisecond.  Its width depends only on rounding, some
+    dozens of ulps of the total; PrecisionError if it exceeds _TOL.  head
     carries its own rounding bound, head_err; PrecisionError also if the
     certified total does not exceed the upper end of the head sum, i.e. the
     tail past the basis is below the float resolution of the total.
@@ -613,20 +438,11 @@ def spectral_sums(basis: OrderedBasis, *_space_then_basis: OrderedBasis) -> Spec
         space, (basis,) = basis, _space_then_basis
         if space != basis.params:
             raise ValueError(f"the space {space} is not the basis's own, {basis.params}")
-    total_lo, total_hi = _series_enclosure(float(basis.params.s), int(basis.params.d), _TOL)
-    sq = basis.sigma ** 2
-    head = np.concatenate(([0.0], np.cumsum(sq)))
-    # The cumsum's own rounding, exactly: np.cumsum adds in order, so TwoSum
-    # on consecutive entries gives the error e of each addition,
-    # head[i] + sq[i] = head[i+1] + e[i], and head[k] + sum(e[:k]) is the
-    # exact sum of sq[:k].  Each sq = (w ** -0.5) ** 2 of a weight w: w
-    # takes 4d - 1 roundings (pow counting two); numpy's power, counted as
-    # four ulps in case its vector pow is not faithful, and the square bring
-    # sq to 4d + 16.  Two more cover the rounding of the cumsum of e (its
-    # error is below m^2 u^2 of the head) and of head_err itself.
-    step = head[1:] - head[:-1]
-    e = (head[:-1] - (head[1:] - step)) + (sq - step)
-    head_err = np.abs(np.concatenate(([0.0], np.cumsum(e)))) + _gamma(4 * basis.params.d + 18) * head
+    total_lo, total_hi = rounding.series_enclosure(float(basis.params.s), int(basis.params.d), _TOL)
+    # each sigma^2 = (w ** -0.5) ** 2 of a weight w: w takes 4d - 1 roundings
+    # (pow counting two); numpy's power, counted as four ulps in case its
+    # vector pow is not faithful, and the square bring sigma^2 to 4d + 16
+    head, head_err = rounding.prefix_sums(basis.sigma ** 2, 4 * basis.params.d + 16)
     summary = SpectrumSummary(basis, total_lo=total_lo, total_hi=total_hi, head=head, head_err=head_err)
     head_hi = summary.head_bounds(len(basis))[1]
     if total_lo <= head_hi:

@@ -33,17 +33,18 @@ def test_readme_solver_figures_match_lsq():
 
 def test_readme_names_resolve():
     # every backticked name of a samplerec module the README quotes, as
-    # `lsq.X` or `samplerec.density.X(...)`, is an attribute of that module,
-    # so a README that names a deleted constant or class fails here
+    # `lsq.X` or `samplerec.density.X(...)`, with any module of the package
+    # as its prefix, is an attribute of that module, so a README that names
+    # a deleted constant or class fails here
     import samplerec
 
-    for module in pkgutil.iter_modules(samplerec.__path__):
-        if not module.name.startswith("_"):
-            importlib.import_module(f"samplerec.{module.name}")
+    modules = [module.name for module in pkgutil.iter_modules(samplerec.__path__) if not module.name.startswith("_")]
+    for module in modules:
+        importlib.import_module(f"samplerec.{module}")
     text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
     names = set()
     for span in re.findall(r"`([^`]*)`", text):
-        names.update(re.findall(r"\b(?:samplerec|lsq|expsums|density|errors|spectral)(?:\.\w+)+", span))
+        names.update(re.findall(rf"\b(?:samplerec|{'|'.join(modules)})(?:\.\w+)+", span))
     assert {"lsq.KAPPA_LIMIT", "lsq.ViewGram", "lsq.BlockGram", "expsums.TailGram", "samplerec.rng"} <= names
     for name in sorted(names):
         parts = name.split(".")
@@ -144,3 +145,21 @@ def test_only_expsums_reads_the_staircase_layout():
         and re.search(r"\.(?:values|starts|freq|factor|sine)\b(?!\s*\()", path.read_text(encoding="utf-8"))
     ]
     assert readers == [], f"{readers} read the staircase layout"
+
+
+def test_only_rounding_steps_to_the_next_float():
+    # the rounding model (unit roundoff, steps to the next float) is stated
+    # in samplerec.rounding alone: other modules read rounding.U and its
+    # outward steps, so none names nextafter or finfo
+    import samplerec
+
+    src = Path(samplerec.__file__).parent
+    readers = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "rounding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", getattr(node, "name", None))
+            if name in ("nextafter", "finfo"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == [], f"{readers} name nextafter or finfo"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samplerec import spectral
+from samplerec import rounding, spectral
 from samplerec.spectral import (
     CoefVector,
     EnumerationLimitError,
@@ -404,8 +404,8 @@ def integral_test_enclosure(s, d, terms):
 def test_hurwitz_bracket_contains_references(t):
     import scipy.special
 
-    lo, hi = spectral._hurwitz_bracket(t)
-    a = spectral._SERIES_HEAD + 1
+    lo, hi = rounding._hurwitz_bracket(t)
+    a = rounding._SERIES_HEAD + 1
     exact = mp_hurwitz(t, a)
     assert lo <= exact <= hi
     if t * math.log2(a) <= 1000.0:
@@ -420,9 +420,9 @@ def test_hurwitz_bracket_contains_references(t):
 @pytest.mark.parametrize("s", [0.5 + 2.0 ** -30, 0.51, 0.75, 1.0, 1.3, 5.0, 20.0, 100.0, 400.0])
 def test_partial_and_tail_brackets_contain_exact_sums(s):
     mpmath = pytest.importorskip("mpmath")
-    head_n = spectral._SERIES_HEAD
-    part_lo, part_hi = spectral._partial_sum_bracket(s)
-    tail_lo, tail_hi = spectral._tail_bracket(s, spectral._U * part_lo)
+    head_n = rounding._SERIES_HEAD
+    part_lo, part_hi = rounding._partial_sum_bracket(s)
+    tail_lo, tail_hi = rounding._tail_bracket(s, rounding.U * part_lo)
     with mpmath.workdps(40):
         s2 = 2 * mpmath.mpf(s)
         part = mpmath.fsum(1 / (1 + mpmath.mpf(f) ** s2) for f in range(1, head_n + 1))
@@ -443,7 +443,7 @@ def test_euler_maclaurin_coefficients_are_the_fraction_values():
     # B_2k / (2k)! as int / int equals float of the exact Fraction, bit for bit
     bernoulli = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30), Fraction(5, 66))
     expected = tuple(float(b / math.factorial(2 * k)) for k, b in enumerate(bernoulli, start=1))
-    assert spectral._EM_COEFFS == expected
+    assert rounding._EM_COEFFS == expected
 
 
 @given(s=st.floats(0.5, 1e3, exclude_min=True), j=st.integers(1, 200))
@@ -451,20 +451,20 @@ def test_euler_maclaurin_coefficients_are_the_fraction_values():
 def test_exact_multiple_test_is_the_fraction_test(s, j):
     # the rounded exponent 2 j s against the exact one, as _tail_bracket asks
     t = 2.0 * j * s
-    assert spectral._is_exact_multiple(t, 2 * j, s) == (Fraction(t) == 2 * j * Fraction(s))
+    assert rounding._is_exact_multiple(t, 2 * j, s) == (Fraction(t) == 2 * j * Fraction(s))
     # one ulp above the rounded product is never exact
     off = math.nextafter(t, math.inf)
     assert Fraction(off) != 2 * j * Fraction(s)
-    assert not spectral._is_exact_multiple(off, 2 * j, s)
+    assert not rounding._is_exact_multiple(off, 2 * j, s)
 
 
 def test_exact_multiple_test_sees_rounded_products():
     # 2 j s is exact for a short mantissa, rounded for a full one
-    assert spectral._is_exact_multiple(2.0 * 3 * 0.75, 6, 0.75)
+    assert rounding._is_exact_multiple(2.0 * 3 * 0.75, 6, 0.75)
     s = 1.0 + 2.0 ** -52
     t = 2.0 * 3 * s
     assert Fraction(t) != 6 * Fraction(s)
-    assert not spectral._is_exact_multiple(t, 6, s)
+    assert not rounding._is_exact_multiple(t, 6, s)
 
 
 @given(
@@ -477,7 +477,7 @@ def test_power_bracket_contains_exact_powers(base, gap, d):
     s_lo, s_hi = base, base
     for _ in range(gap):
         s_hi = math.nextafter(s_hi, math.inf)
-    lo, hi = spectral._power_bracket(s_lo, s_hi, d)
+    lo, hi = rounding._power_bracket(s_lo, s_hi, d)
     if math.isfinite(hi):
         assert Fraction(lo) <= (1 + 2 * Fraction(s_lo)) ** d
         assert (1 + 2 * Fraction(s_hi)) ** d <= Fraction(hi)
@@ -492,14 +492,14 @@ def test_enclosure_error_gives_the_width_in_ulps_of_the_total(d, s, total, width
     # a total of 12561.5, is refused there though it is far above one ulp
     message = f"series total {total} above tol 1.0e-10: the width is {width} ulps of the total, tol {tol}"
     with pytest.raises(PrecisionError, match=re.escape(message) + "$"):
-        spectral._series_enclosure(s, d, 1e-10)
+        rounding.series_enclosure(s, d, 1e-10)
 
 
 def test_series_enclosure_matches_integral_test_oracle():
     # at s >= 1 the old bracket is narrow after 2^20 terms
     for s in (1.0, 1.3, 2.0, 5.0):
         for d in (1, 2, 3):
-            lo, hi = spectral._series_enclosure(s, d, 1e-10)
+            lo, hi = rounding.series_enclosure(s, d, 1e-10)
             o_lo, o_hi = integral_test_enclosure(s, d, 1 << 20)
             assert o_lo <= hi and lo <= o_hi
             assert hi - lo < o_hi - o_lo
@@ -512,13 +512,13 @@ def test_series_enclosure_matches_integral_test_oracle():
 )
 @settings(max_examples=60)
 def test_series_enclosure_property(s, d, tol):
-    lo, hi = spectral._series_enclosure(s, d, math.inf)
+    lo, hi = rounding.series_enclosure(s, d, math.inf)
     assert lo <= mp_total(s, d) <= hi
     if hi - lo <= tol:
-        assert spectral._series_enclosure(s, d, tol) == (lo, hi)
+        assert rounding.series_enclosure(s, d, tol) == (lo, hi)
     else:
         with pytest.raises(PrecisionError, match="enclosure width"):
-            spectral._series_enclosure(s, d, tol)
+            rounding.series_enclosure(s, d, tol)
 
 
 @pytest.mark.parametrize("s, d", [(0.51, 1), (0.6, 1), (0.7, 1), (0.6, 3), (0.7, 3), (0.7, 5)])
