@@ -9,11 +9,7 @@ from .density import (
     sample_points,
     truncated_density,
 )
-from .errors import (
-    certified_upper_bound,
-    empirical_error,
-    worst_case_error_trunc,
-)
+from .errors import certified_upper_bound, worst_case_error_trunc
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -36,9 +32,9 @@ from .spectral import (
     basis_eval,
     basis_matrix,
     beta_gamma,
+    empirical_error,
     hnorm_weight,
     ordered_basis,
-    project,
     random_unit_function,
     spectral_sums,
 )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expsums, lsq
+from . import expsums
 from .rng import uniform_block
 from .spectral import ROW_BLOCK_BYTES, OrderedBasis, basis_matrix, points_array
 
@@ -48,7 +48,7 @@ MAX_POINTS = 1 << 14
 MAX_TRUNCATION = 1 << 13
 
 # Columns of one upper column panel of the tail block that
-# PointSet.tail_gram hands to lsq.BlockGram at d >= 2 (m <= n): one panel
+# PointSet.tail_gram hands to BlockGram at d >= 2 (m <= n): one panel
 # product takes 256^2 doubles, half a row block, and the panels hold about
 # half the block.
 _GRAM_PANEL = math.isqrt(ROW_BLOCK_BYTES // 16)
@@ -234,6 +234,80 @@ def _invert_factor_cdf(sign, freq, u):
     return t
 
 
+class ViewGram:
+    """Gamma^T Gamma for Gamma = view diag(sigma), q = len(sigma), read from
+    the (n, q) view alone: the tail Gram of the dense point-set form
+    (PointSet.tail_gram, whose docstring describes the forms).  Gamma is
+    never formed, and nothing of the view's size is allocated: a product
+    applies the view and its transpose.  A Gram operator for
+    lsq.spectral_norm: shape (q, q) and matvec, and trace.
+    """
+
+    def __init__(self, view: np.ndarray, sigma: np.ndarray) -> None:
+        q = view.shape[1]
+        if len(sigma) != q:
+            raise ValueError(f"need one sigma per column, got {len(sigma)} for {q}")
+        self.shape = (q, q)
+        self._view = view
+        self._sigma = np.asarray(sigma, dtype=float)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Gamma^T Gamma v for a vector v of length q."""
+        return self._sigma * (self._view.T @ (self._view @ (self._sigma * v)))
+
+    def trace(self) -> float:
+        """Squared Frobenius norm of Gamma."""
+        return float(np.einsum("ij,ij->j", self._view, self._view) @ self._sigma ** 2)
+
+
+class BlockGram:
+    """Gamma^T Gamma = diag(sigma) A diag(sigma) for a symmetric (q, q)
+    matrix A, q = len(sigma), held as a list of its upper column panels
+    A[:hi, lo:hi] in order (lo = 0 first, each panel starting where the
+    last ended, the last ending at q), read in place and never scaled into
+    a copy: the tail Gram of the structured d >= 2 point-set form
+    (PointSet.tail_gram, whose docstring describes the forms).  A product
+    adds each panel's and, above its diagonal block, its transpose's:
+    y[:hi] += A[:hi, lo:hi] v[lo:hi] and y[lo:hi] += A[:lo, lo:hi]^T v[:lo];
+    [A], one whole-width panel, is the one product A v.  A Gram operator for
+    lsq.spectral_norm: shape (q, q) and matvec, and trace.
+    """
+
+    def __init__(self, panels, sigma: np.ndarray) -> None:
+        q = len(sigma)
+        panels = list(panels)
+        lo = 0
+        for panel in panels:
+            if panel.ndim != 2 or panel.shape[0] != lo + panel.shape[1] or panel.shape[1] == 0:
+                raise ValueError(f"need upper column panels A[:hi, lo:hi] from lo = {lo}, got {panel.shape}")
+            lo = panel.shape[0]
+        if lo != q:
+            raise ValueError(f"need panels of a ({q}, {q}) matrix for {q} sigmas, ending at {lo}")
+        self.shape = (q, q)
+        self._panels = panels
+        self._sigma = np.asarray(sigma, dtype=float)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Gamma^T Gamma v for a vector v of length q."""
+        u = self._sigma * v
+        y = np.zeros(self.shape[0])
+        for panel in self._panels:
+            hi = panel.shape[0]
+            lo = hi - panel.shape[1]
+            y[:hi] += panel @ u[lo:hi]
+            y[lo:hi] += panel[:lo].T @ u[:lo]
+        return self._sigma * y
+
+    def trace(self) -> float:
+        """Squared Frobenius norm of Gamma."""
+        total = 0.0
+        for panel in self._panels:
+            hi = panel.shape[0]
+            lo = hi - panel.shape[1]
+            total += np.diagonal(panel[lo:]) @ self._sigma[lo:hi] ** 2
+        return float(total)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """One sampling instance: n points drawn from the density, their density
@@ -246,7 +320,7 @@ class PointSet:
     alike in each form:
 
     - Dense (B given; d >= 2 with m > n): B itself, read-only, m its width;
-      G is a view, gram a product of two views, and tail_gram lsq.ViewGram
+      G is a view, gram a product of two views, and tail_gram ViewGram
       of the view B[:, k:].  sums is None: a point set holds one form.
     - Structured (the staircase; d = 1, or m <= n): the Staircase of
       samplerec.expsums.staircase_sums for the first m positions of the
@@ -254,7 +328,7 @@ class PointSet:
       the weighted exponential sums E(h) = sum_i rho_i^-1 e^{2 pi i h x_i},
       |h| <= 2 f_max.  gram is its gram_block of the same slices, and
       tail_gram is samplerec.expsums.TailGram of the positions k..m-1 at
-      d = 1, one FFT pair per product, and at d >= 2 lsq.BlockGram of the
+      d = 1, one FFT pair per product, and at d >= 2 BlockGram of the
       upper column panels (B^T B)[k:hi, lo:hi] of the tail block,
       _GRAM_PANEL wide, about half the block.  B is None: no n-row matrix
       is stored, and G is evaluated on each access.
@@ -304,13 +378,13 @@ class PointSet:
         tail weights, as the Gram operator of the form (see the class
         docstring): shape, matvec and trace, for lsq.spectral_norm."""
         if self.B is not None:
-            return lsq.ViewGram(self.B[:, self.k :], sigma)
+            return ViewGram(self.B[:, self.k :], sigma)
         # panels at d = 1 would hold about half the tail block, 36 MB at
         # claims-d1's q = 3003, where the FFT operator holds a few vectors
         if self.points.shape[1] == 1:
             return expsums.TailGram(self.sums, self.k, sigma)
         columns = [slice(lo, min(lo + _GRAM_PANEL, self.m)) for lo in range(self.k, self.m, _GRAM_PANEL)]
-        return lsq.BlockGram([self.gram(slice(self.k, cols.stop), cols) for cols in columns], sigma)
+        return BlockGram([self.gram(slice(self.k, cols.stop), cols) for cols in columns], sigma)
 
     def __post_init__(self) -> None:
         if (self.B is None) == (self.sums is None):

@@ -7,9 +7,9 @@ import math
 import numpy as np
 
 from . import lsq
-from .density import PointSet, dense_matrix
+from .density import PointSet
 from .lsq import HeadSVD
-from .spectral import CoefVector, OrderedBasis, SpectrumSummary, row_blocks
+from .spectral import OrderedBasis, SpectrumSummary
 
 
 def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -> float:
@@ -29,30 +29,16 @@ def worst_case_error_trunc(info: PointSet, head: HeadSVD, basis: OrderedBasis) -
     W^T W + diag(s_t)^2, of size q = m - k.
 
     W = L C diag(s_t) is applied as its factors, never formed: C is the
-    (k, q) block the factorization's route reads and L a (k, k) factor.
-    Without u (the Gram route of any d, kappa(G) <= lsq.KAPPA_LIMIT),
-    C = G^T B_tail from info.gram in the point set's form (see PointSet), so
-    no n-row matrix is formed unless B is stored, and L = S^-2 V^T.  With u
-    (a fallback draw) the route is the dense one above: C = U^T B_tail,
-    summed over row blocks (row_blocks) of u and of B, whose rows
-    density.dense_matrix gives, views of a stored B or evaluated one block
-    at a time with the same bits, and L = S^-1.  So the call holds one
-    (k, q) array, and one lsq.spectral_norm of _TruncGram, Lanczos on
+    (k, q) block the factorization's route reads and L a (k, k) factor, both
+    from lsq.trunc_factors, which holds the route (the Gram route of any d,
+    kappa(G) <= lsq.KAPPA_LIMIT, or the SVD fallback).  So the call holds
+    one (k, q) array, and one lsq.spectral_norm of _TruncGram, Lanczos on
     x -> W^T (W x) + s_t^2 x, forms no q x q matrix.
     """
     if not head.rank_ok:
         raise ValueError("a degenerate draw has no worst-case error: G is rank deficient")
-    lsq.check_vectors(info, head)
-    k, m = info.k, info.m
-    if head.u is None:
-        block = info.gram(slice(0, k), slice(k, m))
-        left = head.vt / head.sv[:, None] ** 2
-    else:
-        block = np.zeros((k, m - k))
-        for rows in row_blocks(info.n, m):
-            block += head.u[rows].T @ dense_matrix(info, rows)[:, k:]
-        left = np.diag(1.0 / head.sv)
-    return math.sqrt(lsq.spectral_norm(_TruncGram(block, left, basis.sigma[k:m])))
+    block, left = lsq.trunc_factors(info, head)
+    return math.sqrt(lsq.spectral_norm(_TruncGram(block, left, basis.sigma[info.k : info.m])))
 
 
 class _TruncGram:
@@ -90,21 +76,3 @@ def certified_upper_bound(e_trunc: float, summary: SpectrumSummary, pts: PointSe
     addend = math.sqrt(np.sum(1.0 / pts.densities) * 2.0 ** basis.params.d * summary.tail_upper(pts.m)) / s_min_g
     return float(e_trunc + basis.sigma[pts.m] + addend)
 
-
-def empirical_error(fitted: CoefVector, f: CoefVector) -> float:
-    """L2 distance between two coefficient vectors on the same basis.
-
-    The shorter vector is implicitly padded with zeros.
-    """
-    same = fitted.basis is f.basis or (
-        fitted.basis.params == f.basis.params
-        and np.array_equal(fitted.basis.indices, f.basis.indices)
-    )
-    if not same:
-        raise ValueError("coefficient vectors live on different bases")
-    n = max(len(fitted.c), len(f.c))
-    a = np.zeros(n)
-    a[: len(fitted.c)] = fitted.c
-    b = np.zeros(n)
-    b[: len(f.c)] = f.c
-    return float(np.linalg.norm(a - b))

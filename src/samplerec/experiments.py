@@ -83,7 +83,7 @@ def parse_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     raw: dict = {}
     for lineno, line in enumerate(lines, start=1):

@@ -1,20 +1,19 @@
 """The least-squares recovery step on a sampling instance: the one
 factorization of its head block G (head_factor: from the k x k Gram G^T G,
-the thin SVD of G as the fallback), the fit, and norms of the tail block
-through its Gram operator."""
+the thin SVD of G as the fallback), every step that depends on its route
+(the fit, and the factors of e_trunc in trunc_factors), and norms of Gram
+operators."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import rounding
-
-if TYPE_CHECKING:
-    from .density import PointSet
+from .density import PointSet, dense_matrix
+from .spectral import row_blocks
 
 # Relative singular-value cutoff below which a draw counts as degenerate.
 RANK_RTOL = 1e-10
@@ -129,6 +128,28 @@ def fit(pts: PointSet, head: HeadSVD, samples) -> np.ndarray:
     return head.vt.T @ (inv * uty)
 
 
+def trunc_factors(pts: PointSet, head: HeadSVD) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of W = L C diag(s_t), the e_trunc matrix of
+    samplerec.errors.worst_case_error_trunc, on the route of
+    head = head_factor(pts): the (k, q) block C and the (k, k) factor L,
+    q = m - k, as (C, L).  On the Gram route (u None, any d),
+    C = G^T B_tail from pts.gram in the point set's form, so no n-row matrix
+    is formed unless B is stored, and L = S^-2 V^T.  On the fallback (u
+    set), C = U^T B_tail, summed over row blocks (row_blocks) of u and of
+    B, whose rows density.dense_matrix gives, views of a stored B or
+    evaluated one block at a time with the same bits, and L = S^-1.
+    ValueError for a head that check_vectors refuses.
+    """
+    check_vectors(pts, head)
+    k, m = pts.k, pts.m
+    if head.u is None:
+        return pts.gram(slice(0, k), slice(k, m)), head.vt / head.sv[:, None] ** 2
+    block = np.zeros((k, m - k))
+    for rows in row_blocks(pts.n, m):
+        block += head.u[rows].T @ dense_matrix(pts, rows)[:, k:]
+    return block, np.diag(1.0 / head.sv)
+
+
 # Step cap of the Lanczos solver, which holds O(1) vectors of the
 # operator's size whatever the step count.  With a Ritz pair every step,
 # the Gram operators of the benchmark workloads converge in 11 to 57 steps
@@ -152,81 +173,6 @@ _RITZ_STRIDE = 8
 class ConvergenceError(RuntimeError):
     """Lanczos reached _LANCZOS_STEPS steps before its top Ritz value
     converged."""
-
-
-class ViewGram:
-    """Gamma^T Gamma for Gamma = view diag(sigma), q = len(sigma), read from
-    the (n, q) view alone: the tail Gram of the dense point-set form
-    (samplerec.density.PointSet.tail_gram, whose docstring describes the
-    forms).  Gamma is never formed, and nothing of the view's size is
-    allocated: a product applies the view and its transpose.  A Gram
-    operator for spectral_norm: shape (q, q) and matvec, and trace.
-    """
-
-    def __init__(self, view: np.ndarray, sigma: np.ndarray) -> None:
-        q = view.shape[1]
-        if len(sigma) != q:
-            raise ValueError(f"need one sigma per column, got {len(sigma)} for {q}")
-        self.shape = (q, q)
-        self._view = view
-        self._sigma = np.asarray(sigma, dtype=float)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Gamma^T Gamma v for a vector v of length q."""
-        return self._sigma * (self._view.T @ (self._view @ (self._sigma * v)))
-
-    def trace(self) -> float:
-        """Squared Frobenius norm of Gamma."""
-        return float(np.einsum("ij,ij->j", self._view, self._view) @ self._sigma ** 2)
-
-
-class BlockGram:
-    """Gamma^T Gamma = diag(sigma) A diag(sigma) for a symmetric (q, q)
-    matrix A, q = len(sigma), held as a list of its upper column panels
-    A[:hi, lo:hi] in order (lo = 0 first, each panel starting where the
-    last ended, the last ending at q), read in place and never scaled into
-    a copy: the tail Gram of the structured d >= 2 point-set form
-    (samplerec.density.PointSet.tail_gram, whose docstring describes the
-    forms).  A product adds each panel's and, above its diagonal block,
-    its transpose's: y[:hi] += A[:hi, lo:hi] v[lo:hi] and
-    y[lo:hi] += A[:lo, lo:hi]^T v[:lo]; [A], one whole-width panel, is the
-    one product A v.  A Gram operator for spectral_norm: shape (q, q) and
-    matvec, and trace.
-    """
-
-    def __init__(self, panels, sigma: np.ndarray) -> None:
-        q = len(sigma)
-        panels = list(panels)
-        lo = 0
-        for panel in panels:
-            if panel.ndim != 2 or panel.shape[0] != lo + panel.shape[1] or panel.shape[1] == 0:
-                raise ValueError(f"need upper column panels A[:hi, lo:hi] from lo = {lo}, got {panel.shape}")
-            lo = panel.shape[0]
-        if lo != q:
-            raise ValueError(f"need panels of a ({q}, {q}) matrix for {q} sigmas, ending at {lo}")
-        self.shape = (q, q)
-        self._panels = panels
-        self._sigma = np.asarray(sigma, dtype=float)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Gamma^T Gamma v for a vector v of length q."""
-        u = self._sigma * v
-        y = np.zeros(self.shape[0])
-        for panel in self._panels:
-            hi = panel.shape[0]
-            lo = hi - panel.shape[1]
-            y[:hi] += panel @ u[lo:hi]
-            y[lo:hi] += panel[:lo].T @ u[:lo]
-        return self._sigma * y
-
-    def trace(self) -> float:
-        """Squared Frobenius norm of Gamma."""
-        total = 0.0
-        for panel in self._panels:
-            hi = panel.shape[0]
-            lo = hi - panel.shape[1]
-            total += np.diagonal(panel[lo:]) @ self._sigma[lo:hi] ** 2
-        return float(total)
 
 
 def spectral_norm(gram) -> float:

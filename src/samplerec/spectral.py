@@ -347,13 +347,23 @@ class CoefVector:
         return basis_matrix(self.basis, points, len(self.c)) @ self.c
 
 
-def project(f: CoefVector, k: int) -> CoefVector:
-    """Zero every coefficient beyond the first k."""
-    if not 0 <= k <= len(f.c):
-        raise ValueError(f"projection length must be in [0, {len(f.c)}], got {k}")
-    c = f.c.copy()
-    c[k:] = 0.0
-    return CoefVector(f.basis, c)
+def empirical_error(fitted: CoefVector, f: CoefVector) -> float:
+    """L2 distance between two coefficient vectors on the same basis.
+
+    The shorter vector is implicitly padded with zeros.
+    """
+    same = fitted.basis is f.basis or (
+        fitted.basis.params == f.basis.params
+        and np.array_equal(fitted.basis.indices, f.basis.indices)
+    )
+    if not same:
+        raise ValueError("coefficient vectors live on different bases")
+    n = max(len(fitted.c), len(f.c))
+    a = np.zeros(n)
+    a[: len(fitted.c)] = fitted.c
+    b = np.zeros(n)
+    b[: len(f.c)] = f.c
+    return float(np.linalg.norm(a - b))
 
 
 def random_unit_function(basis: OrderedBasis, support: tuple[int, int], seed: int) -> CoefVector:

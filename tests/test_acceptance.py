@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from samplerec.density import density_selfcheck, density_values, sample_points, truncated_density
-from samplerec.errors import empirical_error, worst_case_error_trunc
+from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import (
     ExperimentConfig,
     csv_text,
@@ -33,6 +33,7 @@ from samplerec.spectral import (
     SpectrumSummary,
     basis_matrix,
     beta_gamma,
+    empirical_error,
     ordered_basis,
     random_unit_function,
     spectral_sums,

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "hnorm_weight",
     "load_config",
     "ordered_basis",
-    "project",
     "random_unit_function",
     "run_beta",
     "run_claims",

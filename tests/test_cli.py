@@ -34,8 +34,12 @@ from samplerec.experiments import (
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
+    """Write a config file: text as UTF-8, or bytes as they are."""
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -657,10 +661,10 @@ def test_cli_rates_on_a_repeated_grid_fits_no_slope(tmp_path):
     )
 
 
-# Small rates and claims configs at d = 1, d = 2 (s = 0.75 and 1.0), d = 3
-# and d = 4, whose d = 1 and m <= n draws take the structured form, the
-# staircase (at d = 1 one box of the exponential sums); the rates golden
-# config is the first.
+# Small rates and claims configs at d = 1, d = 2 (s = 0.75 and 1.0), d = 3,
+# d = 4 and d = 8 (s = 3, the paper's regime d > 2s + 1), whose d = 1 and
+# m <= n draws take the structured form, the staircase (at d = 1 one box of
+# the exponential sums); the rates golden config is the first.
 _CROSS_FORM = [
     ("rates", "d = 2\ns = 1.0\nn_grid = 64, 128, 256, 512\nc_head = 0.25\nm_factor = 8\n"
               "trials = 2\nseed = 20250814\n"),
@@ -673,6 +677,7 @@ _CROSS_FORM = [
     ("rates", "d = 1\ns = 2.5\nn_grid = 64, 256, 1024\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 8\n"),
     ("claims", "d = 1\ns = 1.0\nn_grid = 256, 1024\nc_head = 0.05\nm_factor = 8\ntrials = 2\nseed = 9\n"),
     ("rates", "d = 4\ns = 0.75\nn_grid = 128, 512, 1024\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 10\n"),
+    ("rates", "d = 8\ns = 3.0\nn_grid = 256, 1024\nc_head = 0.25\nm_factor = 8\ntrials = 2\nseed = 2\n"),
 ]
 
 _INT_COLUMNS = {"n", "k", "m", "trials", "degenerate_trials"}
@@ -721,6 +726,18 @@ def test_cli_csv_is_the_same_in_every_point_set_form(tmp_path, monkeypatch, comm
     assert header == twin_header and drawn
     drift = cross_form_drift(header, drawn, twin)
     assert max(drift.values()) <= 1e-13, drift
+
+
+def test_cli_paper_regime_csv_is_unchanged(tmp_path):
+    # rates at d = 8, s = 3, where d > 2s + 1, the last cross-form config,
+    # pinned after test_cli_csv_is_the_same_in_every_point_set_form passed
+    # on it: the largest drift from its dense twin was 1.3e-15 relative
+    command, config = _CROSS_FORM[-1]
+    proc, out = _run_cli(tmp_path, command, config, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "56f5bd4c252d8b2459e62c1286c09a3293d6c4d65288718dd6007de132e94039"
+    )
 
 
 def bisection_inverse(sign, freq, u):
@@ -932,6 +949,16 @@ def test_cli_non_finite_config_exits_2(tmp_path, command, line):
     assert "Traceback" not in proc.stderr
     assert not out.exists()
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_config_not_utf8_exits_2(tmp_path):
+    # a config file that is not valid UTF-8 used to end in a
+    # UnicodeDecodeError traceback with exit 1, the code of a failed invariant
+    proc, out = _run_cli(tmp_path, "rates", b"d = 1\ns = 1.0\n\xff\xfe = 3\n", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read config file ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("s", ["300", "400", "1e308"])

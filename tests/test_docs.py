@@ -45,7 +45,7 @@ def test_readme_names_resolve():
     names = set()
     for span in re.findall(r"`([^`]*)`", text):
         names.update(re.findall(rf"\b(?:samplerec|{'|'.join(modules)})(?:\.\w+)+", span))
-    assert {"lsq.KAPPA_LIMIT", "lsq.ViewGram", "lsq.BlockGram", "expsums.TailGram", "samplerec.rng"} <= names
+    assert {"lsq.KAPPA_LIMIT", "density.ViewGram", "density.BlockGram", "expsums.TailGram", "samplerec.rng"} <= names
     for name in sorted(names):
         parts = name.split(".")
         obj = samplerec
@@ -54,11 +54,39 @@ def test_readme_names_resolve():
             obj = getattr(obj, part)
 
 
+# The package's modules, each above the ones before it: a module imports
+# only modules earlier in this list, so the point set never reads the
+# solver, nor the solver the error bounds.
+LAYERS = ["rounding", "rng", "spectral", "expsums", "density", "lsq", "errors", "experiments", "cli"]
+
+
+def package_imports(path: Path) -> set[str]:
+    """The samplerec modules that the module at path imports, anywhere in
+    it, as from . import x or from .x import y (or with samplerec for .)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").split(".")[0] == "samplerec"):
+            module = (node.module or "").removeprefix("samplerec").lstrip(".")
+            found.update([module.split(".")[0]] if module else [alias.name for alias in node.names])
+    return found
+
+
+def test_modules_import_only_the_layers_below():
+    import samplerec
+
+    src = Path(samplerec.__file__).parent
+    modules = [module.name for module in pkgutil.iter_modules(samplerec.__path__) if not module.name.startswith("_")]
+    assert sorted(modules) == sorted(LAYERS)
+    for rank, name in enumerate(LAYERS):
+        upward = sorted(package_imports(src / f"{name}.py") - set(LAYERS[:rank]))
+        assert upward == [], f"{name} imports {upward}, which are not below it"
+
+
 def test_only_density_reads_the_point_set_form():
     # the form of a point set (B or its staircase, and the panel width of
     # its d >= 2 tail) is read in samplerec.density alone: other modules
-    # go through PointSet.gram, G and tail_gram; and lsq, which density
-    # imports, imports density at module level only for type checking
+    # go through PointSet.gram, G and tail_gram; and density, which builds
+    # the Gram operators of its forms, imports no lsq, errors or experiments
     import samplerec
 
     src = Path(samplerec.__file__).parent
@@ -76,10 +104,8 @@ def test_only_density_reads_the_point_set_form():
         if path.name != "expsums.py" and re.search(r"\bexp_sums\b", path.read_text(encoding="utf-8"))
     ]
     assert makers == [], f"{makers} name exp_sums"
-    for node in ast.parse((src / "lsq.py").read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            names = [getattr(node, "module", None) or ""] + [alias.name for alias in node.names]
-            assert all(name.split(".")[-1] != "density" for name in names), f"lsq.py line {node.lineno}"
+    imported = package_imports(src / "density.py")
+    assert not imported & {"lsq", "errors", "experiments"}, f"density.py imports {sorted(imported)}"
 
 
 def test_each_instance_input_is_checked_in_one_module():
@@ -106,8 +132,7 @@ def test_only_spectral_decodes_flat_indices():
     # the flat-index code (0 the constant, odd a sine, even a cosine,
     # frequency (i + 1) // 2) is decoded in samplerec.spectral alone, once
     # per basis (OrderedBasis.frequencies and sines): no other module reads
-    # .indices, so none can take // 2, % 2 or == 0 of them; the one reader
-    # allowed is the identity check of two bases in errors.empirical_error
+    # .indices, so none can take // 2, % 2 or == 0 of them
     import samplerec
 
     src = Path(samplerec.__file__).parent
@@ -115,17 +140,10 @@ def test_only_spectral_decodes_flat_indices():
     for path in sorted(src.glob("*.py")):
         if path.name == "spectral.py":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        compared = {
-            id(arg)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.array_equal"
-            for arg in node.args
-        }
         readers += [
             f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "indices" and id(node) not in compared
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "indices"
         ]
     assert readers == [], f"{readers} read flat indices"
 

@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 
 from samplerec import errors, lsq
 from samplerec.density import dense_matrix, sample_points, truncated_density
-from samplerec.errors import (
-    certified_upper_bound,
-    empirical_error,
-    worst_case_error_trunc,
-)
+from samplerec.errors import certified_upper_bound, worst_case_error_trunc
 from samplerec.lsq import RANK_RTOL, head_factor, head_svd
 from samplerec.spectral import (
     CoefVector,
     SpaceParams,
     SpectrumSummary,
     basis_matrix,
+    empirical_error,
     ordered_basis,
     random_unit_function,
     spectral_sums,

@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import aslinearoperator
 
 from samplerec import density, lsq
-from samplerec.density import PointSet, dense_matrix, sample_points, truncated_density
+from samplerec.density import BlockGram, PointSet, ViewGram, dense_matrix, sample_points, truncated_density
 from samplerec.errors import worst_case_error_trunc
 from samplerec.experiments import ExperimentConfig, _checked_gamma_norm, csv_text, run_claims, run_rates
 from samplerec.expsums import staircase_sums
 from samplerec.lsq import (
     RANK_RTOL,
-    BlockGram,
-    ViewGram,
     fit,
     head_factor,
     head_svd,

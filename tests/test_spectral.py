@@ -22,7 +22,6 @@ from samplerec.spectral import (
     frequency,
     hnorm_weight,
     ordered_basis,
-    project,
     random_unit_function,
     spectral_sums,
 )
@@ -662,17 +661,6 @@ def test_beta_gamma_geometric_closed_form():
         assert beta == pytest.approx(closed, abs=1e-12)
         if k <= 6:
             assert beta == pytest.approx(closed, rel=1e-12)
-
-
-def test_project_zeroes_the_tail():
-    basis = ordered_basis(SP1, 6)
-    f = CoefVector(basis, np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]))
-    g = project(f, 2)
-    assert g.c.tolist() == [1.0, 2.0, 0.0, 0.0, 0.0, 0.0]
-    assert project(f, 6).c.tolist() == f.c.tolist()
-    assert project(f, 0).l2_norm() == 0.0
-    with pytest.raises(ValueError):
-        project(f, 7)
 
 
 def test_coef_vector_norms_and_validation():
