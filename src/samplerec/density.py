@@ -240,7 +240,7 @@ class ViewGram:
     (PointSet.tail_gram, whose docstring describes the forms).  Gamma is
     never formed, and nothing of the view's size is allocated: a product
     applies the view and its transpose.  A Gram operator for
-    lsq.spectral_norm: shape (q, q) and matvec, and trace.
+    lsq.spectral_norm: shape (q, q) and matvec.
     """
 
     def __init__(self, view: np.ndarray, sigma: np.ndarray) -> None:
@@ -255,10 +255,6 @@ class ViewGram:
         """Gamma^T Gamma v for a vector v of length q."""
         return self._sigma * (self._view.T @ (self._view @ (self._sigma * v)))
 
-    def trace(self) -> float:
-        """Squared Frobenius norm of Gamma."""
-        return float(np.einsum("ij,ij->j", self._view, self._view) @ self._sigma ** 2)
-
 
 class BlockGram:
     """Gamma^T Gamma = diag(sigma) A diag(sigma) for a symmetric (q, q)
@@ -270,7 +266,7 @@ class BlockGram:
     adds each panel's and, above its diagonal block, its transpose's:
     y[:hi] += A[:hi, lo:hi] v[lo:hi] and y[lo:hi] += A[:lo, lo:hi]^T v[:lo];
     [A], one whole-width panel, is the one product A v.  A Gram operator for
-    lsq.spectral_norm: shape (q, q) and matvec, and trace.
+    lsq.spectral_norm: shape (q, q) and matvec.
     """
 
     def __init__(self, panels, sigma: np.ndarray) -> None:
@@ -297,15 +293,6 @@ class BlockGram:
             y[:hi] += panel @ u[lo:hi]
             y[lo:hi] += panel[:lo].T @ u[:lo]
         return self._sigma * y
-
-    def trace(self) -> float:
-        """Squared Frobenius norm of Gamma."""
-        total = 0.0
-        for panel in self._panels:
-            hi = panel.shape[0]
-            lo = hi - panel.shape[1]
-            total += np.diagonal(panel[lo:]) @ self._sigma[lo:hi] ** 2
-        return float(total)
 
 
 @dataclass(frozen=True)
@@ -376,7 +363,7 @@ class PointSet:
     def tail_gram(self, sigma: np.ndarray):
         """Gamma^T Gamma for Gamma = B[:, k:] diag(sigma), sigma the m - k
         tail weights, as the Gram operator of the form (see the class
-        docstring): shape, matvec and trace, for lsq.spectral_norm."""
+        docstring): shape and matvec, for lsq.spectral_norm."""
         if self.B is not None:
             return ViewGram(self.B[:, self.k :], sigma)
         # panels at d = 1 would hold about half the tail block, 36 MB at
@@ -385,6 +372,23 @@ class PointSet:
             return expsums.TailGram(self.sums, self.k, sigma)
         columns = [slice(lo, min(lo + _GRAM_PANEL, self.m)) for lo in range(self.k, self.m, _GRAM_PANEL)]
         return BlockGram([self.gram(slice(self.k, cols.stop), cols) for cols in columns], sigma)
+
+    def tail_frobenius_sq(self, sigma: np.ndarray, head_sq: float) -> float:
+        """||Gamma||_F^2 for Gamma = B[:, k:] diag(sigma), sigma the m - k
+        tail weights, from head_sq = ||G||_F^2 (the sum of the squared
+        singular values of G) alone, alike in every form.
+
+        Precondition: the points were drawn (sample_points) from the
+        density of this k and m over a basis whose weights at positions
+        k..m-1 are sigma, and the densities are its values there.  With
+        S = sum(sigma^2) the density is
+        rho = (1/2k) sum_{j<k} b_j^2 + (1/2S) sum_t sigma_t^2 b_t^2, so
+        each row of B has sum_t sigma_t^2 B[i, t]^2 = 2S - (S/k) sum_j
+        B[i, j]^2, and summed over the rows ||Gamma||_F^2 = S (2n -
+        head_sq / k).  Clamped at 0, so that rounding never gives a
+        negative norm, whose square root would be NaN.
+        """
+        return max(float(np.sum(np.square(sigma))) * (2.0 * self.n - head_sq / self.k), 0.0)
 
     def __post_init__(self) -> None:
         if (self.B is None) == (self.sums is None):

@@ -171,18 +171,21 @@ def _prepare(space: spectral.SpaceParams, m: int):
     return basis, summary
 
 
-def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis) -> float:
+def _checked_gamma_norm(pts: density.PointSet, basis: spectral.OrderedBasis, head: lsq.HeadSVD) -> float:
     """Spectral norm of the point set's scaled tail block
     Gamma = B[:, k:] diag(sigma_k..m), validated against its Frobenius norm.
 
-    Both norms come from the Gram operator Gamma^T Gamma of the point set's
-    form (pts.tail_gram; the PointSet docstring describes the forms), the
-    spectral norm as the square root of its top eigenvalue, the Frobenius
-    norm from its trace, and Gamma is never formed.
+    The spectral norm is the square root of the top eigenvalue of the Gram
+    operator Gamma^T Gamma of the point set's form (pts.tail_gram; the
+    PointSet docstring describes the forms), and Gamma is never formed.  The
+    Frobenius norm comes from the sampling density (pts.tail_frobenius_sq)
+    and ||G||_F^2 = sum(head.sv^2) of the instance's head factorization, on
+    either route or values-only, so the bound is not read from the operator
+    it checks.
     """
-    gram = pts.tail_gram(basis.sigma[pts.k : pts.m])
-    s_gam = math.sqrt(lsq.spectral_norm(gram))
-    fro = math.sqrt(gram.trace())
+    sigma = basis.sigma[pts.k : pts.m]
+    s_gam = math.sqrt(lsq.spectral_norm(pts.tail_gram(sigma)))
+    fro = math.sqrt(pts.tail_frobenius_sq(sigma, float(head.sv @ head.sv)))
     if s_gam > fro * (1.0 + 1e-9) + 1e-12:
         raise ValidationError(
             f"spectral norm {s_gam:.17g} exceeds Frobenius norm {fro:.17g}"
@@ -270,7 +273,7 @@ def run_claims(config: ExperimentConfig) -> ExperimentResult:
                 head = lsq.head_factor(pts, compute_uv=False)
                 degenerate += not head.rank_ok
                 s_mins.append(head.s_min)
-                ratios.append(_checked_gamma_norm(pts, basis) / (gamma_k * sqrt_n))
+                ratios.append(_checked_gamma_norm(pts, basis, head) / (gamma_k * sqrt_n))
             frac_smin = float(np.mean(np.array(s_mins) >= 0.5 * sqrt_n))
             frac_tail = float(np.mean(np.array(ratios) <= 3.0))
             ratio_median = _median(ratios)
@@ -341,7 +344,7 @@ def run_rates(config: ExperimentConfig) -> ExperimentResult:
             if not head.rank_ok:
                 degenerate += 1
                 continue
-            s_gam = _checked_gamma_norm(pts, basis)
+            s_gam = _checked_gamma_norm(pts, basis, head)
             full_rank += 1
             fallbacks += head.u is not None
             e_tr = errors.worst_case_error_trunc(pts, head, basis)

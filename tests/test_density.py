@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samplerec import density, experiments, expsums, spectral
+from samplerec import density, experiments, expsums, lsq, spectral
 from samplerec.density import (
     MAX_POINTS,
     MAX_TRUNCATION,
@@ -692,9 +693,52 @@ def test_structured_d2_draw_and_tail_norm_hold_no_instance_sized_array():
     width = density._GRAM_PANEL
     panels = sum(8 * (min(lo + width, m) - k) * (min(lo + width, m) - lo) for lo in range(k, m, width))
     assert panels < 0.65 * 8 * (m - k) ** 2
-    s_gam, peak = traced_peak(experiments._checked_gamma_norm, pts, dens.basis)
+    head = lsq.head_factor(pts, compute_uv=False)
+    s_gam, peak = traced_peak(experiments._checked_gamma_norm, pts, dens.basis, head)
     assert s_gam > 0
     assert peak <= panels + 1.3 * 2 ** 20
+
+
+# the staircase form at d = 1, 2 and 3 (m <= n) and the dense form at d = 2
+# and 3 (m > n)
+TAIL_FORMS = [
+    (SP1, 4, 32, 64), (SP1, 57, 456, 1024), (SpaceParams(2, 0.75), 4, 32, 64),
+    (SpaceParams(2, 1.0), 4, 40, 32), (SpaceParams(3, 0.6), 3, 24, 48), (SpaceParams(3, 0.6), 6, 60, 40),
+]
+
+
+@pytest.mark.parametrize("params, k, m, n", TAIL_FORMS)
+def test_tail_frobenius_norm_from_the_density_is_that_of_gamma(params, k, m, n):
+    # ||Gamma||_F^2 = S (2n - ||G||_F^2 / k) on every draw from the density,
+    # with ||G||_F^2 from the head on either route (the Gram route as drawn,
+    # the SVD of G with KAPPA_LIMIT 0), full or values-only
+    dens = make_density(params, k, m)
+    sigma = dens.basis.sigma[k:m]
+    for seed in (2, 3):
+        pts = sample_points(dens, n, seed)
+        assert (pts.B is None) == (params.d == 1 or m <= n)
+        exact = np.linalg.norm(dense_matrix(pts)[:, k:] * sigma) ** 2
+        for limit in (lsq.KAPPA_LIMIT, 0.0):
+            with mock.patch.object(lsq, "KAPPA_LIMIT", limit):
+                for head in (lsq.head_factor(pts), lsq.head_factor(pts, compute_uv=False)):
+                    assert (head.u is None) == (limit > 0.0 or head.vt is None)
+                    identity = pts.tail_frobenius_sq(sigma, float(head.sv @ head.sv))
+                    assert identity == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("params, k, m, n", [(SP1, 8, 64, 128), (SpaceParams(2, 0.75), 4, 32, 64)])
+def test_gamma_norm_check_raises_above_the_density_bound(params, k, m, n, monkeypatch):
+    # the check's bound comes from the density, not from the operator it
+    # checks: a squared spectral norm set 1e-8 above the bound fails it
+    dens = make_density(params, k, m)
+    pts = sample_points(dens, n, 2)
+    head = lsq.head_factor(pts)
+    bound = pts.tail_frobenius_sq(dens.basis.sigma[k:m], float(head.sv @ head.sv))
+    monkeypatch.setattr(lsq, "spectral_norm", lambda gram: bound)
+    assert experiments._checked_gamma_norm(pts, dens.basis, head) == math.sqrt(bound)
+    monkeypatch.setattr(lsq, "spectral_norm", lambda gram: bound * (1.0 + 1e-8) ** 2)
+    with pytest.raises(experiments.ValidationError, match="exceeds Frobenius norm"):
+        experiments._checked_gamma_norm(pts, dens.basis, head)
 
 
 def test_staircase_draw_peaks_below_the_gram():

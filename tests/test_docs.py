@@ -181,3 +181,14 @@ def test_only_rounding_steps_to_the_next_float():
             if name in ("nextafter", "finfo"):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == [], f"{readers} name nextafter or finfo"
+
+
+def test_gram_operators_hold_shape_and_matvec_alone():
+    # lsq.spectral_norm reads a Gram operator's shape and matvec alone, and
+    # the Frobenius check reads the density (PointSet.tail_frobenius_sq),
+    # so no operator defines another public method
+    from samplerec import density, errors, expsums
+
+    for cls in (expsums.TailGram, density.BlockGram, density.ViewGram, errors._TruncGram):
+        public = sorted(name for name in vars(cls) if not name.startswith("_"))
+        assert public == ["matvec"], f"{cls.__name__} defines {public}"

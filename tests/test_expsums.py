@@ -258,6 +258,30 @@ def test_exp_sums_match_an_mpmath_oracle(h_max):
             assert abs(complex(sums[h]) - complex(exact)) <= 1e-12 * np.sum(w), h
 
 
+def test_exp_sums_hold_their_bound_at_h_11816():
+    # every h up to 11816, against direct sums in long double: x is a
+    # multiple of 2^-53, so the phase h x mod 1 is exact in integers and
+    # only cos, sin and the sums round, at the 2^-64 of an x87 long double.
+    # Measured 3.3e-13 * sum(w) here (2.3e-13 up to h = 8192), and
+    # 1.5e-13 * sum(w) on 2048 points
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double is no wider than double on this platform")
+    rng = np.random.Generator(np.random.Philox(key=5))
+    x = rng.random(512)
+    w = rng.random(512) + 0.5
+    h_max = 11816
+    sums = exp_sums(x, w, h_max)
+    scaled = (x * 2.0 ** 53).astype(np.uint64)
+    assert np.array_equal(scaled * 2.0 ** -53, x)
+    two_pi, weights = 8 * np.arctan(np.longdouble(1)), w.astype(np.longdouble)
+    for lo in range(0, h_max + 1, 256):
+        h = np.arange(lo, min(lo + 256, h_max + 1), dtype=np.uint64)
+        # h x 2^53 mod 2^53: the wrap of uint64 products is mod 2^64
+        angle = ((h[:, None] * scaled) & np.uint64(2 ** 53 - 1)) * (two_pi * np.longdouble(2.0 ** -53))
+        error = np.abs(sums[lo : lo + len(h)] - (np.cos(angle) @ weights + 1j * (np.sin(angle) @ weights)))
+        assert np.max(error) <= 1e-12 * np.sum(w), lo
+
+
 def test_exp_sums_take_one_exponential_per_point(monkeypatch):
     # the claims-d1 shape, where one exponential per power would take 118 per point
     evaluated = []
@@ -426,8 +450,6 @@ def test_toeplitz_matvec_matches_dense_gamma(k, m, n):
     block = rng.standard_normal((m - k, 3))
     products = np.column_stack([gram.matvec(column) for column in block.T])
     assert np.max(np.abs(products - gamma.T @ (gamma @ block))) <= 1e-13 * scale * np.linalg.norm(block)
-    assert np.allclose(gram.diagonal(), np.sum(gamma ** 2, axis=0), rtol=1e-13, atol=0)
-    assert gram.trace() == pytest.approx(np.linalg.norm(gamma) ** 2, rel=1e-13)
 
 
 def toeplitz_product(sums, tail, sigma, v):
@@ -478,13 +500,12 @@ def test_structured_norms_and_e_trunc_match_dense(d, s, k, m_factor, n_extra, se
     basis, pts = make_instance(k, m, n, seed, SpaceParams(d, s))
     assert pts.B is None and isinstance(pts.sums, expsums.Staircase)
     dense = with_dense_matrix(pts, basis)
-    assert _checked_gamma_norm(pts, basis) == pytest.approx(_checked_gamma_norm(dense, basis), rel=1e-12, abs=0)
-    gamma = dense.B[:, k:] * basis.sigma[k:m]
-    tail_gram = pts.tail_gram(basis.sigma[k:m])
-    assert math.sqrt(tail_gram.trace()) == pytest.approx(np.linalg.norm(gamma), rel=1e-12, abs=0)
     # the run path's factorization (the Gram route, or its dense fallback)
     # against the SVD of the dense instance's G
     head, dense_head = head_factor(pts), head_svd(dense.G)
+    assert _checked_gamma_norm(pts, basis, head) == pytest.approx(
+        _checked_gamma_norm(dense, basis, dense_head), rel=1e-12, abs=0
+    )
     assert head.rank_ok == dense_head.rank_ok
     if head.rank_ok:
         assert worst_case_error_trunc(pts, head, basis) == pytest.approx(
